@@ -15,7 +15,7 @@ import numpy as np
 
 from . import elliptic, fields, hypergeom, jacobi, verify
 from .errors import AppellFieldError, SingularityError
-from .geometry import CylinderSpec, DiskSpec, TubeSpec
+from .geometry import CylinderSpec, DiskSpec, FieldSample, TubeSpec
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,41 @@ def _build_body(name, R, Z, density):
     raise AppellFieldError(f"unknown body {name!r}")
 
 
-def _sample(body, r, z, branch):
-    """(phi, psi) at one point; psi is None when undefined (inside charge,
-    on the tube sheet, disk body) and phi is None only on excluded sets."""
-    try:
-        if isinstance(body, CylinderSpec):
-            s = fields.psi_cyl((r, z), body)
-            return s.phi, s.psi
-        if isinstance(body, TubeSpec):
-            try:
-                s = fields.psi_tube((r, z), body, branch=branch)
-                return s.phi, s.psi
-            except SingularityError:
-                return fields.phi_tube((r, z), body), None
-        return fields.phi_disk((r, z), body.R, body.sigma), None
-    except SingularityError:
-        return None, None
+def _phi(body, point):
+    if isinstance(body, CylinderSpec):
+        return fields.phi_cyl(point, body)
+    if isinstance(body, TubeSpec):
+        return fields.phi_tube(point, body)
+    return fields.phi_disk(point, body.R, body.sigma)
+
+
+def _psi(body, point, branch):
+    if isinstance(body, CylinderSpec):
+        return fields.psi_cyl(point, body)
+    if isinstance(body, TubeSpec):
+        return fields.psi_tube(point, body, branch=branch)
+    return None  # the disk body provides phi only
+
+
+def _sample(body, r, z, quantity, branch=0):
+    """FieldSample at one point, evaluating only the requested quantity
+    ('phi', 'psi' or 'both'). A quantity not requested, undefined (psi
+    inside the charge or on the disk body) or excluded (a singular set:
+    the cylinder edge circle, the tube sheet for psi, the disk edge) is
+    None."""
+    point = (r, z)
+    phi = psi = None
+    if quantity != "psi":
+        try:
+            phi = _phi(body, point)
+        except SingularityError:
+            pass
+    if quantity != "phi":
+        try:
+            psi = _psi(body, point, branch)
+        except SingularityError:
+            pass
+    return FieldSample(phi, psi, branch)
 
 
 def cmd_eval(args):
@@ -82,42 +101,46 @@ def cmd_eval(args):
     quantities = ("phi", "psi") if args.quantity == "both" else (args.quantity,)
     if args.body == "disk" and "psi" in quantities and args.quantity != "both":
         raise AppellFieldError("the field-line potential is not provided for the disk body")
-    phi, psi = _sample(body, args.r, args.z, args.branch)
+    sample = _sample(body, args.r, args.z, args.quantity, args.branch)
     for q in quantities:
         if q == "phi":
-            if phi is None:
+            if sample.phi is None:
                 raise AppellFieldError("phi is excluded at this point (singular set)")
-            print(f"phi={phi!r} [charge/length] branch={args.branch}")
+            print(f"phi={sample.phi!r} [charge/length] branch={args.branch}")
         else:
             if args.body == "disk":
                 continue
-            if psi is None:
+            if sample.psi is None:
                 print("psi=undefined(inside-charge)")
             else:
-                print(f"psi={psi!r} [charge] branch={args.branch}")
+                print(f"psi={sample.psi!r} [charge] branch={args.branch}")
     return 0
 
 
 def _grid_rows(spec: GridSpec, workers=1):
+    """(r, z, phi, psi, branch) rows, sheet by sheet, r-major within a
+    sheet. Each (r, z) is evaluated once, on sheet 0; tube sheet b != 0
+    adds b * tube_branch_jump to that psi, exactly as psi_tube does."""
     body = _build_body(spec.body, spec.R, spec.Z, spec.density)
     rs = np.linspace(spec.r_min, spec.r_max, spec.nr)
     zs = np.linspace(spec.z_min, spec.z_max, spec.nz)
-    tasks = [(body, float(r), float(z), int(b))
-             for b in spec.branches for r in rs for z in zs]
+    tasks = [(body, float(r), float(z), spec.quantity) for r in rs for z in zs]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_sample_star, tasks, chunksize=64))
     else:
         samples = [_sample_star(t) for t in tasks]
+    jump = fields.tube_branch_jump(body) if isinstance(body, TubeSpec) else 0.0
     rows = []
-    for (body_, r, z, b), (phi, psi) in zip(tasks, samples):
-        rows.append((r, z, phi, psi, b))
+    for b in spec.branches:
+        for (_, r, z, _), s in zip(tasks, samples):
+            psi = s.psi + b * jump if b and s.psi is not None else s.psi
+            rows.append((r, z, s.phi, psi, b))
     return rows
 
 
 def _sample_star(task):
-    body, r, z, b = task
-    return _sample(body, r, z, b)
+    return _sample(*task)
 
 
 def _fmt(x):
@@ -134,26 +157,19 @@ def cmd_grid(args):
                     args.nz, args.body, args.R, args.Z, args.density,
                     args.quantity, branches)
     rows = _grid_rows(spec, workers=args.workers)
-    want_phi = spec.quantity in ("phi", "both")
-    want_psi = spec.quantity in ("psi", "both")
     try:
         if args.format == "csv":
             with open(args.out, "w", encoding="ascii", newline="\n") as fh:
                 fh.write("r,z,phi,psi,branch\n")
                 for (r, z, phi, psi, b) in rows:
-                    pv = _fmt(phi) if want_phi else "nan"
-                    sv = _fmt(psi) if want_psi else "nan"
-                    fh.write(f"{r!r},{z!r},{pv},{sv},{b}\n")
+                    fh.write(f"{r!r},{z!r},{_fmt(phi)},{_fmt(psi)},{b}\n")
         else:
             meta = asdict(spec)
             meta["branches"] = list(spec.branches)
             payload = {
                 "meta": meta,
                 "rows": [
-                    {"r": r, "z": z,
-                     "phi": (phi if want_phi else None),
-                     "psi": (psi if want_psi else None),
-                     "branch": b}
+                    {"r": r, "z": z, "phi": phi, "psi": psi, "branch": b}
                     for (r, z, phi, psi, b) in rows
                 ],
             }

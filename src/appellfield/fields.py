@@ -13,7 +13,7 @@ import math
 
 from . import elliptic, hypergeom
 from .errors import DomainError, SingularityError
-from .geometry import AuxGeometry, CylinderSpec, FieldSample, TubeSpec, aux
+from .geometry import AuxGeometry, CylinderSpec, TubeSpec, aux
 
 _EDGE_BAND = 1e-9      # exclusion radius around the cylinder edge circle, in units of R
 _SURFACE_SNAP = 1e-9   # m + A^2 beyond 1 - this: boundary value via i_hyg_surface
@@ -247,14 +247,20 @@ def _check_point(point):
     return r, z
 
 
+def _check_cyl_point(point, spec: CylinderSpec):
+    r, z = _check_point(point)
+    R, Z = spec.R, spec.Z
+    if abs(r - R) < _EDGE_BAND * R and abs(abs(z) - Z) < _EDGE_BAND * R:
+        raise SingularityError("cylinder: edge circle (r, |z|) = (R, Z) is excluded")
+    return r, z
+
+
 def phi_cyl_terms(point, spec: CylinderSpec, ctl=None):
     """The three parts (phi_hyg, phi_ell, phi_corr) of the cylinder potential;
     each part separately satisfies a Laplace/Poisson equation away from the
     surfaces r = R, z = +-Z."""
-    r, z = _check_point(point)
+    r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
-    if abs(r - R) < _EDGE_BAND * R and abs(abs(z) - Z) < _EDGE_BAND * R:
-        raise SingularityError("phi_cyl: edge circle (r, |z|) = (R, Z) is excluded")
     p_hyg = 0.0
     p_ell = 0.0
     for beta in (1.0, -1.0):
@@ -272,22 +278,22 @@ def phi_cyl(point, spec: CylinderSpec, ctl=None):
     return sum(phi_cyl_terms(point, spec, ctl))
 
 
-def psi_cyl(point, spec: CylinderSpec, ctl=None):
-    """Field-line potential of the cylinder. Points inside the closed body
-    {r <= R, |z| <= Z} carry the inside-charge marker (psi = None);
-    psi -> Q z/sqrt(r^2+z^2) at infinity and is odd in z."""
-    r, z = _check_point(point)
+def psi_cyl(point, spec: CylinderSpec):
+    """Field-line potential psi of the cylinder, a float; None inside the
+    closed body {r <= R, |z| <= Z}, where psi has no formula. The edge
+    circle is excluded as for phi_cyl. psi -> Q z/sqrt(r^2+z^2) at infinity
+    and is odd in z. No phi is computed."""
+    r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
-    phi = phi_cyl(point, spec, ctl)
     if r <= R and abs(z) <= Z:
-        return FieldSample(phi, None, 0)
+        return None
     total = 0.0
     for beta in (1.0, -1.0):
         total += rho0 * 2.0 * beta * _j_cyl_ell_pi(aux(R, beta * Z - z, r))
     total += -2.0 * math.pi * rho0 * r * r * z * heaviside(Z - abs(z))
     total += 2.0 * math.pi * rho0 * Z * _sgn(z) * (-r * r + R * R * heaviside(R - r)) \
         * heaviside(abs(z) - Z)
-    return FieldSample(phi, total, 0)
+    return total
 
 
 def phi_tube(point, spec: TubeSpec, ctl=None):
@@ -307,11 +313,12 @@ def tube_branch_jump(spec: TubeSpec):
     return 8.0 * math.pi * spec.R * spec.Z * spec.sigma0
 
 
-def psi_tube(point, spec: TubeSpec, branch=0, ctl=None):
-    """Field-line potential of the tube on the requested branch
-    (psi + branch * 8 pi R Z sigma0). The open charged sheet
+def psi_tube(point, spec: TubeSpec, branch=0):
+    """Field-line potential psi of the tube on the requested branch, a
+    float: the branch-0 value plus branch * tube_branch_jump(spec), the
+    offset added only for branch != 0. The open charged sheet
     {r = R, |z| < Z} is excluded; the branch-0 cut lies on the disk
-    {z = 0, r < R}."""
+    {z = 0, r < R}. No phi is computed."""
     r, z = _check_point(point)
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
     if abs(r - R) < 1e-12 * R and abs(z) < Z:
@@ -322,7 +329,7 @@ def psi_tube(point, spec: TubeSpec, branch=0, ctl=None):
     total += 4.0 * math.pi * sigma0 * R * Z * _sgn(z) * heaviside(R - r)
     if branch:
         total += branch * tube_branch_jump(spec)
-    return FieldSample(phi_tube(point, spec, ctl), total, int(branch))
+    return total
 
 
 def phi_disk(point, R, sigma, form="lass_blitzer"):

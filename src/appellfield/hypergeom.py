@@ -237,10 +237,12 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y, ctl=None):
 
     Symmetric under (beta, gamma, x) <-> (beta2, gamma2, y). Negative
     arguments are mapped into the convergence region |x|+|y| < 1 by the
-    Euler-type transformations; near the boundary, parameter families with
-    gamma2 = 3/2 and beta2 in {1/2, 1} are accelerated by an inner-2F1
-    recurrence. Raises ConvergenceError when no implemented transformation
-    reaches a convergent regime.
+    Euler-type transformations. The parameter families with gamma2 = 3/2 and
+    beta2 in {1/2, 1} (inner-2F1 recurrence) and with alpha = beta = 1/2,
+    gamma = 1 (K/E-seeded recurrence) are summed as single-index series, at
+    ratio x/(1-y) or y/(1-x), whichever is smaller; other parameters take
+    the anti-diagonal double sum. Raises ConvergenceError when no
+    implemented transformation reaches a convergent regime.
     """
     ctl = ctl or DEFAULT_CONTROL
     for g in (gamma, gamma2):
@@ -258,10 +260,9 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y, ctl=None):
             return _f2_inner_sum(alpha, beta2, gamma2, beta, y, x, ctl)
         return (1.0 - x) ** (-alpha) * appell_f2(
             alpha, gamma - beta, beta2, gamma, gamma2, x / (x - 1.0), y / (1.0 - x), ctl)
-    if x + y < 0.85:
-        return _f2_direct_or_raise(alpha, beta, beta2, gamma, gamma2, x, y, ctl)
-    # near the |x|+|y| = 1 boundary: pick the accelerated ordering with the
-    # smallest series ratio among the parameter families available
+    # x, y >= 0: where the parameters form one of the accelerated families,
+    # take the single-index ordering with the smallest series ratio; the
+    # O(N^2) anti-diagonal sum is left for general parameters
     candidates = []
     if _inner_family(alpha, beta2, gamma2) and y < 1.0 - 1e-12 \
             and x / (1.0 - y) < 1.0 - 1e-12:
@@ -282,7 +283,9 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y, ctl=None):
     if candidates:
         candidates.sort(key=lambda c: c[0])
         return candidates[0][1]()
-    return _f2_direct_or_raise(alpha, beta, beta2, gamma, gamma2, x, y, ctl)
+    if x + y >= 1.0 - 1e-12:
+        raise ConvergenceError(f"appell_f2 does not converge at |x|+|y| = {x + y}")
+    return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y, ctl)
 
 
 def _ke_family(alpha, beta, gamma):
@@ -325,13 +328,6 @@ def _inner_family(alpha, beta2, gamma2):
     # parameter families whose inner 2F1(alpha+j, beta2; gamma2; y) has a
     # stable two-term recurrence with elementary seeds
     return alpha == 0.5 and gamma2 == 1.5 and beta2 in (0.5, 1.0)
-
-
-def _f2_direct_or_raise(alpha, beta, beta2, gamma, gamma2, x, y, ctl):
-    if abs(x) + abs(y) >= 1.0 - 1e-12:
-        raise ConvergenceError(
-            f"appell_f2 does not converge at |x|+|y| = {abs(x) + abs(y)}")
-    return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y, ctl)
 
 
 def _f2_inner_sum(alpha, beta, gamma, beta2, x, y, ctl):

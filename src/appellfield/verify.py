@@ -285,12 +285,12 @@ def _crit11_conjugacy(rng, full):
     # FD stencils need clearance from the axis
     cyl_pts = [(max(r, 0.15), z) for (r, z) in _cyl_exterior_points(n)]
     bodies.append((lambda p: fields.phi_cyl(p, FIG_CYLINDER),
-                   lambda p: fields.psi_cyl(p, FIG_CYLINDER).psi, cyl_pts))
+                   lambda p: fields.psi_cyl(p, FIG_CYLINDER), cyl_pts))
     tube_pts = [(2.0, 0.4), (1.5, -0.9), (0.5, 0.35), (0.4, -0.4), (2.5, 1.5),
                 (0.2, 0.5), (1.8, 0.1), (0.6, -0.3), (3.0, -2.0), (1.3, 1.2)]
     tube_pts = (tube_pts * 2)[:n]
     bodies.append((lambda p: fields.phi_tube(p, FIG_TUBE),
-                   lambda p: fields.psi_tube(p, FIG_TUBE).psi, tube_pts))
+                   lambda p: fields.psi_tube(p, FIG_TUBE), tube_pts))
     for phi_f, psi_f, pts in bodies:
         for (r, z) in pts:
             for hh in (h, h / 2.0):
@@ -333,7 +333,7 @@ def _tube_loop(h):
 
 def _crit12_topological_charge(rng, full):
     h = 1e-4
-    psival = lambda r, z: fields.psi_tube((r, z), FIG_TUBE).psi
+    psival = lambda r, z: fields.psi_tube((r, z), FIG_TUBE)
     threading = oracle.loop_integral_grad(psival, _tube_loop(h), h)
     expected = fields.tube_branch_jump(FIG_TUBE)
     rel = abs(abs(threading) - expected) / expected
@@ -382,13 +382,13 @@ def _crit14_psi_oracle(rng, full):
                 (0.8, 1.5), (2.5, 2.0), (0.2, -0.3), (1.1, 0.9), (3.0, 0.5)][:n]
     for (r, z) in tube_pts:
         ref = oracle.brute_psi((r, z), FIG_TUBE, qspec)
-        val = fields.psi_tube((r, z), FIG_TUBE).psi
+        val = fields.psi_tube((r, z), FIG_TUBE)
         worst = max(worst, abs(val - ref) / max(abs(ref), 1e-3))
     cyl_pts = [(1.5, 0.3), (0.5, 1.2), (2.0, -1.0), (1.2, 0.5), (0.3, -1.0),
                (1.8, 1.1), (0.9, 2.0), (2.5, -0.2), (1.06, 0.6), (0.1, 0.9)][:n]
     for (r, z) in cyl_pts:
         ref = oracle.brute_psi((r, z), FIG_CYLINDER, qspec)
-        val = fields.psi_cyl((r, z), FIG_CYLINDER).psi
+        val = fields.psi_cyl((r, z), FIG_CYLINDER)
         worst = max(worst, abs(val - ref) / max(abs(ref), 1e-3))
     return worst < tol, worst / tol, f"{2 * n} points, worst rel {worst:.2e}"
 
@@ -471,29 +471,27 @@ CHECKS = [
 ]
 
 
+def _run(cid, name, fn, seed, full):
+    # a crashed check is a failed check, whichever entry point ran it
+    rng = np.random.default_rng([seed, int(cid[1:])])
+    t0 = time.perf_counter()
+    try:
+        passed, worst, detail = fn(rng, full)
+    except Exception as exc:
+        passed, worst, detail = False, math.inf, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(cid, name, passed, worst, detail, time.perf_counter() - t0)
+
+
 def run_check(ident, seed=42, full=True):
     """Run one named check; returns a CheckResult."""
     for cid, name, fn in CHECKS:
         if cid == ident:
-            rng = np.random.default_rng([seed, int(cid[1:])])
-            t0 = time.perf_counter()
-            passed, worst, detail = fn(rng, full)
-            return CheckResult(cid, name, passed, worst, detail, time.perf_counter() - t0)
+            return _run(cid, name, fn, seed, full)
     raise KeyError(f"unknown check {ident!r}")
 
 
 def run_suite(suite="fast", seed=42, idents=None):
     """Run the acceptance battery; suite is 'fast' or 'full'."""
     full = suite == "full"
-    results = []
-    for cid, name, fn in CHECKS:
-        if idents is not None and cid not in idents:
-            continue
-        rng = np.random.default_rng([seed, int(cid[1:])])
-        t0 = time.perf_counter()
-        try:
-            passed, worst, detail = fn(rng, full)
-        except Exception as exc:  # a crashed check is a failed check
-            passed, worst, detail = False, math.inf, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(cid, name, passed, worst, detail, time.perf_counter() - t0))
-    return results
+    return [_run(cid, name, fn, seed, full) for cid, name, fn in CHECKS
+            if idents is None or cid in idents]

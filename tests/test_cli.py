@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from appellfield import cli
+from appellfield.errors import SingularityError
 
 
 def run_cli(*argv):
@@ -102,7 +103,7 @@ def test_grid_csv_roundtrip_and_determinism(tmp_path):
         rv, zv = float(r), float(z)
         assert float(phi) == fields.phi_tube((rv, zv), tube)
         if psi != "nan":
-            assert float(psi) == fields.psi_tube((rv, zv), tube).psi
+            assert float(psi) == fields.psi_tube((rv, zv), tube)
 
 
 def test_grid_degenerate_2x2(tmp_path):
@@ -133,6 +134,20 @@ def test_grid_branch_sheets(tmp_path):
     assert len(lines) == 1 + 27
     branches = {row.split(",")[4] for row in lines[1:]}
     assert branches == {"-1", "0", "1"}
+    # phi is the same on every sheet; psi on sheet b is psi_tube's bit for bit
+    from appellfield import fields
+    from appellfield.geometry import TubeSpec
+    tube = TubeSpec(1.0, 0.7, 1.0)
+    phis = {}
+    for row in lines[1:]:
+        r, z, phi, psi, b = row.split(",")
+        phis.setdefault((r, z), set()).add(phi)
+        if psi == "nan":
+            with pytest.raises(SingularityError):
+                fields.psi_tube((float(r), float(z)), tube, branch=int(b))
+        else:
+            assert psi == repr(fields.psi_tube((float(r), float(z)), tube, branch=int(b)))
+    assert len(phis) == 9 and all(len(v) == 1 for v in phis.values())
 
 
 def test_grid_json_schema(tmp_path):
@@ -147,8 +162,9 @@ def test_grid_json_schema(tmp_path):
 
 
 def test_grid_workers_match_sequential(tmp_path):
-    out1, args1 = grid_args(tmp_path, "csv", "w1.csv")
-    out2, args2 = grid_args(tmp_path, "csv", "w2.csv", ("--workers", "2"))
+    sheets = ("--branch", "-1", "0", "1")
+    out1, args1 = grid_args(tmp_path, "csv", "w1.csv", sheets)
+    out2, args2 = grid_args(tmp_path, "csv", "w2.csv", (*sheets, "--workers", "2"))
     assert run_cli(*args1)[0] == 0
     assert run_cli(*args2)[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -175,3 +191,159 @@ def test_console_entry_point():
                           "--fn", "comp_k", "0.85"], capture_output=True, text=True)
     assert res.returncode == 0
     assert float(res.stdout) == pytest.approx(2.389, abs=1e-3)
+
+
+# (r, z, phi, psi) of the R = 1, Z = 0.7, unit-density figure bodies on a
+# 7 x 5 grid over r in [0, 3], z in [0, 3], as written by the anti-diagonal
+# F2 route; None marks psi inside the cylinder and on the tube sheet
+SEED_GRIDS = {
+    "cyl": (
+        (0.0, 0.0, 6.390787740701399, None),
+        (0.0, 0.75, 4.777358210104294, 4.39822971502571),
+        (0.0, 1.5, 2.7929782517780115, 4.3982297150257095),
+        (0.0, 2.25, 1.916782110743398, 4.398229715025712),
+        (0.0, 3.0, 1.4507865525603485, 4.398229715025709),
+        (0.5, 0.0, 5.930744567230238, None),
+        (0.5, 0.75, 4.473174525479232, 3.916570923590253),
+        (0.5, 1.5, 2.6846038908764474, 4.200623384171153),
+        (0.5, 2.25, 1.8759806084590913, 4.299379113256782),
+        (0.5, 3.0, 1.432160110832644, 4.340240227630649),
+        (1.0, 0.0, 4.432497544027597, None),
+        (1.0, 0.75, 3.5712629020415783, 2.790140519613126),
+        (1.0, 1.5, 2.4047444896546892, 3.7133401585828825),
+        (1.0, 2.25, 1.7659637053578088, 4.035424929554027),
+        (1.0, 3.0, 1.38006773983955, 4.178514555749626),
+        (1.5, 0.0, 2.9687036588958, 0.0),
+        (1.5, 0.75, 2.6460412347339517, 2.024245735916841),
+        (1.5, 1.5, 2.066137624887098, 3.1575471872418106),
+        (1.5, 2.25, 1.6162449686647413, 3.6813116096124716),
+        (1.5, 3.0, 1.3040806626933303, 3.9436816578228218),
+        (2.0, 0.0, 2.218578665772985, 0.0),
+        (2.0, 0.75, 2.0718616563174326, 1.5758986551774399),
+        (2.0, 1.5, 1.7597231896719343, 2.6734322027579474),
+        (2.0, 2.25, 1.4567099719367143, 3.308896792694547),
+        (2.0, 3.0, 1.2155200406505102, 3.671361257541818),
+        (2.5, 0.0, 1.7701325741930791, 0.0),
+        (2.5, 0.75, 1.6929437098077944, 1.2829421502908893),
+        (2.5, 1.5, 1.5106815391179715, 2.2871758079110514),
+        (2.5, 2.25, 1.3062683273898976, 2.961074912269396),
+        (2.5, 3.0, 1.1239081810789457, 3.3909347118541078),
+        (3.0, 0.0, 1.4726068831308865, 0.0),
+        (3.0, 0.75, 1.4274217676743337, 1.0789899647759569),
+        (3.0, 1.5, 1.3134877853901692, 1.9842258308003622),
+        (3.0, 2.25, 1.1727510797269503, 2.6543926922637624),
+        (3.0, 3.0, 1.035516704943678, 3.1213699224483236),
+    ),
+    "tube": (
+        (0.0, 0.0, 8.201649956992016, 0.0),
+        (0.0, 0.75, 7.016590996842119, 8.79645943005142),
+        (0.0, 1.5, 5.0076499263031335, 8.79645943005142),
+        (0.0, 2.25, 3.6463419532372674, 8.796459430051419),
+        (0.0, 3.0, 2.8210378135150957, 8.79645943005142),
+        (0.5, 0.0, 8.516441283779216, 0.0),
+        (0.5, 0.75, 7.097244150232951, 8.426418773573797),
+        (0.5, 1.5, 4.914518260506971, 8.508362800071911),
+        (0.5, 2.25, 3.5881653715421944, 8.625849833744446),
+        (0.5, 3.0, 2.7899661376396505, 8.689790256272017),
+        (1.0, 0.0, 9.57219548063001, None),
+        (1.0, 0.75, 7.126935788223514, 6.6540237974180245),
+        (1.0, 1.5, 4.596437213877984, 7.682386274486253),
+        (1.0, 2.25, 3.4208656985880967, 8.151054969088795),
+        (1.0, 3.0, 2.701201954336467, 8.387912669098293),
+        (1.5, 0.0, 6.231330101793334, 0.0),
+        (1.5, 0.75, 5.403005937737787, 4.467101673520242),
+        (1.5, 1.5, 4.072458117536653, 6.579084628915446),
+        (1.5, 2.25, 3.1719101277552992, 7.477755989645441),
+        (1.5, 3.0, 2.567294043588035, 7.939508938231356),
+        (2.0, 0.0, 4.57047576669825, 0.0),
+        (2.0, 0.75, 4.217001810964801, 3.3705356365375927),
+        (2.0, 1.5, 3.5140729203938217, 5.551660509931363),
+        (2.0, 2.25, 2.8858908079907204, 6.738235592217558),
+        (2.0, 3.0, 2.405678640591363, 7.407595344121521),
+        (2.5, 0.0, 3.609848951763954, 0.0),
+        (2.5, 0.75, 3.43269497702365, 2.6920685241807334),
+        (2.5, 1.5, 3.030742807293257, 4.721679620417126),
+        (2.5, 2.25, 2.602578598427618, 6.030267877944304),
+        (2.5, 3.0, 2.2335329866137243, 6.850007826630417),
+        (3.0, 0.0, 2.9857433162020586, 0.0),
+        (3.0, 0.75, 2.8855024213806755, 2.2362023828440734),
+        (3.0, 1.5, 2.638734933517575, 4.073430525064403),
+        (3.0, 2.25, 2.343837132537751, 5.399053097794283),
+        (3.0, 3.0, 2.0638100523269296, 6.307596970725118),
+    ),
+}
+
+
+@pytest.mark.parametrize("body", sorted(SEED_GRIDS))
+def test_grid_matches_anti_diagonal_values(tmp_path, body):
+    out = tmp_path / f"{body}.json"
+    code, _, _ = run_cli("grid", "--body", body, "--R", "1", "--Z", "0.7",
+                         "--density", "1", "--r-min", "0", "--r-max", "3",
+                         "--z-min", "0", "--z-max", "3", "--nr", "7", "--nz", "5",
+                         "--format", "json", "--out", str(out))
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == len(SEED_GRIDS[body])
+    for row, (r, z, phi, psi) in zip(rows, SEED_GRIDS[body]):
+        assert (row["r"], row["z"]) == (r, z)
+        assert row["phi"] == pytest.approx(phi, rel=1e-12, abs=0.0)
+        if psi is None:
+            assert row["psi"] is None
+        else:
+            assert row["psi"] == pytest.approx(psi, rel=1e-12, abs=0.0)
+
+
+def count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("quantity,skipped", [("phi", "psi"), ("psi", "phi")])
+def test_grid_quantity_skips_the_other(tmp_path, monkeypatch, quantity, skipped):
+    from appellfield import fields
+    calls = count_calls(monkeypatch, fields,
+                        ("phi_cyl", "psi_cyl", "phi_tube", "psi_tube"))
+    for body in ("cyl", "tube"):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{body}.{fmt}"
+            code, _, _ = run_cli("grid", "--body", body, "--R", "1", "--Z", "0.7",
+                                 "--density", "1", "--r-min", "0.5", "--r-max", "2",
+                                 "--z-min", "0.8", "--z-max", "2", "--nr", "2",
+                                 "--nz", "2", "--quantity", quantity,
+                                 "--format", fmt, "--out", str(out))
+            assert code == 0
+            if fmt == "csv":
+                lines = out.read_text().strip().splitlines()
+                assert lines[0] == "r,z,phi,psi,branch"
+                col = ("phi", "psi").index(skipped) + 2
+                for line in lines[1:]:
+                    cells = line.split(",")
+                    assert cells[col] == "nan"
+                    assert math.isfinite(float(cells[5 - col]))
+            else:
+                rows = json.loads(out.read_text())["rows"]
+                assert all(set(row) == {"r", "z", "phi", "psi", "branch"} for row in rows)
+                assert all(row[skipped] is None and row[quantity] is not None
+                           for row in rows)
+    assert calls[f"{skipped}_cyl"] == calls[f"{skipped}_tube"] == 0
+    assert calls[f"{quantity}_cyl"] == calls[f"{quantity}_tube"] == 8
+
+
+@pytest.mark.parametrize("quantity,skipped", [("phi", "psi"), ("psi", "phi")])
+def test_eval_quantity_skips_the_other(monkeypatch, quantity, skipped):
+    from appellfield import fields
+    calls = count_calls(monkeypatch, fields, ("phi_tube", "psi_tube"))
+    code, out, _ = run_cli("eval", "--body", "tube", "--R", "1", "--Z", "0.7",
+                           "--density", "1", "--r", "1.5", "--z", "0.3",
+                           "--quantity", quantity)
+    assert code == 0
+    assert out.startswith(f"{quantity}=") and len(out.strip().splitlines()) == 1
+    assert calls == {f"{quantity}_tube": 1, f"{skipped}_tube": 0}

@@ -150,23 +150,22 @@ def test_phi_cyl_edge_circle_excluded():
 
 
 def test_psi_cyl_marker_and_values():
-    assert fl.psi_cyl((0.5, 0.2), CYL).psi is None
-    assert fl.psi_cyl((1.0, 0.3), CYL).psi is None  # closed-region boundary
+    assert fl.psi_cyl((0.5, 0.2), CYL) is None
+    assert fl.psi_cyl((1.0, 0.3), CYL) is None  # closed-region boundary
     s = fl.psi_cyl((0.5, 1.2), CYL)
-    assert s.psi == pytest.approx(PSI_CYL_05_12, rel=1e-8)
-    assert s.branch == 0
+    assert s == pytest.approx(PSI_CYL_05_12, rel=1e-8)
 
 
 def test_psi_cyl_odd_in_z():
-    up = fl.psi_cyl((1.5, 0.9), CYL).psi
-    down = fl.psi_cyl((1.5, -0.9), CYL).psi
+    up = fl.psi_cyl((1.5, 0.9), CYL)
+    down = fl.psi_cyl((1.5, -0.9), CYL)
     assert up == pytest.approx(-down, rel=1e-12)
 
 
 def test_psi_cyl_far_field():
     r, z = 40.0, 60.0
     d = math.hypot(r, z)
-    assert fl.psi_cyl((r, z), CYL).psi == pytest.approx(
+    assert fl.psi_cyl((r, z), CYL) == pytest.approx(
         CYL.total_charge * z / d, rel=1e-3)
 
 
@@ -197,22 +196,21 @@ def test_phi_tube_surface_against_quadrature():
 
 def test_psi_tube_branches_and_jump():
     base = fl.psi_tube((1.5, 0.3), TUBE)
-    assert base.psi == pytest.approx(PSI_TUBE_15_03, rel=1e-9)
+    assert base == pytest.approx(PSI_TUBE_15_03, rel=1e-9)
     jump = fl.tube_branch_jump(TUBE)
     assert jump == pytest.approx(8.0 * math.pi * 0.7, rel=1e-15)
     assert jump == pytest.approx(17.593, abs=1e-3)
     shifted = fl.psi_tube((1.5, 0.3), TUBE, branch=1)
-    assert shifted.psi == pytest.approx(base.psi + jump, rel=1e-12)
-    assert shifted.branch == 1
+    assert shifted == pytest.approx(base + jump, rel=1e-12)
     # odd symmetry on branch 0 outside
-    assert fl.psi_tube((1.5, -0.3), TUBE).psi == pytest.approx(-base.psi, rel=1e-12)
+    assert fl.psi_tube((1.5, -0.3), TUBE) == pytest.approx(-base, rel=1e-12)
 
 
 def test_psi_tube_surface_excluded():
     with pytest.raises(SingularityError):
         fl.psi_tube((1.0, 0.3), TUBE)
     # but defined on r = R beyond the sheet
-    assert fl.psi_tube((1.0, 1.1), TUBE).psi is not None
+    assert fl.psi_tube((1.0, 1.1), TUBE) is not None
 
 
 def test_disk_forms_and_axis():
@@ -298,5 +296,5 @@ def test_tube_psi_reconstructed_from_phi():
 
     spec = oc.QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
     delta, _ = oc.quad_1d(integrand, r1, r2, spec)
-    expect = fl.psi_tube((r2, z), TUBE).psi - fl.psi_tube((r1, z), TUBE).psi
+    expect = fl.psi_tube((r2, z), TUBE) - fl.psi_tube((r1, z), TUBE)
     assert delta == pytest.approx(expect, abs=1e-6)

@@ -117,6 +117,52 @@ def test_appell_f2_negative_argument_routes_agree():
     assert fast == pytest.approx(direct, rel=1e-11)
 
 
+def test_appell_f2_family_takes_single_index_route(monkeypatch):
+    # the potentials' family F2(1/2; 1/2, 1; 1, 3/2; m, A^2) away from the
+    # |x|+|y| = 1 boundary: the single-index sums against the anti-diagonal sum
+    ctl = hg.DEFAULT_CONTROL
+    direct = hg._appell_f2_direct
+    calls = []
+    monkeypatch.setattr(hg, "_appell_f2_direct",
+                        lambda *a: calls.append(a) or direct(*a))
+    for m in np.linspace(0.0, 0.84, 15):
+        for y in np.linspace(0.0, 0.84, 15):
+            if m + y >= 0.85 or m == y == 0.0:
+                continue
+            fast = hg.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y)
+            assert fast == pytest.approx(
+                direct(0.5, 0.5, 1.0, 1.0, 1.5, m, y, ctl), rel=1e-13, abs=0.0)
+    assert calls == []
+
+
+def test_appell_f2_family_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for m, y in ((0.1, 0.2), (0.4, 0.4), (0.8, 0.04), (0.02, 0.8), (0.6, 0.2)):
+            ref = float(mpmath.appellf2(0.5, 0.5, 1.0, 1.0, 1.5, m, y))
+            assert hg.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y) == pytest.approx(
+                ref, rel=1e-13, abs=0.0)
+
+
+def test_appell_f2_general_parameters_take_direct_sum(monkeypatch):
+    # the swap and y = 0 collapse cases of the special-function unit layer
+    # have parameters outside the accelerated families
+    direct = hg._appell_f2_direct
+    calls = []
+    monkeypatch.setattr(hg, "_appell_f2_direct",
+                        lambda *a: calls.append(a) or direct(*a))
+    for name in ("_f2_inner_sum", "_f2_ke_sum"):
+        monkeypatch.setattr(hg, name, lambda *a: pytest.fail("accelerated route taken"))
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        al, b1, b2 = rng.uniform(0.2, 1.5, 3)
+        g1, g2 = rng.uniform(1.0, 2.0, 2)
+        x, y = rng.uniform(0.0, 0.45, 2)
+        hg.appell_f2(al, b1, b2, g1, g2, x, y)
+        hg.appell_f2(al, b1, 1.0, g1, 1.5, rng.uniform(0.0, 0.8), 0.0)
+    assert len(calls) == 20
+
+
 def test_appell_f2_nonconvergence():
     with pytest.raises(ConvergenceError):
         hg.appell_f2(0.7, 0.4, 1.1, 1.3, 1.8, 0.6, 0.6)
