@@ -62,7 +62,7 @@ def _phi(body, point):
         return fields.phi_cyl(point, body)
     if isinstance(body, TubeSpec):
         return fields.phi_tube(point, body)
-    return fields.phi_disk(point, body.R, body.sigma)
+    return fields.phi_disk(point, body)
 
 
 def _psi(body, point, branch):

@@ -13,11 +13,9 @@ import math
 
 from . import elliptic, hypergeom
 from .errors import DomainError, SingularityError
-from .geometry import AuxGeometry, CylinderSpec, TubeSpec, aux
+from .geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
 
-_EDGE_BAND = 1e-9      # exclusion radius around the cylinder edge circle, in units of R
-_SURFACE_SNAP = 1e-9   # m + A^2 beyond 1 - this: boundary value via i_hyg_surface
-_PI_STAR_BAND = 1e-12  # 1 - n* below this: replace (r-r0)*Pi(n*) by its limit
+_EDGE_BAND = 1e-9  # exclusion radius around the cylinder and disk edges, in units of R
 
 
 def heaviside(x):
@@ -147,30 +145,27 @@ def j_tube(r, theta, z, r0):
 # theta = pi building blocks (complete integrals, singular limits resolved)
 
 def _pi_star_times_dr(a: AuxGeometry):
-    """(r - r0) * Pi(4 r r0/(r+r0)^2 | m), with the one-sided limit
-    sgn(r-r0) (pi/2)(r+r0) L0/|z| inside the singular-characteristic band
-    (and the symmetric value 0 at r = r0 exactly). The complements
-    1 - n* = ((r-r0)/(r+r0))^2 and 1 - m = ((r-r0)^2 + z^2)/L0^2 are formed
-    exactly, so no precision is lost as r -> r0."""
+    """(r - r0) * Pi(4 r r0/(r+r0)^2 | m), and 0 at r = r0 exactly (the
+    symmetric mean of its one-sided limits sgn(r-r0) (pi/2)(r+r0) L0/|z|).
+    Pi is K + (n*/3) R_J(0, 1-m, 1, 1-n*) with both complements exact:
+    1 - n* = ((r-r0)/(r+r0))^2 here and 1 - m from aux. Carlson's
+    duplication for R_J needs no special case for a small p, so the product
+    is accurate all the way to r -> r0, where it tends to its limit."""
     r, r0 = a.r, a.r0
     if r == r0:
         return 0.0
     one_minus_n = ((r - r0) / (r + r0)) ** 2
-    if one_minus_n < _PI_STAR_BAND:
-        return math.copysign(1.0, r - r0) * (math.pi / 2.0) * (r + r0) * a.L0 / abs(a.z)
     n_star = 4.0 * r * r0 / (r + r0) ** 2
-    one_minus_m = ((r - r0) ** 2 + a.z * a.z) / (a.L0 * a.L0)
-    pi_star = elliptic.comp_k(a.m) + (n_star / 3.0) * elliptic.carlson_rj(
-        0.0, one_minus_m, 1.0, one_minus_n)
+    pi_star = elliptic.carlson_rf(0.0, a.one_minus_m, 1.0) + (n_star / 3.0) \
+        * elliptic.carlson_rj(0.0, a.one_minus_m, 1.0, one_minus_n)
     return (r - r0) * pi_star
 
 
 def _complete_ke(a: AuxGeometry):
-    """Complete K(m), E(m) with the parameter complement
-    1 - m = ((r-r0)^2 + z^2)/L0^2 formed exactly, so the rim limit m -> 1
-    stays evaluable; at the exact rim K is +inf (its prefactors vanish there)
-    and E is 1."""
-    omm = ((a.r - a.r0) ** 2 + a.z * a.z) / (a.L0 * a.L0)
+    """Complete K(m), E(m) from the exact complement 1 - m of aux, so the
+    rim limit m -> 1 stays evaluable; at the exact rim K is +inf (its
+    prefactors vanish there) and E is 1."""
+    omm = a.one_minus_m
     if omm == 0.0:
         return math.inf, 1.0
     K = elliptic.carlson_rf(0.0, omm, 1.0)
@@ -224,19 +219,6 @@ def _j_tube_pi(a: AuxGeometry):
     return out
 
 
-def _i_hyg_pi_signed(a: AuxGeometry, ctl):
-    """I(m, A; pi) with the exact boundary (and a narrow snap band around it)
-    routed through the surface value of Eq-15 type (its fast quadrature
-    route; the public i_hyg_surface additionally cross-checks both routes)."""
-    if a.A == 0.0:
-        return 0.0
-    if a.m >= 1.0:
-        return 0.0  # rim limit: the boundary value itself tends to 0
-    if a.m + a.A * a.A > 1.0 - _SURFACE_SNAP:
-        return math.copysign(1.0, a.A) * hypergeom._i_hyg_surface_quad(a.m)
-    return hypergeom.i_hyg_pi(a.m, a.A, ctl)
-
-
 # ---------------------------------------------------------------------------
 # potentials
 
@@ -265,7 +247,7 @@ def phi_cyl_terms(point, spec: CylinderSpec, ctl=None):
     p_ell = 0.0
     for beta in (1.0, -1.0):
         a = aux(R, beta * Z - z, r)
-        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * _i_hyg_pi_signed(a, ctl)
+        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * hypergeom.i_hyg_pi(a.m, a.A, ctl, a.gap)
         p_ell += rho0 * 2.0 * beta * _i_cyl_ell_pi(a)
     p_corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
         * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
@@ -304,7 +286,8 @@ def phi_tube(point, spec: TubeSpec, ctl=None):
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
     total = 0.0
     for beta in (1.0, -1.0):
-        total += sigma0 * R * 2.0 * beta * _i_hyg_pi_signed(aux(R, beta * Z - z, r), ctl)
+        a = aux(R, beta * Z - z, r)
+        total += sigma0 * R * 2.0 * beta * hypergeom.i_hyg_pi(a.m, a.A, ctl, a.gap)
     return total
 
 
@@ -332,26 +315,22 @@ def psi_tube(point, spec: TubeSpec, branch=0):
     return total
 
 
-def phi_disk(point, R, sigma, form="lass_blitzer"):
-    """Electric potential of a uniformly charged disk of radius R in the
+def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
+    """Electric potential of the uniformly charged disk of radius R in the
     z = 0 plane, in either of two equivalent closed forms.
 
     'lass_blitzer' is the compact shifted-coordinate expression;
-    'takahashi' carries the characteristic pair n_pm = 2r/(r +- sqrt(r^2+z^2))
-    and needs either z = 0 exactly (limit path) or |z| outside the singular
-    band of n_plus. The disk edge (r, z) = (R, 0) is excluded.
+    'takahashi' carries the characteristic pair n_pm = 2r/(r +- sqrt(r^2+z^2)).
+    The disk edge (r, z) = (R, 0) is excluded.
     """
     r, z = _check_point(point)
-    if not (math.isfinite(R) and R > 0.0):
-        raise DomainError("phi_disk requires finite R > 0")
+    R, sigma = spec.R, spec.sigma
     if math.hypot(r - R, z) < _EDGE_BAND * R:
         raise SingularityError("phi_disk: disk edge (r, z) = (R, 0) is excluded")
-    L0 = math.sqrt((R + r) ** 2 + z * z)
-    m = 4.0 * r * R / (L0 * L0)
-    K = elliptic.comp_k(m)
-    E = elliptic.comp_e(m)
+    a = aux(R, z, r)  # slots (source radius R, z; observation r)
+    L0 = a.L0
+    K, E = _complete_ke(a)
     if form == "lass_blitzer":
-        a = aux(R, z, r)  # slots (source radius R, z; observation r)
         # -(r-R)/(r+R) z^2 Pi(4 r R/(r+R)^2 | m) == +(R-r)(...) via the slot order
         pi_term = z * z / (R + r) * _pi_star_times_dr(a) if z != 0.0 else 0.0
         return sigma * (2.0 / L0 * (L0 * L0 * E + (R * R - r * r) * K + pi_term)
@@ -361,15 +340,13 @@ def phi_disk(point, R, sigma, form="lass_blitzer"):
     if z == 0.0:
         nsum_term = 0.0
     else:
-        a = aux(R, z, r)
-        # Pi(n+ | m) with the complements 1 - n+ = z^2/(r + rho)^2 and
-        # 1 - m = ((R-r)^2 + z^2)/L0^2 formed exactly (n+ -> 1 as z -> 0)
+        # Pi(n+ | m) with the complement 1 - n+ = z^2/(r + rho)^2 formed
+        # exactly (n+ -> 1 as z -> 0)
         rho = math.hypot(r, z)
         one_minus_np = (z / (r + rho)) ** 2
-        one_minus_m = ((R - r) ** 2 + z * z) / (L0 * L0)
         pi_plus = K + (a.n_plus / 3.0) * elliptic.carlson_rj(
-            0.0, one_minus_m, 1.0, one_minus_np)
-        nsum = a.bracket(+1) * pi_plus + a.bracket(-1) * elliptic.comp_pi(a.n_minus, m)
+            0.0, a.one_minus_m, 1.0, one_minus_np)
+        nsum = a.bracket(+1) * pi_plus + a.bracket(-1) * elliptic.comp_pi(a.n_minus, a.m)
         nsum_term = z * z * nsum
     return sigma * (2.0 / L0 * (L0 * L0 * E + (R * R - r * r - z * z) * K + nsum_term)
                     - 2.0 * math.pi * abs(z))

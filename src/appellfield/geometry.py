@@ -88,10 +88,6 @@ class FieldSample:
     psi: float | None
     branch: int = 0
 
-    @property
-    def psi_defined(self):
-        return self.psi is not None
-
 
 @dataclass(frozen=True)
 class AuxGeometry:
@@ -100,8 +96,13 @@ class AuxGeometry:
 
         L0 = sqrt((r+r0)^2 + z^2),  m = 4 r r0 / L0^2,  A = z / L0,
         n_pm = 2 r0 / (r0 +- sqrt(r0^2 + z^2)),
-        s_pm = sgn(sqrt(r0^2 + z^2) -+ r).
+        s_plus = sgn(sqrt(r0^2 + z^2) - r)   (the minus sign is always +1),
+        one_minus_m = ((r - r0)^2 + z^2) / L0^2   (= 1 - m),
+        gap = ((r - r0) / L0)^2   (= 1 - m - A^2).
 
+    1 - m vanishes on the rim (r = r0, z = 0) and 1 - m - A^2 on the charged
+    surface r = r0; formed from the rounded m and A they would lose their
+    digits there, so they are formed here, exactly, for every route to read.
     n_minus is computed as -2 r0 (r0 + rho)/z^2 (exact rearrangement), which
     survives the z -> 0 cancellation; it is -inf at z = 0 exactly.
     """
@@ -115,7 +116,8 @@ class AuxGeometry:
     n_plus: float
     n_minus: float
     s_plus: float
-    s_minus: float
+    one_minus_m: float
+    gap: float
 
     def L(self, theta):
         """Distance kernel sqrt(r^2 + r0^2 + 2 r r0 cos(theta) + z^2)."""
@@ -136,7 +138,7 @@ class AuxGeometry:
     def bracket_alt(self, sign):
         """The same bracket via (L0/(2 r0)) s_pm sqrt(n_pm (n_pm - m))."""
         n = self.n_plus if sign > 0 else self.n_minus
-        s = self.s_plus if sign > 0 else self.s_minus
+        s = self.s_plus if sign > 0 else 1.0
         return self.L0 / (2.0 * self.r0) * s * math.sqrt(n * (n - self.m))
 
 
@@ -156,5 +158,6 @@ def aux(r, z, r0):
     else:
         n_minus = -2.0 * r0 * (r0 + rho) / (z * z)
     s_plus = math.copysign(1.0, rho - r) if rho != r else 0.0
-    s_minus = 1.0
-    return AuxGeometry(r, z, r0, L0, m, A, n_plus, n_minus, s_plus, s_minus)
+    one_minus_m = ((r - r0) ** 2 + z * z) / (L0 * L0)
+    gap = ((r - r0) / L0) ** 2
+    return AuxGeometry(r, z, r0, L0, m, A, n_plus, n_minus, s_plus, one_minus_m, gap)

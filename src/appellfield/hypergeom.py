@@ -25,6 +25,13 @@ from .errors import ConvergenceError, DomainError
 # cancellation, and direct quadrature of the defining integral takes over.
 SMALL_S_THRESHOLD = 0.05
 
+# i_hyg_pi accepts m + A^2 up to 1 plus this, the rounding of m and A formed
+# from an exact geometry
+_BOUNDARY_ROUNDING = 1e-14
+# i_hyg_pi below this 1 - m: the boundary integration, which takes 1 - m
+# exact from its caller, instead of the F2 sums, which lose digits to it
+_NEAR_RIM = 1e-9
+
 
 def _default_max_terms():
     env = os.environ.get("APPELLFIELD_MAX_TERMS")
@@ -472,47 +479,56 @@ def _i_hyg_quadrature(m, A, theta, ctl):
     return val
 
 
-def i_hyg_pi(m, A, ctl=None):
-    """Definite integral i_hyg(m, A, pi): only the first closed-form term
-    survives. Odd in A."""
+def i_hyg_pi(m, A, ctl=None, gap=None):
+    """Definite integral i_hyg(m, A, pi) on the closed domain m + A^2 <= 1:
+    only the first closed-form term survives. Odd in A.
+
+    ``gap`` is 1 - m - A^2 formed exactly by the caller (geometry.aux gives
+    it as ((r - r0)/L0)^2). I has a square-root branch at the boundary
+    m + A^2 = 1, so a distance to the boundary formed from the rounded m
+    and A turns their 1e-16 error into about 1e-8 in I. With ``gap`` the
+    complements 1 - m = A^2 + gap and sqrt(1-m) - |A| are exact, and the
+    value stays accurate up to the boundary and the rim m = 1. On the
+    boundary (gap = 0, or m + A^2 = 1 without gap) the value is the surface
+    value; at the rim it is 0. An m + A^2 beyond 1 by more than rounding
+    raises DomainError.
+    """
     ctl = ctl or DEFAULT_CONTROL
-    if not 0.0 <= m <= 1.0:
-        raise DomainError(f"i_hyg_pi requires m in [0, 1] (got {m})")
+    y = A * A
+    if m < 0.0 or m + y > 1.0 + _BOUNDARY_ROUNDING:
+        raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A = {A})")
     if A == 0.0:
         return 0.0
-    if m + A * A > 1.0 - 1e-9:
-        raise DomainError(
-            "i_hyg_pi: m + A^2 within 1e-9 of the boundary; use i_hyg_surface")
-    y = A * A
-    if m + y >= 0.85 and 0.0 < m < 1.0:
-        # with both F2 series ratios near 1 the closed form is impractical;
-        # integrate the exact A-derivative in from the known boundary value
-        ratio = min(m / (1.0 - y), y / (1.0 - m))
-        if ratio > 0.995:
-            return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A))
-    return math.pi * A * appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, A * A, ctl)
+    omm = 1.0 - m if gap is None else y + gap
+    if omm <= 0.0:
+        return 0.0
+    # with both F2 series ratios m/(1-y), y/(1-m) near 1, or 1 - m too small
+    # for the F2 sums (which take it from the rounded m), integrate the exact
+    # A-derivative in from the boundary
+    if m + y >= 0.85 and m > 0.0 and (
+            omm < _NEAR_RIM or (m > 0.995 * (1.0 - y) and y > 0.995 * omm)):
+        return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A), omm, gap)
+    return math.pi * A * appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y, ctl)
 
 
-def _i_hyg_pi_from_boundary(m, A_abs):
-    # I(m, A) = I(m, sqrt(1-m)) - int_A^A0 dI/dA' dA', substituted A' = A0 - u^2;
-    # the integrable 1/sqrt singularity of the characteristic-1 limit of Pi
-    # disappears in the substitution. Everything is cancellation-free in u.
-    A0 = math.sqrt(1.0 - m)
-    surf = _i_hyg_surface_quad(m)
-    span = A0 - A_abs
+def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
+    # I(m, A) = I(m, A0) - int_A^A0 dI/dA' dA', A0 = sqrt(1-m) = sqrt(omm),
+    # substituted A' = A0 - u^2; the integrable 1/sqrt singularity of the
+    # characteristic-1 limit of Pi disappears in the substitution.
+    # Everything is cancellation-free in u; with gap the span A0 - A is too.
+    A0 = math.sqrt(omm)
+    span = A0 - A_abs if gap is None else gap / (A0 + A_abs)
+    surf = _i_hyg_surface_quad(A0)
     if span <= 0.0:
         return surf
-    K = elliptic.comp_k(m)
+    K = elliptic.carlson_rf(0.0, omm, 1.0)
 
     def integrand(u):
         ap = A0 - u * u
         oma2 = m + u * u * (2.0 * A0 - u * u)  # 1 - A'^2, exactly
         n = m / oma2
         one_minus_n = u * u * (2.0 * A0 - u * u) / oma2
-        if one_minus_n < 1e-11:
-            piv = math.pi / (2.0 * math.sqrt(one_minus_n) * ap)
-        else:
-            piv = K + (n / 3.0) * elliptic.carlson_rj(0.0, 1.0 - m, 1.0, one_minus_n)
+        piv = K + (n / 3.0) * elliptic.carlson_rj(0.0, omm, 1.0, one_minus_n)
         return (2.0 * K + 2.0 * ap * ap / oma2 * piv) * 2.0 * u
 
     spec = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
@@ -521,23 +537,19 @@ def _i_hyg_pi_from_boundary(m, A_abs):
 
 
 def _f43_log_continued(mu, spec):
-    # 4F3(1,1,3/2,3/2; 2,2,2; mu) = int_0^1 int_0^1 2F1(3/2,3/2;2; mu t u) dt du,
-    # with the 2F1 evaluated through Pfaff + the logarithmic connection formula;
-    # valid for all mu < 0.
+    # 4F3(1,1,3/2,3/2; 2,2,2; mu) = int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds
+    # (the double integral over t u = s collapsed), with the 2F1 evaluated
+    # through Pfaff + the logarithmic connection formula; valid for all mu < 0.
     tight = SeriesControl(rel_tol=1e-13, max_terms=DEFAULT_CONTROL.max_terms)
 
-    def inner(t):
-        def f(u):
-            arg = mu * t * u
-            if arg == 0.0:
-                return 1.0
-            return gauss_2f1(1.5, 1.5, 2.0, arg, tight)
-        val, _ = oracle.quad_1d(f, 0.0, 1.0, spec)
-        return val
+    def f(s):
+        arg = mu * s
+        if arg == 0.0:
+            return 0.0
+        return gauss_2f1(1.5, 1.5, 2.0, arg, tight) * -math.log(s)
 
-    val, _ = oracle.quad_1d(inner, 0.0, 1.0, oracle.QuadratureSpec(
-        abs_tol=spec.abs_tol * 10.0, rel_tol=spec.rel_tol * 10.0,
-        max_subdivisions=spec.max_subdivisions))
+    val, _ = oracle.quad_1d(f, 0.0, 1.0, oracle.QuadratureSpec(
+        spec.abs_tol, spec.rel_tol, spec.max_subdivisions, (True, False)))
     return val
 
 
@@ -552,7 +564,7 @@ def i_hyg_surface(m, ctl=None):
     ctl = ctl or DEFAULT_CONTROL
     if not 0.0 < m < 1.0:
         raise DomainError(f"i_hyg_surface requires m in (0, 1) (got {m})")
-    quad_val = _i_hyg_surface_quad(m)
+    quad_val = _i_hyg_surface_quad(math.sqrt(1.0 - m))
     f43_val = _i_hyg_surface_f43(m, ctl)
     scale = max(abs(quad_val), 1.0)
     if abs(quad_val - f43_val) > 1e-7 * scale:
@@ -581,11 +593,11 @@ def _k_minus_log(v):
     return total
 
 
-def _i_hyg_surface_quad(m):
-    # substitute t = 1 - v^2 and split off the K(1-v^2) ~ ln(4/v) endpoint:
+def _i_hyg_surface_quad(b):
+    # quadrature route of the surface value i_hyg(m, b, pi) at b = sqrt(1-m):
+    # substitute t = 1 - v^2 in int_m^1 K(t) dt / (t sqrt(1-t)) and split off
+    # the K(1-v^2) ~ ln(4/v) endpoint:
     # I = 2 b (ln(4/b) + 1) + int_0^b [2K(1-v^2)/(1-v^2) - 2 ln(4/v)] dv
-    b = math.sqrt(1.0 - m)
-
     def remainder(v):
         if v == 0.0:
             return 0.0

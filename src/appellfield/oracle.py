@@ -120,11 +120,11 @@ def quad_1d(f, a, b, spec=None, vectorized=False):
             return v1 + v2, e1 + e2
         width = b - a
         if left_sing:
-            g = (lambda u: f(a + u * u) * 2.0 * u) if vectorized else (
-                lambda u: f(a + u * u) * 2.0 * u)
+            def g(u):
+                return f(a + u * u) * 2.0 * u
         else:
-            g = (lambda u: f(b - u * u) * 2.0 * u) if vectorized else (
-                lambda u: f(b - u * u) * 2.0 * u)
+            def g(u):
+                return f(b - u * u) * 2.0 * u
         return quad_1d(g, 0.0, math.sqrt(width), inner, vectorized)
 
     v, e, fl = _eval_panel(f, a, b, vectorized)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, fields, hypergeom, jacobi, oracle
-from .geometry import CylinderSpec, TubeSpec
+from .geometry import CylinderSpec, DiskSpec, TubeSpec
 from .hypergeom import IhygArgs
 
 FIG_CYLINDER = CylinderSpec(R=1.0, Z=0.7, rho0=1.0)
@@ -79,7 +79,7 @@ def _crit03_surface_value(rng, full):
     tol = 1e-8
     worst = 0.0
     for m in np.arange(0.1, 0.95, 0.1):
-        qv = hypergeom._i_hyg_surface_quad(float(m))
+        qv = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - m))
         fv = hypergeom._i_hyg_surface_f43(float(m), hypergeom.DEFAULT_CONTROL)
         worst = max(worst, abs(qv - fv) / max(abs(qv), 1.0))
     # limit check toward m -> 1: the spec's printed |value| < 1e-4 is
@@ -87,9 +87,10 @@ def _crit03_surface_value(rng, full):
     # sqrt(1-m) ln(1/(1-m))); assert the attainable reading: the two routes
     # agree within 1e-4 there and the value is small and decreasing.
     m1 = 1.0 - 1e-6
-    qv1 = hypergeom._i_hyg_surface_quad(m1)
+    qv1 = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - m1))
     fv1 = hypergeom._i_hyg_surface_f43(m1, hypergeom.DEFAULT_CONTROL)
-    limit_ok = abs(qv1 - fv1) < 1e-4 and 0.0 < qv1 < hypergeom._i_hyg_surface_quad(0.99) < 1.0
+    q99 = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - 0.99))
+    limit_ok = abs(qv1 - fv1) < 1e-4 and 0.0 < qv1 < q99 < 1.0
     ok = worst < tol and limit_ok
     return ok, worst / tol, (
         f"9 m-values, worst {worst:.2e}; at m=1-1e-6: value {qv1:.6f}, "
@@ -352,22 +353,23 @@ def _crit12_topological_charge(rng, full):
 
 def _crit13_disk_forms(rng, full):
     tol = 1e-10
-    R, sigma = 1.0, 1.0
+    disk = DiskSpec(R=1.0, sigma=1.0)
+    R, sigma = disk.R, disk.sigma
     worst = 0.0
     count = 0
     for r in np.linspace(0.1, 2.5, 12):
         if abs(r - R) < 0.05:
             continue
         for z in (-1.5, -0.35, 0.1, 0.4, 0.9, 2.0):
-            a = fields.phi_disk((float(r), z), R, sigma, "lass_blitzer")
-            b = fields.phi_disk((float(r), z), R, sigma, "takahashi")
+            a = fields.phi_disk((float(r), z), disk, "lass_blitzer")
+            b = fields.phi_disk((float(r), z), disk, "takahashi")
             worst = max(worst, abs(a - b) / max(abs(a), 1.0))
             count += 1
     worst_axis = 0.0
     for z in (0.2, 0.7, -1.3, 3.0):
         exact = 2.0 * math.pi * sigma * (math.sqrt(R * R + z * z) - abs(z))
         for form in ("lass_blitzer", "takahashi"):
-            worst_axis = max(worst_axis, abs(fields.phi_disk((0.0, z), R, sigma, form) - exact))
+            worst_axis = max(worst_axis, abs(fields.phi_disk((0.0, z), disk, form) - exact))
     ok = worst < tol and worst_axis < 1e-12
     return ok, max(worst / tol, worst_axis / 1e-12), (
         f"{count} grid points, forms agree to {worst:.2e}; on-axis residual {worst_axis:.2e}")

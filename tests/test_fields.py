@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from appellfield import fields as fl
 from appellfield import oracle as oc
 from appellfield.errors import DomainError, SingularityError
-from appellfield.geometry import CylinderSpec, TubeSpec, aux
+from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec, aux
 
 CYL = CylinderSpec(R=1.0, Z=0.7, rho0=1.0)
 TUBE = TubeSpec(R=1.0, Z=0.7, sigma0=1.0)
+DISK = DiskSpec(R=1.0, sigma=1.0)
 
 # brute-force Coulomb/kernel integrals, frozen
 PHI_CYL_15_03 = 2.911761508333128
@@ -215,24 +216,24 @@ def test_psi_tube_surface_excluded():
 
 def test_disk_forms_and_axis():
     R, sigma = 1.0, 1.0
-    lb = fl.phi_disk((1.3, 0.4), R, sigma, "lass_blitzer")
-    tk = fl.phi_disk((1.3, 0.4), R, sigma, "takahashi")
+    lb = fl.phi_disk((1.3, 0.4), DISK, "lass_blitzer")
+    tk = fl.phi_disk((1.3, 0.4), DISK, "takahashi")
     assert lb == pytest.approx(PHI_DISK_13_04, rel=1e-10)
     assert lb == pytest.approx(tk, rel=1e-12)
     for z in (0.5, -1.2):
         exact = 2 * math.pi * sigma * (math.hypot(R, z) - abs(z))
-        assert fl.phi_disk((0.0, z), R, sigma) == pytest.approx(exact, rel=1e-12)
+        assert fl.phi_disk((0.0, z), DISK) == pytest.approx(exact, rel=1e-12)
     with pytest.raises(SingularityError):
-        fl.phi_disk((1.0, 0.0), R, sigma)
+        fl.phi_disk((1.0, 0.0), DISK)
     with pytest.raises(DomainError):
-        fl.phi_disk((0.5, 0.5), R, sigma, "unknown")
+        fl.phi_disk((0.5, 0.5), DISK, "unknown")
 
 
 def test_disk_far_field_multipole():
     R, sigma = 1.0, 1.0
     r, z = 60.0, 80.0
     d = math.hypot(r, z)
-    assert fl.phi_disk((r, z), R, sigma) == pytest.approx(
+    assert fl.phi_disk((r, z), DISK) == pytest.approx(
         math.pi * R * R * sigma / d, rel=1e-3)
 
 
@@ -243,8 +244,8 @@ def test_disk_forms_agree_everywhere(r, z):
         return  # edge neighborhood excluded
     if abs(z) < 1e-6:
         z = 0.0  # exercise the exact z = 0 limit path
-    lb = fl.phi_disk((r, z), 1.0, 1.0, "lass_blitzer")
-    tk = fl.phi_disk((r, z), 1.0, 1.0, "takahashi")
+    lb = fl.phi_disk((r, z), DISK, "lass_blitzer")
+    tk = fl.phi_disk((r, z), DISK, "takahashi")
     assert lb == pytest.approx(tk, rel=1e-10)
 
 
@@ -252,7 +253,7 @@ def test_tube_and_disk_exterior_laplace_residual():
     # five-point Laplacian -> 0 at O(h^2) away from the charge
     cases = [
         (lambda r, z: fl.phi_tube((r, z), TUBE), [(1.6, 0.4), (0.5, 1.3), (2.2, -0.8)]),
-        (lambda r, z: fl.phi_disk((r, z), 1.0, 1.0), [(1.6, 0.4), (0.5, 0.9), (2.0, -1.1)]),
+        (lambda r, z: fl.phi_disk((r, z), DISK), [(1.6, 0.4), (0.5, 0.9), (2.0, -1.1)]),
     ]
     for f, pts in cases:
         for (r, z) in pts:
