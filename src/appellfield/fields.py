@@ -144,20 +144,20 @@ def j_tube(r, theta, z, r0):
 # ---------------------------------------------------------------------------
 # theta = pi building blocks (complete integrals, singular limits resolved)
 
-def _pi_star_times_dr(a: AuxGeometry):
+def _pi_star_times_dr(a: AuxGeometry, K):
     """(r - r0) * Pi(4 r r0/(r+r0)^2 | m), and 0 at r = r0 exactly (the
     symmetric mean of its one-sided limits sgn(r-r0) (pi/2)(r+r0) L0/|z|).
-    Pi is K + (n*/3) R_J(0, 1-m, 1, 1-n*) with both complements exact:
-    1 - n* = ((r-r0)/(r+r0))^2 here and 1 - m from aux. Carlson's
-    duplication for R_J needs no special case for a small p, so the product
-    is accurate all the way to r -> r0, where it tends to its limit."""
+    Pi is K + (n*/3) R_J(0, 1-m, 1, 1-n*), K from _complete_ke, with both
+    complements exact: 1 - n* = ((r-r0)/(r+r0))^2 here and 1 - m from aux.
+    Carlson's duplication for R_J needs no special case for a small p, so
+    the product is accurate all the way to r -> r0, where it tends to its
+    limit."""
     r, r0 = a.r, a.r0
     if r == r0:
         return 0.0
     one_minus_n = ((r - r0) / (r + r0)) ** 2
     n_star = 4.0 * r * r0 / (r + r0) ** 2
-    pi_star = elliptic.carlson_rf(0.0, a.one_minus_m, 1.0) + (n_star / 3.0) \
-        * elliptic.carlson_rj(0.0, a.one_minus_m, 1.0, one_minus_n)
+    pi_star = K + (n_star / 3.0) * elliptic.carlson_rj(0.0, a.one_minus_m, 1.0, one_minus_n)
     return (r - r0) * pi_star
 
 
@@ -173,20 +173,17 @@ def _complete_ke(a: AuxGeometry):
     return K, E
 
 
-def _nsum_regular_pi(a: AuxGeometry, K):
-    """K + Pi-star term of the characteristic-sum identity; the remaining
-    (pi L0/|z|) H(r0 - r) piece is folded into each caller's z prefactor."""
-    return K + _pi_star_times_dr(a) / (a.r + a.r0)
-
-
 def _i_cyl_ell_pi(a: AuxGeometry):
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
     if z == 0.0:
         return 0.0
     K, E = _complete_ke(a)
+    pst = _pi_star_times_dr(a, K)
     out = -3.0 * z * (r0 * r0 + z * z) / (4.0 * L0) * K + 3.0 * z * L0 / 4.0 * E
-    out += z * r * r / (4.0 * L0 * (r + r0)) * _pi_star_times_dr(a)
-    out += z * (2.0 * z * z - r0 * r0) / (4.0 * L0) * _nsum_regular_pi(a, K)
+    out += z * r * r / (4.0 * L0 * (r + r0)) * pst
+    # K + Pi-star term of the characteristic-sum identity; its remaining
+    # (pi L0/|z|) H(r0 - r) piece is the last, z-prefactored line
+    out += z * (2.0 * z * z - r0 * r0) / (4.0 * L0) * (K + pst / (r + r0))
     out += _sgn(z) * math.pi * (2.0 * z * z - r0 * r0) / 4.0 * heaviside(r0 - r)
     return out
 
@@ -201,8 +198,10 @@ def _j_cyl_ell_pi(a: AuxGeometry):
         out += kcoef * K
     if z == 0.0:
         return out
-    out += z * z * r * r / (2.0 * L0 * (r + r0)) * _pi_star_times_dr(a)
-    out += -r0 * r0 * z * z / (2.0 * L0) * _nsum_regular_pi(a, K)
+    pst = _pi_star_times_dr(a, K)
+    out += z * z * r * r / (2.0 * L0 * (r + r0)) * pst
+    # characteristic-sum identity, as in _i_cyl_ell_pi
+    out += -r0 * r0 * z * z / (2.0 * L0) * (K + pst / (r + r0))
     out += -math.pi * r0 * r0 * abs(z) / 2.0 * heaviside(r0 - r)
     return out
 
@@ -215,7 +214,7 @@ def _j_tube_pi(a: AuxGeometry):
     if kcoef != 0.0:
         out += kcoef * K
     if z != 0.0:
-        out += z * z / (L0 * (r + r0)) * _pi_star_times_dr(a)
+        out += z * z / (L0 * (r + r0)) * _pi_star_times_dr(a, K)
     return out
 
 
@@ -332,7 +331,7 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
     K, E = _complete_ke(a)
     if form == "lass_blitzer":
         # -(r-R)/(r+R) z^2 Pi(4 r R/(r+R)^2 | m) == +(R-r)(...) via the slot order
-        pi_term = z * z / (R + r) * _pi_star_times_dr(a) if z != 0.0 else 0.0
+        pi_term = z * z / (R + r) * _pi_star_times_dr(a, K) if z != 0.0 else 0.0
         return sigma * (2.0 / L0 * (L0 * L0 * E + (R * R - r * r) * K + pi_term)
                         - 2.0 * math.pi * abs(z) * heaviside(R - r))
     if form != "takahashi":

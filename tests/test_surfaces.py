@@ -27,8 +27,7 @@ CONTRACT = 2e-11
 
 
 def _quad(f, intervals):
-    with mp.workdps(30):
-        return mp.quad(f, intervals, maxdegree=10)
+    return mp.quad(f, intervals, maxdegree=10)
 
 
 def ref_phi_tube(r, z):
