@@ -7,12 +7,12 @@ series) and brute-force verification oracles."""
 from . import elliptic, errors, fields, geometry, hypergeom, jacobi, oracle, verify
 from .geometry import (AuxGeometry, CylinderSpec, DiskSpec, FieldSample,
                        PointCharges, TubeSpec, aux)
-from .hypergeom import IhygArgs, SeriesControl
+from .hypergeom import IhygArgs
 from .oracle import QuadratureSpec
 
 __all__ = [
     "AuxGeometry", "CylinderSpec", "DiskSpec", "FieldSample", "IhygArgs",
-    "PointCharges", "QuadratureSpec", "SeriesControl", "TubeSpec", "aux",
+    "PointCharges", "QuadratureSpec", "TubeSpec", "aux",
     "elliptic", "errors", "fields", "geometry", "hypergeom", "jacobi",
     "oracle", "verify",
 ]

@@ -8,6 +8,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -91,7 +92,7 @@ def _sample(body, r, z, quantity, branch=0):
             psi = _psi(body, point, branch)
         except SingularityError:
             pass
-    return FieldSample(phi, psi, branch)
+    return FieldSample(phi, psi)
 
 
 def cmd_eval(args):
@@ -125,6 +126,7 @@ def _grid_rows(spec: GridSpec, workers=1):
     rs = np.linspace(spec.r_min, spec.r_max, spec.nr)
     zs = np.linspace(spec.z_min, spec.z_max, spec.nz)
     tasks = [(body, float(r), float(z), spec.quantity) for r in rs for z in zs]
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_sample_star, tasks, chunksize=64))
@@ -150,6 +152,8 @@ def _fmt(x):
 
 
 def cmd_grid(args):
+    if args.workers < 1:
+        raise AppellFieldError("--workers must be at least 1")
     branches = tuple(args.branch) if args.branch else (0,)
     if args.body != "tube" and any(b != 0 for b in branches):
         raise AppellFieldError("--branch is meaningful only for the tube body")
@@ -284,7 +288,8 @@ def _build_parser():
     pg.add_argument("--format", choices=("csv", "json"), default="csv")
     pg.add_argument("--out", required=True)
     pg.add_argument("--workers", type=int, default=1,
-                    help="parallel worker processes (rows stay in row-major order)")
+                    help="parallel worker processes, at most one per CPU and "
+                         "per point (rows stay in row-major order)")
     pg.set_defaults(func=cmd_grid)
 
     ps = sub.add_parser("special", help="evaluate a special function by name")

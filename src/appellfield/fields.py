@@ -71,12 +71,12 @@ def i_cyl_ell(r, theta, z, r0):
     return t1 + t2 + t3 + t4
 
 
-def i_cyl_hyg(r, theta, z, r0, ctl=None):
+def i_cyl_hyg(r, theta, z, r0):
     """Hypergeometric part (r^2/2) I(m, A; theta) of the cylinder integral."""
     a = aux(r, z, r0)
     if a.A == 0.0:
         return 0.0
-    return r * r / 2.0 * hypergeom.i_hyg(hypergeom.IhygArgs(a.m, a.A, theta), ctl)
+    return r * r / 2.0 * hypergeom.i_hyg(hypergeom.IhygArgs(a.m, a.A, theta))
 
 
 def j_cyl_trig(r, theta, z, r0):
@@ -120,12 +120,12 @@ def j_cyl_ell(r, theta, z, r0):
     return t1 + t2 + t3 + t4
 
 
-def i_tube(r, theta, z, r0, ctl=None):
+def i_tube(r, theta, z, r0):
     """Tube double indefinite integral: I(m, A; theta)."""
     a = aux(r, z, r0)
     if a.A == 0.0:
         return 0.0
-    return hypergeom.i_hyg(hypergeom.IhygArgs(a.m, a.A, theta), ctl)
+    return hypergeom.i_hyg(hypergeom.IhygArgs(a.m, a.A, theta))
 
 
 def j_tube(r, theta, z, r0):
@@ -236,7 +236,7 @@ def _check_cyl_point(point, spec: CylinderSpec):
     return r, z
 
 
-def phi_cyl_terms(point, spec: CylinderSpec, ctl=None):
+def phi_cyl_terms(point, spec: CylinderSpec):
     """The three parts (phi_hyg, phi_ell, phi_corr) of the cylinder potential;
     each part separately satisfies a Laplace/Poisson equation away from the
     surfaces r = R, z = +-Z."""
@@ -246,17 +246,17 @@ def phi_cyl_terms(point, spec: CylinderSpec, ctl=None):
     p_ell = 0.0
     for beta in (1.0, -1.0):
         a = aux(R, beta * Z - z, r)
-        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * hypergeom.i_hyg_pi(a.m, a.A, ctl, a.gap)
+        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * hypergeom.i_hyg_pi(a.m, a.A, a.gap)
         p_ell += rho0 * 2.0 * beta * _i_cyl_ell_pi(a)
     p_corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
         * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
     return p_hyg, p_ell, p_corr
 
 
-def phi_cyl(point, spec: CylinderSpec, ctl=None):
+def phi_cyl(point, spec: CylinderSpec):
     """Electric potential of the uniformly charged cylinder; C^1 across the
     surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity."""
-    return sum(phi_cyl_terms(point, spec, ctl))
+    return sum(phi_cyl_terms(point, spec))
 
 
 def psi_cyl(point, spec: CylinderSpec):
@@ -277,7 +277,7 @@ def psi_cyl(point, spec: CylinderSpec):
     return total
 
 
-def phi_tube(point, spec: TubeSpec, ctl=None):
+def phi_tube(point, spec: TubeSpec):
     """Electric potential of the charged tube; continuous everywhere, with a
     derivative corner across r = R for |z| < Z; -> Q/sqrt(r^2+z^2) with
     Q = 4 pi R Z sigma0 at infinity."""
@@ -286,7 +286,7 @@ def phi_tube(point, spec: TubeSpec, ctl=None):
     total = 0.0
     for beta in (1.0, -1.0):
         a = aux(R, beta * Z - z, r)
-        total += sigma0 * R * 2.0 * beta * hypergeom.i_hyg_pi(a.m, a.A, ctl, a.gap)
+        total += sigma0 * R * 2.0 * beta * hypergeom.i_hyg_pi(a.m, a.A, a.gap)
     return total
 
 

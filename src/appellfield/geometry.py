@@ -78,15 +78,13 @@ def _check_body(R, Z):
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One field evaluation, as a grid row or `eval` reports it: phi, psi,
-    and the requested branch index (meaningful for the tube psi only). A
-    quantity that was not requested, is excluded (a singular set) or is
-    undefined (psi inside the closed charged region, where the field-line
+    """One field evaluation, as a grid row or `eval` reports it: phi and
+    psi. A quantity that was not requested, is excluded (a singular set) or
+    is undefined (psi inside the closed charged region, where the field-line
     potential has no formula, and on the disk body) is None."""
 
     phi: float | None
     psi: float | None
-    branch: int = 0
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,22 @@ and the hypergeometric integral
 
 in all its closed forms, with parameter derivatives.
 
-Series conventions: Appell F2 converges for |x|+|y| < 1; negative arguments
-are first mapped into the convergence region by the Euler-type transformation
+Series conventions: a series stops once its terms fall below REL_TOL of its
+sum (gauss_2f1, pfq_4f3: PFQ_REL_TOL) and raises ConvergenceError after
+MAX_TERMS terms per index (APPELLFIELD_MAX_TERMS, read at import). Appell F2
+with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is one single-index
+series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for the potentials'
+family, over the K/E-seeded 2F1(1/2 + l, 1/2; 1; x) (see appell_f2). Every
+other F2 is mapped into the convergence region |x|+|y| < 1 by the Euler-type
+transformation
 F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
-(and its y-counterpart). Double series are summed along anti-diagonals
-j + l = N, which keeps terms of comparable magnitude near the boundary.
+(and its y-counterpart) and summed along anti-diagonals j + l = N, which
+keeps terms of comparable magnitude near the boundary.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,29 +38,27 @@ _BOUNDARY_ROUNDING = 1e-14
 # exact from its caller, instead of the F2 sums, which lose digits to it
 _NEAR_RIM = 1e-9
 
+# relative tolerance of the infinite series; the 2F1 and 4F3 series run at
+# the tighter PFQ_REL_TOL, which the 4F3 route of the surface value needs
+REL_TOL = 1e-12
+PFQ_REL_TOL = 1e-13
 
-def _default_max_terms():
+
+def _max_terms():
     env = os.environ.get("APPELLFIELD_MAX_TERMS")
-    if env is not None:
-        return int(env)
-    return 6000
+    if env is None:
+        return 6000
+    try:
+        cap = int(env)
+    except ValueError:
+        raise DomainError(f"APPELLFIELD_MAX_TERMS must be an integer (got {env!r})") from None
+    if cap < 64:
+        raise DomainError(f"APPELLFIELD_MAX_TERMS must be >= 64 (got {cap})")
+    return cap
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Relative tolerance and per-index term cap for all infinite series."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = field(default_factory=_default_max_terms)
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-4:
-            raise DomainError("SeriesControl.rel_tol must be in (0, 1e-4]")
-        if self.max_terms < 64:
-            raise DomainError("SeriesControl.max_terms must be >= 64")
-
-
-DEFAULT_CONTROL = SeriesControl()
+# per-index term cap of every infinite series
+MAX_TERMS = _max_terms()
 
 
 @dataclass(frozen=True)
@@ -101,25 +105,26 @@ def _digamma(x):
         1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
 
 
-def _gauss_2f1_series(a, b, c, x, ctl):
+def _pfq_series(ratio, name):
+    # 1 + sum_k t_k with t_0 = 1, t_{k+1} = t_k ratio(k), stopped after three
+    # consecutive terms below PFQ_REL_TOL of the sum; the geometric tail is
+    # t_k/(1-|x|), and the factor 0.02 covers |x| up to 0.95
     term = 1.0
     total = 1.0
     small = 0
-    # the geometric tail is term/(1-|x|); 0.02 covers |x| up to 0.95
-    cut = 0.02 * ctl.rel_tol
-    for k in range(ctl.max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
+    for k in range(MAX_TERMS):
+        term *= ratio(k)
         total += term
-        if abs(term) <= cut * max(abs(total), 1e-300):
+        if abs(term) <= 0.02 * PFQ_REL_TOL * max(abs(total), 1e-300):
             small += 1
-            if small >= 2:
+            if small >= 3:
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"gauss_2f1 series did not converge at x = {x}")
+    raise ConvergenceError(f"{name} series did not converge within {MAX_TERMS} terms")
 
 
-def _gauss_2f1_log_near_one(a, b, c, x, ctl):
+def _gauss_2f1_log_near_one(a, b, c, x):
     # connection formula for c = a + b (logarithmic case), valid for 0 < 1-x < 1
     u = 1.0 - x
     front = math.gamma(c) / (math.gamma(a) * math.gamma(b))
@@ -127,11 +132,11 @@ def _gauss_2f1_log_near_one(a, b, c, x, ctl):
     coef = 1.0
     total = 0.0
     small = 0
-    for n in range(ctl.max_terms):
+    for n in range(MAX_TERMS):
         bracket = 2.0 * _digamma(n + 1.0) - _digamma(a + n) - _digamma(b + n) + lg
         term = coef * bracket
         total += term
-        if abs(term) <= 0.02 * ctl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= 0.02 * PFQ_REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 2:
                 return front * total
@@ -141,14 +146,13 @@ def _gauss_2f1_log_near_one(a, b, c, x, ctl):
     raise ConvergenceError("gauss_2f1: logarithmic connection series did not converge")
 
 
-def gauss_2f1(a, b, c, x, ctl=None):
+def gauss_2f1(a, b, c, x):
     """Gauss hypergeometric series 2F1(a, b; c; x).
 
     Direct series for 0 <= x < 1, Pfaff transformation for x < 0, and the
     logarithmic z -> 1-z connection formula when c = a + b and x is close
     to 1. Raises ConvergenceError for |x| >= 1.
     """
-    ctl = ctl or DEFAULT_CONTROL
     if c <= 0.0 and c == int(c):
         raise DomainError("gauss_2f1: c must not be a nonpositive integer")
     if x == 0.0:
@@ -156,19 +160,18 @@ def gauss_2f1(a, b, c, x, ctl=None):
     if x >= 1.0:
         raise ConvergenceError(f"gauss_2f1 series diverges at x >= 1 (got {x})")
     if x < 0.0:
-        return (1.0 - x) ** (-a) * gauss_2f1(a, c - b, c, x / (x - 1.0), ctl)
+        return (1.0 - x) ** (-a) * gauss_2f1(a, c - b, c, x / (x - 1.0))
     if x > 0.95 and abs(c - a - b) < 1e-12 and a > 0 and b > 0:
-        return _gauss_2f1_log_near_one(a, b, c, x, ctl)
-    return _gauss_2f1_series(a, b, c, x, ctl)
+        return _gauss_2f1_log_near_one(a, b, c, x)
+    return _pfq_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x, "gauss_2f1")
 
 
-def pfq_4f3(a, b, x, ctl=None):
+def pfq_4f3(a, b, x):
     """Generalized hypergeometric series 4F3(a1..a4; b1..b3; x).
 
     ``a`` and ``b`` are sequences of length 4 and 3. Converges for |x| < 1,
     and at x = -1 when sum(b) > sum(a) - 1.
     """
-    ctl = ctl or DEFAULT_CONTROL
     a = tuple(float(v) for v in a)
     b = tuple(float(v) for v in b)
     if len(a) != 4 or len(b) != 3:
@@ -182,35 +185,23 @@ def pfq_4f3(a, b, x, ctl=None):
         raise ConvergenceError(f"pfq_4f3 series diverges at x = {x}")
     if x == -1.0 and sum(b) - sum(a) <= 0.0:
         raise ConvergenceError("pfq_4f3 series diverges at x = -1 for these parameters")
-    term = 1.0
-    total = 1.0
-    small = 0
-    for k in range(ctl.max_terms):
-        num = (a[0] + k) * (a[1] + k) * (a[2] + k) * (a[3] + k)
-        den = (b[0] + k) * (b[1] + k) * (b[2] + k) * (k + 1.0)
-        term *= num / den * x
-        total += term
-        if abs(term) <= 0.02 * ctl.rel_tol * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError("pfq_4f3 series did not converge within the term cap")
+    (a1, a2, a3, a4), (b1, b2, b3) = a, b
+    return _pfq_series(lambda k: (a1 + k) * (a2 + k) * (a3 + k) * (a4 + k)
+                       / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0)) * x, "pfq_4f3")
 
 
-def _antidiagonal_sum(l_ratio, j_edge_ratio, ctl, name):
+def _antidiagonal_sum(l_ratio, j_edge_ratio, name):
     """Sum t(j, l) over j, l >= 0 along anti-diagonals N = j + l.
 
     ``l_ratio(N, j)`` maps row-N entries (j, l = N - j) to row N+1 entries
     (j, l + 1); ``j_edge_ratio(j)`` is t(j+1, 0)/t(j, 0). t(0, 0) = 1.
-    Stops once three consecutive anti-diagonal sums fall below rel_tol times
+    Stops once three consecutive anti-diagonal sums fall below REL_TOL times
     the accumulated total.
     """
     row = np.array([1.0])
     total = 1.0
     small = 0
-    for N in range(ctl.max_terms):
+    for N in range(MAX_TERMS):
         j = np.arange(N + 1, dtype=float)
         nxt = np.empty(N + 2)
         nxt[: N + 1] = row * l_ratio(N, j)
@@ -218,7 +209,7 @@ def _antidiagonal_sum(l_ratio, j_edge_ratio, ctl, name):
         row = nxt
         d = float(row.sum())
         total += d
-        if abs(d) <= 0.02 * ctl.rel_tol * max(abs(total), 1e-300):
+        if abs(d) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
                 return total
@@ -227,7 +218,7 @@ def _antidiagonal_sum(l_ratio, j_edge_ratio, ctl, name):
     raise ConvergenceError(f"{name}: anti-diagonal sum did not converge")
 
 
-def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y, ctl):
+def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
     # valid for |x| + |y| < 1; terms t = (a)_{j+l}(b)_j(b')_l x^j y^l /((g)_j (g')_l j! l!)
     def l_ratio(N, j):
         lidx = N - j
@@ -236,72 +227,48 @@ def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y, ctl):
     def j_edge(j):
         return (alpha + j) * (beta + j) * x / ((gamma + j) * (j + 1.0))
 
-    return _antidiagonal_sum(l_ratio, j_edge, ctl, "appell_f2")
+    return _antidiagonal_sum(l_ratio, j_edge, "appell_f2")
 
 
-def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y, ctl=None):
+def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     """Appell double hypergeometric series F2(alpha; beta, beta2; gamma, gamma2; x, y).
 
-    Symmetric under (beta, gamma, x) <-> (beta2, gamma2, y). Negative
-    arguments are mapped into the convergence region |x|+|y| < 1 by the
-    Euler-type transformations. The parameter families with gamma2 = 3/2 and
-    beta2 in {1/2, 1} (inner-2F1 recurrence) and with alpha = beta = 1/2,
-    gamma = 1 (K/E-seeded recurrence) are summed as single-index series, at
-    ratio x/(1-y) or y/(1-x), whichever is smaller; other parameters take
-    the anti-diagonal double sum. Raises ConvergenceError when no
-    implemented transformation reaches a convergent regime.
+    Symmetric under (beta, gamma, x) <-> (beta2, gamma2, y). With alpha = 1/2,
+    beta2 = 1, gamma2 = 3/2, 0 <= x < 1 and x + y < 1 (any y < 0) it is a
+    single-index series over the inner 2F1(1/2 + j, 1; 3/2; y), at ratio
+    x/(1-y) (x for y < 0); for the potentials' family beta = 1/2, gamma = 1
+    with 0 <= y/(1-x) < x/(1-y) it runs over the K/E-seeded inner
+    2F1(1/2 + l, 1/2; 1; x) at ratio y/(1-x) instead. Other arguments are
+    mapped into |x|+|y| < 1 by the Euler-type transformations, then summed
+    along anti-diagonals. Raises ConvergenceError when no implemented
+    transformation reaches a convergent regime.
     """
-    ctl = ctl or DEFAULT_CONTROL
     for g in (gamma, gamma2):
         if g <= 0.0 and g == int(g):
             raise DomainError("appell_f2: gamma parameters must not be nonpositive integers")
     if x == 0.0 and y == 0.0:
         return 1.0
+    if alpha == 0.5 and beta2 == 1.0 and gamma2 == 1.5 and 0.0 <= x < 1.0 - 1e-12:
+        if y < 0.0:
+            return _f2_inner_sum(beta, gamma, x, y)
+        if y < 1.0 - 1e-12:
+            rx, ry = x / (1.0 - y), y / (1.0 - x)
+            if beta == 0.5 and gamma == 1.0 and ry < min(rx, 1.0 - 1e-12):
+                return _f2_ke_sum(beta2, gamma2, x, y)
+            if rx < 1.0 - 1e-12:
+                return _f2_inner_sum(beta, gamma, x, y)
     if y < 0.0:
-        if _inner_family(alpha, beta2, gamma2) and 0.0 <= x < 1.0 - 1e-12:
-            return _f2_inner_sum(alpha, beta, gamma, beta2, x, y, ctl)
         return (1.0 - y) ** (-alpha) * appell_f2(
-            alpha, beta, gamma2 - beta2, gamma, gamma2, x / (1.0 - y), y / (y - 1.0), ctl)
+            alpha, beta, gamma2 - beta2, gamma, gamma2, x / (1.0 - y), y / (y - 1.0))
     if x < 0.0:
-        if _inner_family(alpha, beta, gamma) and 0.0 <= y < 1.0 - 1e-12:
-            return _f2_inner_sum(alpha, beta2, gamma2, beta, y, x, ctl)
         return (1.0 - x) ** (-alpha) * appell_f2(
-            alpha, gamma - beta, beta2, gamma, gamma2, x / (x - 1.0), y / (1.0 - x), ctl)
-    # x, y >= 0: where the parameters form one of the accelerated families,
-    # take the single-index ordering with the smallest series ratio; the
-    # O(N^2) anti-diagonal sum is left for general parameters
-    candidates = []
-    if _inner_family(alpha, beta2, gamma2) and y < 1.0 - 1e-12 \
-            and x / (1.0 - y) < 1.0 - 1e-12:
-        candidates.append((x / (1.0 - y),
-                           lambda: _f2_inner_sum(alpha, beta, gamma, beta2, x, y, ctl)))
-    if _inner_family(alpha, beta, gamma) and x < 1.0 - 1e-12 \
-            and y / (1.0 - x) < 1.0 - 1e-12:
-        candidates.append((y / (1.0 - x),
-                           lambda: _f2_inner_sum(alpha, beta2, gamma2, beta, y, x, ctl)))
-    if _ke_family(alpha, beta, gamma) and x < 1.0 - 1e-12 \
-            and y / (1.0 - x) < 1.0 - 1e-12:
-        candidates.append((y / (1.0 - x),
-                           lambda: _f2_ke_sum(beta2, gamma2, x, y, ctl)))
-    if _ke_family(alpha, beta2, gamma2) and y < 1.0 - 1e-12 \
-            and x / (1.0 - y) < 1.0 - 1e-12:
-        candidates.append((x / (1.0 - y),
-                           lambda: _f2_ke_sum(beta, gamma, y, x, ctl)))
-    if candidates:
-        candidates.sort(key=lambda c: c[0])
-        return candidates[0][1]()
+            alpha, gamma - beta, beta2, gamma, gamma2, x / (x - 1.0), y / (1.0 - x))
     if x + y >= 1.0 - 1e-12:
         raise ConvergenceError(f"appell_f2 does not converge at |x|+|y| = {x + y}")
-    return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y, ctl)
+    return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y)
 
 
-def _ke_family(alpha, beta, gamma):
-    # inner 2F1(1/2 + l, 1/2; 1; x) has complete-elliptic seeds and a stable
-    # three-term recurrence in its first parameter
-    return alpha == 0.5 and beta == 0.5 and gamma == 1.0
-
-
-def _f2_ke_sum(beta2, gamma2, x, y, ctl):
+def _f2_ke_sum(beta2, gamma2, x, y):
     # F2(1/2; 1/2, b'; 1, g'; x, y) = sum_l (1/2)_l (b')_l /((g')_l l!) y^l
     #   * 2F1(1/2 + l, 1/2; 1; x),
     # with the inner function scaled by (1-x)^l: seeds (2/pi) K(x) and
@@ -316,11 +283,11 @@ def _f2_ke_sum(beta2, gamma2, x, y, ctl):
     h_cur = 2.0 / math.pi * elliptic.comp_e(x)
     coef = 1.0
     small = 0
-    for l in range(1, ctl.max_terms):
+    for l in range(1, MAX_TERMS):
         coef *= (l - 0.5) * (beta2 + l - 1.0) / ((gamma2 + l - 1.0) * l) * ratio
         term = coef * h_cur
         total += term
-        if abs(term) <= 0.02 * ctl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
                 return total
@@ -331,56 +298,40 @@ def _f2_ke_sum(beta2, gamma2, x, y, ctl):
     raise ConvergenceError("appell_f2: K/E-seeded series did not converge")
 
 
-def _inner_family(alpha, beta2, gamma2):
-    # parameter families whose inner 2F1(alpha+j, beta2; gamma2; y) has a
-    # stable two-term recurrence with elementary seeds
-    return alpha == 0.5 and gamma2 == 1.5 and beta2 in (0.5, 1.0)
-
-
-def _f2_inner_sum(alpha, beta, gamma, beta2, x, y, ctl):
-    # sum_j (1/2)_j (beta)_j /((gamma)_j j!) x^j 2F1(1/2+j, beta2; 3/2; y),
-    # the inner 2F1 by a two-term recurrence in its first parameter, scaled
-    # by (1-y)^j. Handles 0 <= y < 1 near the |x|+|y| = 1 boundary and all
-    # y < 0 (there 1-y is exact, so no cancellation); needs x/(1-y) < 1.
+def _f2_inner_sum(beta, gamma, x, y):
+    # F2(1/2; beta, 1; gamma, 3/2; x, y) = sum_j (1/2)_j (beta)_j
+    #   /((gamma)_j j!) x^j 2F1(1/2+j, 1; 3/2; y),
+    # the inner 2F1 by a two-term recurrence in its first parameter. For
+    # 0 <= y < 1 it is scaled by (1-y)^j and the series runs at ratio
+    # x/(1-y); for y < 0 it is kept unscaled (1-y is exact there, so no
+    # cancellation) and the series runs at ratio x.
     u = 1.0 - y
-    ratio = x / u
     if y > 0.0:
         sq = math.sqrt(y)
-        fhat = math.atanh(sq) / sq if beta2 == 1.0 else math.asin(sq) / sq
+        fhat = math.atanh(sq) / sq
     elif y < 0.0:
         sq = math.sqrt(-y)
-        fhat = math.atan(sq) / sq if beta2 == 1.0 else math.asinh(sq) / sq
+        fhat = math.atan(sq) / sq
     else:
         fhat = 1.0
+    ratio = x / u if y >= 0.0 else x
     coef = 1.0
-    upow = 1.0  # (1-y)^j for y > 0, (1-y)^(-1/2-j)*(scale) folded below for y < 0
+    upow = 1.0  # (1-y)^j
     total = fhat
     small = 0
-    sqrt_u = math.sqrt(u)
-    inv_u = 1.0 / u
-    upow_neg = sqrt_u * inv_u  # u^(-1/2) precursor for the y < 0 recurrences
-    for j in range(ctl.max_terms):
+    for j in range(MAX_TERMS):
         a = 0.5 + j
         if y >= 0.0:
-            if beta2 == 1.0:
-                # Fhat_{j+1} = ((2a-1) Fhat_j + (1-y)^j) / (2a)
-                fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
-            else:
-                # Ghat_{j+1} = (sqrt(1-y) + (2a-1)(1-y) Ghat_j) / (2a)
-                fhat = (sqrt_u + (2.0 * a - 1.0) * u * fhat) / (2.0 * a)
+            # Fhat_{j+1} = ((2a-1) Fhat_j + (1-y)^j) / (2a)
+            fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
             upow *= u
         else:
-            if beta2 == 1.0:
-                # F_{a+1} = ((2a-1) F_a + 1) / (2a (1-y)); fhat is 2F1 itself
-                fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
-            else:
-                # G_{a+1} = (u^(-a) + (2a-1) G_a) / (2a)
-                fhat = (upow_neg + (2.0 * a - 1.0) * fhat) / (2.0 * a)
-            upow_neg *= inv_u
-        coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * (ratio if y >= 0.0 else x)
+            # F_{a+1} = ((2a-1) F_a + 1) / (2a (1-y))
+            fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
+        coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
         term = coef * fhat
         total += term
-        if abs(term) <= 0.02 * ctl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
                 return total
@@ -389,10 +340,9 @@ def _f2_inner_sum(alpha, beta, gamma, beta2, x, y, ctl):
     raise ConvergenceError("appell_f2: inner-2F1 accelerated series did not converge")
 
 
-def appell_f1(alpha, beta, beta2, gamma, x, y, ctl=None):
+def appell_f1(alpha, beta, beta2, gamma, x, y):
     """Appell double hypergeometric series F1(alpha; beta, beta2; gamma; x, y),
     convergent for |x| < 1 and |y| < 1."""
-    ctl = ctl or DEFAULT_CONTROL
     if gamma <= 0.0 and gamma == int(gamma):
         raise DomainError("appell_f1: gamma must not be a nonpositive integer")
     if abs(x) >= 1.0 or abs(y) >= 1.0:
@@ -407,17 +357,17 @@ def appell_f1(alpha, beta, beta2, gamma, x, y, ctl=None):
     def j_edge(j):
         return (alpha + j) * (beta + j) * x / ((gamma + j) * (j + 1.0))
 
-    return _antidiagonal_sum(l_ratio, j_edge, ctl, "appell_f1")
+    return _antidiagonal_sum(l_ratio, j_edge, "appell_f1")
 
 
-def _i_hyg_series(m, A, s, ctl):
+def _i_hyg_series(m, A, s):
     # Eq-series route: pi A sgn(s) F2(1/2;1/2,1;1,3/2; m, A^2) minus the
     # k-sum, the latter collapsed analytically to
     # 2As sqrt(1-s^2) sum_{j,l} (1/2)_{j+l} m^j phi_j A^(2l) / (j! (3/2)_l)
     # where phi_j = s^(2j) 2F1(j+1, 1; 3/2; 1-s^2) stays bounded.
     y = A * A
     term1 = math.pi * A * math.copysign(1.0, s) * appell_f2(
-        0.5, 0.5, 1.0, 1.0, 1.5, m, y, ctl)
+        0.5, 0.5, 1.0, 1.0, 1.5, m, y)
     s2 = s * s
     w = 1.0 - s2
     if w <= 0.0:
@@ -440,12 +390,12 @@ def _i_hyg_series(m, A, s, ctl):
             spow.append(spow[jj] * s2)
         return (0.5 + j) * m * phis[ji + 1] / ((j + 1.0) * phis[ji])
 
-    coupled = _antidiagonal_sum(l_ratio, j_edge, ctl, "i_hyg")
+    coupled = _antidiagonal_sum(l_ratio, j_edge, "i_hyg")
     term2 = 2.0 * A * s * math.sqrt(w) * phis[0] * coupled
     return term1 - term2
 
 
-def i_hyg(args, ctl=None):
+def i_hyg(args):
     """The integral int_0^theta atanh(A / sqrt(1 - m sin^2(t/2))) dt.
 
     Odd in both A and theta. Strictly interior arguments m + A^2 < 1 only;
@@ -453,7 +403,6 @@ def i_hyg(args, ctl=None):
     |sin(theta/2)| = SMALL_S_THRESHOLD the series converges too slowly and
     the defining integral is evaluated by adaptive quadrature instead.
     """
-    ctl = ctl or DEFAULT_CONTROL
     if not isinstance(args, IhygArgs):
         raise DomainError("i_hyg expects an IhygArgs record")
     m, A, theta = args.m, args.A, args.theta
@@ -465,12 +414,12 @@ def i_hyg(args, ctl=None):
             "use i_hyg_surface for the boundary value")
     s = math.sin(theta / 2.0)
     if abs(s) < SMALL_S_THRESHOLD:
-        return _i_hyg_quadrature(m, A, theta, ctl)
-    return _i_hyg_series(m, A, s, ctl)
+        return _i_hyg_quadrature(m, A, theta)
+    return _i_hyg_series(m, A, s)
 
 
-def _i_hyg_quadrature(m, A, theta, ctl):
-    spec = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=min(ctl.rel_tol, 1e-11))
+def _i_hyg_quadrature(m, A, theta):
+    spec = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-11)
 
     def integrand(t):
         return np.arctanh(A / np.sqrt(1.0 - m * np.sin(t / 2.0) ** 2))
@@ -479,7 +428,7 @@ def _i_hyg_quadrature(m, A, theta, ctl):
     return val
 
 
-def i_hyg_pi(m, A, ctl=None, gap=None):
+def i_hyg_pi(m, A, gap=None):
     """Definite integral i_hyg(m, A, pi) on the closed domain m + A^2 <= 1:
     only the first closed-form term survives. Odd in A.
 
@@ -493,7 +442,6 @@ def i_hyg_pi(m, A, ctl=None, gap=None):
     value; at the rim it is 0. An m + A^2 beyond 1 by more than rounding
     raises DomainError.
     """
-    ctl = ctl or DEFAULT_CONTROL
     y = A * A
     if m < 0.0 or m + y > 1.0 + _BOUNDARY_ROUNDING:
         raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A = {A})")
@@ -508,7 +456,7 @@ def i_hyg_pi(m, A, ctl=None, gap=None):
     if m + y >= 0.85 and m > 0.0 and (
             omm < _NEAR_RIM or (m > 0.995 * (1.0 - y) and y > 0.995 * omm)):
         return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A), omm, gap)
-    return math.pi * A * appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y, ctl)
+    return math.pi * A * appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y)
 
 
 def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
@@ -540,20 +488,18 @@ def _f43_log_continued(mu, spec):
     # 4F3(1,1,3/2,3/2; 2,2,2; mu) = int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds
     # (the double integral over t u = s collapsed), with the 2F1 evaluated
     # through Pfaff + the logarithmic connection formula; valid for all mu < 0.
-    tight = SeriesControl(rel_tol=1e-13, max_terms=DEFAULT_CONTROL.max_terms)
-
     def f(s):
         arg = mu * s
         if arg == 0.0:
             return 0.0
-        return gauss_2f1(1.5, 1.5, 2.0, arg, tight) * -math.log(s)
+        return gauss_2f1(1.5, 1.5, 2.0, arg) * -math.log(s)
 
     val, _ = oracle.quad_1d(f, 0.0, 1.0, oracle.QuadratureSpec(
         spec.abs_tol, spec.rel_tol, spec.max_subdivisions, (True, False)))
     return val
 
 
-def i_hyg_surface(m, ctl=None):
+def i_hyg_surface(m):
     """Boundary value i_hyg(m, sqrt(1-m), pi) for m in (0, 1).
 
     Evaluated along two independent routes, the quadrature of
@@ -561,11 +507,10 @@ def i_hyg_surface(m, ctl=None):
     mu = m/(m-1); their agreement is asserted internally and the quadrature
     value is returned.
     """
-    ctl = ctl or DEFAULT_CONTROL
     if not 0.0 < m < 1.0:
         raise DomainError(f"i_hyg_surface requires m in (0, 1) (got {m})")
     quad_val = _i_hyg_surface_quad(math.sqrt(1.0 - m))
-    f43_val = _i_hyg_surface_f43(m, ctl)
+    f43_val = _i_hyg_surface_f43(m)
     scale = max(abs(quad_val), 1.0)
     if abs(quad_val - f43_val) > 1e-7 * scale:
         raise ConvergenceError(
@@ -612,18 +557,16 @@ def _i_hyg_surface_quad(b):
     return 2.0 * b * (math.log(4.0 / b) + 1.0) + rem
 
 
-def _i_hyg_surface_f43(m, ctl):
+def _i_hyg_surface_f43(m):
     mu = m / (m - 1.0)
     if abs(mu) <= 0.5:
-        f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu,
-                      SeriesControl(rel_tol=min(ctl.rel_tol, 1e-13),
-                                    max_terms=ctl.max_terms))
+        f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)
     else:
         f43 = _f43_log_continued(mu, oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10))
     return -math.pi * mu / 8.0 * f43 - math.pi / 2.0 * math.log(-mu / 16.0)
 
 
-def di_hyg_dA(m, A, theta, ctl=None):
+def di_hyg_dA(m, A, theta):
     """Closed-form derivative of i_hyg with respect to A:
     2 F(theta/2 | m) + (2A^2/(1-A^2)) Pi(m/(1-A^2); theta/2 | m)."""
     if A * A >= 1.0:
@@ -635,7 +578,7 @@ def di_hyg_dA(m, A, theta, ctl=None):
     return 2.0 * F + (2.0 * A * A / (1.0 - A * A)) * elliptic.ellip_pi(n, theta / 2.0, m)
 
 
-def di_hyg_dm(m, A, theta, ctl=None):
+def di_hyg_dm(m, A, theta):
     """Closed-form derivative of i_hyg with respect to m:
     (A/m) [Pi(m/(1-A^2); theta/2 | m) - F(theta/2 | m)]."""
     if not 0.0 < m < 1.0:
@@ -649,10 +592,9 @@ def di_hyg_dm(m, A, theta, ctl=None):
     return (A / m) * (elliptic.ellip_pi(n, theta / 2.0, m) - F)
 
 
-def lauricella_f11_triple(m, A, s, ctl=None):
+def lauricella_f11_triple(m, A, s):
     """Truncated triple series for i_hyg in powers of (m s^2, A^2, s^2);
     an oracle for small arguments."""
-    ctl = ctl or DEFAULT_CONTROL
     x, y, w = m * s * s, A * A, s * s
     for arg, nm in ((x, "m*s^2"), (y, "A^2"), (w, "s^2")):
         if not 0.0 <= arg < 1.0:
@@ -685,7 +627,7 @@ def lauricella_f11_triple(m, A, s, ctl=None):
     return 2.0 * A * s * float(np.dot(c, P * Qv))
 
 
-def i_hyg_alt(variant, m, A, s, ctl=None):
+def i_hyg_alt(variant, m, A, s):
     """Alternative single-index series for i_hyg obtained by performing two of
     the three summations; used for cross-validation on interior arguments.
 
@@ -693,7 +635,6 @@ def i_hyg_alt(variant, m, A, s, ctl=None):
     variant 2: series in (A^2)^j of Appell F1 values;
     variant 3: series in (s^2)^k of Appell F2 values.
     """
-    ctl = ctl or DEFAULT_CONTROL
     if variant not in (1, 2, 3):
         raise DomainError("i_hyg_alt variant must be 1, 2 or 3")
     if A == 0.0 or s == 0.0:
@@ -703,19 +644,19 @@ def i_hyg_alt(variant, m, A, s, ctl=None):
     total = 0.0
     small = 0
     coef = 1.0
-    for idx in range(ctl.max_terms):
+    for idx in range(MAX_TERMS):
         if variant == 1:
-            term = coef / (2.0 * idx + 1.0) * gauss_2f1(1.0, 0.5 + idx, 1.5, y, ctl) \
-                * gauss_2f1(0.5, 0.5 + idx, 1.5 + idx, w, ctl)
+            term = coef / (2.0 * idx + 1.0) * gauss_2f1(1.0, 0.5 + idx, 1.5, y) \
+                * gauss_2f1(0.5, 0.5 + idx, 1.5 + idx, w)
             coef *= (0.5 + idx) / (idx + 1.0) * x
         elif variant == 2:
-            term = coef * appell_f1(0.5, 0.5 + idx, 0.5, 1.5, x, w, ctl)
+            term = coef * appell_f1(0.5, 0.5 + idx, 0.5, 1.5, x, w)
             coef *= (0.5 + idx) / (1.5 + idx) * y
         else:
-            term = coef * appell_f2(0.5, 0.5 + idx, 1.0, 1.5 + idx, 1.5, x, y, ctl)
+            term = coef * appell_f2(0.5, 0.5 + idx, 1.0, 1.5 + idx, 1.5, x, y)
             coef *= (0.5 + idx) ** 2 / ((1.5 + idx) * (idx + 1.0)) * w
         total += term
-        if abs(term) <= 0.02 * ctl.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
                 return pref * total

@@ -97,13 +97,13 @@ def nome(m):
     return math.exp(-math.pi * elliptic.comp_k(1.0 - m) / elliptic.comp_k(m))
 
 
-def theta(i, u, m, ctl=None):
+def theta(i, u, m):
     """Scaled Jacobi theta function Theta_i(u | m), i in 1..4.
 
-    q-series evaluation truncated by SeriesControl; raises ConvergenceError
-    if the term cap is reached before the tail bound is met.
+    q-series evaluation, stopped once the terms fall below hypergeom.REL_TOL
+    relative to the sum; raises ConvergenceError if hypergeom.MAX_TERMS
+    terms do not get there.
     """
-    ctl = ctl or hypergeom.DEFAULT_CONTROL
     if i not in (1, 2, 3, 4):
         raise DomainError("theta index must be 1, 2, 3 or 4")
     _check_m(m, allow_zero=False)
@@ -113,20 +113,20 @@ def theta(i, u, m, ctl=None):
         # 2 q^(1/4) sum q^(n(n+1)) {sin, cos}((2n+1) z), alternating for theta_1
         total = 0.0
         qpow = 1.0  # q^(n(n+1))
-        for n in range(ctl.max_terms):
+        for n in range(hypergeom.MAX_TERMS):
             trig = math.sin((2 * n + 1) * z) if i == 1 else math.cos((2 * n + 1) * z)
             sign = -1.0 if (i == 1 and n % 2 == 1) else 1.0
             total += sign * qpow * trig
-            if qpow <= ctl.rel_tol * max(abs(total), 1e-30) and n >= 1:
+            if qpow <= hypergeom.REL_TOL * max(abs(total), 1e-30) and n >= 1:
                 return 2.0 * q ** 0.25 * total
             qpow *= q ** (2 * (n + 1))
         raise ConvergenceError("theta series did not converge (m too close to 1?)")
     total = 1.0
-    for n in range(1, ctl.max_terms):
+    for n in range(1, hypergeom.MAX_TERMS):
         qpow = q ** (n * n)
         sign = -1.0 if (i == 4 and n % 2 == 1) else 1.0
         total += 2.0 * sign * qpow * math.cos(2 * n * z)
-        if qpow <= ctl.rel_tol * max(abs(total), 1e-30) and n >= 2:
+        if qpow <= hypergeom.REL_TOL * max(abs(total), 1e-30) and n >= 2:
             return total
     raise ConvergenceError("theta series did not converge (m too close to 1?)")
 
@@ -138,7 +138,7 @@ def zsc_branch_jump(m):
     return math.pi ** 2 / (2.0 * elliptic.comp_k(m) * math.sqrt(1.0 - m))
 
 
-def int_z_sc(u, m, branch=0, ctl=None):
+def int_z_sc(u, m, branch=0):
     """Closed form of int_0^u Z(t|m) sc(t|m) dt:
 
         -am(u|m) + (pi sc(u|m) / 2K(m)) F2(1/2; 1/2, 1; 1, 3/2; m, (m-1) sc^2(u|m))
@@ -148,14 +148,13 @@ def int_z_sc(u, m, branch=0, ctl=None):
     branch increment across every odd multiple of K; branch n recovers the
     continuous integral on ((2n-1)K, (2n+1)K).
     """
-    ctl = ctl or hypergeom.DEFAULT_CONTROL
     _check_m(m, allow_zero=False)
     if u == 0.0 and branch == 0:
         return 0.0
     sc = jacobi_sc(u, m)  # raises at poles
     am = jacobi_am(u, m)
     K = elliptic.comp_k(m)
-    f2 = hypergeom.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, (m - 1.0) * sc * sc, ctl)
+    f2 = hypergeom.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, (m - 1.0) * sc * sc)
     val = -am + math.pi * sc / (2.0 * K) * f2
     if branch:
         val += branch * zsc_branch_jump(m)

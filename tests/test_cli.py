@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -170,6 +171,43 @@ def test_grid_workers_match_sequential(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_grid_workers_below_one_rejected(tmp_path, workers):
+    out, args = grid_args(tmp_path, "csv", "w.csv", ("--workers", workers))
+    code, _, err = run_cli(*args)
+    assert code == 2 and "--workers" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 9), (None, 1)])
+def test_grid_workers_capped(tmp_path, monkeypatch, cpus, expected):
+    # the pool is never wider than the CPUs or the 9 grid points; a recording
+    # executor stands in for the process pool and maps in this process
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out1, args1 = grid_args(tmp_path, "csv", "seq.csv")
+    out2, args2 = grid_args(tmp_path, "csv", "capped.csv", ("--workers", "100000"))
+    assert run_cli(*args1)[0] == 0 and sizes == []
+    assert run_cli(*args2)[0] == 0
+    assert sizes == ([] if expected == 1 else [expected])
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_verify_subset():
     code, out, _ = run_cli("verify", "--suite", "fast", "--seed", "42",
                            "--only", "C02", "C15")
@@ -177,13 +215,39 @@ def test_verify_subset():
     assert "C02" in out and "C15" in out and "2/2 checks passed" in out
 
 
-def test_max_terms_env_override():
-    env = dict(os.environ, APPELLFIELD_MAX_TERMS="128")
-    src = ("import appellfield.hypergeom as hg; "
-           "print(hg.SeriesControl().max_terms)")
+def _run_with_max_terms(value, src):
+    env = dict(os.environ)
+    env.pop("APPELLFIELD_MAX_TERMS", None)
+    if value is not None:
+        env["APPELLFIELD_MAX_TERMS"] = value
     res = subprocess.run([sys.executable, "-c", src], env=env,
                          capture_output=True, text=True)
-    assert res.stdout.strip() == "128"
+    return res.returncode, res.stdout.strip()
+
+
+def test_max_terms_env_override():
+    # the 2F1 series at x = 0.94 needs more than 64 terms
+    src = ("from appellfield import hypergeom as hg\n"
+           "from appellfield.errors import ConvergenceError\n"
+           "try:\n"
+           "    print(repr(hg.gauss_2f1(0.5, 0.5, 1.0, 0.94)))\n"
+           "except ConvergenceError:\n"
+           "    print('ConvergenceError')\n")
+    code, out = _run_with_max_terms(None, src)
+    assert code == 0 and float(out) == pytest.approx(1.7957468, rel=1e-7)
+    assert _run_with_max_terms("64", src) == (0, "ConvergenceError")
+    src = ("try:\n"
+           "    import appellfield\n"
+           "except Exception as exc:\n"
+           "    print(type(exc).__name__)\n")
+    for bad in ("10", "abc"):
+        assert _run_with_max_terms(bad, src) == (0, "DomainError")
+
+
+def test_public_names_resolve():
+    res = subprocess.run([sys.executable, "-c", "from appellfield import *"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_console_entry_point():

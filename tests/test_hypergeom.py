@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from appellfield import elliptic, hypergeom as hg, oracle
 from appellfield.errors import ConvergenceError, DomainError
-from appellfield.hypergeom import IhygArgs, SeriesControl
+from appellfield.hypergeom import IhygArgs
 
 # reference values from independent quadrature / high-precision summation
 F2_03_04 = 1.3487116403196524
@@ -113,14 +113,13 @@ def test_appell_f2_negative_argument_routes_agree():
     # the negative-y inner-recurrence path against the plain anti-diagonal sum
     args = (0.5, 0.5, 1.0, 1.0, 1.5, 0.2, -0.3)
     fast = hg.appell_f2(*args)
-    direct = hg._appell_f2_direct(*args, hg.DEFAULT_CONTROL)
+    direct = hg._appell_f2_direct(*args)
     assert fast == pytest.approx(direct, rel=1e-11)
 
 
 def test_appell_f2_family_takes_single_index_route(monkeypatch):
     # the potentials' family F2(1/2; 1/2, 1; 1, 3/2; m, A^2) away from the
     # |x|+|y| = 1 boundary: the single-index sums against the anti-diagonal sum
-    ctl = hg.DEFAULT_CONTROL
     direct = hg._appell_f2_direct
     calls = []
     monkeypatch.setattr(hg, "_appell_f2_direct",
@@ -131,7 +130,7 @@ def test_appell_f2_family_takes_single_index_route(monkeypatch):
                 continue
             fast = hg.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y)
             assert fast == pytest.approx(
-                direct(0.5, 0.5, 1.0, 1.0, 1.5, m, y, ctl), rel=1e-13, abs=0.0)
+                direct(0.5, 0.5, 1.0, 1.0, 1.5, m, y), rel=1e-13, abs=0.0)
     assert calls == []
 
 
@@ -141,6 +140,18 @@ def test_appell_f2_family_matches_mpmath():
         for m, y in ((0.1, 0.2), (0.4, 0.4), (0.8, 0.04), (0.02, 0.8), (0.6, 0.2)):
             ref = float(mpmath.appellf2(0.5, 0.5, 1.0, 1.0, 1.5, m, y))
             assert hg.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y) == pytest.approx(
+                ref, rel=1e-13, abs=0.0)
+
+
+def test_appell_f2_inner_route_for_i_hyg_alt_first_term():
+    # F2(1/2; 1/2, 1; 3/2, 3/2; x, y), the idx = 0 term of i_hyg_alt variant
+    # 3, at y < x inside C06's range x = m s^2 <= 1/8, y = A^2 <= 1/4, where
+    # the inner-2F1 series runs at ratio x/(1-y)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x, y in ((0.3 * 0.16, 0.2 * 0.2), (0.125, 0.1), (0.1, 0.002), (0.05, 0.01)):
+            ref = float(mpmath.appellf2(0.5, 0.5, 1.0, 1.5, 1.5, x, y))
+            assert hg.appell_f2(0.5, 0.5, 1.0, 1.5, 1.5, x, y) == pytest.approx(
                 ref, rel=1e-13, abs=0.0)
 
 
@@ -281,10 +292,3 @@ def test_triple_sum_and_alternatives_match():
         assert hg.i_hyg_alt(v, m, A, s) == pytest.approx(base, abs=1e-10)
     assert hg.lauricella_f11_triple(m, A, 0.0) == 0.0
     assert hg.i_hyg_alt(2, m, 0.0, s) == 0.0
-
-
-def test_series_control_validation():
-    with pytest.raises(DomainError):
-        SeriesControl(rel_tol=1e-3)
-    with pytest.raises(DomainError):
-        SeriesControl(max_terms=10)

@@ -135,8 +135,7 @@ def test_euler_transformed_closed_form_identity():
         sn, cn, dn = jc.jacobi_sn(u, m), jc.jacobi_cn(u, m), jc.jacobi_dn(u, m)
         sc, cd, sd = sn / cn, cn / dn, sn / dn
         lhs = sc * hg._appell_f2_direct(0.5, 0.5, 1.0, 1.0, 1.5,
-                                        m, (m - 1.0) * sc * sc, hg.DEFAULT_CONTROL)
+                                        m, (m - 1.0) * sc * sc)
         rhs = sc * abs(cd) * hg._appell_f2_direct(0.5, 0.5, 0.5, 1.0, 1.5,
-                                                  m * cd * cd, (1.0 - m) * sd * sd,
-                                                  hg.DEFAULT_CONTROL)
+                                                  m * cd * cd, (1.0 - m) * sd * sd)
         assert lhs == pytest.approx(rhs, rel=1e-10)
