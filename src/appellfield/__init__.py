@@ -5,14 +5,13 @@ elliptic/zeta/theta functions, Gauss/Appell/generalized hypergeometric
 series) and brute-force verification oracles."""
 
 from . import elliptic, errors, fields, geometry, hypergeom, jacobi, oracle, verify
-from .geometry import (AuxGeometry, CylinderSpec, DiskSpec, FieldSample,
-                       PointCharges, TubeSpec, aux)
+from .geometry import AuxGeometry, CylinderSpec, DiskSpec, FieldSample, TubeSpec, aux
 from .hypergeom import IhygArgs
 from .oracle import QuadratureSpec
 
 __all__ = [
     "AuxGeometry", "CylinderSpec", "DiskSpec", "FieldSample", "IhygArgs",
-    "PointCharges", "QuadratureSpec", "TubeSpec", "aux",
+    "QuadratureSpec", "TubeSpec", "aux",
     "elliptic", "errors", "fields", "geometry", "hypergeom", "jacobi",
     "oracle", "verify",
 ]

@@ -61,16 +61,6 @@ class DiskSpec:
         return math.pi * self.R ** 2 * self.sigma
 
 
-@dataclass(frozen=True)
-class PointCharges:
-    """On-axis point charges: tuple of (charge, z offset) pairs."""
-
-    charges: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "charges", tuple((float(q), float(z)) for q, z in self.charges))
-
-
 def _check_body(R, Z):
     if not (math.isfinite(R) and R > 0.0 and math.isfinite(Z) and Z > 0.0):
         raise DomainError("body radius and half-height must be finite and positive")
@@ -134,10 +124,15 @@ class AuxGeometry:
         return (rho + self.r) * (rho + self.r0) / (self.z * self.z)
 
     def bracket_alt(self, sign):
-        """The same bracket via (L0/(2 r0)) s_pm sqrt(n_pm (n_pm - m))."""
-        n = self.n_plus if sign > 0 else self.n_minus
-        s = self.s_plus if sign > 0 else 1.0
-        return self.L0 / (2.0 * self.r0) * s * math.sqrt(n * (n - self.m))
+        """The same bracket via (L0/(2 r0)) s_pm sqrt(n_pm (n_pm - m)).
+        n_plus - m is formed as 2 r0 (rho - r)^2 / ((r0 + rho) L0^2), exact
+        since L0^2 - 2 r (r0 + rho) = (rho - r)^2; the difference of the
+        rounded values loses its digits at r = r0, z -> 0."""
+        n, s = (self.n_plus, self.s_plus) if sign > 0 else (self.n_minus, 1.0)
+        rho = math.hypot(self.r0, self.z)
+        gap = (2.0 * self.r0 * (rho - self.r) ** 2 / ((self.r0 + rho) * self.L0 ** 2)
+               if sign > 0 else n - self.m)
+        return self.L0 / (2.0 * self.r0) * s * math.sqrt(n * gap)
 
 
 def aux(r, z, r0):

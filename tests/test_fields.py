@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from appellfield import fields as fl
 from appellfield import oracle as oc
@@ -38,6 +38,7 @@ def test_aux_boundary_at_equal_radii():
 
 @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-2.0, 2.0))
 @settings(max_examples=60, deadline=None)
+@example(r=1.0, r0=1.0, z=0.00390625)
 def test_alternate_prefactor_identity(r, r0, z):
     if abs(z) < 1e-3:
         z = 0.5
@@ -45,6 +46,10 @@ def test_alternate_prefactor_identity(r, r0, z):
     for sign in (+1, -1):
         assert a.bracket(sign) == pytest.approx(a.bracket_alt(sign),
                                                 rel=1e-12, abs=1e-12)
+    # bracket_alt(+1) forms n_plus - m exactly; check aux's rounded m against it
+    rho = math.hypot(r0, z)
+    exact_gap = 2.0 * r0 * (rho - r) ** 2 / ((r0 + rho) * ((r + r0) ** 2 + z * z))
+    assert a.n_plus - a.m == pytest.approx(exact_gap, rel=0, abs=1e-12)
 
 
 def test_aux_degenerate():

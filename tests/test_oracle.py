@@ -5,7 +5,10 @@ import pytest
 
 from appellfield import oracle as oc
 from appellfield.errors import ConvergenceError, DomainError
-from appellfield.geometry import PointCharges, TubeSpec
+from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec
+
+TUBE = TubeSpec(1.0, 0.7, 1.0)
+CYL = CylinderSpec(1.0, 0.7, 1.0)
 
 
 def test_quad_1d_basic():
@@ -53,23 +56,6 @@ def test_quad_1d_nonintegrable_raises():
         oc.quad_1d(lambda x: 1.0 / x, 0.0, 1.0, spec, vectorized=True)
 
 
-def test_quad_2d_3d():
-    assert oc.quad_2d(lambda x, y: 1.0 + 0.0 * y, ((0, 1), (0, 1)),
-                      vectorized_inner=True) == pytest.approx(1.0, rel=1e-12)
-    assert oc.quad_3d(lambda x, y, z: 1.0 + 0.0 * z, ((0, 1), (0, 1), (0, 1)),
-                      vectorized_inner=True) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_quad_2d_disk_potential_on_axis():
-    # phi(0, z) of a unit-density disk: 2 pi (sqrt(R^2+z^2) - |z|)
-    R, z = 1.0, 0.5
-    val = 2.0 * oc.quad_2d(
-        lambda rp, th: rp / np.sqrt(rp * rp + z * z),
-        ((0.0, R), (0.0, math.pi)),
-        oc.QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9), vectorized_inner=True)
-    assert val == pytest.approx(2.0 * math.pi * (math.hypot(R, z) - abs(z)), rel=1e-8)
-
-
 def test_fd_operators_trivial():
     assert oc.fd_laplacian_cyl(lambda r, z: r * r, 1.3, 0.2, 1e-3) == pytest.approx(
         4.0, abs=1e-6)
@@ -98,21 +84,116 @@ def test_loop_integral_single_valued_function():
     assert abs(oc.loop_integral_grad(f, loop, 1e-4)) < 1e-6
 
 
-def test_brute_psi_point_charge():
-    pc = PointCharges(((1.0, 0.0),))
-    r, z = 1.0, 0.7
-    assert oc.brute_psi((r, z), pc) == pytest.approx(z / math.hypot(r, z), rel=1e-14)
-    two = PointCharges(((1.0, 0.5), (-2.0, -0.5)))
-    expect = (z - 0.5) / math.hypot(r, z - 0.5) - 2.0 * (z + 0.5) / math.hypot(r, z + 0.5)
-    assert oc.brute_psi((r, z), two) == pytest.approx(expect, rel=1e-14)
+@pytest.mark.parametrize("body", [TUBE, CYL], ids=["tube", "cyl"])
+def test_coulomb_psi_mirror_antisymmetry(body):
+    up = oc.coulomb_psi((1.4, 0.6), body)
+    assert up > 0.0
+    assert oc.coulomb_psi((1.4, -0.6), body) == -up
 
 
-def test_brute_psi_mirror_antisymmetry():
-    tube = TubeSpec(1.0, 0.7, 1.0)
-    spec = oc.QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
-    up = oc.brute_psi((1.4, 0.6), tube, spec)
-    down = oc.brute_psi((1.4, -0.6), tube, spec)
-    assert up == pytest.approx(-down, rel=1e-8)
+def _tube_axis_phi(z):
+    R, Z = TUBE.R, TUBE.Z
+    return 2.0 * math.pi * TUBE.sigma0 * R * (math.asinh((z + Z) / R) - math.asinh((z - Z) / R))
+
+
+def _cyl_axis_phi(z):
+    # 2 pi rho int_0^R r' dr' int_-Z^Z dz' / sqrt(r'^2 + (z - z')^2)
+    R, Z = CYL.R, CYL.Z
+
+    def h(c):
+        return R * R / 2.0 * math.asinh(c / R) + c / 2.0 * math.hypot(R, c) - c * abs(c) / 2.0
+
+    return 2.0 * math.pi * CYL.rho0 * (h(z + Z) - h(z - Z))
+
+
+@pytest.mark.parametrize("z", [0.0, 0.35, -0.7, 0.7 + 1e-9, 2.0, -5.0, 10.0])
+def test_coulomb_on_axis_exact(z):
+    # on the axis each angular integrand is constant; the formulas' own float
+    # rounding reaches 4.3e-14 at z = 10
+    assert oc.coulomb_phi((0.0, z), TUBE) == pytest.approx(_tube_axis_phi(z), rel=1e-13)
+    assert oc.coulomb_phi((0.0, z), CYL) == pytest.approx(_cyl_axis_phi(z), rel=1e-13)
+    if z != 0.0:
+        assert oc.coulomb_psi((0.0, z), TUBE) == math.copysign(TUBE.total_charge, z)
+    if abs(z) > CYL.Z:
+        assert oc.coulomb_psi((0.0, z), CYL) == math.copysign(CYL.total_charge, z)
+
+
+def _mp_tube(mp, r, z):
+    """(phi, psi) of TUBE by mpmath quadrature over theta of the ring kernel
+    with its z' integral done exactly."""
+    R, Z, sigma = (mp.mpf(v) for v in (TUBE.R, TUBE.Z, TUBE.sigma0))
+    r, z = mp.mpf(r), mp.mpf(z)
+
+    def dist(th):
+        return mp.sqrt((r - R) ** 2 + 4 * r * R * mp.sin(th / 2) ** 2)
+
+    def phi_f(th):
+        D = dist(th)
+        return mp.asinh((z + Z) / D) - mp.asinh((z - Z) / D)
+
+    def psi_f(th):
+        D = dist(th)
+        a, b = abs(z) + Z, abs(z) - Z
+        return (r - R * mp.cos(th)) / D ** 2 * (2 * Z - mp.hypot(D, a) + mp.hypot(D, b))
+
+    phi = 2 * sigma * R * mp.quad(phi_f, [0, mp.pi])
+    psi = mp.sign(z) * (4 * mp.pi * R * Z * sigma - 2 * sigma * R * r * mp.quad(psi_f, [0, mp.pi]))
+    return phi, psi
+
+
+def _mp_cyl(mp, r, z):
+    """(phi, psi) of CYL by mpmath quadrature over the angle of a polar frame
+    centred on the point, the radial and z' integrals done exactly."""
+    R, Z, rho = (mp.mpf(v) for v in (CYL.R, CYL.Z, CYL.rho0))
+    r, z = mp.mpf(r), mp.mpf(z)
+    a, b = abs(z) + Z, abs(z) - Z
+
+    def W(D):  # int_0^D t dt int_-Z^Z dz' / sqrt(t^2 + (z - z')^2)
+        def H(c):
+            return D * D / 2 * mp.asinh(c / D) + c / 2 * mp.hypot(D, c) if D else c * abs(c) / 2
+        return H(z + Z) - H(z - Z)
+
+    def N(D):  # int_0^D [2Z - sqrt(t^2 + a^2) + sqrt(t^2 + b^2)] dt
+        def M(c):
+            return (D * mp.hypot(D, c) + c * c * mp.asinh(D / abs(c))) / 2
+        return 2 * Z * D - M(a) + M(b)
+
+    def chord(al):  # ray lengths (in, out) through the disk r' < R
+        c = mp.cos(al)
+        q = mp.sqrt(max(R * R - r * r * mp.sin(al) ** 2, 0))
+        return (mp.mpf(0) if r < R else -r * c - q), -r * c + q
+
+    # r < R: the chord length has a kink-like turn at pi/2 as r -> R
+    span = [0, mp.pi / 2, mp.pi] if r < R else [mp.pi - mp.asin(R / r), mp.pi]
+    phi = 2 * rho * mp.quad(lambda al: W(chord(al)[1]) - W(chord(al)[0]), span)
+    if r <= R and abs(z) <= Z:
+        return phi, None
+    flux = mp.quad(lambda al: mp.cos(al) * (N(chord(al)[1]) - N(chord(al)[0])), span)
+    return phi, mp.sign(z) * (2 * mp.pi * R * R * Z * rho + 2 * rho * r * flux)
+
+
+@pytest.mark.parametrize("body,r,z", [
+    ("tube", 1.5, 0.3), ("tube", 0.5, 1.2), ("tube", 1.0 + 1e-9, -0.3), ("tube", 1.0, 0.3),
+    ("cyl", 0.5, 0.3), ("cyl", 1.5, -0.3), ("cyl", 0.5, 1.2), ("cyl", 1.0 - 1e-9, 0.3),
+    ("cyl", 2.0, 0.7 + 1e-9),
+])
+def test_coulomb_matches_mpmath(body, r, z):
+    mp = pytest.importorskip("mpmath")
+    spec, ref = (TUBE, _mp_tube) if body == "tube" else (CYL, _mp_cyl)
+    with mp.workdps(30):
+        phi, psi = ref(mp, r, z)
+    assert oc.coulomb_phi((r, z), spec) == pytest.approx(float(phi), rel=1e-13)
+    if psi is not None and not (body == "tube" and r == TUBE.R):
+        assert oc.coulomb_psi((r, z), spec) == pytest.approx(float(psi), rel=1e-13)
+
+
+def test_coulomb_excluded_points():
+    with pytest.raises(DomainError):
+        oc.coulomb_psi((1.0, 0.3), TUBE)
+    with pytest.raises(DomainError):
+        oc.coulomb_psi((0.5, 0.3), CYL)
+    with pytest.raises(DomainError):
+        oc.coulomb_phi((1.0, 0.3), DiskSpec(1.0, 1.0))
 
 
 def test_quadrature_spec_validation():
