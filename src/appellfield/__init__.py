@@ -6,11 +6,10 @@ series) and brute-force verification oracles."""
 
 from . import elliptic, errors, fields, geometry, hypergeom, jacobi, oracle, verify
 from .geometry import AuxGeometry, CylinderSpec, DiskSpec, FieldSample, TubeSpec, aux
-from .hypergeom import IhygArgs
 from .oracle import QuadratureSpec
 
 __all__ = [
-    "AuxGeometry", "CylinderSpec", "DiskSpec", "FieldSample", "IhygArgs",
+    "AuxGeometry", "CylinderSpec", "DiskSpec", "FieldSample",
     "QuadratureSpec", "TubeSpec", "aux",
     "elliptic", "errors", "fields", "geometry", "hypergeom", "jacobi",
     "oracle", "verify",

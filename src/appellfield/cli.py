@@ -210,7 +210,7 @@ _SPECIAL_FNS = {
     "pfq_4f3": (lambda *a: hypergeom.pfq_4f3(a[0:4], a[4:7], a[7]), 8),
     "appell_f1": (hypergeom.appell_f1, 6),
     "appell_f2": (hypergeom.appell_f2, 7),
-    "i_hyg": (lambda m, A, th: hypergeom.i_hyg(hypergeom.IhygArgs(m, A, th)), 3),
+    "i_hyg": (hypergeom.i_hyg, 3),
     "i_hyg_pi": (hypergeom.i_hyg_pi, 2),
     "i_hyg_surface": (hypergeom.i_hyg_surface, 1),
     "di_hyg_dA": (hypergeom.di_hyg_dA, 3),

@@ -76,7 +76,7 @@ def i_cyl_hyg(r, theta, z, r0):
     a = aux(r, z, r0)
     if a.A == 0.0:
         return 0.0
-    return r * r / 2.0 * hypergeom.i_hyg(hypergeom.IhygArgs(a.m, a.A, theta))
+    return r * r / 2.0 * hypergeom.i_hyg(a.m, a.A, theta)
 
 
 def j_cyl_trig(r, theta, z, r0):
@@ -125,7 +125,7 @@ def i_tube(r, theta, z, r0):
     a = aux(r, z, r0)
     if a.A == 0.0:
         return 0.0
-    return hypergeom.i_hyg(hypergeom.IhygArgs(a.m, a.A, theta))
+    return hypergeom.i_hyg(a.m, a.A, theta)
 
 
 def j_tube(r, theta, z, r0):

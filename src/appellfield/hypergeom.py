@@ -16,11 +16,15 @@ transformation
 F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
 (and its y-counterpart) and summed along anti-diagonals j + l = N, which
 keeps terms of comparable magnitude near the boundary.
+
+i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
+Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
+value and the 4F3-log continuation each run oracle.quad_1d at one fixed
+QuadratureSpec, a module constant.
 """
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,29 +63,6 @@ def _max_terms():
 
 # per-index term cap of every infinite series
 MAX_TERMS = _max_terms()
-
-
-@dataclass(frozen=True)
-class IhygArgs:
-    """Arguments (m, A, theta) of the hypergeometric integral."""
-
-    m: float
-    A: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.A) and math.isfinite(self.theta)):
-            raise DomainError("IhygArgs requires finite values")
-        if not 0.0 <= self.m <= 1.0:
-            raise DomainError(f"IhygArgs.m must lie in [0, 1] (got {self.m})")
-        if abs(self.theta) > math.pi + 1e-12:
-            raise DomainError("IhygArgs.theta is restricted to [-pi, pi]")
-        s2 = math.sin(self.theta / 2.0) ** 2
-        if self.m * s2 >= 1.0:
-            raise DomainError("IhygArgs: m*sin^2(theta/2) must stay below 1")
-        # worst case of the path condition A^2 < 1 - m*sin^2(t/2), at t = pi
-        if self.A * self.A > 1.0 - self.m:
-            raise DomainError("IhygArgs: A^2 must not exceed 1 - m")
 
 
 def pochhammer(x, k):
@@ -395,17 +376,27 @@ def _i_hyg_series(m, A, s):
     return term1 - term2
 
 
-def i_hyg(args):
+def i_hyg(m, A, theta):
     """The integral int_0^theta atanh(A / sqrt(1 - m sin^2(t/2))) dt.
 
-    Odd in both A and theta. Strictly interior arguments m + A^2 < 1 only;
-    the convergence boundary is the business of i_hyg_surface. Below
-    |sin(theta/2)| = SMALL_S_THRESHOLD the series converges too slowly and
-    the defining integral is evaluated by adaptive quadrature instead.
+    Odd in both A and theta. Requires finite m in [0, 1], |theta| <= pi
+    and A^2 <= 1 - m (DomainError otherwise), and then strictly interior
+    arguments m + A^2 < 1 - 1e-9; the convergence boundary is the business
+    of i_hyg_pi and i_hyg_surface. Below |sin(theta/2)| = SMALL_S_THRESHOLD
+    the series converges too slowly and the defining integral is evaluated
+    by adaptive quadrature instead.
     """
-    if not isinstance(args, IhygArgs):
-        raise DomainError("i_hyg expects an IhygArgs record")
-    m, A, theta = args.m, args.A, args.theta
+    if not (math.isfinite(m) and math.isfinite(A) and math.isfinite(theta)):
+        raise DomainError("i_hyg requires finite arguments")
+    if not 0.0 <= m <= 1.0:
+        raise DomainError(f"i_hyg: m must lie in [0, 1] (got {m})")
+    if abs(theta) > math.pi + 1e-12:
+        raise DomainError("i_hyg: theta is restricted to [-pi, pi]")
+    if m * math.sin(theta / 2.0) ** 2 >= 1.0:
+        raise DomainError("i_hyg: m*sin^2(theta/2) must stay below 1")
+    # worst case of the path condition A^2 < 1 - m*sin^2(t/2), at t = pi
+    if A * A > 1.0 - m:
+        raise DomainError("i_hyg: A^2 must not exceed 1 - m")
     if theta == 0.0 or A == 0.0:
         return 0.0
     if m + A * A > 1.0 - 1e-9:
@@ -418,13 +409,14 @@ def i_hyg(args):
     return _i_hyg_series(m, A, s)
 
 
-def _i_hyg_quadrature(m, A, theta):
-    spec = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-11)
+_I_HYG_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-11)
 
+
+def _i_hyg_quadrature(m, A, theta):
     def integrand(t):
         return np.arctanh(A / np.sqrt(1.0 - m * np.sin(t / 2.0) ** 2))
 
-    val, _ = oracle.quad_1d(integrand, 0.0, theta, spec, vectorized=True)
+    val, _ = oracle.quad_1d(integrand, 0.0, theta, _I_HYG_QUADRATURE, vectorized=True)
     return val
 
 
@@ -459,6 +451,11 @@ def i_hyg_pi(m, A, gap=None):
     return math.pi * A * appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y)
 
 
+# the surface value and the integral in from it (_i_hyg_pi_from_boundary,
+# _i_hyg_surface_quad)
+_BOUNDARY_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+
+
 def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
     # I(m, A) = I(m, A0) - int_A^A0 dI/dA' dA', A0 = sqrt(1-m) = sqrt(omm),
     # substituted A' = A0 - u^2; the integrable 1/sqrt singularity of the
@@ -479,12 +476,16 @@ def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
         piv = K + (n / 3.0) * elliptic.carlson_rj(0.0, omm, 1.0, one_minus_n)
         return (2.0 * K + 2.0 * ap * ap / oma2 * piv) * 2.0 * u
 
-    spec = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    val, _ = oracle.quad_1d(integrand, 0.0, math.sqrt(span), spec)
+    val, _ = oracle.quad_1d(integrand, 0.0, math.sqrt(span), _BOUNDARY_QUADRATURE)
     return surf - val
 
 
-def _f43_log_continued(mu, spec):
+# -ln s is singular at s = 0
+_F43_LOG_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
+                                            singular_endpoints=(True, False))
+
+
+def _f43_log_continued(mu):
     # 4F3(1,1,3/2,3/2; 2,2,2; mu) = int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds
     # (the double integral over t u = s collapsed), with the 2F1 evaluated
     # through Pfaff + the logarithmic connection formula; valid for all mu < 0.
@@ -494,22 +495,25 @@ def _f43_log_continued(mu, spec):
             return 0.0
         return gauss_2f1(1.5, 1.5, 2.0, arg) * -math.log(s)
 
-    val, _ = oracle.quad_1d(f, 0.0, 1.0, oracle.QuadratureSpec(
-        spec.abs_tol, spec.rel_tol, spec.max_subdivisions, (True, False)))
+    val, _ = oracle.quad_1d(f, 0.0, 1.0, _F43_LOG_QUADRATURE)
     return val
 
 
 def i_hyg_surface(m):
     """Boundary value i_hyg(m, sqrt(1-m), pi) for m in (0, 1).
 
-    Evaluated along two independent routes, the quadrature of
-    int_m^1 K(t) dt / (t sqrt(1-t)) and the 4F3-log closed form at
-    mu = m/(m-1); their agreement is asserted internally and the quadrature
-    value is returned.
+    Evaluated by quadrature of int_m^1 K(t) dt / (t sqrt(1-t)). Where
+    b = sqrt(1-m) >= 1e-4 the 4F3-log closed form at mu = m/(m-1) is
+    evaluated too and their agreement to 1e-7 is asserted internally.
+    Closer to m = 1 the 4F3-log route loses about 8.4e-18/b^2 to the
+    rounding of m, and the quadrature value is returned unchecked.
     """
     if not 0.0 < m < 1.0:
         raise DomainError(f"i_hyg_surface requires m in (0, 1) (got {m})")
-    quad_val = _i_hyg_surface_quad(math.sqrt(1.0 - m))
+    b = math.sqrt(1.0 - m)
+    quad_val = _i_hyg_surface_quad(b)
+    if b < 1e-4:
+        return quad_val
     f43_val = _i_hyg_surface_f43(m)
     scale = max(abs(quad_val), 1.0)
     if abs(quad_val - f43_val) > 1e-7 * scale:
@@ -552,8 +556,7 @@ def _i_hyg_surface_quad(b):
             return 2.0 * (_k_minus_log(v) + L * v * v) / (1.0 - v * v)
         return 2.0 * elliptic.comp_k(1.0 - v * v) / (1.0 - v * v) - 2.0 * L
 
-    spec = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    rem, _ = oracle.quad_1d(remainder, 0.0, b, spec)
+    rem, _ = oracle.quad_1d(remainder, 0.0, b, _BOUNDARY_QUADRATURE)
     return 2.0 * b * (math.log(4.0 / b) + 1.0) + rem
 
 
@@ -562,7 +565,7 @@ def _i_hyg_surface_f43(m):
     if abs(mu) <= 0.5:
         f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)
     else:
-        f43 = _f43_log_continued(mu, oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10))
+        f43 = _f43_log_continued(mu)
     return -math.pi * mu / 8.0 * f43 - math.pi / 2.0 * math.log(-mu / 16.0)
 
 

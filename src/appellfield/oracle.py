@@ -4,6 +4,12 @@ and ``coulomb_psi`` for cylinders and tubes, finite-difference differential
 operators in cylindrical coordinates, and polyline loop integrals of
 finite-difference gradients.
 
+``quad_1d`` applies QUADPACK's 7-point Gauss / 15-point Kronrod rule, its
+constants exact to double precision, and splits the worst panel up to 4000
+times. Every caller passes a ``QuadratureSpec``: an absolute and a relative
+tolerance, and at most one singular endpoint. Callers with a fixed request
+build their spec once, as a module constant.
+
 The Coulomb references integrate Coulomb's law with every inner integral
 done exactly, so one ``quad_1d`` of an elementary integrand remains. At
 points within distance 1e2 of the origin they agree with 30-digit mpmath
@@ -24,26 +30,21 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import CylinderSpec, TubeSpec
 
-# 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1]
-_KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# 7-point Gauss / 15-point Kronrod rule on [-1, 1]: QUADPACK qk15's
+# nonnegative nodes and weights as printed, mirrored
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_KRONROD_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_KRONROD_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
+_GAUSS_WEIGHTS = np.array(_WG + _WG[-2::-1])
 _GAUSS_SLICE = slice(1, 15, 2)
 
 # Reported error estimates are floored at this fraction of the requested
@@ -51,23 +52,21 @@ _GAUSS_SLICE = slice(1, 15, 2)
 # refinement, and a tolerance-proportional floor keeps the estimate both
 # conservative and responsive to the request.
 _ESTIMATE_FLOOR = 0.05
+# panel splits before quad_1d gives up
+_MAX_SUBDIVISIONS = 4000
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
+    abs_tol: float
+    rel_tol: float
     singular_endpoints: tuple = (False, False)
 
     def __post_init__(self):
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise DomainError("QuadratureSpec tolerances must be positive")
-        if self.max_subdivisions < 32:
-            raise DomainError("QuadratureSpec.max_subdivisions must be >= 32")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+        if all(self.singular_endpoints):
+            raise DomainError("QuadratureSpec: at most one endpoint may be singular")
 
 
 def _eval_panel(f, a, b, vectorized):
@@ -98,18 +97,17 @@ def _eval_panel(f, a, b, vectorized):
     return k15, max(err, floor), floor
 
 
-def quad_1d(f, a, b, spec=None, vectorized=False):
+def quad_1d(f, a, b, spec, vectorized=False):
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     Returns (value, error_estimate). Refinement continues until the summed
     Kronrod-Gauss differences fall below a small fraction of
     max(abs_tol, rel_tol*|value|); the returned estimate is that bound (it is
     conservative for smooth integrands and shrinks proportionally with the
-    requested tolerance). ``singular_endpoints`` flags integrable endpoint
-    singularities, handled by a quadratic substitution. With
+    requested tolerance). ``singular_endpoints`` flags an integrable
+    singularity at one endpoint, handled by a quadratic substitution. With
     ``vectorized=True``, f must map an ndarray of nodes to an ndarray.
     """
-    spec = spec or DEFAULT_QUADRATURE
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("quad_1d requires finite endpoints")
     if a == b:
@@ -119,29 +117,19 @@ def quad_1d(f, a, b, spec=None, vectorized=False):
         return -v, e
     left_sing, right_sing = spec.singular_endpoints
     if left_sing or right_sing:
-        inner = QuadratureSpec(spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
-        if left_sing and right_sing:
-            mid = 0.5 * (a + b)
-            v1, e1 = quad_1d(f, a, mid, QuadratureSpec(
-                spec.abs_tol / 2, spec.rel_tol, spec.max_subdivisions, (True, False)),
-                vectorized)
-            v2, e2 = quad_1d(f, mid, b, QuadratureSpec(
-                spec.abs_tol / 2, spec.rel_tol, spec.max_subdivisions, (False, True)),
-                vectorized)
-            return v1 + v2, e1 + e2
-        width = b - a
         if left_sing:
             def g(u):
                 return f(a + u * u) * 2.0 * u
         else:
             def g(u):
                 return f(b - u * u) * 2.0 * u
-        return quad_1d(g, 0.0, math.sqrt(width), inner, vectorized)
+        return quad_1d(g, 0.0, math.sqrt(b - a),
+                       QuadratureSpec(spec.abs_tol, spec.rel_tol), vectorized)
 
     v, e, fl = _eval_panel(f, a, b, vectorized)
     panels = [(e, fl, a, b, v)]
     min_width = (b - a) * 1e-14
-    for _ in range(spec.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         total = sum(p[4] for p in panels)
         err = sum(p[0] for p in panels)
         noise = sum(p[1] for p in panels)  # summed rounding floors

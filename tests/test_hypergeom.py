@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from appellfield import elliptic, hypergeom as hg, oracle
 from appellfield.errors import ConvergenceError, DomainError
-from appellfield.hypergeom import IhygArgs
 
 # reference values from independent quadrature / high-precision summation
 F2_03_04 = 1.3487116403196524
@@ -60,15 +59,19 @@ def test_gauss_2f1_euler_integral_cross_check():
 
 def test_gauss_2f1_near_one_log_case():
     # c = a + b: logarithmic connection formula region; reference via the
-    # Euler integral with both endpoints substituted (t = 1 boundary layer)
+    # Euler integral split at 1/2, each half substituted at its singular end
+    # (t = 0, and the t = 1 boundary layer)
     x = 0.9999
     val = hg.gauss_2f1(1.5, 0.5, 2.0, x)
-    spec = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11,
-                                 singular_endpoints=(True, True))
     front = math.gamma(2.0) / (math.gamma(0.5) * math.gamma(1.5))
-    ref, _ = oracle.quad_1d(
-        lambda t: t ** (-0.5) * (1.0 - t) ** 0.5 * (1.0 - x * t) ** (-1.5),
-        0.0, 1.0, spec, vectorized=True)
+
+    def euler(t):
+        return t ** (-0.5) * (1.0 - t) ** 0.5 * (1.0 - x * t) ** (-1.5)
+
+    ref = 0.0
+    for a, b, ends in ((0.0, 0.5, (True, False)), (0.5, 1.0, (False, True))):
+        spec = oracle.QuadratureSpec(abs_tol=0.5e-12, rel_tol=1e-11, singular_endpoints=ends)
+        ref += oracle.quad_1d(euler, a, b, spec, vectorized=True)[0]
     assert val == pytest.approx(front * ref, rel=1e-8)
 
 
@@ -181,37 +184,41 @@ def test_appell_f2_nonconvergence():
 
 def test_ihyg_args_validation():
     with pytest.raises(DomainError):
-        IhygArgs(1.2, 0.1, 1.0)
+        hg.i_hyg(1.2, 0.1, 1.0)
     with pytest.raises(DomainError):
-        IhygArgs(0.5, 0.9, 1.0)  # A^2 > 1 - m
+        hg.i_hyg(0.5, 0.9, 1.0)  # A^2 > 1 - m
     with pytest.raises(DomainError):
-        IhygArgs(0.5, 0.1, 4.0)  # theta beyond pi
+        hg.i_hyg(0.5, 0.1, 4.0)  # theta beyond pi
+    with pytest.raises(DomainError):
+        hg.i_hyg(0.5, math.nan, 1.0)
+    with pytest.raises(DomainError):
+        hg.i_hyg(1.0, 0.0, math.pi)  # m sin^2(theta/2) = 1
 
 
 def test_i_hyg_trivial_and_frozen():
-    assert hg.i_hyg(IhygArgs(0.5, 0.0, 2.0)) == 0.0
-    assert hg.i_hyg(IhygArgs(0.3, 0.4, 0.0)) == 0.0
+    assert hg.i_hyg(0.5, 0.0, 2.0) == 0.0
+    assert hg.i_hyg(0.3, 0.4, 0.0) == 0.0
     A, th = 0.35, 1.7
-    assert hg.i_hyg(IhygArgs(0.0, A, th)) == pytest.approx(
+    assert hg.i_hyg(0.0, A, th) == pytest.approx(
         th * math.atanh(A), rel=1e-11)
-    assert hg.i_hyg(IhygArgs(0.5, 0.3, 2.0)) == pytest.approx(IHYG_05_03_20, rel=1e-10)
+    assert hg.i_hyg(0.5, 0.3, 2.0) == pytest.approx(IHYG_05_03_20, rel=1e-10)
 
 
 def test_i_hyg_matches_quadrature_including_small_theta():
     for (m, A, th) in ((0.8, 0.35, 0.08), (0.6, -0.4, 2.8), (0.2, 0.15, 0.5)):
-        assert hg.i_hyg(IhygArgs(m, A, th)) == pytest.approx(
+        assert hg.i_hyg(m, A, th) == pytest.approx(
             quad_ihyg(m, A, th), rel=1e-9, abs=1e-12)
 
 
 def test_i_hyg_odd_in_both_arguments():
-    base = hg.i_hyg(IhygArgs(0.4, 0.3, 1.3))
-    assert hg.i_hyg(IhygArgs(0.4, -0.3, 1.3)) == pytest.approx(-base, rel=1e-12)
-    assert hg.i_hyg(IhygArgs(0.4, 0.3, -1.3)) == pytest.approx(-base, rel=1e-12)
+    base = hg.i_hyg(0.4, 0.3, 1.3)
+    assert hg.i_hyg(0.4, -0.3, 1.3) == pytest.approx(-base, rel=1e-12)
+    assert hg.i_hyg(0.4, 0.3, -1.3) == pytest.approx(-base, rel=1e-12)
 
 
 def test_i_hyg_boundary_guard():
     with pytest.raises(DomainError):
-        hg.i_hyg(IhygArgs(0.5, math.sqrt(0.5) - 1e-12, 2.0))
+        hg.i_hyg(0.5, math.sqrt(0.5) - 1e-12, 2.0)
 
 
 def test_i_hyg_pi():
@@ -221,7 +228,7 @@ def test_i_hyg_pi():
     assert hg.i_hyg_pi(0.6, -0.25) == -hg.i_hyg_pi(0.6, 0.25)
     # exact agreement with the general form at theta = pi
     for (m, A) in ((0.5, 0.3), (0.85, 0.2), (0.1, -0.7)):
-        assert hg.i_hyg(IhygArgs(m, A, math.pi)) == hg.i_hyg_pi(m, A)
+        assert hg.i_hyg(m, A, math.pi) == hg.i_hyg_pi(m, A)
 
 
 def test_i_hyg_pi_near_boundary_band():
@@ -239,6 +246,27 @@ def test_i_hyg_surface():
         hg.i_hyg_surface(0.0)
     with pytest.raises(DomainError):
         hg.i_hyg_surface(1.0)
+
+
+@pytest.mark.parametrize("b0", [1e-3, 1e-5, 1e-6, 1e-7])
+def test_i_hyg_surface_near_one_matches_mpmath(b0):
+    # I = 2b(ln(4/b) + 1) + int_0^b [2K(1-v^2)/(1-v^2) - 2 ln(4/v)] dv at the
+    # b = sqrt(1-m) the code forms from the float m; below v = 1e-8 the
+    # integrand is its leading term 2v^2((5/4) ln(4/v) - 1/4), because there
+    # mpmath's ellipk(1 - v^2) lands on its pole at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    m = 1.0 - b0 * b0
+    with mpmath.workdps(30):
+        b = mpmath.mpf(math.sqrt(1.0 - m))
+        cut = mpmath.mpf("1e-8")
+
+        def f(v):
+            if v < cut:
+                return 2 * v * v * (mpmath.mpf(5) / 4 * mpmath.log(4 / v) - mpmath.mpf(1) / 4)
+            return 2 * mpmath.ellipk(1 - v * v) / (1 - v * v) - 2 * mpmath.log(4 / v)
+
+        ref = float(2 * b * (mpmath.log(4 / b) + 1) + mpmath.quad(f, [0, cut, b]))
+    assert hg.i_hyg_surface(m) == pytest.approx(ref, rel=1e-12)
 
 
 def test_i_hyg_surface_matches_boundary_series_extrapolation():
@@ -286,7 +314,7 @@ def test_parameter_derivatives():
 def test_triple_sum_and_alternatives_match():
     m, A, s = 0.3, 0.2, 0.4
     th = 2.0 * math.asin(s)
-    base = hg.i_hyg(IhygArgs(m, A, th))
+    base = hg.i_hyg(m, A, th)
     assert hg.lauricella_f11_triple(m, A, s) == pytest.approx(base, abs=1e-10)
     for v in (1, 2, 3):
         assert hg.i_hyg_alt(v, m, A, s) == pytest.approx(base, abs=1e-10)

@@ -9,16 +9,17 @@ from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec
 
 TUBE = TubeSpec(1.0, 0.7, 1.0)
 CYL = CylinderSpec(1.0, 0.7, 1.0)
+SPEC = oc.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 
 def test_quad_1d_basic():
-    v, e = oc.quad_1d(np.sin, 0.0, math.pi, vectorized=True)
+    v, e = oc.quad_1d(np.sin, 0.0, math.pi, SPEC, vectorized=True)
     assert v == pytest.approx(2.0, rel=1e-12)
     assert abs(v - 2.0) <= e
 
 
 def test_quad_1d_endpoint_singularity():
-    spec = oc.QuadratureSpec(singular_endpoints=(True, False))
+    spec = oc.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, singular_endpoints=(True, False))
     v, _ = oc.quad_1d(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, spec, vectorized=True)
     assert v == pytest.approx(2.0, rel=1e-9)
 
@@ -33,9 +34,16 @@ def test_quad_1d_oscillatory_analytic():
 
 
 def test_quad_1d_reversed_and_empty():
-    v, _ = oc.quad_1d(np.cos, 1.0, 0.0, vectorized=True)
+    v, _ = oc.quad_1d(np.cos, 1.0, 0.0, SPEC, vectorized=True)
     assert v == pytest.approx(-math.sin(1.0), rel=1e-10)
-    assert oc.quad_1d(np.cos, 2.0, 2.0) == (0.0, 0.0)
+    assert oc.quad_1d(np.cos, 2.0, 2.0, SPEC) == (0.0, 0.0)
+
+
+def test_kronrod_rule_exact():
+    # weights summing to 2 integrate constants exactly
+    assert math.fsum(oc._KRONROD_WEIGHTS) == 2.0
+    assert math.fsum(oc._GAUSS_WEIGHTS) == 2.0
+    assert oc.quad_1d(lambda x: 1.0, 0.0, 1.0, SPEC)[0] == 1.0
 
 
 def test_error_estimate_tracks_requested_tolerance():
@@ -51,9 +59,8 @@ def test_error_estimate_tracks_requested_tolerance():
 
 
 def test_quad_1d_nonintegrable_raises():
-    spec = oc.QuadratureSpec(max_subdivisions=200)
     with pytest.raises(ConvergenceError):
-        oc.quad_1d(lambda x: 1.0 / x, 0.0, 1.0, spec, vectorized=True)
+        oc.quad_1d(lambda x: 1.0 / x, 0.0, 1.0, SPEC, vectorized=True)
 
 
 def test_fd_operators_trivial():
@@ -198,6 +205,6 @@ def test_coulomb_excluded_points():
 
 def test_quadrature_spec_validation():
     with pytest.raises(DomainError):
-        oc.QuadratureSpec(abs_tol=0.0)
+        oc.QuadratureSpec(abs_tol=0.0, rel_tol=1e-10)
     with pytest.raises(DomainError):
-        oc.QuadratureSpec(max_subdivisions=8)
+        oc.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, singular_endpoints=(True, True))
