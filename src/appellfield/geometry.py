@@ -20,7 +20,7 @@ class CylinderSpec:
     rho0: float
 
     def __post_init__(self):
-        _check_body(self.R, self.Z)
+        _check_body(self.R, self.Z, self.rho0)
 
     @property
     def total_charge(self):
@@ -37,7 +37,7 @@ class TubeSpec:
     sigma0: float
 
     def __post_init__(self):
-        _check_body(self.R, self.Z)
+        _check_body(self.R, self.Z, self.sigma0)
 
     @property
     def total_charge(self):
@@ -55,15 +55,22 @@ class DiskSpec:
     def __post_init__(self):
         if not (math.isfinite(self.R) and self.R > 0.0):
             raise DomainError("DiskSpec.R must be finite and positive")
+        _check_density(self.sigma)
 
     @property
     def total_charge(self):
         return math.pi * self.R ** 2 * self.sigma
 
 
-def _check_body(R, Z):
+def _check_body(R, Z, density):
     if not (math.isfinite(R) and R > 0.0 and math.isfinite(Z) and Z > 0.0):
         raise DomainError("body radius and half-height must be finite and positive")
+    _check_density(density)
+
+
+def _check_density(density):
+    if not math.isfinite(density):
+        raise DomainError(f"charge density must be finite (got {density})")
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,21 @@ and the hypergeometric integral
 
 in all its closed forms, with parameter derivatives.
 
-Series conventions: a series stops once its terms fall below REL_TOL of its
-sum (gauss_2f1, pfq_4f3: PFQ_REL_TOL) and raises ConvergenceError after
-MAX_TERMS terms per index (APPELLFIELD_MAX_TERMS, read at import). Appell F2
-with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is one single-index
-series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for the potentials'
-family, over the K/E-seeded 2F1(1/2 + l, 1/2; 1; x) (see appell_f2). Every
-other F2 is mapped into the convergence region |x|+|y| < 1 by the Euler-type
-transformation
+Series conventions: every series is a generator of its terms, summed by
+_series_sum. The sum stops after three consecutive terms within 0.02 tol of
+the running sum, tol = REL_TOL (gauss_2f1, pfq_4f3: PFQ_REL_TOL), and raises
+ConvergenceError naming the series past term MAX_TERMS, a cap per series
+(APPELLFIELD_MAX_TERMS, read at import). For terms falling geometrically at
+ratio q the neglected tail is then below 0.02 tol/(1-q) of the sum, which
+is within tol for q <= 0.95 only. The single-index F2 sums run up to
+q = 0.995 and the gauss_2f1 series up to x < 1, where the truncation error
+can exceed tol: gauss_2f1(0.5, 0.5, 2, 0.99) is 1.7e-13 off.
+
+Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is one
+single-index series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for the
+potentials' family, over the K/E-seeded 2F1(1/2 + l, 1/2; 1; x) (see
+appell_f2). Every other F2 is mapped into the convergence region
+|x|+|y| < 1 by the Euler-type transformation
 F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
 (and its y-counterpart) and summed along anti-diagonals j + l = N, which
 keeps terms of comparable magnitude near the boundary.
@@ -23,6 +30,7 @@ value and the 4F3-log continuation each run oracle.quad_1d at one fixed
 QuadratureSpec, a module constant.
 """
 
+import itertools
 import math
 import os
 
@@ -61,7 +69,7 @@ def _max_terms():
     return cap
 
 
-# per-index term cap of every infinite series
+# term cap of each series _series_sum sums
 MAX_TERMS = _max_terms()
 
 
@@ -86,23 +94,34 @@ def _digamma(x):
         1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 / 240.0)))
 
 
-def _pfq_series(ratio, name):
-    # 1 + sum_k t_k with t_0 = 1, t_{k+1} = t_k ratio(k), stopped after three
-    # consecutive terms below PFQ_REL_TOL of the sum; the geometric tail is
-    # t_k/(1-|x|), and the factor 0.02 covers |x| up to 0.95
-    term = 1.0
-    total = 1.0
-    small = 0
-    for k in range(MAX_TERMS):
-        term *= ratio(k)
+def _series_sum(terms, tol, name):
+    # the sum of the terms the iterable yields: stops after three consecutive
+    # terms within 0.02 tol of the running sum, or where a finite series
+    # ends, and raises ConvergenceError past term MAX_TERMS
+    eps = 0.02 * tol
+    total, small = 0.0, 0
+    for k, term in enumerate(terms):
+        if k > MAX_TERMS:
+            break
         total += term
-        if abs(term) <= 0.02 * PFQ_REL_TOL * max(abs(total), 1e-300):
+        if abs(term) <= eps * abs(total):
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
-    raise ConvergenceError(f"{name} series did not converge within {MAX_TERMS} terms")
+    else:
+        return total
+    raise ConvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
+
+
+def _ratio_terms(ratio):
+    # t_0 = 1, t_{k+1} = t_k ratio(k)
+    term = 1.0
+    yield term
+    for k in itertools.count():
+        term *= ratio(k)
+        yield term
 
 
 def _gauss_2f1_log_near_one(a, b, c, x):
@@ -110,21 +129,14 @@ def _gauss_2f1_log_near_one(a, b, c, x):
     u = 1.0 - x
     front = math.gamma(c) / (math.gamma(a) * math.gamma(b))
     lg = -math.log(u)
-    coef = 1.0
-    total = 0.0
-    small = 0
-    for n in range(MAX_TERMS):
-        bracket = 2.0 * _digamma(n + 1.0) - _digamma(a + n) - _digamma(b + n) + lg
-        term = coef * bracket
-        total += term
-        if abs(term) <= 0.02 * PFQ_REL_TOL * max(abs(total), 1e-300):
-            small += 1
-            if small >= 2:
-                return front * total
-        else:
-            small = 0
-        coef *= (a + n) * (b + n) / ((n + 1.0) ** 2) * u
-    raise ConvergenceError("gauss_2f1: logarithmic connection series did not converge")
+
+    def terms():
+        coef = 1.0
+        for n in itertools.count():
+            yield coef * (2.0 * _digamma(n + 1.0) - _digamma(a + n) - _digamma(b + n) + lg)
+            coef *= (a + n) * (b + n) / ((n + 1.0) ** 2) * u
+
+    return front * _series_sum(terms(), PFQ_REL_TOL, "gauss_2f1 connection series")
 
 
 def gauss_2f1(a, b, c, x):
@@ -144,7 +156,8 @@ def gauss_2f1(a, b, c, x):
         return (1.0 - x) ** (-a) * gauss_2f1(a, c - b, c, x / (x - 1.0))
     if x > 0.95 and abs(c - a - b) < 1e-12 and a > 0 and b > 0:
         return _gauss_2f1_log_near_one(a, b, c, x)
-    return _pfq_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x, "gauss_2f1")
+    return _series_sum(_ratio_terms(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x),
+                       PFQ_REL_TOL, "gauss_2f1 series")
 
 
 def pfq_4f3(a, b, x):
@@ -167,36 +180,26 @@ def pfq_4f3(a, b, x):
     if x == -1.0 and sum(b) - sum(a) <= 0.0:
         raise ConvergenceError("pfq_4f3 series diverges at x = -1 for these parameters")
     (a1, a2, a3, a4), (b1, b2, b3) = a, b
-    return _pfq_series(lambda k: (a1 + k) * (a2 + k) * (a3 + k) * (a4 + k)
-                       / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0)) * x, "pfq_4f3")
+    return _series_sum(_ratio_terms(lambda k: (a1 + k) * (a2 + k) * (a3 + k) * (a4 + k)
+                                    / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0)) * x),
+                       PFQ_REL_TOL, "pfq_4f3 series")
 
 
-def _antidiagonal_sum(l_ratio, j_edge_ratio, name):
-    """Sum t(j, l) over j, l >= 0 along anti-diagonals N = j + l.
+def _antidiagonal_terms(l_ratio, j_edge_ratio):
+    """The anti-diagonal sums of t(j, l) over j + l = N, for N = 0, 1, ...
 
     ``l_ratio(N, j)`` maps row-N entries (j, l = N - j) to row N+1 entries
     (j, l + 1); ``j_edge_ratio(j)`` is t(j+1, 0)/t(j, 0). t(0, 0) = 1.
-    Stops once three consecutive anti-diagonal sums fall below REL_TOL times
-    the accumulated total.
     """
     row = np.array([1.0])
-    total = 1.0
-    small = 0
-    for N in range(MAX_TERMS):
+    yield 1.0
+    for N in itertools.count():
         j = np.arange(N + 1, dtype=float)
         nxt = np.empty(N + 2)
         nxt[: N + 1] = row * l_ratio(N, j)
         nxt[N + 1] = row[N] * j_edge_ratio(N)
         row = nxt
-        d = float(row.sum())
-        total += d
-        if abs(d) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError(f"{name}: anti-diagonal sum did not converge")
+        yield float(row.sum())
 
 
 def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
@@ -208,7 +211,7 @@ def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
     def j_edge(j):
         return (alpha + j) * (beta + j) * x / ((gamma + j) * (j + 1.0))
 
-    return _antidiagonal_sum(l_ratio, j_edge, "appell_f2")
+    return _series_sum(_antidiagonal_terms(l_ratio, j_edge), REL_TOL, "appell_f2 anti-diagonal sum")
 
 
 def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
@@ -255,28 +258,22 @@ def _f2_ke_sum(beta2, gamma2, x, y):
     # with the inner function scaled by (1-x)^l: seeds (2/pi) K(x) and
     # (2/pi) E(x), then hhat_{l+1} = ((1/2 - l)(1-x) hhat_{l-1}
     #   + l (2-x) hhat_l)/(1/2 + l). Converges at ratio y/(1-x).
-    u = 1.0 - x
-    ratio = y / u
-    h_prev = 2.0 / math.pi * elliptic.comp_k(x)
-    total = h_prev
-    if y == 0.0:
-        return total
-    h_cur = 2.0 / math.pi * elliptic.comp_e(x)
-    coef = 1.0
-    small = 0
-    for l in range(1, MAX_TERMS):
-        coef *= (l - 0.5) * (beta2 + l - 1.0) / ((gamma2 + l - 1.0) * l) * ratio
-        term = coef * h_cur
-        total += term
-        if abs(term) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-        h_next = ((0.5 - l) * u * h_prev + l * (2.0 - x) * h_cur) / (0.5 + l)
-        h_prev, h_cur = h_cur, h_next
-    raise ConvergenceError("appell_f2: K/E-seeded series did not converge")
+    def terms():
+        u = 1.0 - x
+        ratio = y / u
+        h_prev = 2.0 / math.pi * elliptic.comp_k(x)
+        yield h_prev
+        if y == 0.0:
+            return
+        h_cur = 2.0 / math.pi * elliptic.comp_e(x)
+        coef = 1.0
+        for l in itertools.count(1):
+            coef *= (l - 0.5) * (beta2 + l - 1.0) / ((gamma2 + l - 1.0) * l) * ratio
+            yield coef * h_cur
+            h_next = ((0.5 - l) * u * h_prev + l * (2.0 - x) * h_cur) / (0.5 + l)
+            h_prev, h_cur = h_cur, h_next
+
+    return _series_sum(terms(), REL_TOL, "appell_f2 K/E-seeded series")
 
 
 def _f2_inner_sum(beta, gamma, x, y):
@@ -286,39 +283,33 @@ def _f2_inner_sum(beta, gamma, x, y):
     # 0 <= y < 1 it is scaled by (1-y)^j and the series runs at ratio
     # x/(1-y); for y < 0 it is kept unscaled (1-y is exact there, so no
     # cancellation) and the series runs at ratio x.
-    u = 1.0 - y
-    if y > 0.0:
-        sq = math.sqrt(y)
-        fhat = math.atanh(sq) / sq
-    elif y < 0.0:
-        sq = math.sqrt(-y)
-        fhat = math.atan(sq) / sq
-    else:
-        fhat = 1.0
-    ratio = x / u if y >= 0.0 else x
-    coef = 1.0
-    upow = 1.0  # (1-y)^j
-    total = fhat
-    small = 0
-    for j in range(MAX_TERMS):
-        a = 0.5 + j
-        if y >= 0.0:
-            # Fhat_{j+1} = ((2a-1) Fhat_j + (1-y)^j) / (2a)
-            fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
-            upow *= u
+    def terms():
+        u = 1.0 - y
+        if y > 0.0:
+            sq = math.sqrt(y)
+            fhat = math.atanh(sq) / sq
+        elif y < 0.0:
+            sq = math.sqrt(-y)
+            fhat = math.atan(sq) / sq
         else:
-            # F_{a+1} = ((2a-1) F_a + 1) / (2a (1-y))
-            fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
-        coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
-        term = coef * fhat
-        total += term
-        if abs(term) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-    raise ConvergenceError("appell_f2: inner-2F1 accelerated series did not converge")
+            fhat = 1.0
+        ratio = x / u if y >= 0.0 else x
+        coef = 1.0
+        upow = 1.0  # (1-y)^j
+        yield fhat
+        for j in itertools.count():
+            a = 0.5 + j
+            if y >= 0.0:
+                # Fhat_{j+1} = ((2a-1) Fhat_j + (1-y)^j) / (2a)
+                fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
+                upow *= u
+            else:
+                # F_{a+1} = ((2a-1) F_a + 1) / (2a (1-y))
+                fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
+            coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
+            yield coef * fhat
+
+    return _series_sum(terms(), REL_TOL, "appell_f2 inner-2F1 series")
 
 
 def appell_f1(alpha, beta, beta2, gamma, x, y):
@@ -338,7 +329,7 @@ def appell_f1(alpha, beta, beta2, gamma, x, y):
     def j_edge(j):
         return (alpha + j) * (beta + j) * x / ((gamma + j) * (j + 1.0))
 
-    return _antidiagonal_sum(l_ratio, j_edge, "appell_f1")
+    return _series_sum(_antidiagonal_terms(l_ratio, j_edge), REL_TOL, "appell_f1 anti-diagonal sum")
 
 
 def _i_hyg_series(m, A, s):
@@ -371,7 +362,7 @@ def _i_hyg_series(m, A, s):
             spow.append(spow[jj] * s2)
         return (0.5 + j) * m * phis[ji + 1] / ((j + 1.0) * phis[ji])
 
-    coupled = _antidiagonal_sum(l_ratio, j_edge, "i_hyg")
+    coupled = _series_sum(_antidiagonal_terms(l_ratio, j_edge), REL_TOL, "i_hyg anti-diagonal sum")
     term2 = 2.0 * A * s * math.sqrt(w) * phis[0] * coupled
     return term1 - term2
 
@@ -643,26 +634,19 @@ def i_hyg_alt(variant, m, A, s):
     if A == 0.0 or s == 0.0:
         return 0.0
     x, y, w = m * s * s, A * A, s * s
-    pref = 2.0 * A * s
-    total = 0.0
-    small = 0
-    coef = 1.0
-    for idx in range(MAX_TERMS):
-        if variant == 1:
-            term = coef / (2.0 * idx + 1.0) * gauss_2f1(1.0, 0.5 + idx, 1.5, y) \
-                * gauss_2f1(0.5, 0.5 + idx, 1.5 + idx, w)
-            coef *= (0.5 + idx) / (idx + 1.0) * x
-        elif variant == 2:
-            term = coef * appell_f1(0.5, 0.5 + idx, 0.5, 1.5, x, w)
-            coef *= (0.5 + idx) / (1.5 + idx) * y
-        else:
-            term = coef * appell_f2(0.5, 0.5 + idx, 1.0, 1.5 + idx, 1.5, x, y)
-            coef *= (0.5 + idx) ** 2 / ((1.5 + idx) * (idx + 1.0)) * w
-        total += term
-        if abs(term) <= 0.02 * REL_TOL * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return pref * total
-        else:
-            small = 0
-    raise ConvergenceError(f"i_hyg_alt variant {variant} did not converge")
+
+    def terms():
+        coef = 1.0
+        for idx in itertools.count():
+            if variant == 1:
+                yield coef / (2.0 * idx + 1.0) * gauss_2f1(1.0, 0.5 + idx, 1.5, y) \
+                    * gauss_2f1(0.5, 0.5 + idx, 1.5 + idx, w)
+                coef *= (0.5 + idx) / (idx + 1.0) * x
+            elif variant == 2:
+                yield coef * appell_f1(0.5, 0.5 + idx, 0.5, 1.5, x, w)
+                coef *= (0.5 + idx) / (1.5 + idx) * y
+            else:
+                yield coef * appell_f2(0.5, 0.5 + idx, 1.0, 1.5 + idx, 1.5, x, y)
+                coef *= (0.5 + idx) ** 2 / ((1.5 + idx) * (idx + 1.0)) * w
+
+    return 2.0 * A * s * _series_sum(terms(), REL_TOL, f"i_hyg_alt variant {variant}")

@@ -162,6 +162,16 @@ def test_grid_json_schema(tmp_path):
     assert set(row) == {"r", "z", "phi", "psi", "branch"}
 
 
+@pytest.mark.parametrize("density", ["nan", "inf", "-inf"])
+def test_nonfinite_density_is_an_error(tmp_path, density):
+    code, out, err = run_cli("eval", "--body", "tube", "--R", "1", "--Z", "0.7",
+                             f"--density={density}", "--r", "1.5", "--z", "0.3")
+    assert code == 2 and out == "" and err.startswith("error:")
+    path, args = grid_args(tmp_path, "json", "g.json", (f"--density={density}",))
+    code, _, err = run_cli(*args)
+    assert code == 2 and err.startswith("error:") and not path.exists()
+
+
 def test_grid_workers_match_sequential(tmp_path):
     sheets = ("--branch", "-1", "0", "1")
     out1, args1 = grid_args(tmp_path, "csv", "w1.csv", sheets)
@@ -226,16 +236,28 @@ def _run_with_max_terms(value, src):
 
 
 def test_max_terms_env_override():
-    # the 2F1 series at x = 0.94 needs more than 64 terms
+    # each call needs more than 64 terms of the series its error names: the
+    # 2F1 series at x = 0.94, the inner-2F1 and K/E-seeded single-index F2
+    # sums, the F1 anti-diagonal sum and the i_hyg_alt series
+    calls = {"gauss_2f1(0.5, 0.5, 1.0, 0.94)": "gauss_2f1 series",
+             "appell_f2(0.5, 0.5, 1, 1, 1.5, 0.3, 0.69)": "appell_f2 inner-2F1 series",
+             "appell_f2(0.5, 0.5, 1, 1, 1.5, 0.69, 0.3)": "appell_f2 K/E-seeded series",
+             "appell_f1(0.5, 0.5, 0.5, 1.5, 0.9, 0.9)": "appell_f1 anti-diagonal sum",
+             "i_hyg_alt(3, 0.45, 0.6, 0.95)": "i_hyg_alt variant 3"}
     src = ("from appellfield import hypergeom as hg\n"
            "from appellfield.errors import ConvergenceError\n"
-           "try:\n"
-           "    print(repr(hg.gauss_2f1(0.5, 0.5, 1.0, 0.94)))\n"
-           "except ConvergenceError:\n"
-           "    print('ConvergenceError')\n")
+           f"for call in {list(calls)!r}:\n"
+           "    try:\n"
+           "        print(repr(eval('hg.' + call)))\n"
+           "    except ConvergenceError as exc:\n"
+           "        print(exc)\n")
     code, out = _run_with_max_terms(None, src)
-    assert code == 0 and float(out) == pytest.approx(1.7957468, rel=1e-7)
-    assert _run_with_max_terms("64", src) == (0, "ConvergenceError")
+    values = [float(v) for v in out.splitlines()]
+    assert code == 0 and len(values) == len(calls) and all(map(math.isfinite, values))
+    assert values[0] == pytest.approx(1.7957468, rel=1e-7)
+    code, out = _run_with_max_terms("64", src)
+    assert code == 0 and out.splitlines() == [
+        f"{name} did not converge within 64 terms" for name in calls.values()]
     src = ("try:\n"
            "    import appellfield\n"
            "except Exception as exc:\n"

@@ -57,6 +57,14 @@ def test_aux_degenerate():
         aux(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf])
+def test_body_specs_reject_nonfinite_density(density):
+    for make in (lambda: CylinderSpec(1.0, 0.7, density), lambda: TubeSpec(1.0, 0.7, density),
+                 lambda: DiskSpec(1.0, density)):
+        with pytest.raises(DomainError, match="density"):
+            make()
+
+
 def _mixed_partial_3(f, r, th, z, h):
     # d^3 f / dr dth dz by nested central differences
     total = 0.0

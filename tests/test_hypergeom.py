@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -73,6 +74,24 @@ def test_gauss_2f1_near_one_log_case():
         spec = oracle.QuadratureSpec(abs_tol=0.5e-12, rel_tol=1e-11, singular_endpoints=ends)
         ref += oracle.quad_1d(euler, a, b, spec, vectorized=True)[0]
     assert val == pytest.approx(front * ref, rel=1e-8)
+
+
+def test_series_sum_finite_series_is_summed_exactly():
+    assert hg._series_sum(iter([1.0, 0.5, 0.25]), hg.REL_TOL, "finite") == 1.75
+
+
+def test_series_sum_small_terms_must_be_consecutive():
+    # one or two small terms followed by a large one do not stop the sum;
+    # the third consecutive small term does
+    terms = [1.0, 0.0, 2.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 100.0]
+    assert hg._series_sum(iter(terms), hg.REL_TOL, "gaps") == 7.0
+
+
+def test_series_sum_term_cap():
+    ones = [1.0] * (hg.MAX_TERMS + 1)
+    assert hg._series_sum(iter(ones), hg.REL_TOL, "capped") == hg.MAX_TERMS + 1
+    with pytest.raises(ConvergenceError, match="endless ones"):
+        hg._series_sum(itertools.repeat(1.0), hg.REL_TOL, "endless ones")
 
 
 def test_gauss_2f1_divergence():
