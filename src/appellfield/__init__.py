@@ -1,8 +1,9 @@
 """appellfield: closed-form electrostatic and field-line potentials for
 uniformly charged cylinders, tubes and disks, together with the underlying
-special-function stack (Carlson symmetric elliptic integrals, Jacobi
-elliptic/zeta/theta functions, Gauss/Appell/generalized hypergeometric
-series) and brute-force verification oracles."""
+special-function stack (Bulirsch's complete and Carlson's symmetric
+elliptic integrals, Jacobi elliptic/zeta/theta functions,
+Gauss/Appell/generalized hypergeometric series) and brute-force
+verification oracles."""
 
 from . import elliptic, errors, fields, geometry, hypergeom, jacobi, oracle, verify
 from .geometry import AuxGeometry, CylinderSpec, DiskSpec, FieldSample, TubeSpec, aux

@@ -186,6 +186,7 @@ def cmd_grid(args):
 
 
 _SPECIAL_FNS = {
+    "cel": (elliptic.cel, 4),
     "comp_k": (elliptic.comp_k, 1),
     "comp_e": (elliptic.comp_e, 1),
     "comp_pi": (elliptic.comp_pi, 2),

@@ -1,11 +1,16 @@
-"""Legendre elliptic integrals in the *parameter* convention, built on
-Carlson symmetric forms.
+"""Legendre elliptic integrals in the *parameter* convention.
 
-All public functions take the parameter ``m`` (= k**2), never the modulus k.
-Incomplete integrals accept any real amplitude; amplitudes beyond |phi| = pi/2
-are reduced with the additive quasi-periodicity F(phi + k*pi | m) =
-2k*K(m) + F(phi | m) and its analogues, using exact integer multiples of the
-complete integrals.
+Complete integrals K, E and Pi are computed with Bulirsch's general complete
+integral `cel`, one AGM-type loop; incomplete integrals are built on Carlson
+symmetric forms (`carlson_rf`, `carlson_rc`, `carlson_rd`, `carlson_rj`).
+
+All Legendre functions take the parameter ``m`` (= k**2), never the modulus
+k; `cel` takes the complementary modulus kc = sqrt(1 - m), so callers that
+form 1 - m exactly keep its digits. Incomplete integrals accept any finite
+real amplitude; amplitudes beyond |phi| = pi/2 are reduced with the additive
+quasi-periodicity F(phi + k*pi | m) = 2k*K(m) + F(phi | m) and its
+analogues, using exact integer multiples of the complete integrals. Every
+public function raises DomainError for a non-finite argument.
 """
 
 import math
@@ -21,12 +26,63 @@ _MAX_DUPLICATIONS = 200
 # callers in `fields` eliminate those terms analytically.
 _PI_SINGULAR_BAND = 1e-12
 
+# cel's AGM stops once |a_n - b_n| <= a_n * this; it converges
+# quadratically, so the result is then accurate to about its square.
+_CEL_TOL = 1e-8
+# Any 0 < kc <= _KC_MAX needs at most ~15 AGM steps; the cap only guards
+# the loop. Beyond _KC_MAX (m < -1e300) the AGM's products overflow.
+_MAX_AGM_STEPS = 64
+_KC_MAX = 1e150
+
+
+def _check_finite(name, *args):
+    if not all(map(math.isfinite, args)):
+        raise DomainError(f"{name} requires finite arguments (got {args})")
+
+
+def cel(kc, p, a, b):
+    """Bulirsch's general complete elliptic integral
+
+        cel(kc, p, a, b) = int_0^{pi/2} (a cos^2 t + b sin^2 t)
+            / ((cos^2 t + p sin^2 t) sqrt(cos^2 t + kc^2 sin^2 t)) dt
+
+    for 0 < kc <= 1e150 and p > 0 (R. Bulirsch, Numer. Math. 13, 305
+    (1969), in the Numerical Recipes form). With kc = sqrt(1 - m):
+    K(m) = cel(kc, 1, 1, 1), E(m) = cel(kc, 1, 1, kc^2) and
+    Pi(n | m) = cel(kc, 1 - n, 1, 1). cel is linear in (a, b), so
+    a K + b E = cel(kc, 1, a + b, a + b kc^2) and
+    a K + b Pi(n) = cel(kc, p, a + b, a p + b) with p = 1 - n.
+    """
+    if not (0.0 < kc <= _KC_MAX and 0.0 < p < math.inf
+            and -math.inf < a < math.inf and -math.inf < b < math.inf):
+        raise DomainError(
+            f"cel requires 0 < kc <= {_KC_MAX:g}, finite p > 0 and finite a, b "
+            f"(got {kc}, {p}, {a}, {b})")
+    qc = e = kc
+    em = 1.0
+    p = math.sqrt(p)
+    b /= p
+    for _ in range(_MAX_AGM_STEPS):
+        f = a
+        a += b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p += g
+        g = em
+        em += qc
+        if abs(g - qc) <= g * _CEL_TOL:
+            return math.pi / 2.0 * (b + a * em) / (em * (em + p))
+        qc = 2.0 * math.sqrt(e)
+        e = qc * em
+    raise ConvergenceError("cel: AGM failed to converge")
+
 
 def carlson_rf(x, y, z):
     """Symmetric integral R_F(x,y,z) = 1/2 * int_0^inf dt / sqrt((t+x)(t+y)(t+z)).
 
     Requires x, y, z >= 0 with at most one of them zero.
     """
+    _check_finite("carlson_rf", x, y, z)
     if x < 0.0 or y < 0.0 or z < 0.0:
         raise DomainError("carlson_rf requires nonnegative arguments")
     if (x == 0.0) + (y == 0.0) + (z == 0.0) >= 2:
@@ -63,6 +119,7 @@ def carlson_rc(x, y):
 
     x >= 0 and y != 0; the Cauchy principal value is returned for y < 0.
     """
+    _check_finite("carlson_rc", x, y)
     if x < 0.0:
         raise DomainError("carlson_rc requires x >= 0")
     if y == 0.0:
@@ -92,6 +149,7 @@ def carlson_rc(x, y):
 
 def carlson_rd(x, y, z):
     """Degenerate integral R_D(x,y,z) = R_J(x,y,z,z); z > 0, at most one of x,y zero."""
+    _check_finite("carlson_rd", x, y, z)
     if x < 0.0 or y < 0.0 or z <= 0.0:
         raise DomainError("carlson_rd requires x, y >= 0 and z > 0")
     if x == 0.0 and y == 0.0:
@@ -142,6 +200,7 @@ def carlson_rj(x, y, z, p):
     x, y, z >= 0 with at most one zero; p != 0. For p < 0 the Cauchy
     principal value is computed through the standard reduction to R_C.
     """
+    _check_finite("carlson_rj", x, y, z, p)
     if x < 0.0 or y < 0.0 or z < 0.0:
         raise DomainError("carlson_rj requires nonnegative x, y, z")
     if (x == 0.0) + (y == 0.0) + (z == 0.0) >= 2:
@@ -219,6 +278,7 @@ def _check_param(phi, m):
 
 def ellip_f(phi, m):
     """Incomplete elliptic integral of the first kind F(phi | m); odd in phi."""
+    _check_finite("ellip_f", phi, m)
     if phi == 0.0:
         return 0.0
     if phi < 0.0:
@@ -238,6 +298,7 @@ def ellip_f(phi, m):
 
 def ellip_e(phi, m):
     """Incomplete elliptic integral of the second kind E(phi | m); odd in phi."""
+    _check_finite("ellip_e", phi, m)
     if phi == 0.0:
         return 0.0
     if phi < 0.0:
@@ -262,6 +323,7 @@ def ellip_pi(n, phi, m):
 
     Rejects singular characteristics n*sin^2(phi) within 1e-12 of (or past) 1.
     """
+    _check_finite("ellip_pi", n, phi, m)
     if phi == 0.0:
         return 0.0
     if phi < 0.0:
@@ -293,7 +355,7 @@ def comp_k(m):
     """Complete elliptic integral of the first kind K(m); diverges as m -> 1."""
     if m >= 1.0:
         raise DomainError(f"comp_k diverges for m >= 1 (got m = {m})")
-    return carlson_rf(0.0, 1.0 - m, 1.0)
+    return cel(math.sqrt(1.0 - m), 1.0, 1.0, 1.0)
 
 
 def comp_e(m):
@@ -302,8 +364,8 @@ def comp_e(m):
         raise DomainError(f"comp_e requires m <= 1 (got m = {m})")
     if m == 1.0:
         return 1.0
-    y = 1.0 - m
-    return carlson_rf(0.0, y, 1.0) - (m / 3.0) * carlson_rd(0.0, y, 1.0)
+    omm = 1.0 - m
+    return cel(math.sqrt(omm), 1.0, 1.0, omm)
 
 
 def comp_pi(n, m):
@@ -312,6 +374,4 @@ def comp_pi(n, m):
         raise DomainError(f"comp_pi diverges for m >= 1 (got m = {m})")
     if n >= 1.0 - _PI_SINGULAR_BAND:
         raise SingularityError(f"comp_pi diverges as n -> 1 (got n = {n})")
-    if n == 0.0:
-        return comp_k(m)
-    return comp_k(m) + (n / 3.0) * carlson_rj(0.0, 1.0 - m, 1.0, 1.0 - n)
+    return cel(math.sqrt(1.0 - m), 1.0 - n, 1.0, 1.0)

@@ -144,77 +144,80 @@ def j_tube(r, theta, z, r0):
 # ---------------------------------------------------------------------------
 # theta = pi building blocks (complete integrals, singular limits resolved)
 
-def _pi_star_times_dr(a: AuxGeometry, K):
-    """(r - r0) * Pi(4 r r0/(r+r0)^2 | m), and 0 at r = r0 exactly (the
-    symmetric mean of its one-sided limits sgn(r-r0) (pi/2)(r+r0) L0/|z|).
-    Pi is K + (n*/3) R_J(0, 1-m, 1, 1-n*), K from _complete_ke, with both
-    complements exact: 1 - n* = ((r-r0)/(r+r0))^2 here and 1 - m from aux.
-    Carlson's duplication for R_J needs no special case for a small p, so
-    the product is accurate all the way to r -> r0, where it tends to its
-    limit."""
+def _ke_sum(a: AuxGeometry, ca, cb):
+    """k K(m) + e E(m) in one cel call, for ca = k + e and cb = k + e (1 - m),
+    the coefficients of cos^2 and sin^2 in its integrand; kc^2 = 1 - m is
+    the exact complement of aux. Callers form ca and cb in closed form, so
+    the cancellation of k K against e E (to 0 on the axis, where K = E)
+    never happens in rounded arithmetic. At the exact rim 1 - m = 0, K
+    diverges; there cb, its coefficient, vanishes for every caller and the
+    sum is ca."""
+    omm = a.one_minus_m
+    if omm == 0.0:
+        return ca
+    return elliptic.cel(math.sqrt(omm), 1.0, ca, cb)
+
+
+def _pi_star_minus_k_times_dr(a: AuxGeometry):
+    """(r - r0) (Pi(n* | m) - K(m)), n* = 4 r r0/(r+r0)^2, and 0 at r = r0
+    exactly (the symmetric mean of its one-sided limits
+    sgn(r-r0) (pi/2)(r+r0) L0/|z|). Pi - K = cel(kc, 1 - n*, 0, n*), and
+    cel, linear in its last two arguments, takes the factor r - r0 there;
+    both complements are exact: kc^2 = 1 - m from aux and
+    1 - n* = ((r-r0)/(r+r0))^2 here. cel needs no special case for a small
+    1 - n*, so the product is accurate all the way to r -> r0, where it
+    tends to its limit."""
     r, r0 = a.r, a.r0
     if r == r0:
         return 0.0
-    one_minus_n = ((r - r0) / (r + r0)) ** 2
-    n_star = 4.0 * r * r0 / (r + r0) ** 2
-    pi_star = K + (n_star / 3.0) * elliptic.carlson_rj(0.0, a.one_minus_m, 1.0, one_minus_n)
-    return (r - r0) * pi_star
+    dr, s = r - r0, r + r0
+    return elliptic.cel(math.sqrt(a.one_minus_m), (dr / s) ** 2,
+                        0.0, dr * 4.0 * r * r0 / (s * s))
 
 
-def _complete_ke(a: AuxGeometry):
-    """Complete K(m), E(m) from the exact complement 1 - m of aux, so the
-    rim limit m -> 1 stays evaluable; at the exact rim K is +inf (its
-    prefactors vanish there) and E is 1."""
-    omm = a.one_minus_m
-    if omm == 0.0:
-        return math.inf, 1.0
-    K = elliptic.carlson_rf(0.0, omm, 1.0)
-    E = K - a.m / 3.0 * elliptic.carlson_rd(0.0, omm, 1.0)
-    return K, E
-
+# Each assembly below is k K + e E + c (r - r0) Pi* + (elementary), with
+# Pi* = Pi(n* | m). It is evaluated as k' K + e E + c (r - r0)(Pi* - K),
+# k' = k + c (r - r0): one _ke_sum, whose arguments k' + e and
+# k' + e (1 - m) are reduced to closed forms with L0^2 = (r + r0)^2 + z^2,
+# plus one _pi_star_minus_k_times_dr. The cylinder forms have used the
+# characteristic-sum identity of pi_identity_residual on their n_pm pair;
+# its (pi L0/|z|) H(r0 - r) piece is their elementary last term.
 
 def _i_cyl_ell_pi(a: AuxGeometry):
+    """Elliptic part of the cylinder's theta = pi integral:
+    k = -z (4 r0^2 + z^2)/(4 L0), e = 3 z L0/4,
+    c = z (r^2 - r0^2 + 2 z^2)/(4 L0 (r + r0)); 0 at z = 0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
     if z == 0.0:
         return 0.0
-    K, E = _complete_ke(a)
-    pst = _pi_star_times_dr(a, K)
-    out = -3.0 * z * (r0 * r0 + z * z) / (4.0 * L0) * K + 3.0 * z * L0 / 4.0 * E
-    out += z * r * r / (4.0 * L0 * (r + r0)) * pst
-    # K + Pi-star term of the characteristic-sum identity; its remaining
-    # (pi L0/|z|) H(r0 - r) piece is the last, z-prefactored line
-    out += z * (2.0 * z * z - r0 * r0) / (4.0 * L0) * (K + pst / (r + r0))
+    s = r + r0
+    out = z * r / (L0 * s) * _ke_sum(a, s * s + z * z, (r - 2.0 * r0) * s + z * z)
+    out += z * (r * r - r0 * r0 + 2.0 * z * z) / (4.0 * L0 * s) * _pi_star_minus_k_times_dr(a)
     out += _sgn(z) * math.pi * (2.0 * z * z - r0 * r0) / 4.0 * heaviside(r0 - r)
     return out
 
 
 def _j_cyl_ell_pi(a: AuxGeometry):
+    """Elliptic part of the cylinder's field-line integral at theta = pi:
+    k = (2 (r^2 - r0^2)^2 + z^2 (r0^2 - 2 r^2 - z^2))/(6 L0) - r0^2 z^2/(2 L0),
+    e = L0 (z^2 - 2 (r^2 + r0^2))/6, c = z^2 (r - r0)/(2 L0). On the axis
+    (r0 = 0) the value is exactly 0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
-    K, E = _complete_ke(a)
-    out = L0 * (z * z - 2.0 * (r * r + r0 * r0)) / 6.0 * E
-    kcoef = (2.0 * (r * r - r0 * r0) ** 2
-             + z * z * (r0 * r0 - 2.0 * r * r - z * z)) / (6.0 * L0)
-    if kcoef != 0.0:
-        out += kcoef * K
-    if z == 0.0:
-        return out
-    pst = _pi_star_times_dr(a, K)
-    out += z * z * r * r / (2.0 * L0 * (r + r0)) * pst
-    # characteristic-sum identity, as in _i_cyl_ell_pi
-    out += -r0 * r0 * z * z / (2.0 * L0) * (K + pst / (r + r0))
-    out += -math.pi * r0 * r0 * abs(z) / 2.0 * heaviside(r0 - r)
+    s = r + r0
+    out = 2.0 * r * r0 / (3.0 * L0) * _ke_sum(a, -(s * s + z * z), (r - r0) ** 2 - 2.0 * z * z)
+    out += z * z * (r - r0) / (2.0 * L0) * _pi_star_minus_k_times_dr(a)
+    out -= math.pi * r0 * r0 * abs(z) / 2.0 * heaviside(r0 - r)
     return out
 
 
 def _j_tube_pi(a: AuxGeometry):
+    """The tube's field-line integral at theta = pi: k = (r^2 - r0^2)/L0,
+    e = -L0, c = z^2/(L0 (r + r0)). On the axis (r0 = 0) the value is
+    exactly 0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
-    K, E = _complete_ke(a)
-    out = -L0 * E
-    kcoef = (r * r - r0 * r0) / L0
-    if kcoef != 0.0:
-        out += kcoef * K
-    if z != 0.0:
-        out += z * z / (L0 * (r + r0)) * _pi_star_times_dr(a, K)
+    s = r + r0
+    out = 2.0 * r0 / (s * L0) * _ke_sum(a, -(s * s + z * z), (r - r0) * s - z * z)
+    out += z * z / (L0 * s) * _pi_star_minus_k_times_dr(a)
     return out
 
 
@@ -327,28 +330,32 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
     if math.hypot(r - R, z) < _EDGE_BAND * R:
         raise SingularityError("phi_disk: disk edge (r, z) = (R, 0) is excluded")
     a = aux(R, z, r)  # slots (source radius R, z; observation r)
-    L0 = a.L0
-    K, E = _complete_ke(a)
+    L0, s = a.L0, R + r
     if form == "lass_blitzer":
-        # -(r-R)/(r+R) z^2 Pi(4 r R/(r+R)^2 | m) == +(R-r)(...) via the slot order
-        pi_term = z * z / (R + r) * _pi_star_times_dr(a, K) if z != 0.0 else 0.0
-        return sigma * (2.0 / L0 * (L0 * L0 * E + (R * R - r * r) * K + pi_term)
-                        - 2.0 * math.pi * abs(z) * heaviside(R - r))
+        # (2/L0) [L0^2 E + (R^2 - r^2) K + (z^2/(R + r)) (R - r) Pi*],
+        # regrouped as the assemblies above are
+        out = 4.0 * R / (L0 * s) * _ke_sum(a, s * s + z * z, (R - r) * s + z * z)
+        out += 2.0 * z * z / (L0 * s) * _pi_star_minus_k_times_dr(a)
+        return sigma * (out - 2.0 * math.pi * abs(z) * heaviside(R - r))
     if form != "takahashi":
         raise DomainError(f"phi_disk: unknown form {form!r}")
-    if z == 0.0:
-        nsum_term = 0.0
-    else:
-        # Pi(n+ | m) with the complement 1 - n+ = z^2/(r + rho)^2 formed
-        # exactly (n+ -> 1 as z -> 0)
+    # L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum
+    out = 2.0 * R * _ke_sum(a, s, R - r)
+    if not math.isinf(a.n_minus):
+        # z^2 sum_pm bracket(pm) Pi(n_pm | m), one cel call per term with
+        # the complements formed exactly: 1 - n+ = t^2 with t = z/(r + rho)
+        # (n+ -> 1 as z -> 0), z^2 bracket(+1) = t z (rho - R) and
+        # z^2 bracket(-1) = (rho + R)(rho + r). Where n_minus is -inf (z = 0,
+        # or |z| so small that z^2/r^2 overflows it) the sum is O(|z|) and
+        # vanishes in the limit.
         rho = math.hypot(r, z)
-        one_minus_np = (z / (r + rho)) ** 2
-        pi_plus = K + (a.n_plus / 3.0) * elliptic.carlson_rj(
-            0.0, a.one_minus_m, 1.0, one_minus_np)
-        nsum = a.bracket(+1) * pi_plus + a.bracket(-1) * elliptic.comp_pi(a.n_minus, a.m)
-        nsum_term = z * z * nsum
-    return sigma * (2.0 / L0 * (L0 * L0 * E + (R * R - r * r - z * z) * K + nsum_term)
-                    - 2.0 * math.pi * abs(z))
+        t = z / (r + rho)
+        kc = math.sqrt(a.one_minus_m)
+        c_plus = t * z * (rho - R)
+        c_minus = (rho + R) * (rho + r)
+        out += (elliptic.cel(kc, t * t, c_plus, c_plus)
+                + elliptic.cel(kc, 1.0 - a.n_minus, c_minus, c_minus))
+    return sigma * (2.0 / L0 * out - 2.0 * math.pi * abs(z))
 
 
 def psi_point(point, q, z_offset=0.0):

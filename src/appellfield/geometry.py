@@ -98,8 +98,10 @@ class AuxGeometry:
     1 - m vanishes on the rim (r = r0, z = 0) and 1 - m - A^2 on the charged
     surface r = r0; formed from the rounded m and A they would lose their
     digits there, so they are formed here, exactly, for every route to read.
-    n_minus is computed as -2 r0 (r0 + rho)/z^2 (exact rearrangement), which
-    survives the z -> 0 cancellation; it is -inf at z = 0 exactly.
+    n_minus is computed as -2 r0 (r0 + rho)/z/z (exact rearrangement), which
+    survives the z -> 0 cancellation; it is -inf at z = 0 and where it
+    overflows (|z| below about 1e-154 r0), and never divides by an
+    underflowed z^2.
     """
 
     r: float
@@ -127,8 +129,9 @@ class AuxGeometry:
             return (rho - self.r) / (self.r0 + rho)
         if self.z == 0.0:
             raise DomainError("bracket(-1) is undefined at z = 0")
-        # (-(rho) - r)/(r0 - rho) = (rho + r)(rho + r0)/z^2
-        return (rho + self.r) * (rho + self.r0) / (self.z * self.z)
+        # (-(rho) - r)/(r0 - rho) = (rho + r)(rho + r0)/z^2; dividing by z
+        # twice overflows to +inf, the z -> 0 limit, where z * z underflows
+        return (rho + self.r) * (rho + self.r0) / self.z / self.z
 
     def bracket_alt(self, sign):
         """The same bracket via (L0/(2 r0)) s_pm sqrt(n_pm (n_pm - m)).
@@ -156,7 +159,7 @@ def aux(r, z, r0):
     if z == 0.0:
         n_minus = -math.inf
     else:
-        n_minus = -2.0 * r0 * (r0 + rho) / (z * z)
+        n_minus = -2.0 * r0 * (r0 + rho) / z / z
     s_plus = math.copysign(1.0, rho - r) if rho != r else 0.0
     one_minus_m = ((r - r0) ** 2 + z * z) / (L0 * L0)
     gap = ((r - r0) / L0) ** 2

@@ -422,11 +422,11 @@ def i_hyg_pi(m, A, gap=None):
     complements 1 - m = A^2 + gap and sqrt(1-m) - |A| are exact, and the
     value stays accurate up to the boundary and the rim m = 1. On the
     boundary (gap = 0, or m + A^2 = 1 without gap) the value is the surface
-    value; at the rim it is 0. An m + A^2 beyond 1 by more than rounding
-    raises DomainError.
+    value; at the rim it is 0. A negative m, an m + A^2 beyond 1 by more
+    than rounding, and a non-finite m or A raise DomainError.
     """
     y = A * A
-    if m < 0.0 or m + y > 1.0 + _BOUNDARY_ROUNDING:
+    if not (m >= 0.0 and m + y <= 1.0 + _BOUNDARY_ROUNDING):
         raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A = {A})")
     if A == 0.0:
         return 0.0
@@ -457,15 +457,16 @@ def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
     surf = _i_hyg_surface_quad(A0)
     if span <= 0.0:
         return surf
-    K = elliptic.carlson_rf(0.0, omm, 1.0)
 
     def integrand(u):
+        # dI/dA' = 2K(m) + c Pi(n | m), c = 2 A'^2/(1 - A'^2),
+        # n = m/(1 - A'^2): one cel call, at kc = sqrt(1 - m) = A0 and with
+        # 1 - n formed exactly
         ap = A0 - u * u
         oma2 = m + u * u * (2.0 * A0 - u * u)  # 1 - A'^2, exactly
-        n = m / oma2
         one_minus_n = u * u * (2.0 * A0 - u * u) / oma2
-        piv = K + (n / 3.0) * elliptic.carlson_rj(0.0, omm, 1.0, one_minus_n)
-        return (2.0 * K + 2.0 * ap * ap / oma2 * piv) * 2.0 * u
+        c = 2.0 * ap * ap / oma2
+        return elliptic.cel(A0, one_minus_n, 2.0 + c, 2.0 * one_minus_n + c) * 2.0 * u
 
     val, _ = oracle.quad_1d(integrand, 0.0, math.sqrt(span), _BOUNDARY_QUADRATURE)
     return surf - val
@@ -545,7 +546,8 @@ def _i_hyg_surface_quad(b):
         if v < 0.35:
             # 2 [ (K - L) + L v^2 ] / (1 - v^2), with K - L from the log series
             return 2.0 * (_k_minus_log(v) + L * v * v) / (1.0 - v * v)
-        return 2.0 * elliptic.comp_k(1.0 - v * v) / (1.0 - v * v) - 2.0 * L
+        # K(1 - v^2) with the complementary modulus kc = v exact
+        return 2.0 * elliptic.cel(v, 1.0, 1.0, 1.0) / (1.0 - v * v) - 2.0 * L
 
     rem, _ = oracle.quad_1d(remainder, 0.0, b, _BOUNDARY_QUADRATURE)
     return 2.0 * b * (math.log(4.0 / b) + 1.0) + rem

@@ -77,6 +77,24 @@ def test_special_functions():
     assert code == 2
 
 
+def test_eval_disk_at_tiny_z():
+    code, out, err = run_cli("eval", "--body", "disk", "--R", "1", "--density", "1",
+                             "--r", "0.5", "--z", "1e-200", "--quantity", "phi")
+    assert code == 0, err
+    phi = float(out.split("=")[1].split()[0])
+    assert phi == pytest.approx(5.86984883735771, rel=1e-14)
+
+
+def test_special_cel_and_nonfinite_arguments():
+    code, out, _ = run_cli("special", "--fn", "cel", "0.6", "1", "1", "1")
+    assert code == 0
+    assert float(out) == pytest.approx(1.99530277766473, rel=1e-14)  # K(0.64)
+    for fn, args in (("ellip_f", ("nan", "0.5")), ("comp_k", ("nan",)),
+                     ("cel", ("0.5", "inf", "1", "1"))):
+        code, _, err = run_cli("special", "--fn", fn, *args)
+        assert code == 2 and err.startswith("error:"), err
+
+
 def grid_args(tmp_path, fmt, name, extra=()):
     out = tmp_path / name
     return out, ("grid", "--body", "tube", "--R", "1", "--Z", "0.7",

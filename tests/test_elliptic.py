@@ -152,3 +152,80 @@ def test_singular_configurations_rejected():
         el.comp_k(1.0)
     with pytest.raises(DomainError):
         el.ellip_f(1.5, 1.2)  # m sin^2 > 1
+
+
+# ---------------------------------------------------------------------------
+# Bulirsch's cel and the complete integrals built on it
+
+def test_cel_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    with mp.workdps(40):
+        for _ in range(60):
+            kc2 = 10.0 ** rng.uniform(-14.0, 0.0)
+            p = 10.0 ** rng.uniform(-14.0, math.log10(2.0))
+            kc = math.sqrt(kc2)
+            m = 1 - mp.mpf(kc) ** 2  # the parameter cel sees, exactly
+            K, E = mp.ellipk(m), mp.ellipe(m)
+            P = mp.ellippi(1 - mp.mpf(p), m)
+            # cel(kc, 1, 1, b) = K - (1 - b) (K - E)/m, which is E at b = 1 - m
+            b = kc * kc
+            for got, ref in ((el.cel(kc, 1.0, 1.0, 1.0), K),
+                             (el.cel(kc, 1.0, 1.0, b), K - (1 - mp.mpf(b)) * (K - E) / m),
+                             (el.cel(kc, p, 1.0, 1.0), P),
+                             (el.cel(kc, p, 2.0 + 0.37, 2.0 * p + 0.37),
+                              2 * K + mp.mpf(0.37) * P)):
+                worst = max(worst, float(abs(got - ref) / abs(ref)))
+    assert worst <= 2e-15
+
+
+def test_cel_domain_errors():
+    # non-finite arguments: test_nonfinite_arguments_rejected
+    for args in ((0.0, 1.0, 1.0, 1.0), (-0.5, 1.0, 1.0, 1.0), (1e151, 1.0, 1.0, 1.0),
+                 (0.5, 0.0, 1.0, 1.0), (0.5, -0.5, 1.0, 1.0)):
+        with pytest.raises(DomainError):
+            el.cel(*args)
+
+
+@pytest.mark.parametrize("name, nargs", [
+    ("cel", 4), ("carlson_rf", 3), ("carlson_rc", 2), ("carlson_rd", 3),
+    ("carlson_rj", 4), ("ellip_f", 2), ("ellip_e", 2), ("ellip_pi", 3),
+    ("comp_k", 1), ("comp_e", 1), ("comp_pi", 2)])
+def test_nonfinite_arguments_rejected(name, nargs):
+    fn = getattr(el, name)
+    for i in range(nargs):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = [0.5] * nargs
+            args[i] = bad
+            with pytest.raises(DomainError):
+                fn(*args)
+
+
+def test_complete_integrals_against_carlson_route():
+    # cel and Carlson's duplication are independent routes to K, E and Pi.
+    # (ellip_* at the float pi/2 would not serve: that amplitude lies 6e-17
+    # below pi/2, which moves F by 6e-17/sqrt(1-m), 4e-12 relative at
+    # 1 - m = 1e-12.) The tolerance is Carlson's own error: E = R_F -
+    # (m/3) R_D is up to 1.3e-13 off mpmath near 1 - m = 1e-12, where cel is
+    # within 1e-15 (test_comp_e_pinned_where_carlson_drifts).
+    for omm in np.logspace(-12.0, 0.0, 49):
+        m = 1.0 - omm
+        omm = 1.0 - m  # exact
+        k_carlson = el.carlson_rf(0.0, omm, 1.0)
+        e_carlson = k_carlson - m / 3.0 * el.carlson_rd(0.0, omm, 1.0)
+        assert el.comp_k(m) == pytest.approx(k_carlson, rel=2e-13)
+        assert el.comp_e(m) == pytest.approx(e_carlson, rel=2e-13)
+        for n in (-5.0, -0.5, 0.3, 0.9, 1.0 - 1e-9):
+            pi_carlson = k_carlson + n / 3.0 * el.carlson_rj(0.0, omm, 1.0, 1.0 - n)
+            assert el.comp_pi(n, m) == pytest.approx(pi_carlson, rel=2e-13)
+        assert el.comp_pi(0.0, m) == el.comp_k(m)
+
+
+def test_comp_e_pinned_where_carlson_drifts():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for omm in np.linspace(8e-13, 9.5e-13, 16):
+            m = 1.0 - omm
+            ref = mp.ellipe(mp.mpf(m))
+            assert float(abs(el.comp_e(m) - ref) / ref) <= 1e-14

@@ -52,6 +52,16 @@ def test_alternate_prefactor_identity(r, r0, z):
     assert a.n_plus - a.m == pytest.approx(exact_gap, rel=0, abs=1e-12)
 
 
+def test_aux_tiny_z_overflows_to_the_z0_limit():
+    # z * z underflows below |z| ~ 1.5e-162; dividing by z twice instead
+    # overflows to the z = 0 limit
+    for z in (1e-160, 1e-200, 5e-324, -1e-300):
+        a = aux(1.0, z, 0.5)
+        assert a.n_minus == -math.inf
+        assert a.bracket(-1) == math.inf
+    assert aux(1.0, 0.0, 0.5).n_minus == -math.inf
+
+
 def test_aux_degenerate():
     with pytest.raises(DomainError):
         aux(0.0, 0.0, 0.0)
@@ -183,6 +193,18 @@ def test_psi_cyl_far_field():
         CYL.total_charge * z / d, rel=1e-3)
 
 
+@pytest.mark.parametrize("z", [1.5, -1e2, 3e4, -1e6])
+def test_psi_on_the_axis_is_exact(z):
+    # psi is constant along the axis outside the charge and tends to
+    # Q z/d at infinity, so it is sgn(z) Q there. The assemblies form it
+    # without cancelling K against E; computed as that difference, psi_cyl
+    # is 5e-4 off at |z| = 3e4 and has no correct digit at 1e6
+    assert fl.psi_cyl((0.0, z), CYL) == pytest.approx(
+        math.copysign(CYL.total_charge, z), rel=1e-15)
+    assert fl.psi_tube((0.0, z), TUBE) == pytest.approx(
+        math.copysign(TUBE.total_charge, z), rel=1e-15)
+
+
 def test_phi_tube_values_and_surface():
     assert fl.phi_tube((1.5, 0.3), TUBE) == pytest.approx(PHI_TUBE_15_03, rel=1e-9)
     # on the charged sheet phi is finite and continuous
@@ -240,6 +262,14 @@ def test_disk_forms_and_axis():
         fl.phi_disk((1.0, 0.0), DISK)
     with pytest.raises(DomainError):
         fl.phi_disk((0.5, 0.5), DISK, "unknown")
+
+
+@pytest.mark.parametrize("form", ["lass_blitzer", "takahashi"])
+def test_disk_tiny_z_is_the_z0_value(form):
+    for r in (0.0, 0.5, 1.5, 3.0):
+        at_zero = fl.phi_disk((r, 0.0), DISK, form)
+        for z in (1e-100, 1e-160, 1e-200, 1e-300, 5e-324, -1e-200):
+            assert fl.phi_disk((r, z), DISK, form) == pytest.approx(at_zero, rel=1e-15)
 
 
 def test_disk_far_field_multipole():

@@ -257,6 +257,13 @@ def test_i_hyg_pi_near_boundary_band():
     assert hg.i_hyg_pi(m, A) == pytest.approx(quad_ihyg(m, A, math.pi), rel=1e-9)
 
 
+@pytest.mark.parametrize("m, A", [(math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3),
+                                  (0.3, math.inf), (0.3, -math.inf)])
+def test_i_hyg_pi_rejects_nonfinite_arguments(m, A):
+    with pytest.raises(DomainError):
+        hg.i_hyg_pi(m, A)
+
+
 def test_i_hyg_surface():
     assert hg.i_hyg_surface(0.5) == pytest.approx(ISUR_05, rel=1e-10)
     assert hg.i_hyg_surface(0.85) == pytest.approx(ISUR_085, rel=1e-10)
