@@ -102,19 +102,22 @@ def cmd_eval(args):
     quantities = ("phi", "psi") if args.quantity == "both" else (args.quantity,)
     if args.body == "disk" and "psi" in quantities and args.quantity != "both":
         raise AppellFieldError("the field-line potential is not provided for the disk body")
-    sample = _sample(body, args.r, args.z, args.quantity, args.branch)
+    point = (args.r, args.z)
     for q in quantities:
         if q == "phi":
-            if sample.phi is None:
-                raise AppellFieldError("phi is excluded at this point (singular set)")
-            print(f"phi={sample.phi!r} [charge/length] branch={args.branch}")
-        else:
-            if args.body == "disk":
+            try:
+                phi = _phi(body, point)
+            except SingularityError:
+                raise AppellFieldError("phi is excluded at this point (singular set)") from None
+            print(f"phi={phi!r} [charge/length] branch={args.branch}")
+        elif args.body != "disk":
+            try:
+                psi = _psi(body, point, args.branch)
+            except SingularityError:
+                print("psi=excluded(singular-set)")
                 continue
-            if sample.psi is None:
-                print("psi=undefined(inside-charge)")
-            else:
-                print(f"psi={sample.psi!r} [charge] branch={args.branch}")
+            print("psi=undefined(inside-charge)" if psi is None
+                  else f"psi={psi!r} [charge] branch={args.branch}")
     return 0
 
 

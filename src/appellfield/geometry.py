@@ -6,6 +6,7 @@ Units: 4*pi*eps0 = 1 throughout, so [phi] = charge/length and [psi] = charge.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -75,29 +76,33 @@ def _check_density(density):
 
 @dataclass(frozen=True)
 class FieldSample:
-    """One field evaluation, as a grid row or `eval` reports it: phi and
-    psi. A quantity that was not requested, is excluded (a singular set) or
-    is undefined (psi inside the closed charged region, where the field-line
+    """One field evaluation, as a grid row reports it: phi and psi. A
+    quantity that was not requested, is excluded (a singular set) or is
+    undefined (psi inside the closed charged region, where the field-line
     potential has no formula, and on the disk body) is None."""
 
     phi: float | None
     psi: float | None
 
 
-@dataclass(frozen=True)
-class AuxGeometry:
+class AuxGeometry(NamedTuple):
     """Derived quantities for a (source radius r, axial offset z; observation
     radius r0) triple, in the slot convention of the indefinite integrals:
 
         L0 = sqrt((r+r0)^2 + z^2),  m = 4 r r0 / L0^2,  A = z / L0,
-        n_pm = 2 r0 / (r0 +- sqrt(r0^2 + z^2)),
-        s_plus = sgn(sqrt(r0^2 + z^2) - r)   (the minus sign is always +1),
         one_minus_m = ((r - r0)^2 + z^2) / L0^2   (= 1 - m),
         gap = ((r - r0) / L0)^2   (= 1 - m - A^2).
 
     1 - m vanishes on the rim (r = r0, z = 0) and 1 - m - A^2 on the charged
     surface r = r0; formed from the rounded m and A they would lose their
     digits there, so they are formed here, exactly, for every route to read.
+
+    The characteristic pair, which only the general-theta integrals, the
+    identity check and the disk's takahashi form read, is computed on read:
+
+        rho = sqrt(r0^2 + z^2),  n_pm = 2 r0 / (r0 +- rho),
+        s_plus = sgn(rho - r)   (the minus sign is always +1).
+
     n_minus is computed as -2 r0 (r0 + rho)/z/z (exact rearrangement), which
     survives the z -> 0 cancellation; it is -inf at z = 0 and where it
     overflows (|z| below about 1e-154 r0), and never divides by an
@@ -110,11 +115,22 @@ class AuxGeometry:
     L0: float
     m: float
     A: float
-    n_plus: float
-    n_minus: float
-    s_plus: float
     one_minus_m: float
     gap: float
+
+    @property
+    def n_plus(self):
+        return 2.0 * self.r0 / (self.r0 + math.hypot(self.r0, self.z)) if self.r0 > 0.0 else 0.0
+
+    @property
+    def n_minus(self):
+        z = self.z
+        return -2.0 * self.r0 * (self.r0 + math.hypot(self.r0, z)) / z / z if z else -math.inf
+
+    @property
+    def s_plus(self):
+        d = math.hypot(self.r0, self.z) - self.r
+        return math.copysign(1.0, d) if d != 0.0 else 0.0
 
     def L(self, theta):
         """Distance kernel sqrt(r^2 + r0^2 + 2 r r0 cos(theta) + z^2)."""
@@ -152,15 +168,5 @@ def aux(r, z, r0):
     if r == 0.0 and r0 == 0.0 and z == 0.0:
         raise DomainError("aux: degenerate geometry r = r0 = z = 0")
     L0 = math.sqrt((r + r0) ** 2 + z * z)
-    m = 4.0 * r * r0 / (L0 * L0)
-    A = z / L0
-    rho = math.hypot(r0, z)
-    n_plus = 2.0 * r0 / (r0 + rho) if rho + r0 > 0.0 else 0.0
-    if z == 0.0:
-        n_minus = -math.inf
-    else:
-        n_minus = -2.0 * r0 * (r0 + rho) / z / z
-    s_plus = math.copysign(1.0, rho - r) if rho != r else 0.0
-    one_minus_m = ((r - r0) ** 2 + z * z) / (L0 * L0)
-    gap = ((r - r0) / L0) ** 2
-    return AuxGeometry(r, z, r0, L0, m, A, n_plus, n_minus, s_plus, one_minus_m, gap)
+    return AuxGeometry(r, z, r0, L0, 4.0 * r * r0 / (L0 * L0), z / L0,
+                       ((r - r0) ** 2 + z * z) / (L0 * L0), ((r - r0) / L0) ** 2)

@@ -24,6 +24,14 @@ F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
 (and its y-counterpart) and summed along anti-diagonals j + l = N, which
 keeps terms of comparable magnitude near the boundary.
 
+i_hyg_pi(m, A, gap), the theta = pi value pi A F2(1/2; 1/2, 1; 1, 3/2;
+m, A^2) that the potentials assemble, takes its route by one rule. It forms
+the complements 1 - m and 1 - A^2 once (exactly, as A^2 + gap and m + gap,
+when the caller passes gap = 1 - m - A^2) and hands them to the sums: the
+K/E-seeded sum where A^2/(1-m) < m/(1-A^2), the inner-2F1 sum otherwise,
+and, where both ratios exceed 0.995, integration of dI/dA in from the
+surface value. The general-theta i_hyg takes its theta = pi term from it.
+
 i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
 value and the 4F3-log continuation each run oracle.quad_1d at one fixed
@@ -46,9 +54,6 @@ SMALL_S_THRESHOLD = 0.05
 # i_hyg_pi accepts m + A^2 up to 1 plus this, the rounding of m and A formed
 # from an exact geometry
 _BOUNDARY_ROUNDING = 1e-14
-# i_hyg_pi below this 1 - m: the boundary integration, which takes 1 - m
-# exact from its caller, instead of the F2 sums, which lose digits to it
-_NEAR_RIM = 1e-9
 
 # relative tolerance of the infinite series; the 2F1 and 4F3 series run at
 # the tighter PFQ_REL_TOL, which the 4F3 route of the surface value needs
@@ -234,13 +239,13 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
         return 1.0
     if alpha == 0.5 and beta2 == 1.0 and gamma2 == 1.5 and 0.0 <= x < 1.0 - 1e-12:
         if y < 0.0:
-            return _f2_inner_sum(beta, gamma, x, y)
+            return _f2_inner_sum(beta, gamma, x, y, 1.0 - y)
         if y < 1.0 - 1e-12:
-            rx, ry = x / (1.0 - y), y / (1.0 - x)
-            if beta == 0.5 and gamma == 1.0 and ry < min(rx, 1.0 - 1e-12):
-                return _f2_ke_sum(beta2, gamma2, x, y)
-            if rx < 1.0 - 1e-12:
-                return _f2_inner_sum(beta, gamma, x, y)
+            ux, uy = 1.0 - x, 1.0 - y
+            if beta == 0.5 and gamma == 1.0 and y / ux < min(x / uy, 1.0 - 1e-12):
+                return _f2_ke_sum(x, y, ux)
+            if x / uy < 1.0 - 1e-12:
+                return _f2_inner_sum(beta, gamma, x, y, uy)
     if y < 0.0:
         return (1.0 - y) ** (-alpha) * appell_f2(
             alpha, beta, gamma2 - beta2, gamma, gamma2, x / (1.0 - y), y / (y - 1.0))
@@ -252,23 +257,22 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y)
 
 
-def _f2_ke_sum(beta2, gamma2, x, y):
-    # F2(1/2; 1/2, b'; 1, g'; x, y) = sum_l (1/2)_l (b')_l /((g')_l l!) y^l
+def _f2_ke_sum(x, y, u):
+    # F2(1/2; 1/2, 1; 1, 3/2; x, y) = sum_l (1/2)_l/(3/2)_l y^l
     #   * 2F1(1/2 + l, 1/2; 1; x),
-    # with the inner function scaled by (1-x)^l: seeds (2/pi) K(x) and
-    # (2/pi) E(x), then hhat_{l+1} = ((1/2 - l)(1-x) hhat_{l-1}
-    #   + l (2-x) hhat_l)/(1/2 + l). Converges at ratio y/(1-x).
+    # with the inner function scaled by u^l, u = 1 - x from the caller:
+    # seeds (2/pi) K(x) and (2/pi) E(x) at kc = sqrt(u), then
+    # hhat_{l+1} = ((1/2 - l) u hhat_{l-1} + l (2 - x) hhat_l)/(1/2 + l).
+    # Converges at ratio y/u.
     def terms():
-        u = 1.0 - x
-        ratio = y / u
-        h_prev = 2.0 / math.pi * elliptic.comp_k(x)
+        kc = math.sqrt(u)
+        h_prev = 2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, 1.0)
         yield h_prev
-        if y == 0.0:
-            return
-        h_cur = 2.0 / math.pi * elliptic.comp_e(x)
+        h_cur = 2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, u)
+        ratio = y / u
         coef = 1.0
         for l in itertools.count(1):
-            coef *= (l - 0.5) * (beta2 + l - 1.0) / ((gamma2 + l - 1.0) * l) * ratio
+            coef *= (l - 0.5) / (l + 0.5) * ratio
             yield coef * h_cur
             h_next = ((0.5 - l) * u * h_prev + l * (2.0 - x) * h_cur) / (0.5 + l)
             h_prev, h_cur = h_cur, h_next
@@ -276,18 +280,19 @@ def _f2_ke_sum(beta2, gamma2, x, y):
     return _series_sum(terms(), REL_TOL, "appell_f2 K/E-seeded series")
 
 
-def _f2_inner_sum(beta, gamma, x, y):
+def _f2_inner_sum(beta, gamma, x, y, u):
     # F2(1/2; beta, 1; gamma, 3/2; x, y) = sum_j (1/2)_j (beta)_j
     #   /((gamma)_j j!) x^j 2F1(1/2+j, 1; 3/2; y),
-    # the inner 2F1 by a two-term recurrence in its first parameter. For
-    # 0 <= y < 1 it is scaled by (1-y)^j and the series runs at ratio
-    # x/(1-y); for y < 0 it is kept unscaled (1-y is exact there, so no
-    # cancellation) and the series runs at ratio x.
+    # the inner 2F1 by a two-term recurrence in its first parameter, with
+    # u = 1 - y from the caller. For 0 <= y < 1 it is scaled by u^j and the
+    # series runs at ratio x/u; its seed atanh(sqrt y)/sqrt y is formed as
+    # log1p(2 sqrt(y) (1 + sqrt(y))/u)/(2 sqrt(y)), which reads u and not
+    # 1 - sqrt(y). For y < 0 it is kept unscaled (u has no cancellation
+    # there) and the series runs at ratio x.
     def terms():
-        u = 1.0 - y
         if y > 0.0:
             sq = math.sqrt(y)
-            fhat = math.atanh(sq) / sq
+            fhat = math.log1p(2.0 * sq * (1.0 + sq) / u) / (2.0 * sq)
         elif y < 0.0:
             sq = math.sqrt(-y)
             fhat = math.atan(sq) / sq
@@ -295,16 +300,16 @@ def _f2_inner_sum(beta, gamma, x, y):
             fhat = 1.0
         ratio = x / u if y >= 0.0 else x
         coef = 1.0
-        upow = 1.0  # (1-y)^j
+        upow = 1.0  # u^j
         yield fhat
         for j in itertools.count():
             a = 0.5 + j
             if y >= 0.0:
-                # Fhat_{j+1} = ((2a-1) Fhat_j + (1-y)^j) / (2a)
+                # Fhat_{j+1} = ((2a-1) Fhat_j + u^j) / (2a)
                 fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
                 upow *= u
             else:
-                # F_{a+1} = ((2a-1) F_a + 1) / (2a (1-y))
+                # F_{a+1} = ((2a-1) F_a + 1) / (2a u)
                 fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
             coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
             yield coef * fhat
@@ -333,13 +338,12 @@ def appell_f1(alpha, beta, beta2, gamma, x, y):
 
 
 def _i_hyg_series(m, A, s):
-    # Eq-series route: pi A sgn(s) F2(1/2;1/2,1;1,3/2; m, A^2) minus the
-    # k-sum, the latter collapsed analytically to
+    # Eq-series route: sgn(s) i_hyg_pi(m, A) minus the k-sum, the latter
+    # collapsed analytically to
     # 2As sqrt(1-s^2) sum_{j,l} (1/2)_{j+l} m^j phi_j A^(2l) / (j! (3/2)_l)
     # where phi_j = s^(2j) 2F1(j+1, 1; 3/2; 1-s^2) stays bounded.
     y = A * A
-    term1 = math.pi * A * math.copysign(1.0, s) * appell_f2(
-        0.5, 0.5, 1.0, 1.0, 1.5, m, y)
+    term1 = math.copysign(1.0, s) * i_hyg_pi(m, A)
     s2 = s * s
     w = 1.0 - s2
     if w <= 0.0:
@@ -412,34 +416,43 @@ def _i_hyg_quadrature(m, A, theta):
 
 
 def i_hyg_pi(m, A, gap=None):
-    """Definite integral i_hyg(m, A, pi) on the closed domain m + A^2 <= 1:
-    only the first closed-form term survives. Odd in A.
+    """Definite integral i_hyg(m, A, pi) = pi A F2(1/2; 1/2, 1; 1, 3/2; m, A^2)
+    on the closed domain m + A^2 <= 1. Odd in A.
 
     ``gap`` is 1 - m - A^2 formed exactly by the caller (geometry.aux gives
     it as ((r - r0)/L0)^2). I has a square-root branch at the boundary
     m + A^2 = 1, so a distance to the boundary formed from the rounded m
     and A turns their 1e-16 error into about 1e-8 in I. With ``gap`` the
-    complements 1 - m = A^2 + gap and sqrt(1-m) - |A| are exact, and the
-    value stays accurate up to the boundary and the rim m = 1. On the
-    boundary (gap = 0, or m + A^2 = 1 without gap) the value is the surface
-    value; at the rim it is 0. A negative m, an m + A^2 beyond 1 by more
-    than rounding, and a non-finite m or A raise DomainError.
+    complements 1 - m = A^2 + gap, 1 - A^2 = m + gap and sqrt(1-m) - |A|
+    are exact, and the value stays accurate up to the boundary, the rim
+    m = 1 and the axis m = 0; without it they are formed from m and A.
+
+    One rule chooses the route from the two single-index ratios
+    A^2/(1 - m) and m/(1 - A^2): where both exceed 0.995, the A-derivative
+    is integrated in from the surface value; otherwise F2 is summed at the
+    smaller ratio, K/E-seeded (_f2_ke_sum) where the first is smaller and
+    over the inner 2F1 (_f2_inner_sum) where it is not. On the boundary
+    (gap = 0, or m + A^2 = 1 without gap) the value is the surface value;
+    at the rim it is 0. A negative m, an m + A^2 beyond 1 by more than
+    rounding, a non-finite m or A, and m = 0 with |A| = 1, where I
+    diverges, raise DomainError.
     """
     y = A * A
     if not (m >= 0.0 and m + y <= 1.0 + _BOUNDARY_ROUNDING):
         raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A = {A})")
     if A == 0.0:
         return 0.0
-    omm = 1.0 - m if gap is None else y + gap
+    omm, omy = (1.0 - m, 1.0 - y) if gap is None else (y + gap, m + gap)
     if omm <= 0.0:
         return 0.0
-    # with both F2 series ratios m/(1-y), y/(1-m) near 1, or 1 - m too small
-    # for the F2 sums (which take it from the rounded m), integrate the exact
-    # A-derivative in from the boundary
-    if m + y >= 0.85 and m > 0.0 and (
-            omm < _NEAR_RIM or (m > 0.995 * (1.0 - y) and y > 0.995 * omm)):
+    if omy <= 0.0 and m == 0.0:
+        raise DomainError(f"i_hyg_pi diverges at m = 0, |A| = 1 (got A = {A})")
+    ratio_ke, ratio_inner = y / omm, (m / omy if omy > 0.0 else math.inf)
+    if min(ratio_ke, ratio_inner) > 0.995:
         return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A), omm, gap)
-    return math.pi * A * appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, y)
+    if ratio_ke < ratio_inner:
+        return math.pi * A * _f2_ke_sum(m, y, omm)
+    return math.pi * A * _f2_inner_sum(0.5, 1.0, m, y, omy)
 
 
 # the surface value and the integral in from it (_i_hyg_pi_from_boundary,

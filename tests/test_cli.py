@@ -39,6 +39,17 @@ def test_eval_inside_charge_marker():
     assert out.strip() == "psi=undefined(inside-charge)"
 
 
+def test_eval_tube_sheet_is_excluded_not_inside_charge():
+    # psi_tube raises SingularityError on the open sheet {r = R, |z| < Z};
+    # phi is continuous there
+    code, out, _ = run_cli("eval", "--body", "tube", "--R", "1", "--Z", "0.7",
+                           "--density", "1", "--r", "1", "--z", "0.3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0].startswith("phi=")
+    assert lines[1] == "psi=excluded(singular-set)"
+
+
 def test_eval_branch_arithmetic():
     common = ("--body", "tube", "--R", "1", "--Z", "0.7", "--density", "1",
               "--r", "1.5", "--z", "0.3", "--quantity", "psi")

@@ -62,6 +62,18 @@ def test_aux_tiny_z_overflows_to_the_z0_limit():
     assert aux(1.0, 0.0, 0.5).n_minus == -math.inf
 
 
+@pytest.mark.parametrize("z", [10.0, 1e2, 1e3, -1e3, 1e4])
+def test_phi_tube_on_the_axis_far_out(z):
+    # exact on-axis form 2 pi R sigma [asinh((z+Z)/R) - asinh((z-Z)/R)]; the
+    # theta = pi integral is pi atanh(A) there, read from the exact 1 - A^2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        R, Z, zz = TUBE.R, mpmath.mpf(TUBE.Z), mpmath.mpf(z)
+        ref = float(2 * mpmath.pi * R * TUBE.sigma0
+                    * (mpmath.asinh((zz + Z) / R) - mpmath.asinh((zz - Z) / R)))
+    assert fl.phi_tube((0.0, z), TUBE) == pytest.approx(ref, rel=2e-11, abs=0.0)
+
+
 def test_aux_degenerate():
     with pytest.raises(DomainError):
         aux(0.0, 0.0, 0.0)

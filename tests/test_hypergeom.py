@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from appellfield import elliptic, hypergeom as hg, oracle
-from appellfield.errors import ConvergenceError, DomainError
+from appellfield.errors import AppellFieldError, ConvergenceError, DomainError
 
 # reference values from independent quadrature / high-precision summation
 F2_03_04 = 1.3487116403196524
@@ -255,6 +255,42 @@ def test_i_hyg_pi_near_boundary_band():
     m = 0.62
     A = math.sqrt(1.0 - m - 2e-5)
     assert hg.i_hyg_pi(m, A) == pytest.approx(quad_ihyg(m, A, math.pi), rel=1e-9)
+
+
+def test_i_hyg_pi_next_to_the_rim_takes_a_single_index_sum(monkeypatch):
+    # slots (1, 1e-6; 1 + 1e-6), next to the rim of the tube: 1 - m = 5e-13
+    # and gap/(1 - m) = 0.5. With the exact complements from aux the
+    # K/E-seeded sum runs at ratio 0.5; the reference integrates the
+    # defining integral with 1 - m sin^2(t/2) written through the exact 1 - m
+    mpmath = pytest.importorskip("mpmath")
+    from appellfield.geometry import aux
+    a = aux(1.0, 1e-6, 1.0 + 1e-6)
+    assert a.one_minus_m == pytest.approx(5e-13, rel=1e-5)
+    assert a.gap / a.one_minus_m == pytest.approx(0.5, rel=1e-9)
+    monkeypatch.setattr(hg, "_i_hyg_pi_from_boundary",
+                        lambda *args: pytest.fail("boundary route taken"))
+    value = hg.i_hyg_pi(a.m, a.A, a.gap)
+    with mpmath.workdps(30):
+        r, z, r0 = mpmath.mpf(1.0), mpmath.mpf(1e-6), mpmath.mpf(1.0 + 1e-6)
+        L2 = (r + r0) ** 2 + z * z
+        A, omm = z / mpmath.sqrt(L2), ((r - r0) ** 2 + z * z) / L2
+
+        def f(u):  # t = pi - u
+            return mpmath.atanh(A / mpmath.sqrt(mpmath.sin(u / 2) ** 2
+                                                + omm * mpmath.cos(u / 2) ** 2))
+
+        nodes = [0] + [mpmath.mpf(10) ** k for k in range(-9, 1)] + [mpmath.pi]
+        ref = float(mpmath.quad(f, nodes))
+    assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("A", [1.0, -1.0])
+def test_i_hyg_pi_diverges_at_m_zero_and_unit_a(A):
+    # I(0, A; pi) = pi atanh(A)
+    with pytest.raises(AppellFieldError):
+        hg.i_hyg_pi(0.0, A)
+    with pytest.raises(AppellFieldError):
+        hg.i_hyg_pi(0.0, A, gap=0.0)
 
 
 @pytest.mark.parametrize("m, A", [(math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3),
