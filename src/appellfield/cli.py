@@ -1,7 +1,9 @@
 """Command-line front end: point evaluation, grid data emission (CSV/JSON),
 direct special-function access, and the verification battery.
 
-Exit codes: 0 success, 1 verification failures, 2 flag/domain/setup errors.
+Exit codes: 0 success; 1 verification failures, or grid points that failed
+(written as nan/null, one stderr line each); 2 flag/domain/setup errors and
+internal errors.
 """
 
 import argparse
@@ -58,41 +60,20 @@ def _build_body(name, R, Z, density):
     raise AppellFieldError(f"unknown body {name!r}")
 
 
-def _phi(body, point):
+def _phi(body, point, ends=None):
     if isinstance(body, CylinderSpec):
-        return fields.phi_cyl(point, body)
+        return fields.phi_cyl(point, body, ends=ends)
     if isinstance(body, TubeSpec):
-        return fields.phi_tube(point, body)
+        return fields.phi_tube(point, body, ends=ends)
     return fields.phi_disk(point, body)
 
 
-def _psi(body, point, branch):
+def _psi(body, point, branch=0, ends=None):
     if isinstance(body, CylinderSpec):
-        return fields.psi_cyl(point, body)
+        return fields.psi_cyl(point, body, ends=ends)
     if isinstance(body, TubeSpec):
-        return fields.psi_tube(point, body, branch=branch)
+        return fields.psi_tube(point, body, branch=branch, ends=ends)
     return None  # the disk body provides phi only
-
-
-def _sample(body, r, z, quantity, branch=0):
-    """FieldSample at one point, evaluating only the requested quantity
-    ('phi', 'psi' or 'both'). A quantity not requested, undefined (psi
-    inside the charge or on the disk body) or excluded (a singular set:
-    the cylinder edge circle, the tube sheet for psi, the disk edge) is
-    None."""
-    point = (r, z)
-    phi = psi = None
-    if quantity != "psi":
-        try:
-            phi = _phi(body, point)
-        except SingularityError:
-            pass
-    if quantity != "phi":
-        try:
-            psi = _psi(body, point, branch)
-        except SingularityError:
-            pass
-    return FieldSample(phi, psi)
 
 
 def cmd_eval(args):
@@ -121,31 +102,57 @@ def cmd_eval(args):
     return 0
 
 
+def _grid_column(task):
+    """(FieldSamples, failures) of one grid column (body, r, zs, quantity),
+    evaluating only the requested quantity ('phi', 'psi' or 'both'). A
+    quantity not requested, undefined (psi inside the charge or on the disk
+    body) or excluded (a singular set: the cylinder edge circle, the tube
+    sheet for psi, the disk edge) is None; so is one whose evaluation raised
+    an AppellFieldError, and the failure is reported as one line. The calls
+    of the column share one table of end terms (see fields), which lives as
+    long as the task."""
+    body, r, zs, quantity = task
+    ends = {}
+    samples, failures = [], []
+    for z in zs:
+        values = []
+        for q, fn in (("phi", _phi), ("psi", _psi)):
+            value = None
+            if quantity in (q, "both"):
+                try:
+                    value = fn(body, (r, z), ends=ends)
+                except SingularityError:
+                    pass
+                except AppellFieldError as exc:
+                    failures.append(f"{q} at (r, z) = ({r!r}, {z!r}): {exc}")
+            values.append(value)
+        samples.append(FieldSample(*values))
+    return samples, failures
+
+
 def _grid_rows(spec: GridSpec, workers=1):
-    """(r, z, phi, psi, branch) rows, sheet by sheet, r-major within a
-    sheet. Each (r, z) is evaluated once, on sheet 0; tube sheet b != 0
-    adds b * tube_branch_jump to that psi, exactly as psi_tube does."""
+    """((r, z, phi, psi, branch) rows, failure lines): rows sheet by sheet,
+    r-major within a sheet. Each column (fixed r) is one task, evaluated on
+    sheet 0; tube sheet b != 0 adds b * tube_branch_jump to that psi, exactly
+    as psi_tube does."""
     body = _build_body(spec.body, spec.R, spec.Z, spec.density)
-    rs = np.linspace(spec.r_min, spec.r_max, spec.nr)
-    zs = np.linspace(spec.z_min, spec.z_max, spec.nz)
-    tasks = [(body, float(r), float(z), spec.quantity) for r in rs for z in zs]
+    zs = [float(z) for z in np.linspace(spec.z_min, spec.z_max, spec.nz)]
+    tasks = [(body, float(r), zs, spec.quantity)
+             for r in np.linspace(spec.r_min, spec.r_max, spec.nr)]
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_sample_star, tasks, chunksize=64))
+            columns = list(pool.map(_grid_column, tasks))
     else:
-        samples = [_sample_star(t) for t in tasks]
+        columns = [_grid_column(t) for t in tasks]
     jump = fields.tube_branch_jump(body) if isinstance(body, TubeSpec) else 0.0
     rows = []
     for b in spec.branches:
-        for (_, r, z, _), s in zip(tasks, samples):
-            psi = s.psi + b * jump if b and s.psi is not None else s.psi
-            rows.append((r, z, s.phi, psi, b))
-    return rows
-
-
-def _sample_star(task):
-    return _sample(*task)
+        for (_, r, _, _), (samples, _) in zip(tasks, columns):
+            for z, s in zip(zs, samples):
+                psi = s.psi + b * jump if b and s.psi is not None else s.psi
+                rows.append((r, z, s.phi, psi, b))
+    return rows, [line for _, failed in columns for line in failed]
 
 
 def _fmt(x):
@@ -163,7 +170,7 @@ def cmd_grid(args):
     spec = GridSpec(args.r_min, args.r_max, args.z_min, args.z_max, args.nr,
                     args.nz, args.body, args.R, args.Z, args.density,
                     args.quantity, branches)
-    rows = _grid_rows(spec, workers=args.workers)
+    rows, failures = _grid_rows(spec, workers=args.workers)
     try:
         if args.format == "csv":
             with open(args.out, "w", encoding="ascii", newline="\n") as fh:
@@ -185,7 +192,9 @@ def cmd_grid(args):
                 fh.write("\n")
     except OSError as exc:
         raise AppellFieldError(f"cannot write {args.out}: {exc}") from exc
-    return 0
+    for line in failures:
+        print(f"failed: {line}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 _SPECIAL_FNS = {
@@ -292,8 +301,9 @@ def _build_parser():
     pg.add_argument("--format", choices=("csv", "json"), default="csv")
     pg.add_argument("--out", required=True)
     pg.add_argument("--workers", type=int, default=1,
-                    help="parallel worker processes, at most one per CPU and "
-                         "per point (rows stay in row-major order)")
+                    help="parallel worker processes, each taking whole columns "
+                         "(fixed r); at most one per CPU and per column (rows "
+                         "stay in row-major order)")
     pg.set_defaults(func=cmd_grid)
 
     ps = sub.add_parser("special", help="evaluate a special function by name")

@@ -239,57 +239,107 @@ def _check_cyl_point(point, spec: CylinderSpec):
     return r, z
 
 
-def phi_cyl_terms(point, spec: CylinderSpec):
+# Each potential below is a difference of two end terms, taken at the
+# offsets zeta = +-Z - z of the body's ends from the observation point. An
+# end term depends on (R, r, zeta) alone, and it is exactly odd in zeta
+# (_phi_cyl_end, _phi_tube_end: A = zeta/L0 changes sign, while m, gap and
+# 1 - m do not) or exactly even (_psi_cyl_end, _psi_tube_end). Calls given a
+# table ``ends`` read each end term from it, filling it where it lacks the
+# value at |zeta|: on a grid column (fixed r) the offsets repeat, and every
+# value stays what the call without the table returns.
+
+def _phi_cyl_end(R, r, zeta):
+    a = aux(R, zeta, r)
+    return hypergeom.i_hyg_pi(a.m, a.A, a.gap), _i_cyl_ell_pi(a)
+
+
+def _psi_cyl_end(R, r, zeta):
+    return _j_cyl_ell_pi(aux(R, zeta, r))
+
+
+def _phi_tube_end(R, r, zeta):
+    a = aux(R, zeta, r)
+    return hypergeom.i_hyg_pi(a.m, a.A, a.gap)
+
+
+def _psi_tube_end(R, r, zeta):
+    return _j_tube_pi(aux(R, zeta, r))
+
+
+_ODD_ENDS = (_phi_cyl_end, _phi_tube_end)
+
+
+def _end_from(ends, end, R, r, zeta):
+    """end(R, r, zeta), read from the table ends under (end, R, r, |zeta|)
+    and written there on a miss."""
+    key = (end, R, r, abs(zeta))
+    value = ends.get(key)
+    if value is None:
+        value = ends[key] = end(R, r, abs(zeta))
+    if zeta < 0.0 and end in _ODD_ENDS:
+        return tuple(-v for v in value) if isinstance(value, tuple) else -value
+    return value
+
+
+def phi_cyl_terms(point, spec: CylinderSpec, *, ends=None):
     """The three parts (phi_hyg, phi_ell, phi_corr) of the cylinder potential;
     each part separately satisfies a Laplace/Poisson equation away from the
-    surfaces r = R, z = +-Z."""
+    surfaces r = R, z = +-Z. Given ``ends``, a dict that calls may share,
+    each end term is read from it, or computed and stored in it; the result
+    is the same bit for bit."""
     r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
     p_hyg = 0.0
     p_ell = 0.0
     for beta in (1.0, -1.0):
-        a = aux(R, beta * Z - z, r)
-        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * hypergeom.i_hyg_pi(a.m, a.A, a.gap)
-        p_ell += rho0 * 2.0 * beta * _i_cyl_ell_pi(a)
+        zeta = beta * Z - z
+        i_hyg, i_ell = (_phi_cyl_end(R, r, zeta) if ends is None
+                        else _end_from(ends, _phi_cyl_end, R, r, zeta))
+        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * i_hyg
+        p_ell += rho0 * 2.0 * beta * i_ell
     p_corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
         * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
     return p_hyg, p_ell, p_corr
 
 
-def phi_cyl(point, spec: CylinderSpec):
+def phi_cyl(point, spec: CylinderSpec, *, ends=None):
     """Electric potential of the uniformly charged cylinder; C^1 across the
-    surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity."""
-    return sum(phi_cyl_terms(point, spec))
+    surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity.
+    ``ends`` as for phi_cyl_terms."""
+    return sum(phi_cyl_terms(point, spec, ends=ends))
 
 
-def psi_cyl(point, spec: CylinderSpec):
+def psi_cyl(point, spec: CylinderSpec, *, ends=None):
     """Field-line potential psi of the cylinder, a float; None inside the
     closed body {r <= R, |z| <= Z}, where psi has no formula. The edge
     circle is excluded as for phi_cyl. psi -> Q z/sqrt(r^2+z^2) at infinity
-    and is odd in z. No phi is computed."""
+    and is odd in z. No phi is computed. ``ends`` as for phi_cyl_terms."""
     r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
     if r <= R and abs(z) <= Z:
         return None
     total = 0.0
     for beta in (1.0, -1.0):
-        total += rho0 * 2.0 * beta * _j_cyl_ell_pi(aux(R, beta * Z - z, r))
+        zeta = beta * Z - z
+        j = _psi_cyl_end(R, r, zeta) if ends is None else _end_from(ends, _psi_cyl_end, R, r, zeta)
+        total += rho0 * 2.0 * beta * j
     total += -2.0 * math.pi * rho0 * r * r * z * heaviside(Z - abs(z))
     total += 2.0 * math.pi * rho0 * Z * _sgn(z) * (-r * r + R * R * heaviside(R - r)) \
         * heaviside(abs(z) - Z)
     return total
 
 
-def phi_tube(point, spec: TubeSpec):
+def phi_tube(point, spec: TubeSpec, *, ends=None):
     """Electric potential of the charged tube; continuous everywhere, with a
     derivative corner across r = R for |z| < Z; -> Q/sqrt(r^2+z^2) with
-    Q = 4 pi R Z sigma0 at infinity."""
+    Q = 4 pi R Z sigma0 at infinity. ``ends`` as for phi_cyl_terms."""
     r, z = _check_point(point)
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
     total = 0.0
     for beta in (1.0, -1.0):
-        a = aux(R, beta * Z - z, r)
-        total += sigma0 * R * 2.0 * beta * hypergeom.i_hyg_pi(a.m, a.A, a.gap)
+        zeta = beta * Z - z
+        i = _phi_tube_end(R, r, zeta) if ends is None else _end_from(ends, _phi_tube_end, R, r, zeta)
+        total += sigma0 * R * 2.0 * beta * i
     return total
 
 
@@ -298,19 +348,21 @@ def tube_branch_jump(spec: TubeSpec):
     return 8.0 * math.pi * spec.R * spec.Z * spec.sigma0
 
 
-def psi_tube(point, spec: TubeSpec, branch=0):
+def psi_tube(point, spec: TubeSpec, branch=0, *, ends=None):
     """Field-line potential psi of the tube on the requested branch, a
     float: the branch-0 value plus branch * tube_branch_jump(spec), the
     offset added only for branch != 0. The open charged sheet
     {r = R, |z| < Z} is excluded; the branch-0 cut lies on the disk
-    {z = 0, r < R}. No phi is computed."""
+    {z = 0, r < R}. No phi is computed. ``ends`` as for phi_cyl_terms."""
     r, z = _check_point(point)
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
     if abs(r - R) < 1e-12 * R and abs(z) < Z:
         raise SingularityError("psi_tube: point on the charged tube surface")
     total = 0.0
     for beta in (1.0, -1.0):
-        total += sigma0 * R * 2.0 * beta * _j_tube_pi(aux(R, beta * Z - z, r))
+        zeta = beta * Z - z
+        j = _psi_tube_end(R, r, zeta) if ends is None else _end_from(ends, _psi_tube_end, R, r, zeta)
+        total += sigma0 * R * 2.0 * beta * j
     total += 4.0 * math.pi * sigma0 * R * Z * _sgn(z) * heaviside(R - r)
     if branch:
         total += branch * tube_branch_jump(spec)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from appellfield import cli
@@ -218,10 +219,11 @@ def test_grid_workers_below_one_rejected(tmp_path, workers):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cpus, expected", [(4, 4), (64, 9), (None, 1)])
+@pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 3), (None, 1)])
 def test_grid_workers_capped(tmp_path, monkeypatch, cpus, expected):
-    # the pool is never wider than the CPUs or the 9 grid points; a recording
-    # executor stands in for the process pool and maps in this process
+    # a worker takes whole columns, so the pool is never wider than the CPUs
+    # or the 3 grid columns; a recording executor stands in for the process
+    # pool and maps in this process
     sizes = []
 
     class Recorder:
@@ -245,6 +247,96 @@ def test_grid_workers_capped(tmp_path, monkeypatch, cpus, expected):
     assert run_cli(*args2)[0] == 0
     assert sizes == ([] if expected == 1 else [expected])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_grid_failed_point_is_reported(tmp_path):
+    # phi_tube raises ConvergenceError at (1, 1e7) and (1, 1e8): those two
+    # cells are empty, the rest of the grid is written, and the exit code is 1
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"g.{fmt}"
+        code, _, err = run_cli("grid", "--body", "tube", "--R", "1", "--Z", "0.7",
+                               "--density", "1", "--r-min", "0", "--r-max", "1",
+                               "--z-min", "1e7", "--z-max", "1e8", "--nr", "2",
+                               "--nz", "2", "--format", fmt, "--out", str(out))
+        assert code == 1
+        lines = err.strip().splitlines()
+        assert [line.split(":")[:2] for line in lines] == [
+            ["failed", " phi at (r, z) = (1.0, 10000000.0)"],
+            ["failed", " phi at (r, z) = (1.0, 100000000.0)"]]
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            cells = [(row[2], row[3]) for row in rows]
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            cells = [(row["phi"], row["psi"]) for row in rows]
+        empty = "nan" if fmt == "csv" else None
+        assert [phi == empty for phi, _ in cells] == [False, False, True, True]
+        assert all(psi != empty for _, psi in cells)
+
+
+def test_grid_untyped_error_exits_2(tmp_path, monkeypatch):
+    from appellfield import fields
+
+    def broken(point, spec, **kwargs):
+        raise ZeroDivisionError("broken")
+
+    monkeypatch.setattr(fields, "phi_tube", broken)
+    out, args = grid_args(tmp_path, "csv", "b.csv")
+    code, _, err = run_cli(*args)
+    assert code == 2 and err.startswith("internal error: ZeroDivisionError")
+    assert not out.exists()
+
+
+def _scalar_row(body, spec, r, z, quantity, branch):
+    """The CSV cells phi, psi of one grid row, from scalar calls."""
+    from appellfield import fields
+    phi_fn = {"cyl": fields.phi_cyl, "tube": fields.phi_tube, "disk": fields.phi_disk}[body]
+    psi_fn = {"cyl": fields.psi_cyl, "tube": lambda p, s: fields.psi_tube(p, s, branch=branch),
+              "disk": lambda p, s: None}[body]
+    cells = []
+    for q, fn in (("phi", phi_fn), ("psi", psi_fn)):
+        value = None
+        if quantity in (q, "both"):
+            try:
+                value = fn((r, z), spec)
+            except SingularityError:
+                pass
+        cells.append("nan" if value is None else repr(value))
+    return cells
+
+
+def _differential_windows():
+    # the r = R column, the rows z = +-Z and z = 0, the edge circle and the
+    # tube sheet lie on the fixed window; the seeded ones move everything
+    rng = np.random.default_rng(14)
+    windows = [(0.0, 2.0, -1.5, 1.5, 5, 9)]
+    for _ in range(2):
+        r_max = float(rng.uniform(0.5, 3.0))
+        z_lo = float(rng.uniform(-3.0, 0.0))
+        windows.append((0.0, r_max, z_lo, float(z_lo + rng.uniform(0.5, 4.0)), 4, 7))
+    return windows
+
+
+@pytest.mark.parametrize("quantity", ["phi", "psi", "both"])
+@pytest.mark.parametrize("body", ["cyl", "tube", "disk"])
+def test_grid_rows_equal_scalar_calls(tmp_path, body, quantity):
+    from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec
+    spec = {"cyl": CylinderSpec(1.0, 0.75, 1.0), "tube": TubeSpec(1.0, 0.75, 1.0),
+            "disk": DiskSpec(1.0, 1.0)}[body]
+    branches = ("-1", "0", "1") if body == "tube" else ("0",)
+    for i, (r0, r1, z0, z1, nr, nz) in enumerate(_differential_windows()):
+        out = tmp_path / f"{body}-{quantity}-{i}.csv"
+        code, _, err = run_cli("grid", "--body", body, "--R", "1", "--Z", "0.75",
+                               "--density", "1", "--r-min", repr(r0), "--r-max", repr(r1),
+                               "--z-min", repr(z0), "--z-max", repr(z1), "--nr", str(nr),
+                               "--nz", str(nz), "--quantity", quantity,
+                               "--branch", *branches, "--out", str(out))
+        assert code == 0, err
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(branches) * nr * nz
+        for r, z, phi, psi, b in rows:
+            assert [phi, psi] == _scalar_row(body, spec, float(r), float(z),
+                                             quantity, int(b)), (r, z, b)
 
 
 def test_verify_subset():

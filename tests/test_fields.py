@@ -354,3 +354,29 @@ def test_tube_psi_reconstructed_from_phi():
     delta, _ = oc.quad_1d(integrand, r1, r2, spec)
     expect = fl.psi_tube((r2, z), TUBE) - fl.psi_tube((r1, z), TUBE)
     assert delta == pytest.approx(expect, abs=1e-6)
+
+
+@given(st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.2, 2.0))
+@settings(max_examples=40, deadline=None)
+@example(1.0, 0.35, 0.7)  # r = R: offsets 0.35 and -1.05, then 1.05 and -0.35
+@example(1.0, 0.7, 0.7)   # the cylinder's edge circle; the tube at offset 0
+@example(0.0, 0.0, 0.7)   # the axis
+def test_end_term_table_gives_the_plain_values(r, z, Z):
+    # a table of end terms shared by calls at z and -z, as on a grid column,
+    # returns what the calls without it return, bit for bit: every end term
+    # is exactly odd or exactly even in its offset
+    cyl, tube = CylinderSpec(R=1.0, Z=Z, rho0=1.0), TubeSpec(R=1.0, Z=Z, sigma0=1.0)
+    calls = (lambda p, **kw: fl.phi_cyl_terms(p, cyl, **kw),
+             lambda p, **kw: fl.psi_cyl(p, cyl, **kw),
+             lambda p, **kw: fl.phi_tube(p, tube, **kw),
+             lambda p, **kw: fl.psi_tube(p, tube, **kw))
+    ends = {}
+    for zz in (z, -z, z):
+        for call in calls:
+            try:
+                plain = call((r, zz))
+            except SingularityError:
+                with pytest.raises(SingularityError):
+                    call((r, zz), ends=ends)
+                continue
+            assert repr(call((r, zz), ends=ends)) == repr(plain)
