@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import elliptic, fields, hypergeom, jacobi, verify
-from .errors import AppellFieldError, SingularityError
+from .errors import AppellFieldError, DomainError, SingularityError
 from .geometry import CylinderSpec, DiskSpec, FieldSample, TubeSpec
 
 
@@ -103,16 +103,16 @@ def cmd_eval(args):
 
 
 def _grid_column(task):
-    """(FieldSamples, failures) of one grid column (body, r, zs, quantity),
-    evaluating only the requested quantity ('phi', 'psi' or 'both'). A
-    quantity not requested, undefined (psi inside the charge or on the disk
-    body) or excluded (a singular set: the cylinder edge circle, the tube
-    sheet for psi, the disk edge) is None; so is one whose evaluation raised
-    an AppellFieldError, and the failure is reported as one line. The calls
-    of the column share one table of end terms (see fields), which lives as
-    long as the task."""
-    body, r, zs, quantity = task
-    ends = {}
+    """(FieldSamples, failures) of one grid column (body, r, zs, quantity,
+    ends), evaluating only the requested quantity ('phi', 'psi' or 'both').
+    A quantity not requested, undefined (psi inside the charge or on the
+    disk body) or excluded (a singular set: the cylinder edge circle, the
+    tube sheet for psi, the disk edge) is None; so is one whose evaluation
+    raised an AppellFieldError, and the failure is reported as one line.
+    The calls of the column share ends, the column's table of end terms
+    (see fields), which the task fills further and which lives as long as
+    the task."""
+    body, r, zs, quantity, ends = task
     samples, failures = [], []
     for z in zs:
         values = []
@@ -133,26 +133,39 @@ def _grid_column(task):
 def _grid_rows(spec: GridSpec, workers=1):
     """((r, z, phi, psi, branch) rows, failure lines): rows sheet by sheet,
     r-major within a sheet. Each column (fixed r) is one task, evaluated on
-    sheet 0; tube sheet b != 0 adds b * tube_branch_jump to that psi, exactly
-    as psi_tube does."""
+    sheet 0 with its table of end terms; where phi is requested on the
+    cylinder or the tube, fields.phi_end_tables fills the I(m, A; pi) end
+    terms of all columns first, in one batch. Tube sheet b != 0 moves the
+    psi to its sheet as psi_tube does, and reports a psi that is not finite
+    there as failed."""
     body = _build_body(spec.body, spec.R, spec.Z, spec.density)
+    rs = [float(r) for r in np.linspace(spec.r_min, spec.r_max, spec.nr)]
     zs = [float(z) for z in np.linspace(spec.z_min, spec.z_max, spec.nz)]
-    tasks = [(body, float(r), zs, spec.quantity)
-             for r in np.linspace(spec.r_min, spec.r_max, spec.nr)]
-    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if spec.quantity == "psi" or isinstance(body, DiskSpec):
+        tables = ({} for _ in rs)
+    else:
+        tables = fields.phi_end_tables(body, rs, zs)
+    tasks = ((body, r, zs, spec.quantity, ends) for r, ends in zip(rs, tables))
+    workers = min(workers, os.cpu_count() or 1, len(rs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_grid_column, tasks))
     else:
         columns = [_grid_column(t) for t in tasks]
-    jump = fields.tube_branch_jump(body) if isinstance(body, TubeSpec) else 0.0
+    failures = [line for _, failed in columns for line in failed]
     rows = []
     for b in spec.branches:
-        for (_, r, _, _), (samples, _) in zip(tasks, columns):
+        for r, (samples, _) in zip(rs, columns):
             for z, s in zip(zs, samples):
-                psi = s.psi + b * jump if b and s.psi is not None else s.psi
+                psi = s.psi
+                if b and psi is not None:
+                    try:
+                        psi = fields.psi_tube_on_branch(psi, body, b)
+                    except DomainError as exc:
+                        failures.append(f"psi at (r, z) = ({r!r}, {z!r}) on sheet {b}: {exc}")
+                        psi = None
                 rows.append((r, z, s.phi, psi, b))
-    return rows, [line for _, failed in columns for line in failed]
+    return rows, failures
 
 
 def _fmt(x):
@@ -187,9 +200,9 @@ def cmd_grid(args):
                     for (r, z, phi, psi, b) in rows
                 ],
             }
+            text = json.dumps(payload, allow_nan=False)
             with open(args.out, "w", encoding="ascii") as fh:
-                json.dump(payload, fh, allow_nan=False)
-                fh.write("\n")
+                fh.write(text + "\n")
     except OSError as exc:
         raise AppellFieldError(f"cannot write {args.out}: {exc}") from exc
     for line in failures:

@@ -9,7 +9,10 @@ psi_z = -r phi_r, is defined only outside charged regions, and for the tube
 is multivalued with branch increment 8 pi R Z sigma0.
 """
 
+import itertools
 import math
+
+import numpy as np
 
 from . import elliptic, hypergeom
 from .errors import DomainError, SingularityError
@@ -242,42 +245,72 @@ def _check_cyl_point(point, spec: CylinderSpec):
 # Each potential below is a difference of two end terms, taken at the
 # offsets zeta = +-Z - z of the body's ends from the observation point. An
 # end term depends on (R, r, zeta) alone, and it is exactly odd in zeta
-# (_phi_cyl_end, _phi_tube_end: A = zeta/L0 changes sign, while m, gap and
+# (_hyg_end, _cyl_ell_end: A = zeta/L0 changes sign, while m, gap and
 # 1 - m do not) or exactly even (_psi_cyl_end, _psi_tube_end). Calls given a
 # table ``ends`` read each end term from it, filling it where it lacks the
 # value at |zeta|: on a grid column (fixed r) the offsets repeat, and every
-# value stays what the call without the table returns.
+# value stays what the call without the table returns. _hyg_end,
+# I(m, A; pi), is the tube's phi end term and the hypergeometric part of the
+# cylinder's; phi_end_tables fills it for a whole grid at once.
 
-def _phi_cyl_end(R, r, zeta):
+def _hyg_end(R, r, zeta):
     a = aux(R, zeta, r)
-    return hypergeom.i_hyg_pi(a.m, a.A, a.gap), _i_cyl_ell_pi(a)
+    return hypergeom.i_hyg_pi(a.m, a.A, a.gap)
+
+
+def _cyl_ell_end(R, r, zeta):
+    return _i_cyl_ell_pi(aux(R, zeta, r))
 
 
 def _psi_cyl_end(R, r, zeta):
     return _j_cyl_ell_pi(aux(R, zeta, r))
 
 
-def _phi_tube_end(R, r, zeta):
-    a = aux(R, zeta, r)
-    return hypergeom.i_hyg_pi(a.m, a.A, a.gap)
-
-
 def _psi_tube_end(R, r, zeta):
     return _j_tube_pi(aux(R, zeta, r))
 
 
-_ODD_ENDS = (_phi_cyl_end, _phi_tube_end)
+_ODD_ENDS = (_hyg_end, _cyl_ell_end)
 
 
 def _end_from(ends, end, R, r, zeta):
-    """end(R, r, zeta), read from the table ends under (end, R, r, |zeta|)
-    and written there on a miss."""
+    """end(R, r, zeta): without a table (ends is None) computed, else read
+    from the table ends under (end, R, r, |zeta|) and written there on a
+    miss."""
+    if ends is None:
+        return end(R, r, zeta)
     key = (end, R, r, abs(zeta))
     value = ends.get(key)
     if value is None:
         value = ends[key] = end(R, r, abs(zeta))
-    if zeta < 0.0 and end in _ODD_ENDS:
-        return tuple(-v for v in value) if isinstance(value, tuple) else -value
+    return -value if zeta < 0.0 and end in _ODD_ENDS else value
+
+
+def phi_end_tables(spec, rs, zs):
+    """The end-term tables of a grid rs x zs over spec (a CylinderSpec or
+    TubeSpec), one per column r of rs and in their order, for the ``ends``
+    of its phi calls. Each holds the column's I(m, A; pi) end terms at the
+    offsets +-Z - z, all columns' computed by one hypergeom.i_hyg_pi_batch
+    call before the first table is yielded; the terms the batch leaves are
+    absent, and the calls compute them on a miss as they would without a
+    table."""
+    R, Z = spec.R, spec.Z
+    zetas = list(dict.fromkeys(abs(beta * Z - z) for z in zs for beta in (1.0, -1.0)))
+    m, A, gap = (np.empty(len(rs) * len(zetas)) for _ in range(3))
+    for i, (r, zeta) in enumerate(itertools.product(rs, zetas)):
+        a = aux(R, zeta, r)
+        m[i], A[i], gap[i] = a.m, a.A, a.gap
+    values = hypergeom.i_hyg_pi_batch(m, A, gap).reshape(len(rs), len(zetas))
+    del m, A, gap  # the generator lives as long as the grid; keep the values only
+    for r, column in zip(rs, values):
+        yield {(_hyg_end, R, r, zeta): value
+               for zeta, value in zip(zetas, column.tolist()) if not math.isnan(value)}
+
+
+def _finite(value, name):
+    # a result that overflowed at finite arguments is an error, not a value
+    if not math.isfinite(value):
+        raise DomainError(f"{name}: the result is not finite ({value!r})")
     return value
 
 
@@ -286,26 +319,26 @@ def phi_cyl_terms(point, spec: CylinderSpec, *, ends=None):
     each part separately satisfies a Laplace/Poisson equation away from the
     surfaces r = R, z = +-Z. Given ``ends``, a dict that calls may share,
     each end term is read from it, or computed and stored in it; the result
-    is the same bit for bit."""
+    is the same bit for bit. DomainError where their sum, phi_cyl, is not
+    finite (it overflows at an extreme density)."""
     r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
     p_hyg = 0.0
     p_ell = 0.0
     for beta in (1.0, -1.0):
         zeta = beta * Z - z
-        i_hyg, i_ell = (_phi_cyl_end(R, r, zeta) if ends is None
-                        else _end_from(ends, _phi_cyl_end, R, r, zeta))
-        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * i_hyg
-        p_ell += rho0 * 2.0 * beta * i_ell
+        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * _end_from(ends, _hyg_end, R, r, zeta)
+        p_ell += rho0 * 2.0 * beta * _end_from(ends, _cyl_ell_end, R, r, zeta)
     p_corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
         * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
+    _finite(p_hyg + p_ell + p_corr, "phi_cyl")
     return p_hyg, p_ell, p_corr
 
 
 def phi_cyl(point, spec: CylinderSpec, *, ends=None):
     """Electric potential of the uniformly charged cylinder; C^1 across the
     surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity.
-    ``ends`` as for phi_cyl_terms."""
+    ``ends`` and DomainError as for phi_cyl_terms."""
     return sum(phi_cyl_terms(point, spec, ends=ends))
 
 
@@ -313,7 +346,8 @@ def psi_cyl(point, spec: CylinderSpec, *, ends=None):
     """Field-line potential psi of the cylinder, a float; None inside the
     closed body {r <= R, |z| <= Z}, where psi has no formula. The edge
     circle is excluded as for phi_cyl. psi -> Q z/sqrt(r^2+z^2) at infinity
-    and is odd in z. No phi is computed. ``ends`` as for phi_cyl_terms."""
+    and is odd in z. No phi is computed. ``ends`` as for phi_cyl_terms.
+    DomainError where the value is not finite."""
     r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
     if r <= R and abs(z) <= Z:
@@ -321,26 +355,25 @@ def psi_cyl(point, spec: CylinderSpec, *, ends=None):
     total = 0.0
     for beta in (1.0, -1.0):
         zeta = beta * Z - z
-        j = _psi_cyl_end(R, r, zeta) if ends is None else _end_from(ends, _psi_cyl_end, R, r, zeta)
-        total += rho0 * 2.0 * beta * j
+        total += rho0 * 2.0 * beta * _end_from(ends, _psi_cyl_end, R, r, zeta)
     total += -2.0 * math.pi * rho0 * r * r * z * heaviside(Z - abs(z))
     total += 2.0 * math.pi * rho0 * Z * _sgn(z) * (-r * r + R * R * heaviside(R - r)) \
         * heaviside(abs(z) - Z)
-    return total
+    return _finite(total, "psi_cyl")
 
 
 def phi_tube(point, spec: TubeSpec, *, ends=None):
     """Electric potential of the charged tube; continuous everywhere, with a
     derivative corner across r = R for |z| < Z; -> Q/sqrt(r^2+z^2) with
-    Q = 4 pi R Z sigma0 at infinity. ``ends`` as for phi_cyl_terms."""
+    Q = 4 pi R Z sigma0 at infinity. ``ends`` as for phi_cyl_terms.
+    DomainError where the value is not finite."""
     r, z = _check_point(point)
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
     total = 0.0
     for beta in (1.0, -1.0):
         zeta = beta * Z - z
-        i = _phi_tube_end(R, r, zeta) if ends is None else _end_from(ends, _phi_tube_end, R, r, zeta)
-        total += sigma0 * R * 2.0 * beta * i
-    return total
+        total += sigma0 * R * 2.0 * beta * _end_from(ends, _hyg_end, R, r, zeta)
+    return _finite(total, "phi_tube")
 
 
 def tube_branch_jump(spec: TubeSpec):
@@ -350,10 +383,10 @@ def tube_branch_jump(spec: TubeSpec):
 
 def psi_tube(point, spec: TubeSpec, branch=0, *, ends=None):
     """Field-line potential psi of the tube on the requested branch, a
-    float: the branch-0 value plus branch * tube_branch_jump(spec), the
-    offset added only for branch != 0. The open charged sheet
-    {r = R, |z| < Z} is excluded; the branch-0 cut lies on the disk
-    {z = 0, r < R}. No phi is computed. ``ends`` as for phi_cyl_terms."""
+    float: the branch-0 value moved to the sheet by psi_tube_on_branch. The
+    open charged sheet {r = R, |z| < Z} is excluded; the branch-0 cut lies
+    on the disk {z = 0, r < R}. No phi is computed. ``ends`` as for
+    phi_cyl_terms. DomainError where the value is not finite."""
     r, z = _check_point(point)
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
     if abs(r - R) < 1e-12 * R and abs(z) < Z:
@@ -361,12 +394,18 @@ def psi_tube(point, spec: TubeSpec, branch=0, *, ends=None):
     total = 0.0
     for beta in (1.0, -1.0):
         zeta = beta * Z - z
-        j = _psi_tube_end(R, r, zeta) if ends is None else _end_from(ends, _psi_tube_end, R, r, zeta)
-        total += sigma0 * R * 2.0 * beta * j
+        total += sigma0 * R * 2.0 * beta * _end_from(ends, _psi_tube_end, R, r, zeta)
     total += 4.0 * math.pi * sigma0 * R * Z * _sgn(z) * heaviside(R - r)
-    if branch:
-        total += branch * tube_branch_jump(spec)
-    return total
+    return psi_tube_on_branch(_finite(total, "psi_tube"), spec, branch)
+
+
+def psi_tube_on_branch(psi, spec: TubeSpec, branch):
+    """The tube's psi on sheet ``branch`` from its branch-0 value psi:
+    psi + branch * tube_branch_jump(spec), the offset added only for
+    branch != 0. DomainError where the sum is not finite."""
+    if not branch:
+        return psi
+    return _finite(psi + branch * tube_branch_jump(spec), "psi_tube")
 
 
 def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
@@ -388,7 +427,7 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         # regrouped as the assemblies above are
         out = 4.0 * R / (L0 * s) * _ke_sum(a, s * s + z * z, (R - r) * s + z * z)
         out += 2.0 * z * z / (L0 * s) * _pi_star_minus_k_times_dr(a)
-        return sigma * (out - 2.0 * math.pi * abs(z) * heaviside(R - r))
+        return _finite(sigma * (out - 2.0 * math.pi * abs(z) * heaviside(R - r)), "phi_disk")
     if form != "takahashi":
         raise DomainError(f"phi_disk: unknown form {form!r}")
     # L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum
@@ -407,7 +446,7 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         c_minus = (rho + R) * (rho + r)
         out += (elliptic.cel(kc, t * t, c_plus, c_plus)
                 + elliptic.cel(kc, 1.0 - a.n_minus, c_minus, c_minus))
-    return sigma * (2.0 / L0 * out - 2.0 * math.pi * abs(z))
+    return _finite(sigma * (2.0 / L0 * out - 2.0 * math.pi * abs(z)), "phi_disk")
 
 
 def psi_point(point, q, z_offset=0.0):
@@ -417,7 +456,7 @@ def psi_point(point, q, z_offset=0.0):
     d = math.hypot(r, z - z_offset)
     if d == 0.0:
         raise SingularityError("psi_point: observation point coincides with the charge")
-    return q * (z - z_offset) / d
+    return _finite(q * (z - z_offset) / d, "psi_point")
 
 
 def pi_identity_residual(r, r0, z):

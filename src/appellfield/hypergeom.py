@@ -25,12 +25,15 @@ F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
 keeps terms of comparable magnitude near the boundary.
 
 i_hyg_pi(m, A, gap), the theta = pi value pi A F2(1/2; 1/2, 1; 1, 3/2;
-m, A^2) that the potentials assemble, takes its route by one rule. It forms
-the complements 1 - m and 1 - A^2 once (exactly, as A^2 + gap and m + gap,
-when the caller passes gap = 1 - m - A^2) and hands them to the sums: the
-K/E-seeded sum where A^2/(1-m) < m/(1-A^2), the inner-2F1 sum otherwise,
-and, where both ratios exceed 0.995, integration of dI/dA in from the
-surface value. The general-theta i_hyg takes its theta = pi term from it.
+m, A^2) that the potentials assemble, takes its route by one rule,
+_i_hyg_pi_route. It forms the complements 1 - m and 1 - A^2 once (exactly,
+as A^2 + gap and m + gap, when the caller passes gap = 1 - m - A^2) and
+hands them to the sums: the K/E-seeded sum where A^2/(1-m) < m/(1-A^2),
+the inner-2F1 sum otherwise, and, where both ratios exceed 0.995,
+integration of dI/dA in from the surface value. The general-theta i_hyg
+takes its theta = pi term from it. i_hyg_pi_batch takes many arguments at
+once by the same rule and runs the two single-index sums over arrays, bit
+for bit as i_hyg_pi does, leaving the other routes to it; the grids use it.
 
 i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
@@ -120,6 +123,32 @@ def _series_sum(terms, tol, name):
     raise ConvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
 
 
+def _series_sums(terms, n, tol):
+    # _series_sum of n series at once, summed in lockstep: ``terms`` yields
+    # the term arrays of the series still running and is sent, after each,
+    # the mask of those to keep (None when all stay). Each sum stops by the
+    # scalar rule; a sum still running past term MAX_TERMS is nan.
+    eps = 0.02 * tol
+    out = np.full(n, np.nan)
+    index = np.arange(n)
+    total = np.zeros(n)
+    small = np.zeros(n, dtype=np.int64)
+    keep = None
+    for _ in range(MAX_TERMS + 1):
+        term = terms.send(keep)
+        total += term
+        small = np.where(np.abs(term) <= eps * np.abs(total), small + 1, 0)
+        done = small >= 3
+        keep = None
+        if done.any():
+            out[index[done]] = total[done]
+            keep = ~done
+            index, total, small = index[keep], total[keep], small[keep]
+            if not index.size:
+                break
+    return out
+
+
 def _ratio_terms(ratio):
     # t_0 = 1, t_{k+1} = t_k ratio(k)
     term = 1.0
@@ -148,8 +177,14 @@ def gauss_2f1(a, b, c, x):
     """Gauss hypergeometric series 2F1(a, b; c; x).
 
     Direct series for 0 <= x < 1, Pfaff transformation for x < 0, and the
-    logarithmic z -> 1-z connection formula when c = a + b and x is close
-    to 1. Raises ConvergenceError for |x| >= 1.
+    logarithmic z -> 1-z connection formula when c = a + b and x > 0.95.
+    Raises ConvergenceError for x >= 1. For c != a + b the direct series
+    is the only route up to x = 1, and there it fails: it needs more than
+    MAX_TERMS terms and raises ConvergenceError close to 1
+    (gauss_2f1(0.5, 0.5, 2, x) for x >= 0.998), and where it does converge
+    it can be about 5e-13 off (gauss_2f1(0.5, 1, 1.5, 0.99), and
+    (0.5, 0.5, 2) at x = 0.997), beyond PFQ_REL_TOL. The general
+    z -> 1-z connection formulas (ROADMAP item 6) would cover that range.
     """
     if c <= 0.0 and c == int(c):
         raise DomainError("gauss_2f1: c must not be a nonpositive integer")
@@ -257,18 +292,24 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y)
 
 
+def _f2_ke_seeds(u):
+    # (2/pi) K(x) and (2/pi) E(x) at kc = sqrt(u), u = 1 - x: the first two
+    # inner functions of _f2_ke_sum
+    kc = math.sqrt(u)
+    return (2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, 1.0),
+            2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, u))
+
+
 def _f2_ke_sum(x, y, u):
     # F2(1/2; 1/2, 1; 1, 3/2; x, y) = sum_l (1/2)_l/(3/2)_l y^l
     #   * 2F1(1/2 + l, 1/2; 1; x),
     # with the inner function scaled by u^l, u = 1 - x from the caller:
     # seeds (2/pi) K(x) and (2/pi) E(x) at kc = sqrt(u), then
     # hhat_{l+1} = ((1/2 - l) u hhat_{l-1} + l (2 - x) hhat_l)/(1/2 + l).
-    # Converges at ratio y/u.
+    # Converges at ratio y/u. _f2_ke_terms is the same recurrence over arrays.
     def terms():
-        kc = math.sqrt(u)
-        h_prev = 2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, 1.0)
+        h_prev, h_cur = _f2_ke_seeds(u)
         yield h_prev
-        h_cur = 2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, u)
         ratio = y / u
         coef = 1.0
         for l in itertools.count(1):
@@ -280,24 +321,30 @@ def _f2_ke_sum(x, y, u):
     return _series_sum(terms(), REL_TOL, "appell_f2 K/E-seeded series")
 
 
+def _f2_inner_seed(y, u):
+    # 2F1(1/2, 1; 3/2; y), the first inner function of _f2_inner_sum:
+    # atanh(sqrt y)/sqrt y formed as log1p(2 sqrt(y) (1 + sqrt(y))/u)/(2 sqrt(y)),
+    # which reads u = 1 - y and not 1 - sqrt(y), for y > 0; atan(sqrt(-y))/sqrt(-y)
+    # for y < 0
+    if y > 0.0:
+        sq = math.sqrt(y)
+        return math.log1p(2.0 * sq * (1.0 + sq) / u) / (2.0 * sq)
+    if y < 0.0:
+        sq = math.sqrt(-y)
+        return math.atan(sq) / sq
+    return 1.0
+
+
 def _f2_inner_sum(beta, gamma, x, y, u):
     # F2(1/2; beta, 1; gamma, 3/2; x, y) = sum_j (1/2)_j (beta)_j
     #   /((gamma)_j j!) x^j 2F1(1/2+j, 1; 3/2; y),
     # the inner 2F1 by a two-term recurrence in its first parameter, with
     # u = 1 - y from the caller. For 0 <= y < 1 it is scaled by u^j and the
-    # series runs at ratio x/u; its seed atanh(sqrt y)/sqrt y is formed as
-    # log1p(2 sqrt(y) (1 + sqrt(y))/u)/(2 sqrt(y)), which reads u and not
-    # 1 - sqrt(y). For y < 0 it is kept unscaled (u has no cancellation
-    # there) and the series runs at ratio x.
+    # series runs at ratio x/u; for y < 0 it is kept unscaled (u has no
+    # cancellation there) and the series runs at ratio x. The seed is
+    # _f2_inner_seed's. _f2_inner_terms is the same recurrence over arrays.
     def terms():
-        if y > 0.0:
-            sq = math.sqrt(y)
-            fhat = math.log1p(2.0 * sq * (1.0 + sq) / u) / (2.0 * sq)
-        elif y < 0.0:
-            sq = math.sqrt(-y)
-            fhat = math.atan(sq) / sq
-        else:
-            fhat = 1.0
+        fhat = _f2_inner_seed(y, u)
         ratio = x / u if y >= 0.0 else x
         coef = 1.0
         upow = 1.0  # u^j
@@ -315,6 +362,41 @@ def _f2_inner_sum(beta, gamma, x, y, u):
             yield coef * fhat
 
     return _series_sum(terms(), REL_TOL, "appell_f2 inner-2F1 series")
+
+
+# The two recurrences above over arrays, for i_hyg_pi_batch: generators of
+# the term arrays of the series still running, sent the mask of those to
+# keep (see _series_sums). Each operation is the scalar one, in its order,
+# and only + - * / are used, which numpy rounds as Python does.
+
+def _f2_ke_terms(x, y, u, h_prev, h_cur):
+    # _f2_ke_sum(x, y, u) with its seeds h_prev, h_cur given
+    ratio = y / u
+    coef = np.ones_like(x)
+    keep = yield h_prev
+    for l in itertools.count(1):
+        if keep is not None:
+            x, u, ratio, coef, h_prev, h_cur = (v[keep] for v in (x, u, ratio, coef, h_prev, h_cur))
+        coef *= (l - 0.5) / (l + 0.5) * ratio
+        keep = yield coef * h_cur
+        h_next = ((0.5 - l) * u * h_prev + l * (2.0 - x) * h_cur) / (0.5 + l)
+        h_prev, h_cur = h_cur, h_next
+
+
+def _f2_inner_terms(x, u, fhat):
+    # _f2_inner_sum(1/2, 1, x, y, u) for y >= 0, with its seed fhat given
+    ratio = x / u
+    coef = np.ones_like(x)
+    upow = np.ones_like(x)
+    keep = yield fhat
+    for j in itertools.count():
+        if keep is not None:
+            u, ratio, coef, upow, fhat = (v[keep] for v in (u, ratio, coef, upow, fhat))
+        a = 0.5 + j
+        fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
+        upow = upow * u
+        coef *= (0.5 + j) * (0.5 + j) / ((1.0 + j) * (j + 1.0)) * ratio
+        keep = yield coef * fhat
 
 
 def appell_f1(alpha, beta, beta2, gamma, x, y):
@@ -437,22 +519,73 @@ def i_hyg_pi(m, A, gap=None):
     rounding, a non-finite m or A, and m = 0 with |A| = 1, where I
     diverges, raise DomainError.
     """
+    route, omm, omy = _i_hyg_pi_route(m, A, gap)
+    if route == "zero":
+        return 0.0
+    if route == "boundary":
+        return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A), omm, gap)
+    if route == "ke":
+        return math.pi * A * _f2_ke_sum(m, A * A, omm)
+    return math.pi * A * _f2_inner_sum(0.5, 1.0, m, A * A, omy)
+
+
+def _i_hyg_pi_route(m, A, gap):
+    """(route, 1 - m, 1 - A^2): i_hyg_pi's rule for its arguments. The
+    route is "zero" (the value is 0: A = 0, or the rim 1 - m = 0),
+    "boundary" (both ratios above 0.995), "ke" (the K/E-seeded sum) or
+    "inner" (the inner-2F1 sum). DomainError outside the domain."""
     y = A * A
     if not (m >= 0.0 and m + y <= 1.0 + _BOUNDARY_ROUNDING):
         raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A = {A})")
-    if A == 0.0:
-        return 0.0
     omm, omy = (1.0 - m, 1.0 - y) if gap is None else (y + gap, m + gap)
-    if omm <= 0.0:
-        return 0.0
+    if A == 0.0 or omm <= 0.0:
+        return "zero", omm, omy
     if omy <= 0.0 and m == 0.0:
         raise DomainError(f"i_hyg_pi diverges at m = 0, |A| = 1 (got A = {A})")
     ratio_ke, ratio_inner = y / omm, (m / omy if omy > 0.0 else math.inf)
     if min(ratio_ke, ratio_inner) > 0.995:
-        return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A), omm, gap)
-    if ratio_ke < ratio_inner:
-        return math.pi * A * _f2_ke_sum(m, y, omm)
-    return math.pi * A * _f2_inner_sum(0.5, 1.0, m, y, omy)
+        return "boundary", omm, omy
+    return ("ke" if ratio_ke < ratio_inner else "inner"), omm, omy
+
+
+def i_hyg_pi_batch(m, A, gap):
+    """i_hyg_pi(m[i], A[i], gap[i]) for every i, as a float array, where
+    the value comes from a single-index sum; nan elsewhere: on the boundary
+    route, where i_hyg_pi returns 0 early or raises DomainError, and where
+    the sum does not stop within MAX_TERMS terms. The caller takes those
+    values, or their errors, from i_hyg_pi itself.
+
+    Each element takes its route from i_hyg_pi's rule and its seeds from
+    the scalar code; the sums of each route then run in lockstep as array
+    operations, in the scalar operation order and with the scalar stopping
+    rule, so every value is bit for bit what i_hyg_pi returns.
+    """
+    m, A, gap = (np.asarray(v, dtype=float) for v in (m, A, gap))
+    route = np.zeros(len(m), dtype=np.int8)  # 1: K/E-seeded, 2: inner-2F1
+    u, seed0, seed1 = np.empty(len(m)), np.empty(len(m)), np.empty(len(m))
+    for i, (mi, ai, gi) in enumerate(zip(m.tolist(), A.tolist(), gap.tolist())):
+        try:
+            tag, omm, omy = _i_hyg_pi_route(mi, ai, gi)
+            if tag == "ke":
+                seed0[i], seed1[i] = _f2_ke_seeds(omm)
+                route[i], u[i] = 1, omm
+            elif tag == "inner":
+                seed0[i] = _f2_inner_seed(ai * ai, omy)
+                route[i], u[i] = 2, omy
+        except DomainError:
+            pass  # left to i_hyg_pi, which raises it
+    out = np.full(len(m), np.nan)
+    ke, inner = route == 1, route == 2
+    # an overflow is silent, as in Python floats: that sum does not stop,
+    # and i_hyg_pi reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ke.any():
+            terms = _f2_ke_terms(m[ke], A[ke] * A[ke], u[ke], seed0[ke], seed1[ke])
+            out[ke] = _series_sums(terms, np.count_nonzero(ke), REL_TOL)
+        if inner.any():
+            terms = _f2_inner_terms(m[inner], u[inner], seed0[inner])
+            out[inner] = _series_sums(terms, np.count_nonzero(inner), REL_TOL)
+    return math.pi * A * out
 
 
 # the surface value and the integral in from it (_i_hyg_pi_from_boundary,

@@ -339,6 +339,115 @@ def test_grid_rows_equal_scalar_calls(tmp_path, body, quantity):
                                              quantity, int(b)), (r, z, b)
 
 
+# A grid in a subprocess with the term cap at 64: the sums the batch cannot
+# finish within the cap fall to the scalar calls, which raise the same
+# ConvergenceError, so cells and failure lines match the scalar calls'
+_LOW_CAP_GRID = """
+import contextlib, io, json, sys
+from appellfield import cli, fields, hypergeom
+from appellfield.errors import AppellFieldError, SingularityError
+from appellfield.geometry import CylinderSpec, TubeSpec
+body, out = sys.argv[1], sys.argv[2]
+spec = {"cyl": CylinderSpec(1.0, 0.75, 1.0), "tube": TubeSpec(1.0, 0.75, 1.0)}[body]
+branches = [-1, 0, 1] if body == "tube" else [0]
+batch, left = hypergeom.i_hyg_pi_batch, []
+hypergeom.i_hyg_pi_batch = lambda *a: left.append(batch(*a)) or left[-1]
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(["grid", "--body", body, "--R", "1", "--Z", "0.75", "--density", "1",
+                     "--r-min", "0", "--r-max", "2", "--z-min", "-1.5", "--z-max", "1.5",
+                     "--nr", "5", "--nz", "9", "--branch", *map(str, branches),
+                     "--out", out])
+phi_fn = {"cyl": fields.phi_cyl, "tube": fields.phi_tube}[body]
+psi_fn = {"cyl": lambda p, b: fields.psi_cyl(p, spec),
+          "tube": lambda p, b: fields.psi_tube(p, spec, branch=b)}[body]
+cells, failed = [], []
+for b in branches:
+    for r in (0.0, 0.5, 1.0, 1.5, 2.0):
+        for z in (-1.5 + 0.375 * i for i in range(9)):
+            row = []
+            for q, fn in (("phi", lambda p: phi_fn(p, spec)), ("psi", lambda p: psi_fn(p, b))):
+                value = None
+                try:
+                    value = fn((r, z))
+                except SingularityError:
+                    pass
+                except AppellFieldError as exc:
+                    if b == branches[0]:
+                        failed.append(f"failed: {q} at (r, z) = ({r!r}, {z!r}): {exc}")
+                row.append("nan" if value is None else repr(value))
+            cells.append(row)
+print(json.dumps({"code": code, "err": err.getvalue().splitlines(), "failed": failed,
+                  "cells": cells, "nan_left": int(sum(v != v for v in left[0].tolist()))}))
+"""
+
+
+@pytest.mark.parametrize("body", ["cyl", "tube"])
+def test_grid_under_a_low_term_cap_equals_the_scalar_calls(tmp_path, body):
+    out = tmp_path / f"{body}.csv"
+    env = dict(os.environ, APPELLFIELD_MAX_TERMS="64")
+    res = subprocess.run([sys.executable, "-c", _LOW_CAP_GRID, body, str(out)], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    rows = [line.split(",")[2:4] for line in out.read_text().splitlines()[1:]]
+    assert rows == got["cells"]
+    assert got["err"] == got["failed"] and got["code"] == 1
+    # the cap makes sums fail, in the batch and in the scalar calls
+    assert got["nan_left"] > 0 and any("within 64 terms" in line for line in got["failed"])
+
+
+def test_grid_batches_only_phi_of_the_cylinder_and_tube(tmp_path, monkeypatch):
+    from appellfield import hypergeom
+    calls = count_calls(monkeypatch, hypergeom, ("i_hyg_pi_batch",))
+    for body, quantity, batches in (("cyl", "psi", 0), ("tube", "psi", 0), ("disk", "phi", 0),
+                                    ("disk", "both", 0), ("cyl", "phi", 1),
+                                    ("tube", "both", 1)):
+        before = calls["i_hyg_pi_batch"]
+        out = tmp_path / f"{body}-{quantity}.csv"
+        code, _, err = run_cli("grid", "--body", body, "--R", "1", "--Z", "0.7",
+                               "--density", "1", "--r-min", "0", "--r-max", "2",
+                               "--z-min", "-1", "--z-max", "1", "--nr", "3", "--nz", "3",
+                               "--quantity", quantity, "--out", str(out))
+        assert code == 0, err
+        assert calls["i_hyg_pi_batch"] - before == batches, (body, quantity)
+
+
+def test_nonfinite_result_is_a_typed_error(tmp_path):
+    # at density 1e308 the tube's phi and psi overflow at valid points: the
+    # grid reports every cell as failed and writes the whole file, CSV or
+    # JSON, with exit code 1; eval exits 2 with an error
+    grid = ("grid", "--body", "tube", "--R", "1", "--Z", "0.7", "--density", "1e308",
+            "--r-min", "0.5", "--r-max", "2", "--z-min", "0", "--z-max", "1",
+            "--nr", "2", "--nz", "2")
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"dense.{fmt}"
+        code, _, err = run_cli(*grid, "--format", fmt, "--out", str(out))
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 8 and all(line.startswith("failed: ") and "not finite" in line
+                                       for line in lines)
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert len(rows) == 4 and all(row[2:4] == ["nan", "nan"] for row in rows)
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            assert len(rows) == 4 and all(row["phi"] is row["psi"] is None for row in rows)
+    code, out, err = run_cli("eval", "--body", "tube", "--R", "1", "--Z", "0.7",
+                             "--density", "1e308", "--r", "0.5", "--z", "0")
+    assert code == 2 and out == "" and "not finite" in err
+    # at 1e307 sheet 0 is finite and the sheet-1 psi overflows at z = 1
+    out = tmp_path / "sheets.csv"
+    code, _, err = run_cli(*grid[:8], "1e307", *grid[9:], "--branch", "-1", "0", "1",
+                           "--out", str(out))
+    assert code == 1
+    assert [line.split(":")[:2] for line in err.splitlines()] == [
+        ["failed", " psi at (r, z) = (0.5, 1.0) on sheet 1"],
+        ["failed", " psi at (r, z) = (2.0, 1.0) on sheet 1"]]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[3] == "nan" for row in rows] == [False] * 9 + [True, False, True]
+
+
 def test_verify_subset():
     code, out, _ = run_cli("verify", "--suite", "fast", "--seed", "42",
                            "--only", "C02", "C15")

@@ -380,3 +380,39 @@ def test_end_term_table_gives_the_plain_values(r, z, Z):
                     call((r, zz), ends=ends)
                 continue
             assert repr(call((r, zz), ends=ends)) == repr(plain)
+
+
+def test_phi_end_tables_hold_the_plain_end_terms():
+    # one table per column, in order, each holding I(m, A; pi) end terms
+    # bit for bit as the calls compute them. The batch leaves the column
+    # r = R (gap = 0: the boundary route) and the offset 0 (A = 0) to the calls
+    rs, zs = [0.0, 0.5, 1.0, 2.5], [-1.5, -0.7, 0.0, 0.35, 1.2]
+    for spec in (CylinderSpec(R=1.0, Z=0.7, rho0=1.0), TubeSpec(R=1.0, Z=0.7, sigma0=1.0)):
+        tables = list(fl.phi_end_tables(spec, rs, zs))
+        assert len(tables) == len(rs)
+        for r, table in zip(rs, tables):
+            zetas = {abs(b * spec.Z - z) for z in zs for b in (1.0, -1.0)} - {0.0}
+            assert {key[:3] for key in table} <= {(fl._hyg_end, spec.R, r)}
+            assert {key[3] for key in table} == (set() if r == spec.R else zetas)
+            for (end, R, rr, zeta), value in table.items():
+                assert value == end(R, rr, zeta)
+
+
+def test_nonfinite_results_raise():
+    # finite arguments whose potential overflows: a typed error, not inf/nan
+    cases = ((fl.phi_cyl, CylinderSpec(1.0, 0.7, 1e308), (0.5, 0.2)),
+             (fl.phi_cyl_terms, CylinderSpec(1.0, 0.7, 1e308), (0.5, 0.2)),
+             (fl.psi_cyl, CylinderSpec(1.0, 0.7, 1e308), (2.0, 1.0)),
+             (fl.phi_tube, TubeSpec(1.0, 0.7, 1e308), (0.5, 0.2)),
+             (fl.psi_tube, TubeSpec(1.0, 0.7, 1e308), (2.0, 1.0)),
+             (fl.phi_disk, DiskSpec(1.0, 1e308), (0.5, 0.2)))
+    for fn, spec, point in cases:
+        with pytest.raises(DomainError, match="not finite"):
+            fn(point, spec)
+    # sheet 1 of a finite sheet-0 psi
+    tube = TubeSpec(1.0, 0.7, 1e307)
+    assert math.isfinite(fl.psi_tube((0.5, 1.0), tube))
+    with pytest.raises(DomainError, match="not finite"):
+        fl.psi_tube((0.5, 1.0), tube, branch=1)
+    with pytest.raises(DomainError, match="not finite"):
+        fl.psi_point((0.0, 1e308), 1.0, z_offset=-1e308)

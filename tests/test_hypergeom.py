@@ -300,6 +300,158 @@ def test_i_hyg_pi_rejects_nonfinite_arguments(m, A):
         hg.i_hyg_pi(m, A)
 
 
+def _gaps_around_ratio(num, target):
+    # {side: gap}: gaps with num/(num + gap) just above (1), at (0) and just
+    # below (-1) target, from the complements num + gap within 64 ulps of
+    # num/target; each gap is exact, so num + gap is the complement itself
+    comps = [num / target]
+    for _ in range(64):
+        comps = [math.nextafter(comps[0], 0.0), *comps, math.nextafter(comps[-1], math.inf)]
+    sides = {1: [c for c in comps if num / c > target][-1:],
+             0: [c for c in comps if num / c == target][:1],
+             -1: [c for c in comps if num / c < target][:1]}
+    assert all(sides.values()), (num, target)
+    gaps = {side: found[0] - num for side, found in sides.items()}
+    assert all(num + gap == sides[side][0] for side, gap in gaps.items())
+    return gaps
+
+
+@pytest.mark.parametrize("side, route", [(-1, None), (0, None), (1, "boundary")])
+@pytest.mark.parametrize("m, A, route_below", [(0.6, 0.45, "ke"), (0.45 * 0.45, 0.75, "inner")])
+def test_i_hyg_pi_route_at_the_boundary_threshold(m, A, route_below, side, route):
+    # the smaller ratio just below, at and just above 0.995, the larger one
+    # above it: only above 0.995 does the boundary route take over
+    gap = _gaps_around_ratio(A * A if route_below == "ke" else m, 0.995)[side]
+    tag, omm, omy = hg._i_hyg_pi_route(m, A, gap)
+    assert (omm, omy) == (A * A + gap, m + gap)
+    smaller, larger = sorted((A * A / omm, m / omy))
+    assert {1: smaller > 0.995, 0: smaller == 0.995, -1: smaller < 0.995}[side]
+    assert larger > 0.995
+    assert tag == (route or route_below)
+
+
+def test_i_hyg_pi_route_tags():
+    route = hg._i_hyg_pi_route
+    # the tie A^2/(1 - m) = m/(1 - A^2) goes to the inner-2F1 sum, with and
+    # without gap
+    assert route(0.25, 0.5, 0.5)[0] == route(0.25, 0.5, None)[0] == "inner"
+    assert route(0.25, 0.5, 0.1)[0] == "inner"
+    # on the axis m = 0 the inner-2F1 sum is atanh: ratio 0
+    assert route(0.0, 0.5, 0.75)[0] == route(0.0, 0.5, None)[0] == "inner"
+    assert route(0.6, 0.25, None)[0] == "ke"
+    # A = 0 and the rim 1 - m = 0 give 0 early
+    assert route(0.3, 0.0, 0.7)[0] == route(0.3, -0.0, None)[0] == "zero"
+    assert route(1.0, 1e-9, None)[0] == "zero"
+    from appellfield.geometry import aux
+    a = aux(1.0, 0.0, 1.0)
+    assert route(a.m, a.A, a.gap)[0] == "zero"
+    # on the boundary gap = 0 both ratios are 1
+    assert route(0.5, 0.5, 0.0)[0] == "boundary"
+    with pytest.raises(DomainError):
+        route(0.0, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        route(0.5, 0.75, None)
+
+
+def _batch_arguments(rng, n):
+    # (m, A, gap) over both single-index routes, their ratios up to 0.995,
+    # the axis m = 0, A^2 down to 1e-30 and gap from 0 to 1, the grids'
+    # arguments, and boundary, zero and out-of-domain elements for the
+    # batch to leave
+    out = []
+    for _ in range(n):
+        m = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        A = math.copysign(math.sqrt((1.0 - m) * 10.0 ** rng.uniform(-30.0, 0.0)),
+                          rng.uniform(-1.0, 1.0))
+        gap = float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(0.0, 1.0)]))
+        out.append((m, A, gap))
+    for q in np.linspace(0.9, 0.995, 12).tolist():
+        # smaller ratio q on either route, the other ratio at least q
+        y = float(rng.uniform(0.05, 0.45))
+        gap = y * (1.0 - q) / q
+        m = float(rng.uniform(y, 1.0 - y - gap))
+        out += [(m, math.sqrt(y), gap), (y, -math.sqrt(m), gap)]
+    from appellfield.geometry import aux
+    for _ in range(n):
+        # the grids' arguments: slots (R = 1, zeta; r)
+        a = aux(1.0, float(rng.uniform(-4.0, 4.0)), float(rng.uniform(0.0, 3.0)))
+        out.append((a.m, a.A, a.gap))
+    out += [(0.3, 0.0, 0.7), (0.5, 0.5, 0.0), (0.0, 1.0, 0.0), (-0.1, 0.5, 0.5),
+            (0.5, 0.75, 0.1), (math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
+            (0.5, 0.5, 1e301)]  # K/E-seeded with a 1 - m beyond cel's domain
+    assert {_route_or_error(*a) for a in out} == {"zero", "boundary", "ke", "inner", "error"}
+    return out
+
+
+def _assert_batch_matches_scalar(args):
+    # every value the batch returns is the scalar one; it leaves (nan) only
+    # the elements off the single-index routes and the unfinished sums
+    m, A, gap = (list(v) for v in zip(*args))
+    batch = hg.i_hyg_pi_batch(m, A, gap)
+    assert batch.shape == (len(args),)
+    for value, (mi, ai, gi) in zip(batch.tolist(), args):
+        route = _route_or_error(mi, ai, gi)
+        try:
+            scalar = hg.i_hyg_pi(mi, ai, gi)
+        except (DomainError, ConvergenceError):
+            scalar = None
+        if route in ("ke", "inner") and scalar is not None:
+            assert value == scalar, (mi, ai, gi)
+        else:
+            assert math.isnan(value), (mi, ai, gi)
+
+
+def test_i_hyg_pi_batch_equals_the_scalar_calls():
+    args = _batch_arguments(np.random.default_rng(15), 300)
+    _assert_batch_matches_scalar(args)
+
+
+def _route_or_error(m, A, gap):
+    try:
+        return hg._i_hyg_pi_route(m, A, gap)[0]
+    except DomainError:
+        return "error"
+
+
+# geometry.aux forms gap = ((r - r0)/L0)^2, which is 0 or above 1e-32
+_gap = st.one_of(st.just(0.0), st.floats(1e-32, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), _gap)
+                .filter(lambda t: t[0] + t[1] * t[1] <= 1.0), min_size=1, max_size=12))
+def test_i_hyg_pi_batch_equals_the_scalar_calls_hypothesis(args):
+    _assert_batch_matches_scalar(args)
+
+
+def test_series_sums_stop_each_series_by_the_scalar_rule():
+    # per element: the sum stops at its third consecutive small term, as
+    # _series_sum does, and a sum still running past MAX_TERMS is nan
+    rows = [[1.0, 0.0, 2.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 100.0],
+            [1.0, 0.5, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0]]
+    columns = np.array(rows).T
+
+    def terms():
+        live = np.arange(len(rows))
+        for column in columns:
+            keep = yield column[live]
+            if keep is not None:
+                live = live[keep]
+        while True:  # past the rows: ones for what still runs
+            yield np.ones(live.size)
+
+    sums = hg._series_sums(terms(), len(rows), hg.REL_TOL)
+    assert sums.tolist() == [hg._series_sum(iter(row), hg.REL_TOL, "row") for row in rows]
+
+    def endless():
+        size = 2
+        while True:
+            keep = yield np.ones(size)
+            size = int(np.count_nonzero(keep)) if keep is not None else size
+
+    assert all(math.isnan(v) for v in hg._series_sums(endless(), 2, hg.REL_TOL))
+
+
 def test_i_hyg_surface():
     assert hg.i_hyg_surface(0.5) == pytest.approx(ISUR_05, rel=1e-10)
     assert hg.i_hyg_surface(0.85) == pytest.approx(ISUR_085, rel=1e-10)
