@@ -8,12 +8,12 @@ in all its closed forms, with parameter derivatives.
 Series conventions: every series is a generator of its terms, summed by
 _series_sum. The sum stops after three consecutive terms within 0.02 tol of
 the running sum, tol = REL_TOL (gauss_2f1, pfq_4f3: PFQ_REL_TOL), and raises
-ConvergenceError naming the series past term MAX_TERMS, a cap per series
-(APPELLFIELD_MAX_TERMS, read at import). For terms falling geometrically at
-ratio q the neglected tail is then below 0.02 tol/(1-q) of the sum, which
-is within tol for q <= 0.95 only. The single-index F2 sums run up to
-q = 0.995 and the gauss_2f1 series up to x < 1, where the truncation error
-can exceed tol: gauss_2f1(0.5, 0.5, 2, 0.99) is 1.7e-13 off.
+ConvergenceError naming the series past term MAX_TERMS = 6000, a cap per
+series. For terms falling geometrically at ratio q the neglected tail is
+then below 0.02 tol/(1-q) of the sum, which is within tol for q <= 0.95
+only. The single-index F2 sums run up to q = 0.995 and the gauss_2f1
+series up to x < 1, where the truncation error can exceed tol:
+gauss_2f1(0.5, 0.5, 2, 0.99) is 1.7e-13 off.
 
 Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is one
 single-index series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for the
@@ -32,8 +32,10 @@ hands them to the sums: the K/E-seeded sum where A^2/(1-m) < m/(1-A^2),
 the inner-2F1 sum otherwise, and, where both ratios exceed 0.995,
 integration of dI/dA in from the surface value. The general-theta i_hyg
 takes its theta = pi term from it. i_hyg_pi_batch takes many arguments at
-once by the same rule and runs the two single-index sums over arrays, bit
-for bit as i_hyg_pi does, leaving the other routes to it; the grids use it.
+once by the same rule and leaves the other routes to i_hyg_pi; the grids
+use it. Each single-index sum has one recurrence, _f2_ke_terms or
+_f2_inner_terms, a generator run on floats by _series_sum and over arrays
+by _series_sums, so the batch is bit for bit what i_hyg_pi returns.
 
 i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
@@ -43,7 +45,6 @@ QuadratureSpec, a module constant.
 
 import itertools
 import math
-import os
 
 import numpy as np
 
@@ -54,8 +55,9 @@ from .errors import ConvergenceError, DomainError
 # cancellation, and direct quadrature of the defining integral takes over.
 SMALL_S_THRESHOLD = 0.05
 
-# i_hyg_pi accepts m + A^2 up to 1 plus this, the rounding of m and A formed
-# from an exact geometry
+# i_hyg_pi accepts m + A^2 up to 1 plus this, and a gap off 1 - m - A^2 by
+# up to this: the rounding of m, A and gap formed from an exact geometry
+# (geometry.aux's triples have |m + A^2 + gap - 1| <= 8.9e-16)
 _BOUNDARY_ROUNDING = 1e-14
 
 # relative tolerance of the infinite series; the 2F1 and 4F3 series run at
@@ -63,22 +65,8 @@ _BOUNDARY_ROUNDING = 1e-14
 REL_TOL = 1e-12
 PFQ_REL_TOL = 1e-13
 
-
-def _max_terms():
-    env = os.environ.get("APPELLFIELD_MAX_TERMS")
-    if env is None:
-        return 6000
-    try:
-        cap = int(env)
-    except ValueError:
-        raise DomainError(f"APPELLFIELD_MAX_TERMS must be an integer (got {env!r})") from None
-    if cap < 64:
-        raise DomainError(f"APPELLFIELD_MAX_TERMS must be >= 64 (got {cap})")
-    return cap
-
-
 # term cap of each series _series_sum sums
-MAX_TERMS = _max_terms()
+MAX_TERMS = 6000
 
 
 def pochhammer(x, k):
@@ -294,35 +282,19 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
 
 def _f2_ke_seeds(u):
     # (2/pi) K(x) and (2/pi) E(x) at kc = sqrt(u), u = 1 - x: the first two
-    # inner functions of _f2_ke_sum
+    # inner functions of _f2_ke_terms
     kc = math.sqrt(u)
     return (2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, 1.0),
             2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, u))
 
 
 def _f2_ke_sum(x, y, u):
-    # F2(1/2; 1/2, 1; 1, 3/2; x, y) = sum_l (1/2)_l/(3/2)_l y^l
-    #   * 2F1(1/2 + l, 1/2; 1; x),
-    # with the inner function scaled by u^l, u = 1 - x from the caller:
-    # seeds (2/pi) K(x) and (2/pi) E(x) at kc = sqrt(u), then
-    # hhat_{l+1} = ((1/2 - l) u hhat_{l-1} + l (2 - x) hhat_l)/(1/2 + l).
-    # Converges at ratio y/u. _f2_ke_terms is the same recurrence over arrays.
-    def terms():
-        h_prev, h_cur = _f2_ke_seeds(u)
-        yield h_prev
-        ratio = y / u
-        coef = 1.0
-        for l in itertools.count(1):
-            coef *= (l - 0.5) / (l + 0.5) * ratio
-            yield coef * h_cur
-            h_next = ((0.5 - l) * u * h_prev + l * (2.0 - x) * h_cur) / (0.5 + l)
-            h_prev, h_cur = h_cur, h_next
-
-    return _series_sum(terms(), REL_TOL, "appell_f2 K/E-seeded series")
+    return _series_sum(_f2_ke_terms(x, y, u, *_f2_ke_seeds(u)), REL_TOL,
+                       "appell_f2 K/E-seeded series")
 
 
 def _f2_inner_seed(y, u):
-    # 2F1(1/2, 1; 3/2; y), the first inner function of _f2_inner_sum:
+    # 2F1(1/2, 1; 3/2; y), the first inner function of _f2_inner_terms:
     # atanh(sqrt y)/sqrt y formed as log1p(2 sqrt(y) (1 + sqrt(y))/u)/(2 sqrt(y)),
     # which reads u = 1 - y and not 1 - sqrt(y), for y > 0; atan(sqrt(-y))/sqrt(-y)
     # for y < 0
@@ -336,43 +308,28 @@ def _f2_inner_seed(y, u):
 
 
 def _f2_inner_sum(beta, gamma, x, y, u):
-    # F2(1/2; beta, 1; gamma, 3/2; x, y) = sum_j (1/2)_j (beta)_j
-    #   /((gamma)_j j!) x^j 2F1(1/2+j, 1; 3/2; y),
-    # the inner 2F1 by a two-term recurrence in its first parameter, with
-    # u = 1 - y from the caller. For 0 <= y < 1 it is scaled by u^j and the
-    # series runs at ratio x/u; for y < 0 it is kept unscaled (u has no
-    # cancellation there) and the series runs at ratio x. The seed is
-    # _f2_inner_seed's. _f2_inner_terms is the same recurrence over arrays.
-    def terms():
-        fhat = _f2_inner_seed(y, u)
-        ratio = x / u if y >= 0.0 else x
-        coef = 1.0
-        upow = 1.0  # u^j
-        yield fhat
-        for j in itertools.count():
-            a = 0.5 + j
-            if y >= 0.0:
-                # Fhat_{j+1} = ((2a-1) Fhat_j + u^j) / (2a)
-                fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
-                upow *= u
-            else:
-                # F_{a+1} = ((2a-1) F_a + 1) / (2a u)
-                fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
-            coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
-            yield coef * fhat
-
-    return _series_sum(terms(), REL_TOL, "appell_f2 inner-2F1 series")
+    return _series_sum(_f2_inner_terms(beta, gamma, x, u, _f2_inner_seed(y, u), y >= 0.0),
+                       REL_TOL, "appell_f2 inner-2F1 series")
 
 
-# The two recurrences above over arrays, for i_hyg_pi_batch: generators of
-# the term arrays of the series still running, sent the mask of those to
-# keep (see _series_sums). Each operation is the scalar one, in its order,
-# and only + - * / are used, which numpy rounds as Python does.
+# The two single-index recurrences, each defined once: generators of the
+# terms, floats when _series_sum drives them and, from i_hyg_pi_batch, the
+# term arrays of the series still running when _series_sums does, which
+# sends each the mask of those to keep. They use only + - * /, which numpy
+# rounds as Python does, so a sum over arrays is bit for bit the scalar
+# sum. A mask first arrives after the third term (the stopping rule
+# needs three small terms), by when coef and the scaled form's upow, which
+# start as 1.0, are arrays; the batch runs the scaled inner form only.
 
 def _f2_ke_terms(x, y, u, h_prev, h_cur):
-    # _f2_ke_sum(x, y, u) with its seeds h_prev, h_cur given
+    # F2(1/2; 1/2, 1; 1, 3/2; x, y) = sum_l (1/2)_l/(3/2)_l y^l
+    #   * 2F1(1/2 + l, 1/2; 1; x),
+    # with the inner function scaled by u^l, u = 1 - x from the caller:
+    # seeds h_prev, h_cur = (2/pi) K(x), (2/pi) E(x) (_f2_ke_seeds), then
+    # hhat_{l+1} = ((1/2 - l) u hhat_{l-1} + l (2 - x) hhat_l)/(1/2 + l).
+    # Converges at ratio y/u.
     ratio = y / u
-    coef = np.ones_like(x)
+    coef = 1.0
     keep = yield h_prev
     for l in itertools.count(1):
         if keep is not None:
@@ -383,19 +340,30 @@ def _f2_ke_terms(x, y, u, h_prev, h_cur):
         h_prev, h_cur = h_cur, h_next
 
 
-def _f2_inner_terms(x, u, fhat):
-    # _f2_inner_sum(1/2, 1, x, y, u) for y >= 0, with its seed fhat given
-    ratio = x / u
-    coef = np.ones_like(x)
-    upow = np.ones_like(x)
+def _f2_inner_terms(beta, gamma, x, u, fhat, scaled):
+    # F2(1/2; beta, 1; gamma, 3/2; x, y) = sum_j (1/2)_j (beta)_j
+    #   /((gamma)_j j!) x^j 2F1(1/2+j, 1; 3/2; y),
+    # the inner 2F1 by a two-term recurrence in its first parameter from the
+    # seed fhat = _f2_inner_seed(y, u), with u = 1 - y from the caller.
+    # ``scaled`` (0 <= y < 1): the inner 2F1 is scaled by u^j and the series
+    # runs at ratio x/u; otherwise (y < 0, where u has no cancellation) it is
+    # kept unscaled and the series runs at ratio x.
+    ratio = x / u if scaled else x
+    coef = 1.0
+    upow = 1.0  # u^j
     keep = yield fhat
     for j in itertools.count():
         if keep is not None:
             u, ratio, coef, upow, fhat = (v[keep] for v in (u, ratio, coef, upow, fhat))
         a = 0.5 + j
-        fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
-        upow = upow * u
-        coef *= (0.5 + j) * (0.5 + j) / ((1.0 + j) * (j + 1.0)) * ratio
+        if scaled:
+            # Fhat_{j+1} = ((2a-1) Fhat_j + u^j) / (2a)
+            fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
+            upow = upow * u
+        else:
+            # F_{a+1} = ((2a-1) F_a + 1) / (2a u)
+            fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
+        coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
         keep = yield coef * fhat
 
 
@@ -516,8 +484,9 @@ def i_hyg_pi(m, A, gap=None):
     over the inner 2F1 (_f2_inner_sum) where it is not. On the boundary
     (gap = 0, or m + A^2 = 1 without gap) the value is the surface value;
     at the rim it is 0. A negative m, an m + A^2 beyond 1 by more than
-    rounding, a non-finite m or A, and m = 0 with |A| = 1, where I
-    diverges, raise DomainError.
+    rounding, a gap that is not 1 - m - A^2 up to rounding, a non-finite
+    m, A or gap, and m = 0 with |A| = 1, where I diverges, raise
+    DomainError.
     """
     route, omm, omy = _i_hyg_pi_route(m, A, gap)
     if route == "zero":
@@ -537,6 +506,8 @@ def _i_hyg_pi_route(m, A, gap):
     y = A * A
     if not (m >= 0.0 and m + y <= 1.0 + _BOUNDARY_ROUNDING):
         raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A = {A})")
+    if gap is not None and not abs(m + y + gap - 1.0) <= _BOUNDARY_ROUNDING:
+        raise DomainError(f"i_hyg_pi: gap = {gap} is not 1 - m - A^2 (m = {m}, A = {A})")
     omm, omy = (1.0 - m, 1.0 - y) if gap is None else (y + gap, m + gap)
     if A == 0.0 or omm <= 0.0:
         return "zero", omm, omy
@@ -556,9 +527,10 @@ def i_hyg_pi_batch(m, A, gap):
     values, or their errors, from i_hyg_pi itself.
 
     Each element takes its route from i_hyg_pi's rule and its seeds from
-    the scalar code; the sums of each route then run in lockstep as array
-    operations, in the scalar operation order and with the scalar stopping
-    rule, so every value is bit for bit what i_hyg_pi returns.
+    the scalar code; the sums of each route then run in lockstep through
+    the one recurrence i_hyg_pi sums (_f2_ke_terms, _f2_inner_terms), over
+    arrays and with the scalar stopping rule (_series_sums), so every value
+    is bit for bit what i_hyg_pi returns.
     """
     m, A, gap = (np.asarray(v, dtype=float) for v in (m, A, gap))
     route = np.zeros(len(m), dtype=np.int8)  # 1: K/E-seeded, 2: inner-2F1
@@ -583,7 +555,7 @@ def i_hyg_pi_batch(m, A, gap):
             terms = _f2_ke_terms(m[ke], A[ke] * A[ke], u[ke], seed0[ke], seed1[ke])
             out[ke] = _series_sums(terms, np.count_nonzero(ke), REL_TOL)
         if inner.any():
-            terms = _f2_inner_terms(m[inner], u[inner], seed0[inner])
+            terms = _f2_inner_terms(0.5, 1.0, m[inner], u[inner], seed0[inner], True)
             out[inner] = _series_sums(terms, np.count_nonzero(inner), REL_TOL)
     return math.pi * A * out
 

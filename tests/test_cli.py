@@ -347,6 +347,7 @@ import contextlib, io, json, sys
 from appellfield import cli, fields, hypergeom
 from appellfield.errors import AppellFieldError, SingularityError
 from appellfield.geometry import CylinderSpec, TubeSpec
+hypergeom.MAX_TERMS = 64
 body, out = sys.argv[1], sys.argv[2]
 spec = {"cyl": CylinderSpec(1.0, 0.75, 1.0), "tube": TubeSpec(1.0, 0.75, 1.0)}[body]
 branches = [-1, 0, 1] if body == "tube" else [0]
@@ -385,8 +386,7 @@ print(json.dumps({"code": code, "err": err.getvalue().splitlines(), "failed": fa
 @pytest.mark.parametrize("body", ["cyl", "tube"])
 def test_grid_under_a_low_term_cap_equals_the_scalar_calls(tmp_path, body):
     out = tmp_path / f"{body}.csv"
-    env = dict(os.environ, APPELLFIELD_MAX_TERMS="64")
-    res = subprocess.run([sys.executable, "-c", _LOW_CAP_GRID, body, str(out)], env=env,
+    res = subprocess.run([sys.executable, "-c", _LOW_CAP_GRID, body, str(out)],
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
@@ -453,47 +453,6 @@ def test_verify_subset():
                            "--only", "C02", "C15")
     assert code == 0
     assert "C02" in out and "C15" in out and "2/2 checks passed" in out
-
-
-def _run_with_max_terms(value, src):
-    env = dict(os.environ)
-    env.pop("APPELLFIELD_MAX_TERMS", None)
-    if value is not None:
-        env["APPELLFIELD_MAX_TERMS"] = value
-    res = subprocess.run([sys.executable, "-c", src], env=env,
-                         capture_output=True, text=True)
-    return res.returncode, res.stdout.strip()
-
-
-def test_max_terms_env_override():
-    # each call needs more than 64 terms of the series its error names: the
-    # 2F1 series at x = 0.94, the inner-2F1 and K/E-seeded single-index F2
-    # sums, the F1 anti-diagonal sum and the i_hyg_alt series
-    calls = {"gauss_2f1(0.5, 0.5, 1.0, 0.94)": "gauss_2f1 series",
-             "appell_f2(0.5, 0.5, 1, 1, 1.5, 0.3, 0.69)": "appell_f2 inner-2F1 series",
-             "appell_f2(0.5, 0.5, 1, 1, 1.5, 0.69, 0.3)": "appell_f2 K/E-seeded series",
-             "appell_f1(0.5, 0.5, 0.5, 1.5, 0.9, 0.9)": "appell_f1 anti-diagonal sum",
-             "i_hyg_alt(3, 0.45, 0.6, 0.95)": "i_hyg_alt variant 3"}
-    src = ("from appellfield import hypergeom as hg\n"
-           "from appellfield.errors import ConvergenceError\n"
-           f"for call in {list(calls)!r}:\n"
-           "    try:\n"
-           "        print(repr(eval('hg.' + call)))\n"
-           "    except ConvergenceError as exc:\n"
-           "        print(exc)\n")
-    code, out = _run_with_max_terms(None, src)
-    values = [float(v) for v in out.splitlines()]
-    assert code == 0 and len(values) == len(calls) and all(map(math.isfinite, values))
-    assert values[0] == pytest.approx(1.7957468, rel=1e-7)
-    code, out = _run_with_max_terms("64", src)
-    assert code == 0 and out.splitlines() == [
-        f"{name} did not converge within 64 terms" for name in calls.values()]
-    src = ("try:\n"
-           "    import appellfield\n"
-           "except Exception as exc:\n"
-           "    print(type(exc).__name__)\n")
-    for bad in ("10", "abc"):
-        assert _run_with_max_terms(bad, src) == (0, "DomainError")
 
 
 def test_public_names_resolve():

@@ -94,6 +94,24 @@ def test_series_sum_term_cap():
         hg._series_sum(itertools.repeat(1.0), hg.REL_TOL, "endless ones")
 
 
+def test_max_terms_caps_each_series(monkeypatch):
+    # each call needs more than 64 terms of the series its error names: the
+    # 2F1 series at x = 0.94, the inner-2F1 and K/E-seeded single-index F2
+    # sums, the F1 anti-diagonal sum and the i_hyg_alt series
+    calls = [((hg.gauss_2f1, 0.5, 0.5, 1.0, 0.94), "gauss_2f1 series"),
+             ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.3, 0.69), "appell_f2 inner-2F1 series"),
+             ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.69, 0.3), "appell_f2 K/E-seeded series"),
+             ((hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.9, 0.9), "appell_f1 anti-diagonal sum"),
+             ((hg.i_hyg_alt, 3, 0.45, 0.6, 0.95), "i_hyg_alt variant 3")]
+    values = [fn(*args) for (fn, *args), _ in calls]
+    assert all(map(math.isfinite, values))
+    assert values[0] == pytest.approx(1.7957468, rel=1e-7)
+    monkeypatch.setattr(hg, "MAX_TERMS", 64)
+    for (fn, *args), name in calls:
+        with pytest.raises(ConvergenceError, match=f"^{name} did not converge within 64 terms$"):
+            fn(*args)
+
+
 def test_gauss_2f1_divergence():
     with pytest.raises(ConvergenceError):
         hg.gauss_2f1(0.5, 0.5, 1.0, 1.0)
@@ -131,12 +149,23 @@ def test_appell_f2_swap_symmetry(x, y):
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_appell_f2_negative_argument_routes_agree():
-    # the negative-y inner-recurrence path against the plain anti-diagonal sum
-    args = (0.5, 0.5, 1.0, 1.0, 1.5, 0.2, -0.3)
-    fast = hg.appell_f2(*args)
-    direct = hg._appell_f2_direct(*args)
-    assert fast == pytest.approx(direct, rel=1e-11)
+def test_appell_f2_negative_argument_routes_agree(monkeypatch):
+    # the unscaled y < 0 inner-2F1 recurrence against the plain anti-diagonal
+    # sum, over seeded (beta, gamma, x, y) with |x| + |y| < 0.85
+    direct = hg._appell_f2_direct
+    calls = []
+    monkeypatch.setattr(hg, "_appell_f2_direct",
+                        lambda *a: calls.append(a) or direct(*a))
+    rng = np.random.default_rng(16)
+    points = [(0.5, 1.0, 0.2, -0.3)]
+    for _ in range(300):
+        beta, gamma = rng.uniform(0.2, 2.0, 2).tolist()
+        x = float(rng.uniform(0.0, 0.84))
+        points.append((beta, gamma, x, -float(rng.uniform(1e-6, 0.85 - x))))
+    for beta, gamma, x, y in points:
+        args = (0.5, beta, 1.0, gamma, 1.5, x, y)
+        assert hg.appell_f2(*args) == pytest.approx(direct(*args), rel=1e-13, abs=0.0), args
+    assert calls == []
 
 
 def test_appell_f2_family_takes_single_index_route(monkeypatch):
@@ -300,6 +329,18 @@ def test_i_hyg_pi_rejects_nonfinite_arguments(m, A):
         hg.i_hyg_pi(m, A)
 
 
+@pytest.mark.parametrize("gap", [1e-300, 0.9, 0.25 + 2e-14, math.nan, math.inf])
+def test_i_hyg_pi_rejects_a_gap_that_is_not_one_minus_m_minus_a_squared(gap):
+    # at m = A = 1/2 the gap is 1/4; another gap, read as the exact
+    # complements, would give a wrong value (3.352 at 1e-300 and 1.644 at
+    # 0.9, against 2.154)
+    with pytest.raises(DomainError, match=r"is not 1 - m - A\^2"):
+        hg.i_hyg_pi(0.5, 0.5, gap)
+    assert hg.i_hyg_pi(0.5, 0.5, 0.25) == hg.i_hyg_pi(0.5, 0.5) == pytest.approx(2.154, abs=5e-4)
+    # a gap off by rounding is taken
+    assert hg.i_hyg_pi(0.5, 0.5, 0.25 + 4e-16) == pytest.approx(2.154, abs=5e-4)
+
+
 def _gaps_around_ratio(num, target):
     # {side: gap}: gaps with num/(num + gap) just above (1), at (0) and just
     # below (-1) target, from the complements num + gap within 64 ulps of
@@ -320,8 +361,16 @@ def _gaps_around_ratio(num, target):
 @pytest.mark.parametrize("m, A, route_below", [(0.6, 0.45, "ke"), (0.45 * 0.45, 0.75, "inner")])
 def test_i_hyg_pi_route_at_the_boundary_threshold(m, A, route_below, side, route):
     # the smaller ratio just below, at and just above 0.995, the larger one
-    # above it: only above 0.995 does the boundary route take over
-    gap = _gaps_around_ratio(A * A if route_below == "ke" else m, 0.995)[side]
+    # above it: only above 0.995 does the boundary route take over. The
+    # smaller ratio's numerator (A^2 on the K/E-seeded route, m on the
+    # inner-2F1 one) and the gap fix the triple: the other argument is
+    # replaced by the one that m + A^2 + gap = 1 gives
+    if route_below == "ke":
+        gap = _gaps_around_ratio(A * A, 0.995)[side]
+        m = 1.0 - A * A - gap
+    else:
+        gap = _gaps_around_ratio(m, 0.995)[side]
+        A = math.sqrt(1.0 - m - gap)
     tag, omm, omy = hg._i_hyg_pi_route(m, A, gap)
     assert (omm, omy) == (A * A + gap, m + gap)
     smaller, larger = sorted((A * A / omm, m / omy))
@@ -335,7 +384,7 @@ def test_i_hyg_pi_route_tags():
     # the tie A^2/(1 - m) = m/(1 - A^2) goes to the inner-2F1 sum, with and
     # without gap
     assert route(0.25, 0.5, 0.5)[0] == route(0.25, 0.5, None)[0] == "inner"
-    assert route(0.25, 0.5, 0.1)[0] == "inner"
+    assert route(0.0625, 0.25, 0.875)[0] == "inner"
     # on the axis m = 0 the inner-2F1 sum is atanh: ratio 0
     assert route(0.0, 0.5, 0.75)[0] == route(0.0, 0.5, None)[0] == "inner"
     assert route(0.6, 0.25, None)[0] == "ke"
@@ -346,7 +395,7 @@ def test_i_hyg_pi_route_tags():
     a = aux(1.0, 0.0, 1.0)
     assert route(a.m, a.A, a.gap)[0] == "zero"
     # on the boundary gap = 0 both ratios are 1
-    assert route(0.5, 0.5, 0.0)[0] == "boundary"
+    assert route(0.5, math.sqrt(0.5), 0.0)[0] == "boundary"
     with pytest.raises(DomainError):
         route(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
@@ -354,31 +403,36 @@ def test_i_hyg_pi_route_tags():
 
 
 def _batch_arguments(rng, n):
-    # (m, A, gap) over both single-index routes, their ratios up to 0.995,
-    # the axis m = 0, A^2 down to 1e-30 and gap from 0 to 1, the grids'
-    # arguments, and boundary, zero and out-of-domain elements for the
-    # batch to leave
+    # (m, A, gap = 1 - m - A^2) over both single-index routes, their ratios
+    # up to 0.995, the axis m = 0, A^2 down to 1e-30 and gap from 0 to 1 - m,
+    # the grids' arguments, and boundary, zero and out-of-domain elements
+    # for the batch to leave
     out = []
     for _ in range(n):
         m = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
-        A = math.copysign(math.sqrt((1.0 - m) * 10.0 ** rng.uniform(-30.0, 0.0)),
-                          rng.uniform(-1.0, 1.0))
-        gap = float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(0.0, 1.0)]))
+        sign = math.copysign(1.0, rng.uniform(-1.0, 1.0))
+        if rng.uniform() < 0.5:
+            A = sign * math.sqrt((1.0 - m) * 10.0 ** rng.uniform(-30.0, 0.0))
+            gap = (1.0 - m) - A * A
+        else:
+            gap = (1.0 - m) * float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, 0.0),
+                                                rng.uniform(0.0, 1.0)]))
+            A = sign * math.sqrt((1.0 - m) - gap)
         out.append((m, A, gap))
     for q in np.linspace(0.9, 0.995, 12).tolist():
-        # smaller ratio q on either route, the other ratio at least q
+        # smaller ratio q on either route, the other ratio above it
         y = float(rng.uniform(0.05, 0.45))
         gap = y * (1.0 - q) / q
-        m = float(rng.uniform(y, 1.0 - y - gap))
+        m = 1.0 - y - gap
         out += [(m, math.sqrt(y), gap), (y, -math.sqrt(m), gap)]
     from appellfield.geometry import aux
     for _ in range(n):
         # the grids' arguments: slots (R = 1, zeta; r)
         a = aux(1.0, float(rng.uniform(-4.0, 4.0)), float(rng.uniform(0.0, 3.0)))
         out.append((a.m, a.A, a.gap))
-    out += [(0.3, 0.0, 0.7), (0.5, 0.5, 0.0), (0.0, 1.0, 0.0), (-0.1, 0.5, 0.5),
+    out += [(0.3, 0.0, 0.7), (0.5, math.sqrt(0.5), 0.0), (0.0, 1.0, 0.0), (-0.1, 0.5, 0.5),
             (0.5, 0.75, 0.1), (math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
-            (0.5, 0.5, 1e301)]  # K/E-seeded with a 1 - m beyond cel's domain
+            (0.5, 0.5, 1e301)]  # a gap that is not 1 - m - A^2
     assert {_route_or_error(*a) for a in out} == {"zero", "boundary", "ke", "inner", "error"}
     return out
 
@@ -413,13 +467,22 @@ def _route_or_error(m, A, gap):
         return "error"
 
 
-# geometry.aux forms gap = ((r - r0)/L0)^2, which is 0 or above 1e-32
-_gap = st.one_of(st.just(0.0), st.floats(1e-32, 1.0))
+def _aux_triple(zeta, r):
+    from appellfield.geometry import aux
+    a = aux(1.0, zeta, r)
+    return a.m, a.A, a.gap
+
+
+# (m, A, gap = 1 - m - A^2): from geometry.aux at slots (R = 1, zeta; r),
+# whose gap ((r - r0)/L0)^2 is 0 or above 1e-32, or from drawn m and A
+_triple = st.one_of(
+    st.builds(_aux_triple, st.floats(-4.0, 4.0), st.floats(0.0, 3.0)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+    .map(lambda t: (t[0], t[1], (1.0 - t[0]) - t[1] * t[1])).filter(lambda t: t[2] >= 0.0))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), _gap)
-                .filter(lambda t: t[0] + t[1] * t[1] <= 1.0), min_size=1, max_size=12))
+@given(st.lists(_triple, min_size=1, max_size=12))
 def test_i_hyg_pi_batch_equals_the_scalar_calls_hypothesis(args):
     _assert_batch_matches_scalar(args)
 
