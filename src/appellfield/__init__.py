@@ -5,14 +5,14 @@ elliptic integrals, Jacobi elliptic/zeta/theta functions,
 Gauss/Appell/generalized hypergeometric series) and brute-force
 verification oracles."""
 
-from . import elliptic, errors, fields, geometry, hypergeom, jacobi, oracle, verify
+from . import elliptic, errors, fields, geometry, hypergeom, indefinite, jacobi, oracle, verify
 from .geometry import AuxGeometry, CylinderSpec, DiskSpec, FieldSample, TubeSpec, aux
 from .oracle import QuadratureSpec
 
 __all__ = [
     "AuxGeometry", "CylinderSpec", "DiskSpec", "FieldSample",
     "QuadratureSpec", "TubeSpec", "aux",
-    "elliptic", "errors", "fields", "geometry", "hypergeom", "jacobi",
-    "oracle", "verify",
+    "elliptic", "errors", "fields", "geometry", "hypergeom", "indefinite",
+    "jacobi", "oracle", "verify",
 ]
 __version__ = "0.1.0"

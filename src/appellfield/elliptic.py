@@ -23,7 +23,7 @@ _RF_TOL = 2.5e-13
 _MAX_DUPLICATIONS = 200
 
 # Characteristics inside [1 - this, 1] are rejected rather than regularized;
-# callers in `fields` eliminate those terms analytically.
+# the theta = pi assemblies in `fields` take those terms by cel instead.
 _PI_SINGULAR_BAND = 1e-12
 
 # cel's AGM stops once |a_n - b_n| <= a_n * this; it converges
@@ -345,6 +345,14 @@ def ellip_pi(n, phi, m):
     sgn = 1.0 if phi_r > 0 else -1.0
     sa = abs(s)
     s2 = s * s
+    if n < -1.0 and 0.0 <= m <= 1.0:
+        # Pi(n) + Pi(q) = F + R_C term, q = m/n (DLMF 19.7.9), with
+        # Pi(q) - F in Carlson's form: the form below cancels sa R_F against
+        # (n/3) sa^3 R_J as n -> -inf (1.5e-12 off at n = -1e4, m = 0.991)
+        q = m / n
+        return shift + sgn * (
+            sa * carlson_rc(c * c * (1.0 - m * s2), (1.0 - n * s2) * (1.0 - q * s2))
+            - (q / 3.0) * sa ** 3 * carlson_rj(c * c, 1.0 - m * s2, 1.0, 1.0 - q * s2))
     val = sa * carlson_rf(c * c, 1.0 - m * s2, 1.0) + (n / 3.0) * sa ** 3 * carlson_rj(
         c * c, 1.0 - m * s2, 1.0, 1.0 - n * s2
     )

@@ -7,6 +7,10 @@ choices matching the continuity of phi across the charged surfaces. The
 field-line potential psi is conjugate to phi through psi_r = r phi_z,
 psi_z = -r phi_r, is defined only outside charged regions, and for the tube
 is multivalued with branch increment 8 pi R Z sigma0.
+
+Every potential is a sum of end terms: the paper's general-theta indefinite
+integrals (module indefinite) taken at theta = pi, where they reduce to
+complete integrals, here computed by cel and I(m, A; pi).
 """
 
 import itertools
@@ -32,116 +36,6 @@ def heaviside(x):
 
 def _sgn(x):
     return math.copysign(1.0, x) if x != 0.0 else 0.0
-
-
-# ---------------------------------------------------------------------------
-# indefinite integrals, general theta (oracle probes; assemblies use theta=pi)
-
-def i_cyl_trig(r, theta, z, r0):
-    """Elementary part of the cylinder triple indefinite integral."""
-    a = aux(r, z, r0)
-    L = a.L(theta)
-    t1 = -(r0 * r0 * math.sin(2.0 * theta) / 4.0) * math.atanh(z / L) if z != 0.0 else 0.0
-    t2 = -z * r0 * math.sin(theta) * math.atanh((r + r0 * math.cos(theta)) / L) if z != 0.0 else 0.0
-    num = L * r0 * math.sin(theta)
-    den = z * (r + r0 * math.cos(theta))
-    if den != 0.0:
-        at = math.atan(num / den)
-    else:
-        at = math.copysign(math.pi / 2.0, num) if num != 0.0 else 0.0
-    t3 = (r0 * r0 * math.cos(2.0 * theta) / 4.0) * at
-    return t1 + t2 + t3
-
-
-def i_cyl_ell(r, theta, z, r0):
-    """Elliptic part of the cylinder triple indefinite integral."""
-    a = aux(r, z, r0)
-    if z == 0.0:
-        return 0.0
-    phi = theta / 2.0
-    F = elliptic.ellip_f(phi, a.m)
-    E = elliptic.ellip_e(phi, a.m)
-    t1 = -3.0 * z * (r0 * r0 + z * z) / (4.0 * a.L0) * F
-    t2 = 3.0 * z * a.L0 / 4.0 * E
-    if r != r0:
-        n_star = 4.0 * r * r0 / (r + r0) ** 2
-        t3 = z * r * r * (r - r0) / (4.0 * a.L0 * (r + r0)) * elliptic.ellip_pi(n_star, phi, a.m)
-    else:
-        t3 = 0.0
-    nsum = a.bracket(+1) * elliptic.ellip_pi(a.n_plus, phi, a.m) \
-        + a.bracket(-1) * elliptic.ellip_pi(a.n_minus, phi, a.m)
-    t4 = z * (2.0 * z * z - r0 * r0) / (4.0 * a.L0) * nsum
-    return t1 + t2 + t3 + t4
-
-
-def i_cyl_hyg(r, theta, z, r0):
-    """Hypergeometric part (r^2/2) I(m, A; theta) of the cylinder integral."""
-    a = aux(r, z, r0)
-    if a.A == 0.0:
-        return 0.0
-    return r * r / 2.0 * hypergeom.i_hyg(a.m, a.A, theta)
-
-
-def j_cyl_trig(r, theta, z, r0):
-    """Elementary part of the cylinder field-line indefinite integral."""
-    a = aux(r, z, r0)
-    L = a.L(theta)
-    st, ct = math.sin(theta), math.cos(theta)
-    t1 = ((3.0 * r0 ** 3 - 4.0 * r0 * z * z) * st - r0 ** 3 * math.sin(3.0 * theta)) / 8.0 \
-        * math.atanh((r + r0 * ct) / L)
-    t2 = -(r0 * r0 * z * math.sin(2.0 * theta) / 2.0) * math.atanh(z / L) if z != 0.0 else 0.0
-    num = L * r0 * st
-    den = z * (r + r0 * ct)
-    if den != 0.0:
-        at = math.atan(num / den)
-    else:
-        at = math.copysign(math.pi / 2.0, num) if num != 0.0 else 0.0
-    t3 = (r0 * r0 * z * math.cos(2.0 * theta) / 2.0) * at
-    t4 = L * r0 * st * (-r + 3.0 * r0 * ct) / 6.0
-    return t1 + t2 + t3 + t4
-
-
-def j_cyl_ell(r, theta, z, r0):
-    """Elliptic part of the cylinder field-line indefinite integral."""
-    a = aux(r, z, r0)
-    phi = theta / 2.0
-    F = elliptic.ellip_f(phi, a.m)
-    E = elliptic.ellip_e(phi, a.m)
-    t1 = a.L0 * (z * z - 2.0 * (r * r + r0 * r0)) / 6.0 * E
-    t2 = (2.0 * (r * r - r0 * r0) ** 2 + z * z * (r0 * r0 - 2.0 * r * r - z * z)) \
-        / (6.0 * a.L0) * F
-    if z == 0.0:
-        return t1 + t2
-    if r != r0:
-        n_star = 4.0 * r * r0 / (r + r0) ** 2
-        t3 = z * z * r * r * (r - r0) / (2.0 * a.L0 * (r + r0)) * elliptic.ellip_pi(n_star, phi, a.m)
-    else:
-        t3 = 0.0
-    nsum = a.bracket(+1) * elliptic.ellip_pi(a.n_plus, phi, a.m) \
-        + a.bracket(-1) * elliptic.ellip_pi(a.n_minus, phi, a.m)
-    t4 = -r0 * r0 * z * z / (2.0 * a.L0) * nsum
-    return t1 + t2 + t3 + t4
-
-
-def i_tube(r, theta, z, r0):
-    """Tube double indefinite integral: I(m, A; theta)."""
-    a = aux(r, z, r0)
-    if a.A == 0.0:
-        return 0.0
-    return hypergeom.i_hyg(a.m, a.A, theta)
-
-
-def j_tube(r, theta, z, r0):
-    """Tube field-line indefinite integral."""
-    a = aux(r, z, r0)
-    phi = theta / 2.0
-    F = elliptic.ellip_f(phi, a.m)
-    E = elliptic.ellip_e(phi, a.m)
-    out = (r * r - r0 * r0) / a.L0 * F - a.L0 * E
-    if z != 0.0 and r != r0:
-        n_star = 4.0 * r * r0 / (r + r0) ** 2
-        out += z * z / a.L0 * (r - r0) / (r + r0) * elliptic.ellip_pi(n_star, phi, a.m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +77,9 @@ def _pi_star_minus_k_times_dr(a: AuxGeometry):
 # k' = k + c (r - r0): one _ke_sum, whose arguments k' + e and
 # k' + e (1 - m) are reduced to closed forms with L0^2 = (r + r0)^2 + z^2,
 # plus one _pi_star_minus_k_times_dr. The cylinder forms have used the
-# characteristic-sum identity of pi_identity_residual on their n_pm pair;
-# its (pi L0/|z|) H(r0 - r) piece is their elementary last term.
+# characteristic-sum identity of indefinite.pi_identity_residual on their
+# n_pm pair; its (pi L0/|z|) H(r0 - r) piece is their elementary last term.
+# Each equals its general-theta twin of module indefinite at theta = pi.
 
 def _i_cyl_ell_pi(a: AuxGeometry):
     """Elliptic part of the cylinder's theta = pi integral:
@@ -458,23 +353,3 @@ def psi_point(point, q, z_offset=0.0):
         raise SingularityError("psi_point: observation point coincides with the charge")
     return _finite(q * (z - z_offset) / d, "psi_point")
 
-
-def pi_identity_residual(r, r0, z):
-    """Absolute residual of the complete-integral characteristic identity
-
-        sum_a [1 - (n_a/2)(1 + r/r0)] Pi(n_a | m)
-            = K(m) + ((r-r0)/(r+r0)) Pi(4 r r0/(r+r0)^2 | m)
-              + (pi L0/|z|) H(r0 - r),
-
-    with both sides evaluated independently. Requires z != 0 and r != r0."""
-    if z == 0.0:
-        raise DomainError("pi_identity_residual requires z != 0")
-    if r == r0:
-        raise DomainError("pi_identity_residual requires r != r0")
-    a = aux(r, z, r0)
-    lhs = a.bracket(+1) * elliptic.comp_pi(a.n_plus, a.m) \
-        + a.bracket(-1) * elliptic.comp_pi(a.n_minus, a.m)
-    rhs = elliptic.comp_k(a.m) \
-        + (r - r0) / (r + r0) * elliptic.comp_pi(4.0 * r * r0 / (r + r0) ** 2, a.m) \
-        + math.pi * a.L0 / abs(z) * (1.0 if r0 > r else 0.0)
-    return abs(lhs - rhs)

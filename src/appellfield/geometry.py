@@ -97,8 +97,9 @@ class AuxGeometry(NamedTuple):
     surface r = r0; formed from the rounded m and A they would lose their
     digits there, so they are formed here, exactly, for every route to read.
 
-    The characteristic pair, which only the general-theta integrals, the
-    identity check and the disk's takahashi form read, is computed on read:
+    The characteristic pair, which only module indefinite (the general-theta
+    integrals and the identity check) and the disk's takahashi form in
+    fields read, is computed on read:
 
         rho = sqrt(r0^2 + z^2),  n_pm = 2 r0 / (r0 +- rho),
         s_plus = sgn(rho - r)   (the minus sign is always +1).

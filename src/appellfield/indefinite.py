@@ -1,0 +1,141 @@
+"""The paper's general-theta indefinite integrals, and the characteristic-pair
+identity its theta = pi assemblies use.
+
+The cylinder's triple integral I(r, theta, z) of r/L and its field-line
+integral J of -r0 z (r0 + r cos(theta)) r/(L (L^2 - z^2)), and the tube's
+double integrals in (theta, z) of 1/L and of the field-line integrand, with
+L = sqrt(r^2 + r0^2 + 2 r r0 cos(theta) + z^2); slots (r, z; r0) as in
+geometry.aux. The potentials in fields are these integrals at theta = pi,
+computed there by cel; here they take any theta, through Carlson's
+incomplete integrals, the characteristic pair n_pm and i_hyg. So they are an
+independent second route to every end term of fields. No module on the
+potentials' path imports this one; verify and the tests do.
+"""
+
+import math
+
+from . import elliptic, hypergeom
+from .errors import DomainError
+from .geometry import aux
+
+
+def _atan(num, den):
+    """atan(num/den), its limit +-pi/2 (or 0) where den = 0."""
+    if den != 0.0:
+        return math.atan(num / den)
+    return math.copysign(math.pi / 2.0, num) if num != 0.0 else 0.0
+
+
+def _atanh(u, L):
+    """atanh(u/L), |u| <= L; 0 where |u| reaches L. L^2 - u^2 vanishes only
+    where r0 sin(theta) = 0 and z = 0 (u = r + r0 cos(theta)) or
+    r + r0 cos(theta) = 0 (u = z); L = 0 too at r = r0, theta = pi, z = 0.
+    Every coefficient of an atanh term carries r0 sin(theta), which vanishes
+    there faster than atanh grows, so 0 is the term's limit."""
+    return math.atanh(u / L) if abs(u) < L else 0.0
+
+
+def _legendre(a, theta, pair=True):
+    """(F, E, p, nsum) at amplitude theta/2 and parameter a.m: the Legendre
+    F and E, the n* term p = ((r - r0)/(r + r0)) Pi(n*), n* = 4 r r0/(r+r0)^2,
+    and, if pair, the characteristic sum nsum = sum_pm bracket(pm) Pi(n_pm).
+    At z = 0, where every coefficient of p and nsum vanishes, both are 0,
+    and p is 0 at r = r0."""
+    phi, m, r, r0 = theta / 2.0, a.m, a.r, a.r0
+    F = elliptic.ellip_f(phi, m)
+    E = elliptic.ellip_e(phi, m)
+    if a.z == 0.0:
+        return F, E, 0.0, 0.0
+    p = (r - r0) / (r + r0) * elliptic.ellip_pi(4.0 * r * r0 / (r + r0) ** 2, phi, m) \
+        if r != r0 else 0.0
+    nsum = a.bracket(+1) * elliptic.ellip_pi(a.n_plus, phi, m) \
+        + a.bracket(-1) * elliptic.ellip_pi(a.n_minus, phi, m) if pair else 0.0
+    return F, E, p, nsum
+
+
+def i_cyl_trig(r, theta, z, r0):
+    """Elementary part of the cylinder triple indefinite integral."""
+    L = aux(r, z, r0).L(theta)
+    st, ct = math.sin(theta), math.cos(theta)
+    t1 = -(r0 * r0 * math.sin(2.0 * theta) / 4.0) * _atanh(z, L)
+    t2 = -z * r0 * st * _atanh(r + r0 * ct, L)
+    t3 = (r0 * r0 * math.cos(2.0 * theta) / 4.0) * _atan(L * r0 * st, z * (r + r0 * ct))
+    return t1 + t2 + t3
+
+
+def i_cyl_ell(r, theta, z, r0):
+    """Elliptic part of the cylinder triple indefinite integral."""
+    a = aux(r, z, r0)
+    if z == 0.0:
+        return 0.0
+    F, E, p, nsum = _legendre(a, theta)
+    t1 = -3.0 * z * (r0 * r0 + z * z) / (4.0 * a.L0) * F
+    t2 = 3.0 * z * a.L0 / 4.0 * E
+    t3 = z * r * r / (4.0 * a.L0) * p
+    t4 = z * (2.0 * z * z - r0 * r0) / (4.0 * a.L0) * nsum
+    return t1 + t2 + t3 + t4
+
+
+def i_cyl_hyg(r, theta, z, r0):
+    """Hypergeometric part (r^2/2) I(m, A; theta) of the cylinder integral."""
+    return r * r / 2.0 * i_tube(r, theta, z, r0)
+
+
+def j_cyl_trig(r, theta, z, r0):
+    """Elementary part of the cylinder field-line indefinite integral."""
+    L = aux(r, z, r0).L(theta)
+    st, ct = math.sin(theta), math.cos(theta)
+    t1 = ((3.0 * r0 ** 3 - 4.0 * r0 * z * z) * st - r0 ** 3 * math.sin(3.0 * theta)) / 8.0 \
+        * _atanh(r + r0 * ct, L)
+    t2 = -(r0 * r0 * z * math.sin(2.0 * theta) / 2.0) * _atanh(z, L)
+    t3 = (r0 * r0 * z * math.cos(2.0 * theta) / 2.0) * _atan(L * r0 * st, z * (r + r0 * ct))
+    t4 = L * r0 * st * (-r + 3.0 * r0 * ct) / 6.0
+    return t1 + t2 + t3 + t4
+
+
+def j_cyl_ell(r, theta, z, r0):
+    """Elliptic part of the cylinder field-line indefinite integral."""
+    a = aux(r, z, r0)
+    F, E, p, nsum = _legendre(a, theta)
+    t1 = a.L0 * (z * z - 2.0 * (r * r + r0 * r0)) / 6.0 * E
+    t2 = (2.0 * (r * r - r0 * r0) ** 2 + z * z * (r0 * r0 - 2.0 * r * r - z * z)) \
+        / (6.0 * a.L0) * F
+    t3 = z * z * r * r / (2.0 * a.L0) * p
+    t4 = -r0 * r0 * z * z / (2.0 * a.L0) * nsum
+    return t1 + t2 + t3 + t4
+
+
+def i_tube(r, theta, z, r0):
+    """Tube double indefinite integral: I(m, A; theta)."""
+    a = aux(r, z, r0)
+    if a.A == 0.0:
+        return 0.0
+    return hypergeom.i_hyg(a.m, a.A, theta)
+
+
+def j_tube(r, theta, z, r0):
+    """Tube field-line indefinite integral."""
+    a = aux(r, z, r0)
+    F, E, p, _ = _legendre(a, theta, pair=False)
+    return (r * r - r0 * r0) / a.L0 * F - a.L0 * E + z * z / a.L0 * p
+
+
+def pi_identity_residual(r, r0, z):
+    """Absolute residual of the complete-integral characteristic identity
+
+        sum_a [1 - (n_a/2)(1 + r/r0)] Pi(n_a | m)
+            = K(m) + ((r-r0)/(r+r0)) Pi(4 r r0/(r+r0)^2 | m)
+              + (pi L0/|z|) H(r0 - r),
+
+    with both sides evaluated independently. Requires z != 0 and r != r0."""
+    if z == 0.0:
+        raise DomainError("pi_identity_residual requires z != 0")
+    if r == r0:
+        raise DomainError("pi_identity_residual requires r != r0")
+    a = aux(r, z, r0)
+    lhs = a.bracket(+1) * elliptic.comp_pi(a.n_plus, a.m) \
+        + a.bracket(-1) * elliptic.comp_pi(a.n_minus, a.m)
+    rhs = elliptic.comp_k(a.m) \
+        + (r - r0) / (r + r0) * elliptic.comp_pi(4.0 * r * r0 / (r + r0) ** 2, a.m) \
+        + math.pi * a.L0 / abs(z) * (1.0 if r0 > r else 0.0)
+    return abs(lhs - rhs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import elliptic, fields, hypergeom, jacobi, oracle
+from . import elliptic, fields, hypergeom, indefinite, jacobi, oracle
 from .geometry import CylinderSpec, DiskSpec, TubeSpec
 
 FIG_CYLINDER = CylinderSpec(R=1.0, Z=0.7, rho0=1.0)
@@ -186,7 +186,7 @@ def _crit07_pi_identity(rng, full):
             for r0 in vals:
                 if r == r0:
                     continue
-                res = fields.pi_identity_residual(float(r), float(r0), z)
+                res = indefinite.pi_identity_residual(float(r), float(r0), z)
                 lhs_scale = max(1.0, abs(elliptic.comp_k(4 * r * r0 / ((r + r0) ** 2 + z * z))))
                 worst = max(worst, res / lhs_scale)
                 count += 1

@@ -274,6 +274,50 @@ def test_grid_failed_point_is_reported(tmp_path):
         assert all(psi != empty for _, psi in cells)
 
 
+def _grid_cells(out, fmt):
+    """(r, z, phi, psi, branch) of every row of a grid file, the values as
+    written (CSV text; JSON numbers or None)."""
+    if fmt == "csv":
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        return [(float(r), float(z), phi, psi, int(b)) for r, z, phi, psi, b in rows]
+    return [(row["r"], row["z"], row["phi"], row["psi"], row["branch"])
+            for row in json.loads(out.read_text())["rows"]]
+
+
+def test_grid_injected_failures_are_reported(tmp_path, monkeypatch):
+    # phi_tube raises ConvergenceError at two chosen cells of a 3-sheet grid:
+    # those phi cells are empty on every sheet, each failure is one stderr
+    # line (phi is computed once per cell), every other cell is what the
+    # unpatched grid writes, and the exit code is 1
+    from appellfield import fields
+    from appellfield.errors import ConvergenceError
+
+    bad = [(0.0, 2.0), (2.0, -2.0)]
+    phi_tube = fields.phi_tube
+
+    def failing(point, spec, **kwargs):
+        if tuple(point) in bad:
+            raise ConvergenceError("injected")
+        return phi_tube(point, spec, **kwargs)
+
+    sheets = ("--branch", "-1", "0", "1")
+    for fmt in ("csv", "json"):
+        out, args = grid_args(tmp_path, fmt, f"ref.{fmt}", sheets)
+        assert run_cli(*args)[0] == 0
+        expected = [(r, z, ("nan" if fmt == "csv" else None) if (r, z) in bad else phi, psi, b)
+                    for r, z, phi, psi, b in _grid_cells(out, fmt)]
+        with monkeypatch.context() as patch:
+            patch.setattr(fields, "phi_tube", failing)
+            out, args = grid_args(tmp_path, fmt, f"failed.{fmt}", sheets)
+            code, _, err = run_cli(*args)
+        assert code == 1
+        assert sorted(err.splitlines()) == sorted(
+            f"failed: phi at (r, z) = ({r!r}, {z!r}): injected" for r, z in bad)
+        cells = _grid_cells(out, fmt)
+        assert cells == expected
+        assert sum(phi in ("nan", None) for _, _, phi, _, _ in cells) == 2 * 3
+
+
 def test_grid_untyped_error_exits_2(tmp_path, monkeypatch):
     from appellfield import fields
 

@@ -113,6 +113,18 @@ def test_incomplete_against_quadrature_grid():
                 assert el.ellip_pi(n, phi, m) == pytest.approx(pi_ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [-1.5, -30.0, -196.4, -1e4, -1e6])
+def test_ellip_pi_at_large_negative_characteristic(n):
+    # Carlson's form sa R_F + (n/3) sa^3 R_J cancels as n -> -inf; the
+    # form was 1.5e-12 off at n = -1e4 and 1.6e-11 at -1e6 (phi = pi/2,
+    # m = 0.991); for n < -1 ellip_pi takes DLMF 19.7.9 instead
+    mpmath = pytest.importorskip("mpmath")
+    for phi, m in ((math.pi / 2, 0.991), (1.0, 0.5), (2.6, 0.2), (0.3, 0.0)):
+        with mpmath.workdps(30):
+            ref = float(mpmath.ellippi(n, phi, m))
+        assert el.ellip_pi(n, phi, m) == pytest.approx(ref, rel=4e-15)
+
+
 def test_oddness_is_bit_identical():
     for (phi, m) in ((0.7, 0.4), (1.2, 0.85), (2.6, 0.2)):
         assert el.ellip_f(-phi, m) == -el.ellip_f(phi, m)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from appellfield import fields as fl
+from appellfield import indefinite
 from appellfield import oracle as oc
 from appellfield.errors import DomainError, SingularityError
 from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec, aux
@@ -85,52 +86,6 @@ def test_body_specs_reject_nonfinite_density(density):
                  lambda: DiskSpec(1.0, density)):
         with pytest.raises(DomainError, match="density"):
             make()
-
-
-def _mixed_partial_3(f, r, th, z, h):
-    # d^3 f / dr dth dz by nested central differences
-    total = 0.0
-    for sr in (1, -1):
-        for sth in (1, -1):
-            for sz in (1, -1):
-                total += sr * sth * sz * f(r + sr * h, th + sth * h, z + sz * h)
-    return total / (8.0 * h ** 3)
-
-
-def test_cylinder_indefinite_integral_probe():
-    # d^3 I / dr dth dz must reproduce the integrand r / L
-    r, th, z, r0 = 1.1, 2.0, 0.6, 0.8
-    f = lambda rr, tt, zz: (fl.i_cyl_trig(rr, tt, zz, r0)
-                            + fl.i_cyl_ell(rr, tt, zz, r0)
-                            + fl.i_cyl_hyg(rr, tt, zz, r0))
-    L = math.sqrt(r * r + r0 * r0 + 2 * r * r0 * math.cos(th) + z * z)
-    probe = _mixed_partial_3(f, r, th, z, 2e-2)
-    assert probe == pytest.approx(r / L, rel=2e-3)
-
-
-def test_cylinder_fieldline_integral_probe():
-    r, th, z, r0 = 1.1, 2.0, 0.6, 0.8
-    f = lambda rr, tt, zz: fl.j_cyl_trig(rr, tt, zz, r0) + fl.j_cyl_ell(rr, tt, zz, r0)
-    L = math.sqrt(r * r + r0 * r0 + 2 * r * r0 * math.cos(th) + z * z)
-    integrand = -r0 * z * (r0 + r * math.cos(th)) * r / (L * (L * L - z * z))
-    probe = _mixed_partial_3(f, r, th, z, 2e-2)
-    assert probe == pytest.approx(integrand, rel=2e-3)
-
-
-def test_tube_indefinite_integral_probes():
-    r, th, z, r0 = 1.3, 1.8, 0.5, 0.9
-    h = 2e-2
-
-    def mixed2(f):
-        return (f(th + h, z + h) - f(th + h, z - h)
-                - f(th - h, z + h) + f(th - h, z - h)) / (4.0 * h * h)
-
-    L = math.sqrt(r * r + r0 * r0 + 2 * r * r0 * math.cos(th) + z * z)
-    probe_i = mixed2(lambda tt, zz: fl.i_tube(r, tt, zz, r0))
-    assert probe_i == pytest.approx(1.0 / L, rel=2e-3)
-    probe_j = mixed2(lambda tt, zz: fl.j_tube(r, tt, zz, r0))
-    integrand = -r0 * z * (r0 + r * math.cos(th)) / (L * (L * L - z * z))
-    assert probe_j == pytest.approx(integrand, rel=2e-3)
 
 
 def test_phi_cyl_frozen_points():
@@ -332,12 +287,12 @@ def test_psi_point():
 
 
 def test_pi_identity_residual():
-    assert fl.pi_identity_residual(2.0, 1.0, 0.5) < 1e-9
-    assert fl.pi_identity_residual(1.0, 2.0, 0.5) < 1e-9
+    assert indefinite.pi_identity_residual(2.0, 1.0, 0.5) < 1e-9
+    assert indefinite.pi_identity_residual(1.0, 2.0, 0.5) < 1e-9
     with pytest.raises(DomainError):
-        fl.pi_identity_residual(1.0, 1.0, 0.5)
+        indefinite.pi_identity_residual(1.0, 1.0, 0.5)
     with pytest.raises(DomainError):
-        fl.pi_identity_residual(2.0, 1.0, 0.0)
+        indefinite.pi_identity_residual(2.0, 1.0, 0.0)
 
 
 def test_tube_psi_reconstructed_from_phi():
