@@ -17,8 +17,11 @@ import math
 
 from .errors import ConvergenceError, DomainError, SingularityError
 
-# Duplication stops once the scaled argument spread is below this; the
-# seventh-order tail series then contributes < 1 ulp in float64.
+# Duplication stops once the scaled argument spread is below this. For this
+# stop Carlson's bound on the relative error of the truncated series is the
+# tolerance itself, not 1 ulp; measured, carlson_rf is up to 1.7e-14 off
+# 30-digit mpmath over 2000 arguments drawn uniformly from [1e-6, 10]^3
+# (seeds 0-4; 1.5e-14 on seed 0, which a Tier-1 test pins at 3e-14).
 _RF_TOL = 2.5e-13
 _MAX_DUPLICATIONS = 200
 

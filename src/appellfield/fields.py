@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import elliptic, hypergeom
-from .errors import DomainError, SingularityError
+from .errors import ConvergenceError, DomainError, SingularityError
 from .geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
 
 _EDGE_BAND = 1e-9  # exclusion radius around the cylinder and disk edges, in units of R
@@ -209,31 +209,47 @@ def _finite(value, name):
     return value
 
 
+def _uncancelled(phi, size, name, point):
+    # phi, a sum of parts whose magnitudes add up to size; ConvergenceError
+    # where their rounding, 2^-52 size, exceeds 1e-6 |phi|: far from the
+    # body phi is a small difference of large end terms (ROADMAP item 1)
+    if 2.0 ** -52 * size > 1e-6 * abs(phi):
+        raise ConvergenceError(f"{name}: the end terms cancel beyond 1e-6 of phi at {point}")
+    return phi
+
+
 def phi_cyl_terms(point, spec: CylinderSpec, *, ends=None):
     """The three parts (phi_hyg, phi_ell, phi_corr) of the cylinder potential;
     each part separately satisfies a Laplace/Poisson equation away from the
     surfaces r = R, z = +-Z. Given ``ends``, a dict that calls may share,
     each end term is read from it, or computed and stored in it; the result
     is the same bit for bit. DomainError where their sum, phi_cyl, is not
-    finite (it overflows at an extreme density)."""
+    finite (it overflows at an extreme density). ConvergenceError where the
+    end terms cancel so far that their rounding, 2^-52 times the sum of the
+    magnitudes of the four end-term contributions and p_corr, exceeds
+    1e-6 |phi_cyl|: for R = 1, Z = 0.7 from |z| = 1.5e3 on the axis and on
+    the r = R column."""
     r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
-    p_hyg = 0.0
-    p_ell = 0.0
+    p_hyg = p_ell = size = 0.0
     for beta in (1.0, -1.0):
         zeta = beta * Z - z
-        p_hyg += rho0 * 2.0 * beta * (R * R / 2.0) * _end_from(ends, _hyg_end, R, r, zeta)
-        p_ell += rho0 * 2.0 * beta * _end_from(ends, _cyl_ell_end, R, r, zeta)
+        hyg = rho0 * 2.0 * beta * (R * R / 2.0) * _end_from(ends, _hyg_end, R, r, zeta)
+        ell = rho0 * 2.0 * beta * _end_from(ends, _cyl_ell_end, R, r, zeta)
+        p_hyg += hyg
+        p_ell += ell
+        size += abs(hyg) + abs(ell)
     p_corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
         * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
-    _finite(p_hyg + p_ell + p_corr, "phi_cyl")
+    _uncancelled(_finite(p_hyg + p_ell + p_corr, "phi_cyl"), size + abs(p_corr), "phi_cyl",
+                 point)
     return p_hyg, p_ell, p_corr
 
 
 def phi_cyl(point, spec: CylinderSpec, *, ends=None):
     """Electric potential of the uniformly charged cylinder; C^1 across the
     surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity.
-    ``ends`` and DomainError as for phi_cyl_terms."""
+    ``ends``, DomainError and ConvergenceError as for phi_cyl_terms."""
     return sum(phi_cyl_terms(point, spec, ends=ends))
 
 
@@ -261,14 +277,19 @@ def phi_tube(point, spec: TubeSpec, *, ends=None):
     """Electric potential of the charged tube; continuous everywhere, with a
     derivative corner across r = R for |z| < Z; -> Q/sqrt(r^2+z^2) with
     Q = 4 pi R Z sigma0 at infinity. ``ends`` as for phi_cyl_terms.
-    DomainError where the value is not finite."""
+    DomainError where the value is not finite. ConvergenceError where the
+    two end terms cancel so far that their rounding, 2^-52 times the sum of
+    their magnitudes, exceeds 1e-6 |phi|: for R = 1, Z = 0.7 from
+    |z| = 1.6e8 on the axis and on the r = R column."""
     r, z = _check_point(point)
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
-    total = 0.0
+    total = size = 0.0
     for beta in (1.0, -1.0):
         zeta = beta * Z - z
-        total += sigma0 * R * 2.0 * beta * _end_from(ends, _hyg_end, R, r, zeta)
-    return _finite(total, "phi_tube")
+        part = sigma0 * R * 2.0 * beta * _end_from(ends, _hyg_end, R, r, zeta)
+        total += part
+        size += abs(part)
+    return _uncancelled(_finite(total, "phi_tube"), size, "phi_tube", point)
 
 
 def tube_branch_jump(spec: TubeSpec):

@@ -30,7 +30,9 @@ _i_hyg_pi_route. It forms the complements 1 - m and 1 - A^2 once (exactly,
 as A^2 + gap and m + gap, when the caller passes gap = 1 - m - A^2) and
 hands them to the sums: the K/E-seeded sum where A^2/(1-m) < m/(1-A^2),
 the inner-2F1 sum otherwise, and, where both ratios exceed 0.995,
-integration of dI/dA in from the surface value. The general-theta i_hyg
+integration of dI/dA in from the surface value I(m, sqrt(1-m); pi), which
+is the 4F3 series of its closed form up to m = 1/3 and a quadrature above
+(_i_hyg_pi_from_boundary, _surface_by_series). The general-theta i_hyg
 takes its theta = pi term from it. i_hyg_pi_batch takes many arguments at
 once by the same rule and leaves the other routes to i_hyg_pi; the grids
 use it. Each single-index sum has one recurrence, _f2_ke_terms or
@@ -39,8 +41,8 @@ by _series_sums, so the batch is bit for bit what i_hyg_pi returns.
 
 i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
-value and the 4F3-log continuation each run oracle.quad_1d at one fixed
-QuadratureSpec, a module constant.
+value above m = 1/3 and the 4F3-log continuation each run oracle.quad_1d
+at one fixed QuadratureSpec, a module constant.
 """
 
 import itertools
@@ -479,7 +481,10 @@ def i_hyg_pi(m, A, gap=None):
 
     One rule chooses the route from the two single-index ratios
     A^2/(1 - m) and m/(1 - A^2): where both exceed 0.995, the A-derivative
-    is integrated in from the surface value; otherwise F2 is summed at the
+    is integrated in from the surface value I(m, sqrt(1-m); pi), which is
+    the 4F3 series of its closed form where m <= 1/3 (at mu = -m/(1-m),
+    |mu| <= 1/2, from the exact 1 - m) and the quadrature of
+    int_m^1 K(t) dt/(t sqrt(1-t)) above; otherwise F2 is summed at the
     smaller ratio, K/E-seeded (_f2_ke_sum) where the first is smaller and
     over the inner 2F1 (_f2_inner_sum) where it is not. On the boundary
     (gap = 0, or m + A^2 = 1 without gap) the value is the surface value;
@@ -560,8 +565,8 @@ def i_hyg_pi_batch(m, A, gap):
     return math.pi * A * out
 
 
-# the surface value and the integral in from it (_i_hyg_pi_from_boundary,
-# _i_hyg_surface_quad)
+# the surface value above m = 1/3 and the integral in from it
+# (_i_hyg_pi_from_boundary, _i_hyg_surface_quad)
 _BOUNDARY_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
 
 
@@ -572,7 +577,7 @@ def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
     # Everything is cancellation-free in u; with gap the span A0 - A is too.
     A0 = math.sqrt(omm)
     span = A0 - A_abs if gap is None else gap / (A0 + A_abs)
-    surf = _i_hyg_surface_quad(A0)
+    surf = _i_hyg_surface_f43(m, omm) if _surface_by_series(m, omm) else _i_hyg_surface_quad(A0)
     if span <= 0.0:
         return surf
 
@@ -610,27 +615,32 @@ def _f43_log_continued(mu):
 
 
 def i_hyg_surface(m):
-    """Boundary value i_hyg(m, sqrt(1-m), pi) for m in (0, 1).
+    """Boundary value i_hyg(m, sqrt(1-m), pi) for m in (0, 1): exactly
+    i_hyg_pi(m, sqrt(1-m), gap=0.0), by the same rule.
 
-    Evaluated by quadrature of int_m^1 K(t) dt / (t sqrt(1-t)). Where
-    b = sqrt(1-m) >= 1e-4 the 4F3-log closed form at mu = m/(m-1) is
-    evaluated too and their agreement to 1e-7 is asserted internally.
-    Closer to m = 1 the 4F3-log route loses about 8.4e-18/b^2 to the
-    rounding of m, and the quadrature value is returned unchecked.
+    Up to m = 1/3 (|mu| <= 1/2, mu = -m/(1-m)) the value is the 4F3 series
+    of the closed form -(pi mu/8) 4F3(1,1,3/2,3/2; 2,2,2; mu)
+    - (pi/2) ln(-mu/16); above, it is the quadrature of
+    int_m^1 K(t) dt / (t sqrt(1-t)). The other route is evaluated too and
+    their agreement to 1e-7 is asserted internally, except where it does
+    not serve: below m = 1e-9, where the quadrature cannot resolve the
+    logarithmic endpoint (it fails from m = 3.7e-10 down), and where
+    b = sqrt(1-m) < 1e-4, where the 4F3-log continuation loses about
+    8.4e-18/b^2 to the rounding of m.
     """
     if not 0.0 < m < 1.0:
         raise DomainError(f"i_hyg_surface requires m in (0, 1) (got {m})")
     b = math.sqrt(1.0 - m)
-    quad_val = _i_hyg_surface_quad(b)
-    if b < 1e-4:
-        return quad_val
-    f43_val = _i_hyg_surface_f43(m)
-    scale = max(abs(quad_val), 1.0)
-    if abs(quad_val - f43_val) > 1e-7 * scale:
+    value = i_hyg_pi(m, b, 0.0)
+    if _surface_by_series(m, b * b):  # b * b: the complement i_hyg_pi forms
+        other = _i_hyg_surface_quad(b) if m >= 1e-9 else None
+    else:
+        other = _i_hyg_surface_f43(m) if b >= 1e-4 else None
+    if other is not None and abs(value - other) > 1e-7 * max(abs(value), 1.0):
         raise ConvergenceError(
             f"i_hyg_surface: internal cross-check failed at m = {m}: "
-            f"{quad_val} vs {f43_val}")
-    return quad_val
+            f"{value} vs {other}")
+    return value
 
 
 def _k_minus_log(v):
@@ -671,9 +681,20 @@ def _i_hyg_surface_quad(b):
     return 2.0 * b * (math.log(4.0 / b) + 1.0) + rem
 
 
-def _i_hyg_surface_f43(m):
-    mu = m / (m - 1.0)
-    if abs(mu) <= 0.5:
+def _surface_by_series(m, omm):
+    # |mu| = m/(1 - m) <= 1/2, i.e. m <= 1/3, with omm = 1 - m: the 4F3
+    # series of the surface value converges at ratio <= 1/2 there; the one
+    # test of the route and of _i_hyg_surface_f43, so both always agree
+    return m <= 0.5 * omm
+
+
+def _i_hyg_surface_f43(m, omm=None):
+    # the 4F3-log closed form of the surface value at mu = -m/(1 - m), with
+    # the complement omm = 1 - m exact when the caller passes it: the 4F3
+    # series where _surface_by_series holds, its log continuation elsewhere
+    omm = 1.0 - m if omm is None else omm
+    mu = -m / omm
+    if _surface_by_series(m, omm):
         f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)
     else:
         f43 = _f43_log_continued(mu)

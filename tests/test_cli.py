@@ -249,31 +249,6 @@ def test_grid_workers_capped(tmp_path, monkeypatch, cpus, expected):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_grid_failed_point_is_reported(tmp_path):
-    # phi_tube raises ConvergenceError at (1, 1e7) and (1, 1e8): those two
-    # cells are empty, the rest of the grid is written, and the exit code is 1
-    for fmt in ("csv", "json"):
-        out = tmp_path / f"g.{fmt}"
-        code, _, err = run_cli("grid", "--body", "tube", "--R", "1", "--Z", "0.7",
-                               "--density", "1", "--r-min", "0", "--r-max", "1",
-                               "--z-min", "1e7", "--z-max", "1e8", "--nr", "2",
-                               "--nz", "2", "--format", fmt, "--out", str(out))
-        assert code == 1
-        lines = err.strip().splitlines()
-        assert [line.split(":")[:2] for line in lines] == [
-            ["failed", " phi at (r, z) = (1.0, 10000000.0)"],
-            ["failed", " phi at (r, z) = (1.0, 100000000.0)"]]
-        if fmt == "csv":
-            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-            cells = [(row[2], row[3]) for row in rows]
-        else:
-            rows = json.loads(out.read_text())["rows"]
-            cells = [(row["phi"], row["psi"]) for row in rows]
-        empty = "nan" if fmt == "csv" else None
-        assert [phi == empty for phi, _ in cells] == [False, False, True, True]
-        assert all(psi != empty for _, psi in cells)
-
-
 def _grid_cells(out, fmt):
     """(r, z, phi, psi, branch) of every row of a grid file, the values as
     written (CSV text; JSON numbers or None)."""

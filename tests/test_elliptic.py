@@ -41,6 +41,19 @@ def test_rf_against_defining_integral():
     assert el.carlson_rf(x, y, z) == pytest.approx(ref, rel=1e-10)
 
 
+def test_rf_accuracy_against_mpmath():
+    # 2000 arguments drawn uniformly from [1e-6, 10]^3, seed 0: measured worst
+    # 1.5e-14 relative to 30-digit mpmath, pinned at twice that
+    mpmath = pytest.importorskip("mpmath")
+    args = np.random.default_rng(0).uniform(1e-6, 10.0, (2000, 3))
+    worst = 0.0
+    with mpmath.workdps(30):
+        for x, y, z in args.tolist():
+            ref = mpmath.elliprf(x, y, z)
+            worst = max(worst, float(abs((el.carlson_rf(x, y, z) - ref) / ref)))
+    assert worst <= 3e-14
+
+
 def test_rd_rc_rj_values():
     assert el.carlson_rc(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
     assert el.carlson_rd(0.0, 2.0, 1.0) == pytest.approx(RD_0_2_1, rel=1e-14)

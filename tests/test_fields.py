@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from appellfield import fields as fl
 from appellfield import indefinite
 from appellfield import oracle as oc
-from appellfield.errors import DomainError, SingularityError
+from appellfield.errors import ConvergenceError, DomainError, SingularityError
 from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec, aux
 
 CYL = CylinderSpec(R=1.0, Z=0.7, rho0=1.0)
@@ -73,6 +73,50 @@ def test_phi_tube_on_the_axis_far_out(z):
         ref = float(2 * mpmath.pi * R * TUBE.sigma0
                     * (mpmath.asinh((zz + Z) / R) - mpmath.asinh((zz - Z) / R)))
     assert fl.phi_tube((0.0, z), TUBE) == pytest.approx(ref, rel=2e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [1e2, 1e3, 1e4])
+def test_phi_tube_on_the_r_equals_R_column_far_out(z):
+    # the ring integral sigma R int_{-Z}^{Z} 4 K(m)/L0 dz' with
+    # L0^2 = 4 R^2 + (z - z')^2 and m = 4 R^2/L0^2: here the end terms take
+    # the surface value at m = 4/(4 + (z -+ Z)^2), on its 4F3 series route
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        R, Z, zz = mpmath.mpf(TUBE.R), mpmath.mpf(TUBE.Z), mpmath.mpf(z)
+
+        def ring(zp):
+            L2 = 4 * R * R + (zz - zp) ** 2
+            return 4 * mpmath.ellipk(4 * R * R / L2) / mpmath.sqrt(L2)
+
+        ref = float(TUBE.sigma0 * R * mpmath.quad(ring, [-Z, 0, Z]))
+    assert fl.phi_tube((1.0, z), TUBE) == pytest.approx(ref, rel=2e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("phi, spec, point", [
+    (fl.phi_cyl, CYL, (1.0, 1e4)), (fl.phi_cyl, CYL, (1.0, 1e6)), (fl.phi_cyl, CYL, (0.0, 1e6)),
+    (fl.phi_tube, TUBE, (1.0, 1e9)), (fl.phi_tube, TUBE, (1.0, 1e20)),
+    (fl.phi_tube, TUBE, (0.0, 1e100))])
+def test_phi_raises_where_its_end_terms_cancel(phi, spec, point):
+    # phi is a small difference of large end terms there: their rounding
+    # exceeds 1e-6 of phi. Unguarded, the tube's r = R column reads 3e-4
+    # off at z = 1e11 and 0.0 from 1e15, and its axis 0.0 at 1e100
+    with pytest.raises(ConvergenceError, match="cancel"):
+        phi(point, spec)
+
+
+def test_cancellation_guard_spares_the_figure_window():
+    # the z >= 0 half of the 61 x 121 figure grid (the end terms at -z are
+    # those at z, exchanged and negated, so the guard reads the same); the
+    # cylinder's largest rounding estimate there is 1.6e-14 of phi. Both
+    # bodies share their I(m, A; pi) end terms, and so one table per column
+    rs, zs = np.linspace(0.0, 3.0, 61).tolist(), np.linspace(0.0, 3.0, 61).tolist()
+    for r, ends in zip(rs, fl.phi_end_tables(CYL, rs, zs)):
+        for z in zs:
+            fl.phi_tube((r, z), TUBE, ends=ends)
+            try:
+                fl.phi_cyl((r, z), CYL, ends=ends)
+            except SingularityError:
+                assert (r, z) == pytest.approx((CYL.R, CYL.Z))
 
 
 def test_aux_degenerate():

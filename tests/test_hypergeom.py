@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from appellfield import elliptic, hypergeom as hg, oracle
 from appellfield.errors import AppellFieldError, ConvergenceError, DomainError
@@ -483,6 +483,7 @@ _triple = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_triple, min_size=1, max_size=12))
+@example([(2.2250738585072014e-308, 1.0, 0.0)])  # the tiny-m rim: a surface value
 def test_i_hyg_pi_batch_equals_the_scalar_calls_hypothesis(args):
     _assert_batch_matches_scalar(args)
 
@@ -544,6 +545,59 @@ def test_i_hyg_surface_near_one_matches_mpmath(b0):
 
         ref = float(2 * b * (mpmath.log(4 / b) + 1) + mpmath.quad(f, [0, cut, b]))
     assert hg.i_hyg_surface(m) == pytest.approx(ref, rel=1e-12)
+
+
+def _surface_integral(m):
+    # the defining integral int_m^1 K(t) dt / (t sqrt(1-t)) at 30 digits,
+    # split at m 10^(10 k): at tiny m the integrand is about (pi/2)/t over
+    # hundreds of decades, which one interval does not resolve
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        nodes = [mpmath.mpf(m)]
+        while nodes[-1] * 1e10 < 0.5:
+            nodes.append(nodes[-1] * 10 ** 10)
+        nodes.append(mpmath.mpf(1))
+        return float(mpmath.quad(lambda t: mpmath.ellipk(t) / (t * mpmath.sqrt(1 - t)), nodes))
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.2, 1.0 / 3.0])
+def test_i_hyg_surface_below_one_third_matches_its_defining_integral(m):
+    # the 4F3 series route; the quadrature route raises ConvergenceError
+    # below m = 3.7e-10 and is 6.6e-10 off at m = 1e-8
+    assert hg.i_hyg_surface(m) == pytest.approx(_surface_integral(m), rel=1e-14, abs=0.0)
+
+
+def test_i_hyg_pi_at_the_tiny_m_rim():
+    # m = 2.2e-308 and A = 1.0 = sqrt(1 - m) on the boundary (gap = 0), where
+    # the quadrature route raises DomainError. K(t)/sqrt(1-t) =
+    # (pi/2)(1 + 3t/4 + O(t^2)) gives I = (pi/2) ln(16/m) - (3 pi/8) m + O(m^2)
+    mpmath = pytest.importorskip("mpmath")
+    m = 2.2250738585072014e-308
+    with mpmath.workdps(40):
+        mm = mpmath.mpf(m)
+        ref = float(mpmath.pi / 2 * mpmath.log(16 / mm) - 3 * mpmath.pi / 8 * mm)
+    assert hg.i_hyg_pi(m, 1.0, 0.0) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e-12, 5e-10, 2e-9, 0.2, 1.0 / 3.0, 0.34, 0.5, 0.85,
+                               1.0 - 1e-6])
+def test_i_hyg_surface_is_the_boundary_value_of_i_hyg_pi(m):
+    assert hg.i_hyg_surface(m) == hg.i_hyg_pi(m, math.sqrt(1.0 - m), gap=0.0)
+
+
+def test_surface_value_takes_the_4f3_series_up_to_one_third(monkeypatch):
+    # one route per side of m = 1/3, and never the 4F3 log continuation
+    calls = []
+    for name in ("_i_hyg_surface_quad", "_i_hyg_surface_f43", "_f43_log_continued"):
+        def record(*args, _name=name, _fn=getattr(hg, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(hg, name, record)
+    for m, route in ((1e-300, "_i_hyg_surface_f43"), (1.0 / 3.0, "_i_hyg_surface_f43"),
+                     (0.34, "_i_hyg_surface_quad"), (0.9, "_i_hyg_surface_quad")):
+        calls.clear()
+        hg.i_hyg_pi(m, math.sqrt(1.0 - m), 0.0)
+        assert calls == [route], m
 
 
 def test_i_hyg_surface_matches_boundary_series_extrapolation():
