@@ -1,7 +1,8 @@
 """Legendre elliptic integrals in the *parameter* convention.
 
 Complete integrals K, E and Pi are computed with Bulirsch's general complete
-integral `cel`, one AGM-type loop; incomplete integrals are built on Carlson
+integral `cel`, one AGM-type loop (`cel_pair`: two integrals at one kc from
+one loop); incomplete integrals are built on Carlson
 symmetric forms (`carlson_rf`, `carlson_rc`, `carlson_rd`, `carlson_rj`).
 
 All Legendre functions take the parameter ``m`` (= k**2), never the modulus
@@ -78,6 +79,46 @@ def cel(kc, p, a, b):
         qc = 2.0 * math.sqrt(e)
         e = qc * em
     raise ConvergenceError("cel: AGM failed to converge")
+
+
+def cel_pair(kc, p1, a1, b1, p2, a2, b2):
+    """(cel(kc, p1, a1, b1), cel(kc, p2, a2, b2)) from one run of the AGM
+    in kc. The AGM (qc, e, em) and its stop test do not depend on p, a or
+    b, so each value takes the steps and operations of its own cel call
+    and is bit for bit that value. DomainError wherever either call raises
+    it.
+    """
+    if not (0.0 < kc <= _KC_MAX and 0.0 < p1 < math.inf and 0.0 < p2 < math.inf
+            and -math.inf < a1 < math.inf and -math.inf < b1 < math.inf
+            and -math.inf < a2 < math.inf and -math.inf < b2 < math.inf):
+        raise DomainError(
+            f"cel_pair requires 0 < kc <= {_KC_MAX:g}, finite p1, p2 > 0 and finite a, b "
+            f"(got {kc}, {p1}, {a1}, {b1}, {p2}, {a2}, {b2})")
+    qc = e = kc
+    em = 1.0
+    p1 = math.sqrt(p1)
+    b1 /= p1
+    p2 = math.sqrt(p2)
+    b2 /= p2
+    for _ in range(_MAX_AGM_STEPS):
+        f = a1
+        a1 += b1 / p1
+        g = e / p1
+        b1 = 2.0 * (b1 + f * g)
+        p1 += g
+        f = a2
+        a2 += b2 / p2
+        g = e / p2
+        b2 = 2.0 * (b2 + f * g)
+        p2 += g
+        g = em
+        em += qc
+        if abs(g - qc) <= g * _CEL_TOL:
+            return (math.pi / 2.0 * (b1 + a1 * em) / (em * (em + p1)),
+                    math.pi / 2.0 * (b2 + a2 * em) / (em * (em + p2)))
+        qc = 2.0 * math.sqrt(e)
+        e = qc * em
+    raise ConvergenceError("cel_pair: AGM failed to converge")
 
 
 def carlson_rf(x, y, z):

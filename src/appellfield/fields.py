@@ -55,28 +55,30 @@ def _ke_sum(a: AuxGeometry, ca, cb):
     return elliptic.cel(math.sqrt(omm), 1.0, ca, cb)
 
 
-def _pi_star_minus_k_times_dr(a: AuxGeometry):
-    """(r - r0) (Pi(n* | m) - K(m)), n* = 4 r r0/(r+r0)^2, and 0 at r = r0
-    exactly (the symmetric mean of its one-sided limits
-    sgn(r-r0) (pi/2)(r+r0) L0/|z|). Pi - K = cel(kc, 1 - n*, 0, n*), and
-    cel, linear in its last two arguments, takes the factor r - r0 there;
-    both complements are exact: kc^2 = 1 - m from aux and
-    1 - n* = ((r-r0)/(r+r0))^2 here. cel needs no special case for a small
-    1 - n*, so the product is accurate all the way to r -> r0, where it
-    tends to its limit."""
+def _ke_sum_and_pi_star(a: AuxGeometry, ca, cb):
+    """(_ke_sum(a, ca, cb), (r - r0) (Pi(n* | m) - K(m))), n* = 4 r r0/(r+r0)^2,
+    both from one run of the AGM (elliptic.cel_pair), each bit for bit its
+    own cel call. At r = r0 the second is 0 exactly (the symmetric mean of
+    its one-sided limits sgn(r-r0) (pi/2)(r+r0) L0/|z|) and the first is
+    _ke_sum alone. Pi - K = cel(kc, 1 - n*, 0, n*), and cel, linear in its
+    last two arguments, takes the factor r - r0 there; both complements are
+    exact: kc^2 = 1 - m from aux and 1 - n* = ((r-r0)/(r+r0))^2 here. cel
+    needs no special case for a small 1 - n*, so the product is accurate
+    all the way to r -> r0, where it tends to its limit."""
     r, r0 = a.r, a.r0
     if r == r0:
-        return 0.0
+        return _ke_sum(a, ca, cb), 0.0
     dr, s = r - r0, r + r0
-    return elliptic.cel(math.sqrt(a.one_minus_m), (dr / s) ** 2,
-                        0.0, dr * 4.0 * r * r0 / (s * s))
+    return elliptic.cel_pair(math.sqrt(a.one_minus_m), 1.0, ca, cb,
+                             (dr / s) ** 2, 0.0, dr * 4.0 * r * r0 / (s * s))
 
 
 # Each assembly below is k K + e E + c (r - r0) Pi* + (elementary), with
 # Pi* = Pi(n* | m). It is evaluated as k' K + e E + c (r - r0)(Pi* - K),
-# k' = k + c (r - r0): one _ke_sum, whose arguments k' + e and
-# k' + e (1 - m) are reduced to closed forms with L0^2 = (r + r0)^2 + z^2,
-# plus one _pi_star_minus_k_times_dr. The cylinder forms have used the
+# k' = k + c (r - r0): one _ke_sum_and_pi_star, whose arguments k' + e
+# and k' + e (1 - m) are reduced to closed forms with
+# L0^2 = (r + r0)^2 + z^2, and which runs one AGM for both complete
+# integrals. The cylinder forms have used the
 # characteristic-sum identity of indefinite.pi_identity_residual on their
 # n_pm pair; its (pi L0/|z|) H(r0 - r) piece is their elementary last term.
 # Each equals its general-theta twin of module indefinite at theta = pi.
@@ -89,8 +91,9 @@ def _i_cyl_ell_pi(a: AuxGeometry):
     if z == 0.0:
         return 0.0
     s = r + r0
-    out = z * r / (L0 * s) * _ke_sum(a, s * s + z * z, (r - 2.0 * r0) * s + z * z)
-    out += z * (r * r - r0 * r0 + 2.0 * z * z) / (4.0 * L0 * s) * _pi_star_minus_k_times_dr(a)
+    ke, pk = _ke_sum_and_pi_star(a, s * s + z * z, (r - 2.0 * r0) * s + z * z)
+    out = z * r / (L0 * s) * ke
+    out += z * (r * r - r0 * r0 + 2.0 * z * z) / (4.0 * L0 * s) * pk
     out += _sgn(z) * math.pi * (2.0 * z * z - r0 * r0) / 4.0 * heaviside(r0 - r)
     return out
 
@@ -102,8 +105,9 @@ def _j_cyl_ell_pi(a: AuxGeometry):
     (r0 = 0) the value is exactly 0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
     s = r + r0
-    out = 2.0 * r * r0 / (3.0 * L0) * _ke_sum(a, -(s * s + z * z), (r - r0) ** 2 - 2.0 * z * z)
-    out += z * z * (r - r0) / (2.0 * L0) * _pi_star_minus_k_times_dr(a)
+    ke, pk = _ke_sum_and_pi_star(a, -(s * s + z * z), (r - r0) ** 2 - 2.0 * z * z)
+    out = 2.0 * r * r0 / (3.0 * L0) * ke
+    out += z * z * (r - r0) / (2.0 * L0) * pk
     out -= math.pi * r0 * r0 * abs(z) / 2.0 * heaviside(r0 - r)
     return out
 
@@ -114,8 +118,9 @@ def _j_tube_pi(a: AuxGeometry):
     exactly 0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
     s = r + r0
-    out = 2.0 * r0 / (s * L0) * _ke_sum(a, -(s * s + z * z), (r - r0) * s - z * z)
-    out += z * z / (L0 * s) * _pi_star_minus_k_times_dr(a)
+    ke, pk = _ke_sum_and_pi_star(a, -(s * s + z * z), (r - r0) * s - z * z)
+    out = 2.0 * r0 / (s * L0) * ke
+    out += z * z / (L0 * s) * pk
     return out
 
 
@@ -330,7 +335,10 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
 
     'lass_blitzer' is the compact shifted-coordinate expression;
     'takahashi' carries the characteristic pair n_pm = 2r/(r +- sqrt(r^2+z^2)).
-    The disk edge (r, z) = (R, 0) is excluded.
+    The disk edge (r, z) = (R, 0) is excluded. DomainError where the value
+    is not finite. ConvergenceError where the form's parts cancel so far
+    that their rounding, 2^-52 times the sum of their magnitudes, exceeds
+    1e-6 |phi|: for R = 1 from |z| = 3.4e4 on the axis.
     """
     r, z = _check_point(point)
     R, sigma = spec.R, spec.sigma
@@ -341,15 +349,20 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
     if form == "lass_blitzer":
         # (2/L0) [L0^2 E + (R^2 - r^2) K + (z^2/(R + r)) (R - r) Pi*],
         # regrouped as the assemblies above are
-        out = 4.0 * R / (L0 * s) * _ke_sum(a, s * s + z * z, (R - r) * s + z * z)
-        out += 2.0 * z * z / (L0 * s) * _pi_star_minus_k_times_dr(a)
-        return _finite(sigma * (out - 2.0 * math.pi * abs(z) * heaviside(R - r)), "phi_disk")
+        ke, pk = _ke_sum_and_pi_star(a, s * s + z * z, (R - r) * s + z * z)
+        ell = 4.0 * R / (L0 * s) * ke
+        pi_part = 2.0 * z * z / (L0 * s) * pk
+        flat = 2.0 * math.pi * abs(z) * heaviside(R - r)
+        out = _uncancelled(ell + pi_part - flat, abs(ell) + abs(pi_part) + flat, "phi_disk",
+                           point)
+        return _finite(sigma * out, "phi_disk")
     if form != "takahashi":
         raise DomainError(f"phi_disk: unknown form {form!r}")
     # L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum
     out = 2.0 * R * _ke_sum(a, s, R - r)
+    size = abs(out)
     if not math.isinf(a.n_minus):
-        # z^2 sum_pm bracket(pm) Pi(n_pm | m), one cel call per term with
+        # z^2 sum_pm bracket(pm) Pi(n_pm | m), one AGM for both terms, with
         # the complements formed exactly: 1 - n+ = t^2 with t = z/(r + rho)
         # (n+ -> 1 as z -> 0), z^2 bracket(+1) = t z (rho - R) and
         # z^2 bracket(-1) = (rho + R)(rho + r). Where n_minus is -inf (z = 0,
@@ -357,12 +370,15 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         # vanishes in the limit.
         rho = math.hypot(r, z)
         t = z / (r + rho)
-        kc = math.sqrt(a.one_minus_m)
         c_plus = t * z * (rho - R)
         c_minus = (rho + R) * (rho + r)
-        out += (elliptic.cel(kc, t * t, c_plus, c_plus)
-                + elliptic.cel(kc, 1.0 - a.n_minus, c_minus, c_minus))
-    return _finite(sigma * (2.0 / L0 * out - 2.0 * math.pi * abs(z)), "phi_disk")
+        plus, minus = elliptic.cel_pair(math.sqrt(a.one_minus_m), t * t, c_plus, c_plus,
+                                        1.0 - a.n_minus, c_minus, c_minus)
+        out += plus + minus
+        size += abs(plus) + abs(minus)
+    flat = 2.0 * math.pi * abs(z)
+    out = _uncancelled(2.0 / L0 * out - flat, 2.0 / L0 * size + flat, "phi_disk", point)
+    return _finite(sigma * out, "phi_disk")
 
 
 def psi_point(point, q, z_offset=0.0):

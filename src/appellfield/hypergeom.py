@@ -38,6 +38,10 @@ once by the same rule and leaves the other routes to i_hyg_pi; the grids
 use it. Each single-index sum has one recurrence, _f2_ke_terms or
 _f2_inner_terms, a generator run on floats by _series_sum and over arrays
 by _series_sums, so the batch is bit for bit what i_hyg_pi returns.
+_series_sums takes the terms 32 at a time and tests the stopping rule once
+per block, on all its terms: the running sums add in sequence
+(np.add.accumulate), as _series_sum's do, and a series that stops inside a
+block has its later terms in that block computed and dropped.
 
 i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
@@ -113,29 +117,56 @@ def _series_sum(terms, tol, name):
     raise ConvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
 
 
+# _series_sums takes the terms of its series this many at a time (at least
+# two: see the recurrences _f2_ke_terms and _f2_inner_terms)
+_BLOCK = 32
+
+
 def _series_sums(terms, n, tol):
     # _series_sum of n series at once, summed in lockstep: ``terms`` yields
     # the term arrays of the series still running and is sent, after each,
-    # the mask of those to keep (None when all stay). Each sum stops by the
-    # scalar rule; a sum still running past term MAX_TERMS is nan.
+    # the mask of those to keep (None when all stay). The terms come _BLOCK
+    # at a time, and a mask only after a block: the series that stopped
+    # inside it have had their later terms computed, and those are dropped.
+    # Each sum stops by the scalar rule at its first third consecutive
+    # small term, found by one test per block: np.add.accumulate adds the
+    # block's terms to the carried total in sequence, as _series_sum does,
+    # and the small-term flags of a block's last two terms carry over to
+    # the next. A sum still running past term MAX_TERMS is nan.
     eps = 0.02 * tol
     out = np.full(n, np.nan)
     index = np.arange(n)
-    total = np.zeros(n)
-    small = np.zeros(n, dtype=np.int64)
+    # the block's buffers, whose first columns hold the series still
+    # running: the carried total over the running sums, |term|,
+    # eps |running sum|, and the small-term flags under the two carried ones
+    sums = np.zeros((_BLOCK + 1, n))
+    term_size, sum_size = np.empty((_BLOCK, n)), np.empty((_BLOCK, n))
+    small = np.zeros((_BLOCK + 2, n), dtype=bool)
     keep = None
-    for _ in range(MAX_TERMS + 1):
-        term = terms.send(keep)
-        total += term
-        small = np.where(np.abs(term) <= eps * np.abs(total), small + 1, 0)
-        done = small >= 3
-        keep = None
+    for start in range(0, MAX_TERMS + 1, _BLOCK):
+        b, k = min(_BLOCK, MAX_TERMS + 1 - start), index.size
+        run, flags = sums[:b + 1, :k], small[:b + 2, :k]
+        tsize, ssize = term_size[:b, :k], sum_size[:b, :k]
+        for row in run[1:]:
+            row[...] = terms.send(keep)
+            keep = None
+        np.abs(run[1:], out=tsize)
+        np.add.accumulate(run, axis=0, out=run)
+        np.abs(run[1:], out=ssize)
+        ssize *= eps
+        np.less_equal(tsize, ssize, out=flags[2:])
+        stop = flags[:-2] & flags[1:-1] & flags[2:]
+        done = stop.any(axis=0)
         if done.any():
-            out[index[done]] = total[done]
+            cols = np.flatnonzero(done)
+            out[index[cols]] = run[stop[:, cols].argmax(axis=0) + 1, cols]
             keep = ~done
-            index, total, small = index[keep], total[keep], small[keep]
+            index = index[keep]
             if not index.size:
                 break
+        carried = slice(None) if keep is None else keep
+        sums[0, :index.size] = run[b, carried]
+        small[:2, :index.size] = flags[b:, carried]
     return out
 
 
@@ -285,9 +316,8 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
 def _f2_ke_seeds(u):
     # (2/pi) K(x) and (2/pi) E(x) at kc = sqrt(u), u = 1 - x: the first two
     # inner functions of _f2_ke_terms
-    kc = math.sqrt(u)
-    return (2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, 1.0),
-            2.0 / math.pi * elliptic.cel(kc, 1.0, 1.0, u))
+    k, e = elliptic.cel_pair(math.sqrt(u), 1.0, 1.0, 1.0, 1.0, 1.0, u)
+    return 2.0 / math.pi * k, 2.0 / math.pi * e
 
 
 def _f2_ke_sum(x, y, u):
@@ -317,11 +347,12 @@ def _f2_inner_sum(beta, gamma, x, y, u):
 # The two single-index recurrences, each defined once: generators of the
 # terms, floats when _series_sum drives them and, from i_hyg_pi_batch, the
 # term arrays of the series still running when _series_sums does, which
-# sends each the mask of those to keep. They use only + - * /, which numpy
-# rounds as Python does, so a sum over arrays is bit for bit the scalar
-# sum. A mask first arrives after the third term (the stopping rule
-# needs three small terms), by when coef and the scaled form's upow, which
-# start as 1.0, are arrays; the batch runs the scaled inner form only.
+# sends each the mask of those to keep after every block of _BLOCK terms.
+# They use only + - * /, which numpy rounds as Python does, so a sum over
+# arrays is bit for bit the scalar sum. A mask first arrives after the
+# first block, by when coef and the scaled form's upow, which start as 1.0,
+# are arrays: they are from the second term on, so a block needs at least
+# two terms. The batch runs the scaled inner form only.
 
 def _f2_ke_terms(x, y, u, h_prev, h_cur):
     # F2(1/2; 1/2, 1; 1, 3/2; x, y) = sum_l (1/2)_l/(3/2)_l y^l
@@ -534,8 +565,10 @@ def i_hyg_pi_batch(m, A, gap):
     Each element takes its route from i_hyg_pi's rule and its seeds from
     the scalar code; the sums of each route then run in lockstep through
     the one recurrence i_hyg_pi sums (_f2_ke_terms, _f2_inner_terms), over
-    arrays and with the scalar stopping rule (_series_sums), so every value
-    is bit for bit what i_hyg_pi returns.
+    arrays, a block of 32 terms at a time, and with the scalar stopping
+    rule tested once per block (_series_sums), so every value is bit for
+    bit what i_hyg_pi returns. The terms a series computes past its stop
+    may overflow; that is silent and they are dropped.
     """
     m, A, gap = (np.asarray(v, dtype=float) for v in (m, A, gap))
     route = np.zeros(len(m), dtype=np.int8)  # 1: K/E-seeded, 2: inner-2F1

@@ -213,8 +213,35 @@ def test_cel_domain_errors():
             el.cel(*args)
 
 
+# cel's domain, 0 < kc <= 1e150, p > 0 and finite a, b, and values off it
+_KC, _P = st.floats(1e-8, 1e150), st.floats(0.0, 2.0, exclude_min=True)
+_AB = st.floats(allow_nan=False, allow_infinity=False)
+_OFF_KC = st.sampled_from([0.0, -0.5, 1e151, math.nan, math.inf])
+_OFF_P = st.sampled_from([0.0, -0.5, math.inf, math.nan])
+_OFF_AB = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_KC, _P, _AB, _AB, _P, _AB, _AB), st.one_of(st.just(None), st.integers(0, 6)),
+       st.data())
+def test_cel_pair_is_two_cel_calls(args, off, data):
+    # bit for bit, and DomainError wherever either call raises it; ``off``
+    # is the one argument, if any, drawn off the domain
+    args = list(args)
+    if off is not None:
+        args[off] = data.draw({0: _OFF_KC, 1: _OFF_P, 4: _OFF_P}.get(off, _OFF_AB))
+    kc, p1, a1, b1, p2, a2, b2 = args
+    try:
+        want = (el.cel(kc, p1, a1, b1), el.cel(kc, p2, a2, b2))
+    except DomainError:
+        with pytest.raises(DomainError):
+            el.cel_pair(*args)
+        return
+    assert repr(el.cel_pair(*args)) == repr(want)
+
+
 @pytest.mark.parametrize("name, nargs", [
-    ("cel", 4), ("carlson_rf", 3), ("carlson_rc", 2), ("carlson_rd", 3),
+    ("cel", 4), ("cel_pair", 7), ("carlson_rf", 3), ("carlson_rc", 2), ("carlson_rd", 3),
     ("carlson_rj", 4), ("ellip_f", 2), ("ellip_e", 2), ("ellip_pi", 3),
     ("comp_k", 1), ("comp_e", 1), ("comp_pi", 2)])
 def test_nonfinite_arguments_rejected(name, nargs):

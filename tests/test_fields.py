@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from appellfield import elliptic as el
 from appellfield import fields as fl
 from appellfield import indefinite
 from appellfield import oracle as oc
@@ -92,14 +93,22 @@ def test_phi_tube_on_the_r_equals_R_column_far_out(z):
     assert fl.phi_tube((1.0, z), TUBE) == pytest.approx(ref, rel=2e-11, abs=0.0)
 
 
+def _phi_disk_takahashi(point, spec):
+    return fl.phi_disk(point, spec, "takahashi")
+
+
 @pytest.mark.parametrize("phi, spec, point", [
     (fl.phi_cyl, CYL, (1.0, 1e4)), (fl.phi_cyl, CYL, (1.0, 1e6)), (fl.phi_cyl, CYL, (0.0, 1e6)),
     (fl.phi_tube, TUBE, (1.0, 1e9)), (fl.phi_tube, TUBE, (1.0, 1e20)),
-    (fl.phi_tube, TUBE, (0.0, 1e100))])
+    (fl.phi_tube, TUBE, (0.0, 1e100)),
+    (fl.phi_disk, DISK, (3.0, 1e20)), (fl.phi_disk, DISK, (3.0, 1e100)),
+    (fl.phi_disk, DISK, (0.0, 1e8)), (_phi_disk_takahashi, DISK, (3.0, 1e20)),
+    (_phi_disk_takahashi, DISK, (3.0, 1e100)), (_phi_disk_takahashi, DISK, (0.0, 1e8))])
 def test_phi_raises_where_its_end_terms_cancel(phi, spec, point):
     # phi is a small difference of large end terms there: their rounding
     # exceeds 1e-6 of phi. Unguarded, the tube's r = R column reads 3e-4
-    # off at z = 1e11 and 0.0 from 1e15, and its axis 0.0 at 1e100
+    # off at z = 1e11 and 0.0 from 1e15, and its axis 0.0 at 1e100; the
+    # disk read -32768 at (3, 1e20), 0.0 at (3, 1e100) and 3.8 Q/d at (0, 1e8)
     with pytest.raises(ConvergenceError, match="cancel"):
         phi(point, spec)
 
@@ -117,6 +126,40 @@ def test_cancellation_guard_spares_the_figure_window():
                 fl.phi_cyl((r, z), CYL, ends=ends)
             except SingularityError:
                 assert (r, z) == pytest.approx((CYL.R, CYL.Z))
+
+
+@pytest.mark.parametrize("form", ["lass_blitzer", "takahashi"])
+def test_cancellation_guard_spares_the_disk_over_the_figure_window(form):
+    # the 61 x 121 figure window; only the disk edge (R, 0) raises
+    for r in np.linspace(0.0, 3.0, 61).tolist():
+        for z in np.linspace(-3.0, 3.0, 121).tolist():
+            try:
+                fl.phi_disk((r, z), DISK, form)
+            except SingularityError:
+                assert (r, z) == (DISK.R, 0.0)
+
+
+def _pi_star_by_cel(a):
+    # (r - r0)(Pi(n* | m) - K(m)) by its own cel call, 0 at r = r0
+    r, r0 = a.r, a.r0
+    if r == r0:
+        return 0.0
+    dr, s = r - r0, r + r0
+    return el.cel(math.sqrt(a.one_minus_m), (dr / s) ** 2, 0.0, dr * 4.0 * r * r0 / (s * s))
+
+
+def test_ke_sum_and_pi_star_is_the_two_cel_calls():
+    # bit for bit, at seeded slots and at the rim, r = r0, z = 0 and the axis
+    rng = np.random.default_rng(19)
+    slots = [(1.0, 0.0, 1.0), (1.0, 0.4, 1.0), (1.0, -2.5, 1.0), (0.5, 0.0, 1.0),
+             (2.0, 0.0, 1.0), (1.0, 0.3, 0.0), (1.0, 0.0, 1.0 + 1e-15)]
+    slots += [(1.0, float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 3.0)))
+              for _ in range(300)]
+    for R, zeta, r in slots:
+        a = aux(R, zeta, r)
+        ca, cb = rng.normal(size=2).tolist()
+        want = (fl._ke_sum(a, ca, cb), _pi_star_by_cel(a))
+        assert repr(fl._ke_sum_and_pi_star(a, ca, cb)) == repr(want), (R, zeta, r)
 
 
 def test_aux_degenerate():

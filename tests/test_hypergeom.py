@@ -516,6 +516,64 @@ def test_series_sums_stop_each_series_by_the_scalar_rule():
     assert all(math.isnan(v) for v in hg._series_sums(endless(), 2, hg.REL_TOL))
 
 
+def _series_sums_of_rows(rows):
+    # (_series_sums, _series_sum per row) of the series whose terms are the
+    # rows, each continued by ones; the batch's generator honours the masks
+    # as the recurrences do, and a scalar sum that raises ConvergenceError
+    # is nan
+    width = max(map(len, rows))
+    columns = np.ones((width, len(rows)))
+    for i, row in enumerate(rows):
+        columns[:len(row), i] = row
+
+    def terms():
+        live = np.arange(len(rows))
+        for k in itertools.count():
+            keep = yield (columns[k] if k < width else np.ones(len(rows)))[live]
+            if keep is not None:
+                live = live[keep]
+
+    def scalar(row):
+        try:
+            return hg._series_sum(itertools.chain(row, itertools.repeat(1.0)), hg.REL_TOL, "row")
+        except ConvergenceError:
+            return math.nan
+
+    return hg._series_sums(terms(), len(rows), hg.REL_TOL).tolist(), [scalar(r) for r in rows]
+
+
+def _large(rng, n):
+    # n terms that are not small against their running sum
+    return rng.uniform(0.5, 1.5, n).tolist()
+
+
+def test_series_sums_stop_by_the_scalar_rule_across_blocks():
+    B, rng = hg._BLOCK, np.random.default_rng(19)
+    rows = [_large(rng, 5) + [0.0] * 3,  # stops inside the first block
+            # runs of three small terms across the first block boundary
+            _large(rng, B - 2) + [0.0] * 3, _large(rng, B - 1) + [0.0] * 3,
+            # two small terms at the block's end, then a large one
+            _large(rng, B - 2) + [0.0] * 2 + _large(rng, 1) + [0.0] * 3,
+            # stop mid-block in the second block while the last row runs on
+            _large(rng, B + 3) + [0.0] * 3, _large(rng, B + 9) + [0.0] * 3,
+            _large(rng, 3 * B + 7) + [0.0] * 3]
+    got, want = _series_sums_of_rows(rows)
+    assert repr(got) == repr(want)
+    assert all(map(math.isfinite, got))
+
+
+def test_series_sums_cap_ends_in_a_partial_block():
+    # MAX_TERMS + 1 terms are summed, the last block of them partial
+    assert (hg.MAX_TERMS + 1) % hg._BLOCK
+    rng = np.random.default_rng(20)
+    rows = [_large(rng, hg.MAX_TERMS - 2) + [0.0] * 3,  # its third small term is the last summed
+            _large(rng, hg.MAX_TERMS - 1) + [0.0] * 3,  # one term past it
+            [1.0]]                                       # never stops
+    got, want = _series_sums_of_rows(rows)
+    assert repr(got) == repr(want)
+    assert math.isfinite(got[0]) and math.isnan(got[1]) and math.isnan(got[2])
+
+
 def test_i_hyg_surface():
     assert hg.i_hyg_surface(0.5) == pytest.approx(ISUR_05, rel=1e-10)
     assert hg.i_hyg_surface(0.85) == pytest.approx(ISUR_085, rel=1e-10)
