@@ -5,7 +5,7 @@ elliptic integrals, Jacobi elliptic/zeta/theta functions,
 Gauss/Appell/generalized hypergeometric series) and brute-force
 verification oracles."""
 
-from . import elliptic, errors, fields, geometry, hypergeom, indefinite, jacobi, oracle, verify
+from . import elliptic, errors, fields, geometry, hypergeom, indefinite, jacobi, oracle
 from .geometry import AuxGeometry, CylinderSpec, DiskSpec, FieldSample, TubeSpec, aux
 from .oracle import QuadratureSpec
 
@@ -16,3 +16,12 @@ __all__ = [
     "jacobi", "oracle", "verify",
 ]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # verify, which imports numpy, loads on its first access: importing the
+    # package and evaluating the scalar potentials load no numpy
+    if name == "verify":
+        import importlib
+        return importlib.import_module(f"{__name__}.verify")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,16 +7,13 @@ internal errors.
 """
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from . import elliptic, fields, hypergeom, jacobi, verify
+from . import elliptic, fields, hypergeom, jacobi
 from .errors import AppellFieldError, DomainError, SingularityError
 from .geometry import CylinderSpec, DiskSpec, FieldSample, TubeSpec
 
@@ -138,6 +135,12 @@ def _grid_rows(spec: GridSpec, workers=1):
     terms of all columns first, in one batch. Tube sheet b != 0 moves the
     psi to its sheet as psi_tube does, and reports a psi that is not finite
     there as failed."""
+    # imported here, where the grid needs them: eval and special run
+    # without either
+    import concurrent.futures
+
+    import numpy as np
+
     body = _build_body(spec.body, spec.R, spec.Z, spec.density)
     rs = [float(r) for r in np.linspace(spec.r_min, spec.r_max, spec.nr)]
     zs = [float(z) for z in np.linspace(spec.z_min, spec.z_max, spec.nz)]
@@ -260,6 +263,8 @@ def cmd_special(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     idents = set(args.only) if args.only else None
     results = verify.run_suite(args.suite, seed=args.seed, idents=idents)
     if not results:

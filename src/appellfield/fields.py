@@ -16,8 +16,6 @@ complete integrals, here computed by cel and I(m, A; pi).
 import itertools
 import math
 
-import numpy as np
-
 from . import elliptic, hypergeom
 from .errors import ConvergenceError, DomainError, SingularityError
 from .geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
@@ -194,6 +192,7 @@ def phi_end_tables(spec, rs, zs):
     call before the first table is yielded; the terms the batch leaves are
     absent, and the calls compute them on a miss as they would without a
     table."""
+    import numpy as np
     R, Z = spec.R, spec.Z
     zetas = list(dict.fromkeys(abs(beta * Z - z) for z in zs for beta in (1.0, -1.0)))
     m, A, gap = (np.empty(len(rs) * len(zetas)) for _ in range(3))

@@ -47,12 +47,15 @@ i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
 value above m = 1/3 and the 4F3-log continuation each run oracle.quad_1d
 at one fixed QuadratureSpec, a module constant.
+
+The module imports no numpy: the functions that build arrays
+(i_hyg_pi_batch, _series_sums, _antidiagonal_terms, _i_hyg_quadrature,
+lauricella_f11_triple) import it where they run, so the scalar sums, and
+the potentials built on them, run without it.
 """
 
 import itertools
 import math
-
-import numpy as np
 
 from . import elliptic, oracle
 from .errors import ConvergenceError, DomainError
@@ -133,6 +136,7 @@ def _series_sums(terms, n, tol):
     # block's terms to the carried total in sequence, as _series_sum does,
     # and the small-term flags of a block's last two terms carry over to
     # the next. A sum still running past term MAX_TERMS is nan.
+    import numpy as np
     eps = 0.02 * tol
     out = np.full(n, np.nan)
     index = np.arange(n)
@@ -252,6 +256,7 @@ def _antidiagonal_terms(l_ratio, j_edge_ratio):
     ``l_ratio(N, j)`` maps row-N entries (j, l = N - j) to row N+1 entries
     (j, l + 1); ``j_edge_ratio(j)`` is t(j+1, 0)/t(j, 0). t(0, 0) = 1.
     """
+    import numpy as np
     row = np.array([1.0])
     yield 1.0
     for N in itertools.count():
@@ -491,6 +496,8 @@ _I_HYG_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-11)
 
 
 def _i_hyg_quadrature(m, A, theta):
+    import numpy as np
+
     def integrand(t):
         return np.arctanh(A / np.sqrt(1.0 - m * np.sin(t / 2.0) ** 2))
 
@@ -570,6 +577,7 @@ def i_hyg_pi_batch(m, A, gap):
     bit what i_hyg_pi returns. The terms a series computes past its stop
     may overflow; that is silent and they are dropped.
     """
+    import numpy as np
     m, A, gap = (np.asarray(v, dtype=float) for v in (m, A, gap))
     route = np.zeros(len(m), dtype=np.int8)  # 1: K/E-seeded, 2: inner-2F1
     u, seed0, seed1 = np.empty(len(m)), np.empty(len(m)), np.empty(len(m))
@@ -777,6 +785,7 @@ def lauricella_f11_triple(m, A, s):
     nl, nj, nk = cap(x), cap(y), cap(w)
     if max(nl, nj, nk) >= 600:
         raise ConvergenceError("lauricella_f11_triple: arguments too close to 1")
+    import numpy as np
     half = 0.5
     idx = np.arange(nl + max(nj, nk) + 1, dtype=float)
     poch_half = np.cumprod(np.concatenate(([1.0], half + idx[:-1])))  # (1/2)_n

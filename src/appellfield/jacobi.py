@@ -4,6 +4,10 @@ Z(u|m) sc(u|m).
 
 The scaled theta functions are Theta_i(u|m) = theta_i(pi*u/(2K(m)), q) with
 nome q = exp(-pi K(1-m)/K(m)); in this scaling Z(u|m) = d/du ln Theta_4(u|m).
+
+As in elliptic, every public function raises DomainError for a non-finite
+argument; so do those built on the amplitude where it overflows, and
+jacobi_zeta where |u| leaves no digit of u mod 2K.
 """
 
 import math
@@ -20,6 +24,11 @@ def _check_m(m, allow_zero=True):
         raise DomainError(f"parameter m = {m} outside the supported range")
 
 
+def _check_u(name, u):
+    if not math.isfinite(u):
+        raise DomainError(f"{name} requires a finite u (got {u})")
+
+
 def _agm_chain(m):
     a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
     chain = []
@@ -34,12 +43,16 @@ def _agm_chain(m):
 def jacobi_am(u, m):
     """Jacobi amplitude am(u | m), continuous and increasing in u;
     am(u + 2K | m) = am(u | m) + pi."""
+    _check_u("jacobi_am", u)
     _check_m(m)
     if m == 0.0:
         return float(u)
     chain = _agm_chain(m)
     n = len(chain) - 1
-    phi = math.ldexp(chain[n][0] * u, n)
+    try:
+        phi = math.ldexp(chain[n][0] * u, n)
+    except OverflowError:
+        raise DomainError(f"jacobi_am: the amplitude overflows at u = {u}") from None
     for k in range(n, 0, -1):
         a, c = chain[k]
         ratio = max(-1.0, min(1.0, c / a * math.sin(phi)))
@@ -65,6 +78,7 @@ def jacobi_dn(u, m):
 
 def jacobi_sc(u, m):
     """sc(u | m) = sn/cn, with poles at odd multiples of K(m)."""
+    _check_u("jacobi_sc", u)
     _check_m(m)
     if m > 0.0:
         K = elliptic.comp_k(m)
@@ -81,14 +95,25 @@ def jacobi_sc(u, m):
 
 def jacobi_zeta(u, m):
     """Jacobi zeta function Z(u | m) = E(am(u) | m) - u E(m)/K(m);
-    odd in u, periodic with period 2K(m)."""
+    odd in u, periodic with period 2K(m).
+
+    u is first reduced to [-K, K] by whole periods (math.remainder, exact
+    for the rounded 2K). The reduced u is then off by about |u| 2^-52, from
+    the rounding of u and of K; DomainError where that reaches K, so that
+    no digit of u mod 2K is left (|u| >= 8.3e15 at m = 0.5).
+    """
+    _check_u("jacobi_zeta", u)
     _check_m(m)
     if m == 0.0:
         return 0.0
     if u == 0.0:
         return 0.0
+    K = elliptic.comp_k(m)
+    if abs(u) * 2.0 ** -52 >= K:
+        raise DomainError(f"jacobi_zeta: no digit of u mod 2K is left at u = {u}")
+    u = math.remainder(u, 2.0 * K)
     phi = jacobi_am(u, m)
-    return elliptic.ellip_e(phi, m) - u * elliptic.comp_e(m) / elliptic.comp_k(m)
+    return elliptic.ellip_e(phi, m) - u * elliptic.comp_e(m) / K
 
 
 def nome(m):
@@ -109,6 +134,8 @@ def theta(i, u, m):
     _check_m(m, allow_zero=False)
     q = nome(m)
     z = math.pi * u / (2.0 * elliptic.comp_k(m))
+    if not math.isfinite(z):  # u is not, or pi u overflows
+        raise DomainError(f"theta requires a finite pi u/(2K) (got u = {u})")
     if i in (1, 2):
         # 2 q^(1/4) sum q^(n(n+1)) {sin, cos}((2n+1) z), alternating for theta_1
         total = 0.0

@@ -10,6 +10,11 @@ times. Every caller passes a ``QuadratureSpec``: an absolute and a relative
 tolerance, and at most one singular endpoint. Callers with a fixed request
 build their spec once, as a module constant.
 
+Importing this module loads no numpy, so hypergeom, which builds its specs
+at import, stays free of it too: the rule's tables are literal tuples, made
+numpy arrays once, on the first panel, and the quadrature and the Coulomb
+integrands import numpy where they run.
+
 The Coulomb references integrate Coulomb's law with every inner integral
 done exactly, so one ``quad_1d`` of an elementary integrand remains. At
 points within distance 1e2 of the origin they agree with 30-digit mpmath
@@ -22,10 +27,9 @@ These are deliberately kept free of any closed-form machinery from the rest
 of the package so that every acceptance test compares two independent routes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .geometry import CylinderSpec, TubeSpec
@@ -42,10 +46,19 @@ _WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204
         0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
 _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-_KRONROD_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_KRONROD_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
-_GAUSS_WEIGHTS = np.array(_WG + _WG[-2::-1])
+_KRONROD_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_KRONROD_WEIGHTS = _WGK + _WGK[-2::-1]
+_GAUSS_WEIGHTS = _WG + _WG[-2::-1]
 _GAUSS_SLICE = slice(1, 15, 2)
+
+
+@functools.cache
+def _rule_arrays():
+    # the rule's nodes, Kronrod weights and Gauss weights as numpy arrays,
+    # formed on the first panel
+    import numpy as np
+    return np.array(_KRONROD_NODES), np.array(_KRONROD_WEIGHTS), np.array(_GAUSS_WEIGHTS)
+
 
 # Reported error estimates are floored at this fraction of the requested
 # tolerance: the raw Kronrod-Gauss difference collapses to noise after one
@@ -70,8 +83,10 @@ class QuadratureSpec:
 
 
 def _eval_panel(f, a, b, vectorized):
+    import numpy as np
+    nodes, kronrod_weights, gauss_weights = _rule_arrays()
     half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * _KRONROD_NODES
+    xs = 0.5 * (a + b) + half * nodes
     if vectorized:
         fx = np.asarray(f(xs), dtype=float)
         if fx.ndim == 0:
@@ -80,14 +95,14 @@ def _eval_panel(f, a, b, vectorized):
         fx = np.array([float(f(x)) for x in xs])
     if not np.all(np.isfinite(fx)):
         raise DomainError(f"integrand not finite on [{a}, {b}]")
-    k15 = half * float(_KRONROD_WEIGHTS @ fx)
-    g7 = half * float(_GAUSS_WEIGHTS @ fx[_GAUSS_SLICE])
+    k15 = half * float(kronrod_weights @ fx)
+    g7 = half * float(gauss_weights @ fx[_GAUSS_SLICE])
     # QUADPACK-style estimate: scale the Kronrod-Gauss difference by the
     # integrand variation so resolved panels report rounding noise, not noise
     # amplified across thousands of subdivisions
-    resabs = half * float(_KRONROD_WEIGHTS @ np.abs(fx))
+    resabs = half * float(kronrod_weights @ np.abs(fx))
     mean = k15 / (b - a)
-    resasc = half * float(_KRONROD_WEIGHTS @ np.abs(fx - mean))
+    resasc = half * float(kronrod_weights @ np.abs(fx - mean))
     diff = abs(k15 - g7)
     if resasc > 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
@@ -165,11 +180,13 @@ _CHORD_QUADRATURE = QuadratureSpec(1e-15, 1e-13, singular_endpoints=(False, True
 
 def _inv_root_plus(D, c):
     """1/(sqrt(D^2 + c^2) + c) = (sqrt(D^2 + c^2) - c)/D^2 for c >= 0."""
+    import numpy as np
     return 1.0 / (np.sqrt(D * D + c * c) + c)
 
 
 def _asinh_gap(D, a, b):
     """asinh(a/D) - asinh(b/D) for a > |b|, without cancellation."""
+    import numpy as np
     if b <= 0.0:
         return np.arcsinh(a / D) + np.arcsinh(-b / D)
     # asinh x - asinh y = asinh((x^2 - y^2)/(x sqrt(1 + y^2) + y sqrt(1 + x^2)))
@@ -178,6 +195,7 @@ def _asinh_gap(D, a, b):
 
 def _root_minus_integral(D, c):
     """int_0^D (sqrt(t^2 + c^2) - c) dt for c >= 0."""
+    import numpy as np
     if c == 0.0:
         return 0.5 * D * D
     return 0.5 * (D ** 3 * _inv_root_plus(D, c) - c * (D - c * np.arcsinh(D / c)))
@@ -188,6 +206,8 @@ def _ring_integral(g, r, R):
     from radius r, D^2 = (r-R)^2 + 4 r R sin^2(theta/2) being its squared
     distance in the plane; theta = 0 is flagged singular (a log singularity
     on r = R)."""
+    import numpy as np
+
     def f(th):
         s2 = np.sin(th / 2.0) ** 2
         return g((r - R) ** 2 + 4.0 * r * R * s2, (r - R) + 2.0 * R * s2)
@@ -202,6 +222,8 @@ def _chord_integral(g, r, R):
     ray at pi - t (sign +1; t in [0, pi/2]) and, for r >= R, the near end of
     the chord (sign -1; t up to asin(R/r), a square-root singularity for
     r > R). D2 = 0 on r = R."""
+    import numpy as np
+
     def f(t):
         c = np.cos(t)
         d1 = r * c + np.sqrt(np.maximum(R * R - (r * np.sin(t)) ** 2, 0.0))
@@ -228,6 +250,7 @@ def coulomb_phi(point, body):
     * tube: 2 sigma R int_0^pi [asinh((z+Z)/D) - asinh((z-Z)/D)] dtheta;
     * cylinder: 2 rho int [W(D_hi) - W(D_lo)] over the polar angle, with
       W(D) = int_0^D t dt int_-Z^Z dz' / sqrt(t^2 + (z-z')^2)."""
+    import numpy as np
     r, z, a, b = _coulomb_args(point, body, "coulomb_phi")
     if isinstance(body, TubeSpec):
         return 2.0 * body.sigma0 * body.R * _ring_integral(
@@ -251,6 +274,7 @@ def coulomb_psi(point, body):
     cylinder, where psi is not defined. Near z = 0 outside the body psi is
     the small difference Q + r * flux, so its relative error grows as psi
     shrinks."""
+    import numpy as np
     r, z, a, b = _coulomb_args(point, body, "coulomb_psi")
     R, Z = body.R, body.Z
     if isinstance(body, TubeSpec):

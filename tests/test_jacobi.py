@@ -139,3 +139,76 @@ def test_euler_transformed_closed_form_identity():
         rhs = sc * abs(cd) * hg._appell_f2_direct(0.5, 0.5, 0.5, 1.0, 1.5,
                                                   m * cd * cd, (1.0 - m) * sd * sd)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+# u enters every function below; theta takes its index first
+_U_FUNCTIONS = [(name, getattr(jc, name)) for name in (
+    "jacobi_am", "jacobi_sn", "jacobi_cn", "jacobi_dn", "jacobi_sc", "jacobi_zeta",
+    "int_z_sc")] + [(f"theta{i}", lambda u, m, i=i: jc.theta(i, u, m)) for i in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("fn", [fn for _, fn in _U_FUNCTIONS],
+                         ids=[name for name, _ in _U_FUNCTIONS])
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_nonfinite_u_rejected(fn, u):
+    # as in elliptic: DomainError, not ValueError from math, a ConvergenceError
+    # from the theta series or a nan from the amplitude; m = 0 takes its own
+    # branch in the amplitude and zeta
+    for m in (0.5, 0.0):
+        with pytest.raises(DomainError):
+            fn(u, m)
+
+
+@pytest.mark.parametrize("fn", [fn for name, fn in _U_FUNCTIONS if not name.startswith("theta")],
+                         ids=[name for name, _ in _U_FUNCTIONS if not name.startswith("theta")])
+def test_overflowing_amplitude_is_a_domain_error(fn):
+    for u in (1e300, -1e300, 1.7e308):
+        with pytest.raises(DomainError):
+            fn(u, 0.5)
+
+
+def test_theta_argument_overflow_is_a_domain_error():
+    # pi u/(2K) overflows before u does
+    assert math.isfinite(jc.theta(4, 1e300, 0.5))
+    with pytest.raises(DomainError):
+        jc.theta(4, 1.7e308, 0.5)
+
+
+def test_cli_special_reports_an_overflowing_amplitude_as_an_error(capsys):
+    from appellfield import cli
+    assert cli.main(["special", "--fn", "jacobi_sn", "1e300", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: jacobi_am: the amplitude overflows")
+
+
+def test_zeta_reduced_by_whole_periods():
+    m = 0.5
+    K = elliptic.comp_k(m)
+    # unchanged inside one period, bit for bit
+    for u in (0.7, -1.2, K, -K):
+        phi = jc.jacobi_am(u, m)
+        assert jc.jacobi_zeta(u, m) == (
+            elliptic.ellip_e(phi, m) - u * elliptic.comp_e(m) / K)
+    # odd and 2K-periodic, to the rounding of u and 2K (about |u| 2^-52)
+    z07 = jc.jacobi_zeta(0.7, m)
+    for n in (1, 7, 10 ** 6, 10 ** 12):
+        u = 0.7 + 2.0 * n * K
+        assert jc.jacobi_zeta(u, m) == pytest.approx(z07, abs=4.0 * u * 2.0 ** -52)
+        assert jc.jacobi_zeta(-u, m) == -jc.jacobi_zeta(u, m)
+    # a whole number of periods that u - r holds exactly changes nothing:
+    # r = u - 2^j 2K is exact (Sterbenz) for u = fl(0.7 + 2^j 2K)
+    for j in (1, 10, 30, 50):
+        u = 0.7 + 2.0 ** j * (2.0 * K)
+        r = u - 2.0 ** j * (2.0 * K)
+        assert jc.jacobi_zeta(u, m) == jc.jacobi_zeta(r, m)
+    # Z is bounded (|Z| < 0.15 at m = 0.5); unreduced, Z(1e200) was -8.5e183
+    assert abs(jc.jacobi_zeta(8e15, m)) < 0.15
+
+
+def test_zeta_raises_where_no_digit_of_u_mod_2k_is_left():
+    m = 0.5
+    edge = elliptic.comp_k(m) * 2.0 ** 52  # 8.35e15: |u| 2^-52 reaches K
+    for u in (edge, -edge, 1e16, 1e200, -1e300):
+        with pytest.raises(DomainError):
+            jc.jacobi_zeta(u, m)
+    assert math.isfinite(jc.jacobi_zeta(math.nextafter(edge, 0.0), m))
