@@ -194,7 +194,7 @@ def phi_end_tables(spec, rs, zs):
     table."""
     import numpy as np
     R, Z = spec.R, spec.Z
-    zetas = list(dict.fromkeys(abs(beta * Z - z) for z in zs for beta in (1.0, -1.0)))
+    zetas = list(dict.fromkeys(zeta for z in zs for zeta in (abs(Z - z), abs(-Z - z))))
     m, A, gap = (np.empty(len(rs) * len(zetas)) for _ in range(3))
     for i, (r, zeta) in enumerate(itertools.product(rs, zetas)):
         a = aux(R, zeta, r)
@@ -213,13 +213,49 @@ def _finite(value, name):
     return value
 
 
-def _uncancelled(phi, size, name, point):
-    # phi, a sum of parts whose magnitudes add up to size; ConvergenceError
-    # where their rounding, 2^-52 size, exceeds 1e-6 |phi|: far from the
-    # body phi is a small difference of large end terms (ROADMAP item 1)
-    if 2.0 ** -52 * size > 1e-6 * abs(phi):
-        raise ConvergenceError(f"{name}: the end terms cancel beyond 1e-6 of phi at {point}")
-    return phi
+def _pair(ends, end, R, r, z, Z, coef):
+    """The part coef [end(Z - z) - end(-Z - z)] of an assembly, from the two
+    ends of the body: (value, rounding), the rounding 2^-52 times each
+    term's magnitude, scaled one at a time so that it stays finite where the
+    value does. The value is summed from 0.0, so that it is never -0.0. An
+    even end pair at z = 0 is one end term, at |zeta| = Z, taken twice: it
+    cancels exactly, with rounding 0."""
+    plus = coef * _end_from(ends, end, R, r, Z - z)
+    minus = coef * _end_from(ends, end, R, r, -Z - z)
+    value = 0.0 + plus - minus
+    if z == 0.0 and end not in _ODD_ENDS:
+        return value, 0.0
+    return value, 2.0 ** -52 * abs(plus) + 2.0 ** -52 * abs(minus)
+
+
+def _assemble(name, point, parts, psi_body=None, factor=1.0):
+    """factor times the sum, left to right, of the values of ``parts``, each
+    a pair (value, rounding) as _pair gives them. DomainError where the
+    result is not finite. ConvergenceError where the parts cancel so far
+    that their rounding exceeds 1e-6 of the scale of the sum (before
+    factor, the disk's density): |phi| for a phi, and max(|psi|, 1e-3 |Q|)
+    for the psi of psi_body, whose charge is Q. Far from the body a
+    potential is a small difference of large end terms (ROADMAP item 1);
+    psi tends to Q cos t there and is 0 on z = 0."""
+    total = rounding = 0.0
+    for value, err in parts:
+        total += value
+        rounding += err
+    if rounding > 1e-6 * abs(total) and (
+            psi_body is None or rounding > 1e-9 * abs(psi_body.total_charge)):
+        raise ConvergenceError(f"{name}: the end terms cancel beyond 1e-6 of its scale at {point}")
+    return _finite(factor * total, name)
+
+
+def _phi_cyl_parts(point, spec: CylinderSpec, ends):
+    """The parts of phi_cyl for _assemble: the hyg pair, the ell pair and
+    p_corr."""
+    r, z = _check_cyl_point(point, spec)
+    R, Z, rho0 = spec.R, spec.Z, spec.rho0
+    corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
+        * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
+    return (_pair(ends, _hyg_end, R, r, z, Z, rho0 * 2.0 * (R * R / 2.0)),
+            _pair(ends, _cyl_ell_end, R, r, z, Z, rho0 * 2.0), (corr, 2.0 ** -52 * abs(corr)))
 
 
 def phi_cyl_terms(point, spec: CylinderSpec, *, ends=None):
@@ -233,28 +269,17 @@ def phi_cyl_terms(point, spec: CylinderSpec, *, ends=None):
     magnitudes of the four end-term contributions and p_corr, exceeds
     1e-6 |phi_cyl|: for R = 1, Z = 0.7 from |z| = 1.5e3 on the axis and on
     the r = R column."""
-    r, z = _check_cyl_point(point, spec)
-    R, Z, rho0 = spec.R, spec.Z, spec.rho0
-    p_hyg = p_ell = size = 0.0
-    for beta in (1.0, -1.0):
-        zeta = beta * Z - z
-        hyg = rho0 * 2.0 * beta * (R * R / 2.0) * _end_from(ends, _hyg_end, R, r, zeta)
-        ell = rho0 * 2.0 * beta * _end_from(ends, _cyl_ell_end, R, r, zeta)
-        p_hyg += hyg
-        p_ell += ell
-        size += abs(hyg) + abs(ell)
-    p_corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
-        * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
-    _uncancelled(_finite(p_hyg + p_ell + p_corr, "phi_cyl"), size + abs(p_corr), "phi_cyl",
-                 point)
-    return p_hyg, p_ell, p_corr
+    parts = _phi_cyl_parts(point, spec, ends)
+    _assemble("phi_cyl", point, parts)
+    return tuple(value for value, _ in parts)
 
 
 def phi_cyl(point, spec: CylinderSpec, *, ends=None):
     """Electric potential of the uniformly charged cylinder; C^1 across the
-    surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity.
-    ``ends``, DomainError and ConvergenceError as for phi_cyl_terms."""
-    return sum(phi_cyl_terms(point, spec, ends=ends))
+    surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity. The
+    left-to-right sum of phi_cyl_terms. ``ends``, DomainError and
+    ConvergenceError as for phi_cyl_terms."""
+    return _assemble("phi_cyl", point, _phi_cyl_parts(point, spec, ends))
 
 
 def psi_cyl(point, spec: CylinderSpec, *, ends=None):
@@ -262,19 +287,20 @@ def psi_cyl(point, spec: CylinderSpec, *, ends=None):
     closed body {r <= R, |z| <= Z}, where psi has no formula. The edge
     circle is excluded as for phi_cyl. psi -> Q z/sqrt(r^2+z^2) at infinity
     and is odd in z. No phi is computed. ``ends`` as for phi_cyl_terms.
-    DomainError where the value is not finite."""
+    DomainError where the value is not finite. ConvergenceError where the
+    end terms cancel so far that their rounding, 2^-52 times the sum of the
+    magnitudes of the parts, exceeds 1e-6 max(|psi|, 1e-3 |Q|): for R = 1,
+    Z = 0.7 from a distance of 2.0e3 on the 45-degree ray."""
     r, z = _check_cyl_point(point, spec)
     R, Z, rho0 = spec.R, spec.Z, spec.rho0
     if r <= R and abs(z) <= Z:
         return None
-    total = 0.0
-    for beta in (1.0, -1.0):
-        zeta = beta * Z - z
-        total += rho0 * 2.0 * beta * _end_from(ends, _psi_cyl_end, R, r, zeta)
-    total += -2.0 * math.pi * rho0 * r * r * z * heaviside(Z - abs(z))
-    total += 2.0 * math.pi * rho0 * Z * _sgn(z) * (-r * r + R * R * heaviside(R - r)) \
+    side = -2.0 * math.pi * rho0 * r * r * z * heaviside(Z - abs(z))
+    cap = 2.0 * math.pi * rho0 * Z * _sgn(z) * (-r * r + R * R * heaviside(R - r)) \
         * heaviside(abs(z) - Z)
-    return _finite(total, "psi_cyl")
+    return _assemble("psi_cyl", point, (_pair(ends, _psi_cyl_end, R, r, z, Z, rho0 * 2.0),
+                                        (side, 2.0 ** -52 * abs(side)),
+                                        (cap, 2.0 ** -52 * abs(cap))), spec)
 
 
 def phi_tube(point, spec: TubeSpec, *, ends=None):
@@ -286,14 +312,9 @@ def phi_tube(point, spec: TubeSpec, *, ends=None):
     their magnitudes, exceeds 1e-6 |phi|: for R = 1, Z = 0.7 from
     |z| = 1.6e8 on the axis and on the r = R column."""
     r, z = _check_point(point)
-    R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
-    total = size = 0.0
-    for beta in (1.0, -1.0):
-        zeta = beta * Z - z
-        part = sigma0 * R * 2.0 * beta * _end_from(ends, _hyg_end, R, r, zeta)
-        total += part
-        size += abs(part)
-    return _uncancelled(_finite(total, "phi_tube"), size, "phi_tube", point)
+    R = spec.R
+    return _assemble("phi_tube", point,
+                     (_pair(ends, _hyg_end, R, r, z, spec.Z, spec.sigma0 * R * 2.0),))
 
 
 def tube_branch_jump(spec: TubeSpec):
@@ -306,17 +327,19 @@ def psi_tube(point, spec: TubeSpec, branch=0, *, ends=None):
     float: the branch-0 value moved to the sheet by psi_tube_on_branch. The
     open charged sheet {r = R, |z| < Z} is excluded; the branch-0 cut lies
     on the disk {z = 0, r < R}. No phi is computed. ``ends`` as for
-    phi_cyl_terms. DomainError where the value is not finite."""
+    phi_cyl_terms. DomainError where the value is not finite.
+    ConvergenceError where the end terms cancel so far that their rounding,
+    2^-52 times the sum of the magnitudes of the parts, exceeds
+    1e-6 max(|psi|, 1e-3 |Q|) on branch 0: for R = 1, Z = 0.7 from a
+    distance of 2.2e9 on the 45-degree ray."""
     r, z = _check_point(point)
     R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
     if abs(r - R) < 1e-12 * R and abs(z) < Z:
         raise SingularityError("psi_tube: point on the charged tube surface")
-    total = 0.0
-    for beta in (1.0, -1.0):
-        zeta = beta * Z - z
-        total += sigma0 * R * 2.0 * beta * _end_from(ends, _psi_tube_end, R, r, zeta)
-    total += 4.0 * math.pi * sigma0 * R * Z * _sgn(z) * heaviside(R - r)
-    return psi_tube_on_branch(_finite(total, "psi_tube"), spec, branch)
+    inner = 4.0 * math.pi * sigma0 * R * Z * _sgn(z) * heaviside(R - r)
+    psi = _assemble("psi_tube", point, (_pair(ends, _psi_tube_end, R, r, z, Z, sigma0 * R * 2.0),
+                                        (inner, 2.0 ** -52 * abs(inner))), spec)
+    return psi_tube_on_branch(psi, spec, branch)
 
 
 def psi_tube_on_branch(psi, spec: TubeSpec, branch):
@@ -352,14 +375,15 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         ell = 4.0 * R / (L0 * s) * ke
         pi_part = 2.0 * z * z / (L0 * s) * pk
         flat = 2.0 * math.pi * abs(z) * heaviside(R - r)
-        out = _uncancelled(ell + pi_part - flat, abs(ell) + abs(pi_part) + flat, "phi_disk",
-                           point)
-        return _finite(sigma * out, "phi_disk")
+        parts = ((ell, 2.0 ** -52 * abs(ell)), (pi_part, 2.0 ** -52 * abs(pi_part)),
+                 (-flat, 2.0 ** -52 * flat))
+        return _assemble("phi_disk", point, parts, factor=sigma)
     if form != "takahashi":
         raise DomainError(f"phi_disk: unknown form {form!r}")
-    # L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum
+    # (2/L0) [L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum, + the n_pm pair]:
+    # the bracket, scaled after it is summed, is one part of the assembly
     out = 2.0 * R * _ke_sum(a, s, R - r)
-    size = abs(out)
+    rounding = 2.0 ** -52 * abs(out)
     if not math.isinf(a.n_minus):
         # z^2 sum_pm bracket(pm) Pi(n_pm | m), one AGM for both terms, with
         # the complements formed exactly: 1 - n+ = t^2 with t = z/(r + rho)
@@ -374,10 +398,10 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         plus, minus = elliptic.cel_pair(math.sqrt(a.one_minus_m), t * t, c_plus, c_plus,
                                         1.0 - a.n_minus, c_minus, c_minus)
         out += plus + minus
-        size += abs(plus) + abs(minus)
+        rounding += 2.0 ** -52 * abs(plus) + 2.0 ** -52 * abs(minus)
     flat = 2.0 * math.pi * abs(z)
-    out = _uncancelled(2.0 / L0 * out - flat, 2.0 / L0 * size + flat, "phi_disk", point)
-    return _finite(sigma * out, "phi_disk")
+    parts = ((2.0 / L0 * out, 2.0 / L0 * rounding), (-flat, 2.0 ** -52 * flat))
+    return _assemble("phi_disk", point, parts, factor=sigma)
 
 
 def psi_point(point, q, z_offset=0.0):

@@ -6,8 +6,8 @@ The scaled theta functions are Theta_i(u|m) = theta_i(pi*u/(2K(m)), q) with
 nome q = exp(-pi K(1-m)/K(m)); in this scaling Z(u|m) = d/du ln Theta_4(u|m).
 
 As in elliptic, every public function raises DomainError for a non-finite
-argument; so do those built on the amplitude where it overflows, and
-jacobi_zeta where |u| leaves no digit of u mod 2K.
+argument; so do jacobi_zeta and those built on the amplitude where |u|
+leaves no digit of u mod 2K.
 """
 
 import math
@@ -42,17 +42,22 @@ def _agm_chain(m):
 
 def jacobi_am(u, m):
     """Jacobi amplitude am(u | m), continuous and increasing in u;
-    am(u + 2K | m) = am(u | m) + pi."""
+    am(u + 2K | m) = am(u | m) + pi.
+
+    The amplitude is off by about |u| 2^-52, from the rounding of a_N u;
+    DomainError where that reaches K = pi/(2 a_N), a_N the last mean of the
+    AGM chain, so that no digit of u mod 2K is left (|u| >= 8.3e15 at
+    m = 0.5), as in jacobi_zeta. sn, cn, dn, sc and int_z_sc inherit it.
+    """
     _check_u("jacobi_am", u)
     _check_m(m)
     if m == 0.0:
         return float(u)
     chain = _agm_chain(m)
     n = len(chain) - 1
-    try:
-        phi = math.ldexp(chain[n][0] * u, n)
-    except OverflowError:
-        raise DomainError(f"jacobi_am: the amplitude overflows at u = {u}") from None
+    if abs(u) * 2.0 ** -52 >= math.pi / (2.0 * chain[n][0]):
+        raise DomainError(f"jacobi_am: no digit of u mod 2K is left at u = {u}")
+    phi = math.ldexp(chain[n][0] * u, n)
     for k in range(n, 0, -1):
         a, c = chain[k]
         ratio = max(-1.0, min(1.0, c / a * math.sin(phi)))

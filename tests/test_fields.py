@@ -97,18 +97,28 @@ def _phi_disk_takahashi(point, spec):
     return fl.phi_disk(point, spec, "takahashi")
 
 
+def _ray45(d):
+    # the point at distance d from the centre on the 45-degree ray
+    return d / 2 ** 0.5, d / 2 ** 0.5
+
+
 @pytest.mark.parametrize("phi, spec, point", [
     (fl.phi_cyl, CYL, (1.0, 1e4)), (fl.phi_cyl, CYL, (1.0, 1e6)), (fl.phi_cyl, CYL, (0.0, 1e6)),
     (fl.phi_tube, TUBE, (1.0, 1e9)), (fl.phi_tube, TUBE, (1.0, 1e20)),
     (fl.phi_tube, TUBE, (0.0, 1e100)),
     (fl.phi_disk, DISK, (3.0, 1e20)), (fl.phi_disk, DISK, (3.0, 1e100)),
     (fl.phi_disk, DISK, (0.0, 1e8)), (_phi_disk_takahashi, DISK, (3.0, 1e20)),
-    (_phi_disk_takahashi, DISK, (3.0, 1e100)), (_phi_disk_takahashi, DISK, (0.0, 1e8))])
+    (_phi_disk_takahashi, DISK, (3.0, 1e100)), (_phi_disk_takahashi, DISK, (0.0, 1e8)),
+    (fl.psi_cyl, CYL, _ray45(1e4)), (fl.psi_cyl, CYL, _ray45(1e6)),
+    (fl.psi_tube, TUBE, _ray45(1e12)), (fl.psi_tube, TUBE, _ray45(1e20))])
 def test_phi_raises_where_its_end_terms_cancel(phi, spec, point):
     # phi is a small difference of large end terms there: their rounding
     # exceeds 1e-6 of phi. Unguarded, the tube's r = R column reads 3e-4
     # off at z = 1e11 and 0.0 from 1e15, and its axis 0.0 at 1e100; the
-    # disk read -32768 at (3, 1e20), 0.0 at (3, 1e100) and 3.8 Q/d at (0, 1e8)
+    # disk read -32768 at (3, 1e20), 0.0 at (3, 1e100) and 3.8 Q/d at (0, 1e8).
+    # psi too, relative to max(|psi|, 1e-3 Q): unguarded, psi_cyl on the
+    # 45-degree ray read 7.1e-5 off at d = 1e4 and -55 Q cos t at 1e6, and
+    # psi_tube -2.1e-4 Q cos t off at 1e12 and 0.0 at 1e20
     with pytest.raises(ConvergenceError, match="cancel"):
         phi(point, spec)
 
@@ -124,8 +134,21 @@ def test_cancellation_guard_spares_the_figure_window():
             fl.phi_tube((r, z), TUBE, ends=ends)
             try:
                 fl.phi_cyl((r, z), CYL, ends=ends)
+                fl.psi_cyl((r, z), CYL, ends=ends)
             except SingularityError:
                 assert (r, z) == pytest.approx((CYL.R, CYL.Z))
+            try:
+                fl.psi_tube((r, z), TUBE, ends=ends)
+            except SingularityError:
+                assert r == TUBE.R and z < TUBE.Z
+    # psi is exactly 0.0 on the plane z = 0: its two even end terms are one
+    # value at |zeta| = Z, so they cancel exactly, however large they are
+    for r in (1.5, 3.0, 1e3, 1e8, 1e100):
+        assert repr(fl.psi_cyl((r, 0.0), CYL)) == repr(fl.psi_tube((r, 0.0), TUBE)) == "0.0"
+    # the 45-degree ray keeps its values short of the onsets (2.0e3 and 2.2e9)
+    assert fl.psi_cyl(_ray45(1e3), CYL) == pytest.approx(CYL.total_charge / 2 ** 0.5, rel=1e-6)
+    assert fl.psi_tube(_ray45(1e6), TUBE) == pytest.approx(TUBE.total_charge / 2 ** 0.5,
+                                                           rel=1e-6)
 
 
 @pytest.mark.parametrize("form", ["lass_blitzer", "takahashi"])
@@ -422,6 +445,13 @@ def test_end_term_table_gives_the_plain_values(r, z, Z):
                     call((r, zz), ends=ends)
                 continue
             assert repr(call((r, zz), ends=ends)) == repr(plain)
+        # phi_cyl is its terms summed left to right: not sum(), which
+        # compensates its float sums from Python 3.12 on
+        try:
+            hyg, ell, corr = fl.phi_cyl_terms((r, zz), cyl)
+        except SingularityError:
+            continue
+        assert repr(fl.phi_cyl((r, zz), cyl)) == repr(hyg + ell + corr)
 
 
 def test_phi_end_tables_hold_the_plain_end_terms():

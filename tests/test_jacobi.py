@@ -178,7 +178,29 @@ def test_cli_special_reports_an_overflowing_amplitude_as_an_error(capsys):
     from appellfield import cli
     assert cli.main(["special", "--fn", "jacobi_sn", "1e300", "0.5"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: jacobi_am: the amplitude overflows")
+    assert err.startswith("error: jacobi_am: no digit of u mod 2K is left")
+
+
+def test_amplitude_raises_where_no_digit_of_u_mod_2k_is_left():
+    # the amplitude carries the rounding of a_N u, about |u| 2^-52: below
+    # the edge, where that reaches K, sn, cn and dn stay within it of
+    # 60-digit mpmath; from the edge on they raise, as jacobi_zeta does.
+    # Unguarded, sn(1e16) read -0.4379 where mpmath gives 0.6931
+    mpmath = pytest.importorskip("mpmath")
+    m = 0.5
+    edge = elliptic.comp_k(m) * 2.0 ** 52  # 8.35e15
+    fns = {"sn": jc.jacobi_sn, "cn": jc.jacobi_cn, "dn": jc.jacobi_dn}
+    with mpmath.workdps(60):
+        for u in (1e6, 1e13, 1e15, math.nextafter(edge, 0.0)):
+            for name, fn in fns.items():
+                ref = float(mpmath.ellipfun(name, mpmath.mpf(u), m=mpmath.mpf(m)))
+                assert abs(fn(u, m) - ref) <= u * 2.0 ** -52
+    for u in (edge, -edge, 1e16, 1e200):
+        for fn in (jc.jacobi_am, jc.jacobi_sc, jc.int_z_sc, *fns.values()):
+            with pytest.raises(DomainError, match="no digit of u mod 2K"):
+                fn(u, m)
+    # m = 0 has no period to lose: am(u | 0) = u
+    assert jc.jacobi_am(1e300, 0.0) == 1e300
 
 
 def test_zeta_reduced_by_whole_periods():
