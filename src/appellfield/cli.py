@@ -7,40 +7,31 @@ internal errors.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from . import elliptic, fields, hypergeom, jacobi
 from .errors import AppellFieldError, DomainError, SingularityError
-from .geometry import CylinderSpec, DiskSpec, FieldSample, TubeSpec
+from .geometry import CylinderSpec, DiskSpec, FieldSample, Record, TubeSpec
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Rectangular (r, z) sampling grid over one body."""
+class GridSpec(Record):
+    """Rectangular (r, z) sampling grid over one body (Z is None for the
+    disk)."""
 
-    r_min: float
-    r_max: float
-    z_min: float
-    z_max: float
-    nr: int
-    nz: int
-    body: str
-    R: float
-    Z: float | None
-    density: float
-    quantity: str
-    branches: tuple
+    __slots__ = _fields = ("r_min", "r_max", "z_min", "z_max", "nr", "nz", "body", "R", "Z",
+                           "density", "quantity", "branches")
 
-    def __post_init__(self):
-        if self.r_min < 0.0 or not all(map(math.isfinite, (self.r_min, self.r_max,
-                                                           self.z_min, self.z_max))):
+    def __init__(self, r_min, r_max, z_min, z_max, nr, nz, body, R, Z, density, quantity,
+                 branches):
+        if r_min < 0.0 or not all(map(math.isfinite, (r_min, r_max, z_min, z_max))):
             raise AppellFieldError("grid ranges must be finite with r_min >= 0")
-        if self.nr < 2 or self.nz < 2:
+        if nr < 2 or nz < 2:
             raise AppellFieldError("grid needs nr >= 2 and nz >= 2")
+        for name, value in zip(self._fields, (r_min, r_max, z_min, z_max, nr, nz, body, R, Z,
+                                              density, quantity, branches)):
+            object.__setattr__(self, name, value)
 
 
 def _build_body(name, R, Z, density):
@@ -194,7 +185,9 @@ def cmd_grid(args):
                 for (r, z, phi, psi, b) in rows:
                     fh.write(f"{r!r},{z!r},{_fmt(phi)},{_fmt(psi)},{b}\n")
         else:
-            meta = asdict(spec)
+            import json
+
+            meta = dict(zip(spec._fields, spec._values()))
             meta["branches"] = list(spec.branches)
             payload = {
                 "meta": meta,

@@ -34,7 +34,10 @@ def _agm_chain(m):
     chain = []
     for _ in range(64):
         chain.append((a, c))
-        if abs(c) <= 1e-17 * a:
+        # c is half the difference of a and b; once it is within a rounding
+        # of a (at m = 0.5 it stalls at half an ulp, never reaching 1e-17 a)
+        # the next step changes a by no more than that
+        if abs(c) <= 2.0 ** -53 * a:
             break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
     return chain

@@ -29,10 +29,9 @@ of the package so that every acceptance test compares two independent routes.
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .geometry import CylinderSpec, TubeSpec
+from .geometry import CylinderSpec, Record, TubeSpec
 
 # 7-point Gauss / 15-point Kronrod rule on [-1, 1]: QUADPACK qk15's
 # nonnegative nodes and weights as printed, mirrored
@@ -69,17 +68,17 @@ _ESTIMATE_FLOOR = 0.05
 _MAX_SUBDIVISIONS = 4000
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float
-    rel_tol: float
-    singular_endpoints: tuple = (False, False)
+class QuadratureSpec(Record):
+    __slots__ = _fields = ("abs_tol", "rel_tol", "singular_endpoints")
 
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
+    def __init__(self, abs_tol, rel_tol, singular_endpoints=(False, False)):
+        if abs_tol <= 0.0 or rel_tol <= 0.0:
             raise DomainError("QuadratureSpec tolerances must be positive")
-        if all(self.singular_endpoints):
+        if all(singular_endpoints):
             raise DomainError("QuadratureSpec: at most one endpoint may be singular")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "singular_endpoints", singular_endpoints)
 
 
 def _eval_panel(f, a, b, vectorized):

@@ -8,25 +8,26 @@ compare closed forms against independent brute-force routes only.
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import elliptic, fields, hypergeom, indefinite, jacobi, oracle
-from .geometry import CylinderSpec, DiskSpec, TubeSpec
+from .geometry import CylinderSpec, DiskSpec, Record, TubeSpec
 
 FIG_CYLINDER = CylinderSpec(R=1.0, Z=0.7, rho0=1.0)
 FIG_TUBE = TubeSpec(R=1.0, Z=0.7, sigma0=1.0)
 
 
-@dataclass
-class CheckResult:
-    ident: str
-    name: str
-    passed: bool
-    worst: float  # worst residual / tolerance; <= 1 passes
-    detail: str
-    seconds: float
+class CheckResult(Record):
+    __slots__ = _fields = ("ident", "name", "passed", "worst", "detail", "seconds")
+
+    def __init__(self, ident, name, passed, worst, detail, seconds):
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "worst", worst)  # worst residual / tolerance; <= 1 passes
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "seconds", seconds)
 
 
 # the defining-integral reference of C01 and C02

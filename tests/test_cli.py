@@ -74,6 +74,14 @@ def test_eval_domain_errors_exit_2():
     assert code == 2 and "--Z" in err
 
 
+def test_eval_beyond_the_length_range_is_a_domain_error():
+    # L0^2 overflows: a typed error with its message, not an internal error
+    code, out, err = run_cli("eval", "--body", "tube", "--R", "1", "--Z", "0.7",
+                             "--density", "1", "--r", "1e300", "--z", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: aux: lengths must stay between about 1e-154 and 1e154")
+
+
 def test_special_functions():
     code, out, _ = run_cli("special", "--fn", "comp_k", "0.85")
     assert code == 0

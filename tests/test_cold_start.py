@@ -1,7 +1,8 @@
 """A fresh interpreter (python -I) imports the package and evaluates the
-scalar potentials without loading numpy or concurrent.futures; the code that
-builds arrays (the grid batch, quadrature, verify) still works from a fresh
-process, where it loads numpy on first use."""
+scalar potentials without loading numpy, concurrent.futures, dataclasses,
+inspect, typing or json; the code that builds arrays (the grid batch,
+quadrature, verify) still works from a fresh process, where it loads numpy
+on first use."""
 
 import subprocess
 import sys
@@ -17,11 +18,13 @@ SRC = str(Path(appellfield.__file__).resolve().parent.parent)
 POINTS = [(1.5, 0.3), (0.5, 1.2), (2.0, -1.0), (0.5, 0.0), (0.0, 0.35), (0.0, -2.0)]
 
 
-def run_fresh(code):
-    """stdout of ``code`` run in a fresh isolated interpreter that imports
-    the package under test; fails the test where the process fails."""
-    proc = subprocess.run([sys.executable, "-I", "-c", f"import sys\nsys.path.insert(0, {SRC!r})\n"
-                           + code], capture_output=True, text=True, timeout=120)
+def run_fresh(code, *flags):
+    """stdout of ``code`` run in a fresh isolated interpreter (with the
+    extra interpreter ``flags``) that imports the package under test; fails
+    the test where the process fails."""
+    proc = subprocess.run([sys.executable, "-I", *flags, "-c",
+                           f"import sys\nsys.path.insert(0, {SRC!r})\n" + code],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -39,9 +42,18 @@ for p in {POINTS!r}:
 """
 
 
+# kept out of the import and the scalar path: the records derive from
+# geometry.Record, not frozen dataclasses, and the grid imports json only to
+# write JSON
+UNLOADED = ('numpy', 'concurrent.futures', 'appellfield.verify', 'dataclasses', 'inspect',
+            'typing', 'json')
+
+
 def test_scalar_path_loads_no_numpy():
+    # -S: site's .pth files may preload typing, which would hide an import of it
     out = run_fresh(
-        "import appellfield.cli\n"
+        f"print([m for m in {UNLOADED!r} if m in sys.modules])\n"
+        "import appellfield, appellfield.cli\n"
         + SCALAR_CALLS +
         "for body in ('cyl', 'tube', 'disk'):\n"
         "    assert appellfield.cli.main(['eval', '--body', body, '--R', '1', '--Z', '0.7',\n"
@@ -50,11 +62,11 @@ def test_scalar_path_loads_no_numpy():
         "assert appellfield.cli.main(['eval', '--body', 'tube', '--R', '1', '--Z', '0.7',\n"
         "                             '--density', '1', '--r', '1.5', '--z', '0.3']) == 0\n"
         "print(repr(values))\n"
-        "print([m for m in ('numpy', 'concurrent.futures', 'appellfield.verify')\n"
-        "       if m in sys.modules])\n")
+        f"print([m for m in {UNLOADED!r} if m in sys.modules])\n", "-S")
     here = {}
     exec(SCALAR_CALLS, here)
     lines = out.splitlines()
+    assert lines[0] == "[]"
     assert lines[-1] == "[]"
     assert lines[-2] == repr(here["values"])
 

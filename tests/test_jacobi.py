@@ -234,3 +234,14 @@ def test_zeta_raises_where_no_digit_of_u_mod_2k_is_left():
         with pytest.raises(DomainError):
             jc.jacobi_zeta(u, m)
     assert math.isfinite(jc.jacobi_zeta(math.nextafter(edge, 0.0), m))
+
+
+def test_agm_chain_stops_within_a_rounding_of_its_mean():
+    # the chain stops where c is a rounding of a: at most 8 steps from m = 0
+    # to 1 - 1e-12 (at m = 0.5, c stalled at half an ulp and the chain ran
+    # its 64-step cap); its last mean still gives K = pi/(2 a_N)
+    ms = [k / 200 for k in range(200)] + [1.0 - 10.0 ** -k for k in range(3, 13)]
+    for m in ms:
+        chain = jc._agm_chain(m)
+        assert len(chain) - 1 <= 8, m
+        assert math.pi / (2.0 * chain[-1][0]) == pytest.approx(elliptic.comp_k(m), rel=1e-15)
