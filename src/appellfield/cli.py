@@ -224,10 +224,10 @@ _SPECIAL_FNS = {
     "jacobi_dn": (jacobi.jacobi_dn, 2),
     "jacobi_sc": (jacobi.jacobi_sc, 2),
     "jacobi_zeta": (jacobi.jacobi_zeta, 2),
-    "theta": (lambda i, u, m: jacobi.theta(int(i), u, m), 3),
-    "int_z_sc": (lambda u, m, *b: jacobi.int_z_sc(u, m, int(b[0]) if b else 0), (2, 3)),
+    "theta": (jacobi.theta, 3),
+    "int_z_sc": (jacobi.int_z_sc, (2, 3)),
     "zsc_branch_jump": (jacobi.zsc_branch_jump, 1),
-    "pochhammer": (lambda x, k: hypergeom.pochhammer(x, int(k)), 2),
+    "pochhammer": (hypergeom.pochhammer, 2),
     "gauss_2f1": (hypergeom.gauss_2f1, 4),
     "pfq_4f3": (lambda *a: hypergeom.pfq_4f3(a[0:4], a[4:7], a[7]), 8),
     "appell_f1": (hypergeom.appell_f1, 6),

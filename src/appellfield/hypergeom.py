@@ -15,33 +15,39 @@ only. The single-index F2 sums run up to q = 0.995 and the gauss_2f1
 series up to x < 1, where the truncation error can exceed tol:
 gauss_2f1(0.5, 0.5, 2, 0.99) is 1.7e-13 off.
 
-Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is one
-single-index series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for the
-potentials' family, over the K/E-seeded 2F1(1/2 + l, 1/2; 1; x) (see
-appell_f2). Every other F2 is mapped into the convergence region
-|x|+|y| < 1 by the Euler-type transformation
+Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is
+one single-index series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for
+the potentials' family beta = 1/2, gamma = 1, over the K/E-seeded
+2F1(1/2 + l, 1/2; 1; x); that family, for 0 <= x, y and x + y <= 1,
+takes its route by i_hyg_pi's rule (see appell_f2). Every other F2 is
+mapped into the convergence region |x|+|y| < 1 by the Euler-type
+transformation
 F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
 (and its y-counterpart) and summed along anti-diagonals j + l = N, which
 keeps terms of comparable magnitude near the boundary.
 
 i_hyg_pi(m, A, gap), the theta = pi value pi A F2(1/2; 1/2, 1; 1, 3/2;
 m, A^2) that the potentials assemble, takes its route by one rule,
-_i_hyg_pi_route. It forms the complements 1 - m and 1 - A^2 once (exactly,
-as A^2 + gap and m + gap, when the caller passes gap = 1 - m - A^2) and
-hands them to the sums: the K/E-seeded sum where A^2/(1-m) < m/(1-A^2),
-the inner-2F1 sum otherwise, and, where both ratios exceed 0.995,
-integration of dI/dA in from the surface value I(m, sqrt(1-m); pi), which
-is the 4F3 series of its closed form up to m = 1/3 and a quadrature above
+_i_hyg_pi_route(m, A^2, gap), the only code that compares the two
+single-index ratios; appell_f2 on that family reads it too. It forms the
+complements 1 - m and 1 - A^2 once (exactly, as A^2 + gap and m + gap,
+when the caller passes gap = 1 - m - A^2) and hands them to the sums:
+the K/E-seeded sum where A^2/(1-m) < m/(1-A^2), the inner-2F1 sum
+otherwise, and, where both ratios exceed 0.995, integration of dI/dA in
+from the surface value I(m, sqrt(1-m); pi), which is the 4F3 series of
+its closed form up to m = 1/3 and a quadrature above
 (_i_hyg_pi_from_boundary, _surface_by_series). The general-theta i_hyg
-takes its theta = pi term from it. i_hyg_pi_batch takes many arguments at
-once by the same rule and leaves the other routes to i_hyg_pi; the grids
-use it. Each single-index sum has one recurrence, _f2_ke_terms or
-_f2_inner_terms, a generator run on floats by _series_sum and over arrays
-by _series_sums, so the batch is bit for bit what i_hyg_pi returns.
-_series_sums takes the terms 32 at a time and tests the stopping rule once
-per block, on all its terms: the running sums add in sequence
-(np.add.accumulate), as _series_sum's do, and a series that stops inside a
-block has its later terms in that block computed and dropped.
+takes its theta = pi term, and its whole value at theta = +-pi, from it,
+and i_hyg_surface(m) is its value on the boundary. i_hyg_pi_batch takes
+many arguments at once by the same rule and leaves the other routes to
+i_hyg_pi; the grids use it. Each single-index sum has one recurrence,
+_f2_ke_terms or _f2_inner_terms, a generator run on floats by
+_series_sum and over arrays by _series_sums, so the batch is bit for bit
+what i_hyg_pi returns. _series_sums takes the terms 32 at a time and
+tests the stopping rule once per block, on all its terms: the running
+sums add in sequence (np.add.accumulate), as _series_sum's do, and a
+series that stops inside a block has its later terms in that block
+computed and dropped.
 
 i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
@@ -80,7 +86,7 @@ MAX_TERMS = 6000
 
 def pochhammer(x, k):
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
-    if k < 0 or k != int(k):
+    if not (k >= 0 and float(k).is_integer()):
         raise DomainError("pochhammer requires a nonnegative integer k")
     out = 1.0
     for i in range(int(k)):
@@ -283,30 +289,40 @@ def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
 def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     """Appell double hypergeometric series F2(alpha; beta, beta2; gamma, gamma2; x, y).
 
-    Symmetric under (beta, gamma, x) <-> (beta2, gamma2, y). With alpha = 1/2,
-    beta2 = 1, gamma2 = 3/2, 0 <= x < 1 and x + y < 1 (any y < 0) it is a
-    single-index series over the inner 2F1(1/2 + j, 1; 3/2; y), at ratio
-    x/(1-y) (x for y < 0); for the potentials' family beta = 1/2, gamma = 1
-    with 0 <= y/(1-x) < x/(1-y) it runs over the K/E-seeded inner
-    2F1(1/2 + l, 1/2; 1; x) at ratio y/(1-x) instead. Other arguments are
-    mapped into |x|+|y| < 1 by the Euler-type transformations, then summed
-    along anti-diagonals. Raises ConvergenceError when no implemented
-    transformation reaches a convergent regime.
+    Symmetric under (beta, gamma, x) <-> (beta2, gamma2, y). The
+    potentials' family F2(1/2; 1/2, 1; 1, 3/2; x, y) =
+    I(x, sqrt(y); pi)/(pi sqrt(y)), on 0 <= x, y < 1 and x + y <= 1,
+    takes its route by i_hyg_pi's rule (_i_hyg_pi_route): the sum over
+    the K/E-seeded 2F1(1/2 + l, 1/2; 1; x) at ratio y/(1-x) or the sum
+    over the inner 2F1(1/2 + j, 1; 3/2; y) at ratio x/(1-y), whichever
+    ratio is smaller, and, where both exceed 0.995, the integral in from
+    the surface value. Other F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2,
+    0 <= x < 1 - 1e-12 and x/(1-y) < 1 - 1e-12 (any y < 0, at ratio x)
+    are the inner-2F1 sum. Other arguments are mapped into |x|+|y| < 1 by
+    the Euler-type transformations, then summed along anti-diagonals.
+    Raises ConvergenceError when no implemented transformation reaches a
+    convergent regime.
     """
     for g in (gamma, gamma2):
         if g <= 0.0 and g == int(g):
             raise DomainError("appell_f2: gamma parameters must not be nonpositive integers")
     if x == 0.0 and y == 0.0:
         return 1.0
-    if alpha == 0.5 and beta2 == 1.0 and gamma2 == 1.5 and 0.0 <= x < 1.0 - 1e-12:
-        if y < 0.0:
+    if alpha == 0.5 and beta2 == 1.0 and gamma2 == 1.5:
+        if beta == 0.5 and gamma == 1.0 and y >= 0.0:
+            if 0.0 <= x < 1.0 and y < 1.0 and x + y <= 1.0:
+                route, omm, omy = _i_hyg_pi_route(x, y, None)
+                if route == "boundary":
+                    # the gap 1 - x - y correctly rounded: I has a
+                    # square-root branch at x + y = 1, so a gap formed from
+                    # the rounded 1 - x and sqrt(y) would cost up to 1e-8
+                    sq = math.sqrt(y)
+                    return _i_hyg_pi_from_boundary(x, sq, omm, math.fsum((1.0, -x, -y))) / (math.pi * sq)
+                if route == "ke":
+                    return _f2_ke_sum(x, y, omm)
+                return _f2_inner_sum(beta, gamma, x, y, omy)
+        elif 0.0 <= x < 1.0 - 1e-12 and y < 1.0 - 1e-12 and (y < 0.0 or x / (1.0 - y) < 1.0 - 1e-12):
             return _f2_inner_sum(beta, gamma, x, y, 1.0 - y)
-        if y < 1.0 - 1e-12:
-            ux, uy = 1.0 - x, 1.0 - y
-            if beta == 0.5 and gamma == 1.0 and y / ux < min(x / uy, 1.0 - 1e-12):
-                return _f2_ke_sum(x, y, ux)
-            if x / uy < 1.0 - 1e-12:
-                return _f2_inner_sum(beta, gamma, x, y, uy)
     if y < 0.0:
         return (1.0 - y) ** (-alpha) * appell_f2(
             alpha, beta, gamma2 - beta2, gamma, gamma2, x / (1.0 - y), y / (y - 1.0))
@@ -463,11 +479,11 @@ def i_hyg(m, A, theta):
     """The integral int_0^theta atanh(A / sqrt(1 - m sin^2(t/2))) dt.
 
     Odd in both A and theta. Requires finite m in [0, 1], |theta| <= pi
-    and A^2 <= 1 - m (DomainError otherwise), and then strictly interior
-    arguments m + A^2 < 1 - 1e-9; the convergence boundary is the business
-    of i_hyg_pi and i_hyg_surface. Below |sin(theta/2)| = SMALL_S_THRESHOLD
-    the series converges too slowly and the defining integral is evaluated
-    by adaptive quadrature instead.
+    and A^2 <= 1 - m (DomainError otherwise). At |theta| = pi the value is
+    +-i_hyg_pi(m, A), up to the boundary m + A^2 = 1; elsewhere it requires
+    strictly interior arguments m + A^2 < 1 - 1e-9. Below
+    |sin(theta/2)| = SMALL_S_THRESHOLD the series converges too slowly and
+    the defining integral is evaluated by adaptive quadrature instead.
     """
     if not (math.isfinite(m) and math.isfinite(A) and math.isfinite(theta)):
         raise DomainError("i_hyg requires finite arguments")
@@ -482,6 +498,8 @@ def i_hyg(m, A, theta):
         raise DomainError("i_hyg: A^2 must not exceed 1 - m")
     if theta == 0.0 or A == 0.0:
         return 0.0
+    if abs(theta) == math.pi:
+        return math.copysign(1.0, theta) * i_hyg_pi(m, A)
     if m + A * A > 1.0 - 1e-9:
         raise DomainError(
             "i_hyg: m + A^2 within 1e-9 of the convergence boundary; "
@@ -517,45 +535,49 @@ def i_hyg_pi(m, A, gap=None):
     are exact, and the value stays accurate up to the boundary, the rim
     m = 1 and the axis m = 0; without it they are formed from m and A.
 
-    One rule chooses the route from the two single-index ratios
-    A^2/(1 - m) and m/(1 - A^2): where both exceed 0.995, the A-derivative
-    is integrated in from the surface value I(m, sqrt(1-m); pi), which is
-    the 4F3 series of its closed form where m <= 1/3 (at mu = -m/(1-m),
-    |mu| <= 1/2, from the exact 1 - m) and the quadrature of
+    One rule, _i_hyg_pi_route, chooses the route from the two single-index
+    ratios A^2/(1 - m) and m/(1 - A^2): where both exceed 0.995, the
+    A-derivative is integrated in from the surface value I(m, sqrt(1-m); pi),
+    which is the 4F3 series of its closed form where m <= 1/3 (at
+    mu = -m/(1-m), |mu| <= 1/2, from the exact 1 - m) and the quadrature of
     int_m^1 K(t) dt/(t sqrt(1-t)) above; otherwise F2 is summed at the
     smaller ratio, K/E-seeded (_f2_ke_sum) where the first is smaller and
     over the inner 2F1 (_f2_inner_sum) where it is not. On the boundary
     (gap = 0, or m + A^2 = 1 without gap) the value is the surface value;
-    at the rim it is 0. A negative m, an m + A^2 beyond 1 by more than
-    rounding, a gap that is not 1 - m - A^2 up to rounding, a non-finite
-    m, A or gap, and m = 0 with |A| = 1, where I diverges, raise
+    at the rim and at A = 0 it is 0. A negative m, an m + A^2 beyond 1 by
+    more than rounding, a gap that is not 1 - m - A^2 up to rounding, a
+    non-finite m, A or gap, and m = 0 with |A| = 1, where I diverges, raise
     DomainError.
     """
-    route, omm, omy = _i_hyg_pi_route(m, A, gap)
-    if route == "zero":
+    y = A * A
+    route, omm, omy = _i_hyg_pi_route(m, y, gap)
+    if route == "zero" or A == 0.0:
         return 0.0
     if route == "boundary":
         return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A), omm, gap)
     if route == "ke":
-        return math.pi * A * _f2_ke_sum(m, A * A, omm)
-    return math.pi * A * _f2_inner_sum(0.5, 1.0, m, A * A, omy)
+        return math.pi * A * _f2_ke_sum(m, y, omm)
+    return math.pi * A * _f2_inner_sum(0.5, 1.0, m, y, omy)
 
 
-def _i_hyg_pi_route(m, A, gap):
-    """(route, 1 - m, 1 - A^2): i_hyg_pi's rule for its arguments. The
-    route is "zero" (the value is 0: A = 0, or the rim 1 - m = 0),
-    "boundary" (both ratios above 0.995), "ke" (the K/E-seeded sum) or
-    "inner" (the inner-2F1 sum). DomainError outside the domain."""
-    y = A * A
+def _i_hyg_pi_route(m, y, gap):
+    """(route, 1 - m, 1 - y): the one rule that routes
+    F2(1/2; 1/2, 1; 1, 3/2; m, y) = I(m, sqrt(y); pi)/(pi sqrt(y)), for
+    i_hyg_pi and its batch (y = A^2) and for appell_f2. It alone compares
+    the two single-index ratios y/(1 - m) and m/(1 - y). The route is
+    "zero" at the rim 1 - m = 0 (where I is 0), "boundary" where both
+    ratios exceed 0.995, "ke" (the K/E-seeded sum) where the first is
+    smaller and "inner" (the inner-2F1 sum) otherwise. With ``gap`` the
+    complements are y + gap and m + gap. DomainError outside the domain."""
     if not (m >= 0.0 and m + y <= 1.0 + _BOUNDARY_ROUNDING):
-        raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A = {A})")
+        raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A^2 = {y})")
     if gap is not None and not abs(m + y + gap - 1.0) <= _BOUNDARY_ROUNDING:
-        raise DomainError(f"i_hyg_pi: gap = {gap} is not 1 - m - A^2 (m = {m}, A = {A})")
+        raise DomainError(f"i_hyg_pi: gap = {gap} is not 1 - m - A^2 (m = {m}, A^2 = {y})")
     omm, omy = (1.0 - m, 1.0 - y) if gap is None else (y + gap, m + gap)
-    if A == 0.0 or omm <= 0.0:
+    if omm <= 0.0:
         return "zero", omm, omy
     if omy <= 0.0 and m == 0.0:
-        raise DomainError(f"i_hyg_pi diverges at m = 0, |A| = 1 (got A = {A})")
+        raise DomainError(f"i_hyg_pi diverges at m = 0, |A| = 1 (got A^2 = {y})")
     ratio_ke, ratio_inner = y / omm, (m / omy if omy > 0.0 else math.inf)
     if min(ratio_ke, ratio_inner) > 0.995:
         return "boundary", omm, omy
@@ -583,15 +605,17 @@ def i_hyg_pi_batch(m, A, gap):
     u, seed0, seed1 = np.empty(len(m)), np.empty(len(m)), np.empty(len(m))
     for i, (mi, ai, gi) in enumerate(zip(m.tolist(), A.tolist(), gap.tolist())):
         try:
-            tag, omm, omy = _i_hyg_pi_route(mi, ai, gi)
-            if tag == "ke":
-                seed0[i], seed1[i] = _f2_ke_seeds(omm)
-                route[i], u[i] = 1, omm
-            elif tag == "inner":
-                seed0[i] = _f2_inner_seed(ai * ai, omy)
-                route[i], u[i] = 2, omy
+            tag, omm, omy = _i_hyg_pi_route(mi, ai * ai, gi)
         except DomainError:
-            pass  # left to i_hyg_pi, which raises it
+            continue  # left to i_hyg_pi, which raises it
+        if ai == 0.0:
+            continue  # left to i_hyg_pi, which returns 0
+        if tag == "ke":
+            seed0[i], seed1[i] = _f2_ke_seeds(omm)
+            route[i], u[i] = 1, omm
+        elif tag == "inner":
+            seed0[i] = _f2_inner_seed(ai * ai, omy)
+            route[i], u[i] = 2, omy
     out = np.full(len(m), np.nan)
     ke, inner = route == 1, route == 2
     # an overflow is silent, as in Python floats: that sum does not stop,
@@ -656,32 +680,17 @@ def _f43_log_continued(mu):
 
 
 def i_hyg_surface(m):
-    """Boundary value i_hyg(m, sqrt(1-m), pi) for m in (0, 1): exactly
-    i_hyg_pi(m, sqrt(1-m), gap=0.0), by the same rule.
+    """Boundary value i_hyg(m, sqrt(1-m), pi) for m in (0, 1):
+    i_hyg_pi(m, sqrt(1-m), gap=0.0), by its rule.
 
     Up to m = 1/3 (|mu| <= 1/2, mu = -m/(1-m)) the value is the 4F3 series
     of the closed form -(pi mu/8) 4F3(1,1,3/2,3/2; 2,2,2; mu)
     - (pi/2) ln(-mu/16); above, it is the quadrature of
-    int_m^1 K(t) dt / (t sqrt(1-t)). The other route is evaluated too and
-    their agreement to 1e-7 is asserted internally, except where it does
-    not serve: below m = 1e-9, where the quadrature cannot resolve the
-    logarithmic endpoint (it fails from m = 3.7e-10 down), and where
-    b = sqrt(1-m) < 1e-4, where the 4F3-log continuation loses about
-    8.4e-18/b^2 to the rounding of m.
+    int_m^1 K(t) dt / (t sqrt(1-t)). Check C03 compares the two.
     """
     if not 0.0 < m < 1.0:
         raise DomainError(f"i_hyg_surface requires m in (0, 1) (got {m})")
-    b = math.sqrt(1.0 - m)
-    value = i_hyg_pi(m, b, 0.0)
-    if _surface_by_series(m, b * b):  # b * b: the complement i_hyg_pi forms
-        other = _i_hyg_surface_quad(b) if m >= 1e-9 else None
-    else:
-        other = _i_hyg_surface_f43(m) if b >= 1e-4 else None
-    if other is not None and abs(value - other) > 1e-7 * max(abs(value), 1.0):
-        raise ConvergenceError(
-            f"i_hyg_surface: internal cross-check failed at m = {m}: "
-            f"{value} vs {other}")
-    return value
+    return i_hyg_pi(m, math.sqrt(1.0 - m), 0.0)
 
 
 def _k_minus_log(v):
@@ -729,11 +738,10 @@ def _surface_by_series(m, omm):
     return m <= 0.5 * omm
 
 
-def _i_hyg_surface_f43(m, omm=None):
-    # the 4F3-log closed form of the surface value at mu = -m/(1 - m), with
-    # the complement omm = 1 - m exact when the caller passes it: the 4F3
-    # series where _surface_by_series holds, its log continuation elsewhere
-    omm = 1.0 - m if omm is None else omm
+def _i_hyg_surface_f43(m, omm):
+    # the 4F3-log closed form of the surface value at mu = -m/(1 - m), from
+    # the complement omm = 1 - m the caller forms: the 4F3 series where
+    # _surface_by_series holds, its log continuation elsewhere
     mu = -m / omm
     if _surface_by_series(m, omm):
         f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)

@@ -181,8 +181,11 @@ def int_z_sc(u, m, branch=0):
 
     The branch-0 form equals the integral on -K < u < K and jumps by the
     branch increment across every odd multiple of K; branch n recovers the
-    continuous integral on ((2n-1)K, (2n+1)K).
+    continuous integral on ((2n-1)K, (2n+1)K). A branch that is not an
+    integer raises DomainError.
     """
+    if not float(branch).is_integer():
+        raise DomainError(f"int_z_sc: branch must be an integer (got {branch})")
     _check_m(m, allow_zero=False)
     if u == 0.0 and branch == 0:
         return 0.0

@@ -83,9 +83,9 @@ def _crit02_definite_reduction(rng, full):
 def _crit03_surface_value(rng, full):
     tol = 1e-8
     worst = 0.0
-    for m in np.arange(0.1, 0.95, 0.1):
+    for m in np.arange(0.1, 0.95, 0.1).tolist():
         qv = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - m))
-        fv = hypergeom._i_hyg_surface_f43(float(m))
+        fv = hypergeom._i_hyg_surface_f43(m, 1.0 - m)
         worst = max(worst, abs(qv - fv) / max(abs(qv), 1.0))
     # limit check toward m -> 1: the spec's printed |value| < 1e-4 is
     # unattainable (the true value at m = 1-1e-6 is 0.01859, decaying like
@@ -93,7 +93,7 @@ def _crit03_surface_value(rng, full):
     # agree within 1e-4 there and the value is small and decreasing.
     m1 = 1.0 - 1e-6
     qv1 = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - m1))
-    fv1 = hypergeom._i_hyg_surface_f43(m1)
+    fv1 = hypergeom._i_hyg_surface_f43(m1, 1.0 - m1)
     q99 = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - 0.99))
     limit_ok = abs(qv1 - fv1) < 1e-4 and 0.0 < qv1 < q99 < 1.0
     ok = worst < tol and limit_ok

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from appellfield import cli
+from appellfield import cli, jacobi
 from appellfield.errors import SingularityError
 
 
@@ -95,6 +95,25 @@ def test_special_functions():
     assert code == 2 and "unknown function" in err
     code, _, err = run_cli("special", "--fn", "comp_k")
     assert code == 2
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    ("pochhammer", ("0.5", "2.5"), "error: pochhammer requires a nonnegative integer k"),
+    ("theta", ("2.5", "0.3", "0.5"), "error: theta index must be 1, 2, 3 or 4"),
+    ("int_z_sc", ("0.3", "0.5", "1.5"), "error: int_z_sc: branch must be an integer")])
+def test_special_rejects_a_non_integer_index(fn, args, message):
+    # the index reaches the function as given, not truncated to an integer
+    code, out, err = run_cli("special", "--fn", fn, *args)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "internal error" not in err
+
+
+def test_special_takes_integral_float_indices():
+    for fn, args, want in (("pochhammer", ("0.5", "2"), 0.75),
+                           ("theta", ("2", "0.3", "0.5"), jacobi.theta(2, 0.3, 0.5)),
+                           ("int_z_sc", ("0.3", "0.5", "1"), jacobi.int_z_sc(0.3, 0.5, 1))):
+        code, out, _ = run_cli("special", "--fn", fn, *args)
+        assert code == 0 and float(out) == want
 
 
 def test_eval_disk_at_tiny_z():

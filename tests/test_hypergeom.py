@@ -194,6 +194,62 @@ def test_appell_f2_family_matches_mpmath():
                 ref, rel=1e-13, abs=0.0)
 
 
+def _f2_family_by_quadrature(m, y):
+    # F2(1/2; 1/2, 1; 1, 3/2; m, y) = I(m, sqrt(y); pi)/(pi sqrt(y)) from
+    # the defining integral at 30 digits, written cancellation-free with
+    # t = pi - u: D = 1 - m sin^2(t/2) = (1 - m) + m sin^2(u/2) and
+    # atanh(A/sqrt(D)) = ln(sqrt(D) + A) - ln(D - A^2)/2, D - A^2 =
+    # (1 - m - y) + m sin^2(u/2), whose logarithm is singular at u = 0
+    # on the boundary
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        m, y = mpmath.mpf(m), mpmath.mpf(y)
+        A, gap = mpmath.sqrt(y), 1 - m - y
+
+        def f(u):
+            s2 = mpmath.sin(u / 2) ** 2
+            return mpmath.log(mpmath.sqrt((1 - m) + m * s2) + A) - mpmath.log(gap + m * s2) / 2
+
+        nodes = [0] + [mpmath.mpf(10) ** k for k in range(-12, 1)] + [mpmath.pi]
+        return float(mpmath.quad(f, nodes) / (mpmath.pi * A))
+
+
+@pytest.mark.parametrize("m, y", [(0.5, 0.4976), (0.5, 0.4999), (0.9, 0.0999), (0.1, 0.8999),
+                                  (0.3, 0.7), (1e-13, 1.0 - 1e-13)])
+def test_appell_f2_family_near_the_boundary_matches_its_defining_integral(m, y):
+    # both single-index ratios above 0.995: the integral in from the surface
+    # value, as in i_hyg_pi; the sums raised ConvergenceError at three of the
+    # first four points and were 3.8e-12 off at the first. The last two lie
+    # on m + y = 1 in floating point, where the gap is formed exactly
+    assert hg.appell_f2(0.5, 0.5, 1, 1, 1.5, m, y) == pytest.approx(
+        _f2_family_by_quadrature(m, y), rel=1e-13, abs=0.0)
+
+
+def test_appell_f2_family_takes_the_route_of_i_hyg_pi(monkeypatch):
+    # over seeded (m, A), a third of them within 1e-3 of m + A^2 = 1, the
+    # family F2 at (m, A^2) takes the route that i_hyg_pi takes at (m, A):
+    # one rule decides both
+    taken = []
+    for name, tag in (("_f2_ke_sum", "ke"), ("_f2_inner_sum", "inner"),
+                      ("_i_hyg_pi_from_boundary", "boundary"), ("_appell_f2_direct", "direct")):
+        def record(*args, _tag=tag, _fn=getattr(hg, name)):
+            taken.append(_tag)
+            return _fn(*args)
+        monkeypatch.setattr(hg, name, record)
+    rng = np.random.default_rng(23)
+    tags = []
+    for i in range(240):
+        m = float(rng.uniform(0.0, 1.0))
+        frac = 10.0 ** rng.uniform(-12.0, -3.0) if i % 3 == 0 else float(rng.uniform(0.0, 1.0))
+        A = math.sqrt((1.0 - m) * (1.0 - frac))
+        taken.clear()
+        hg.i_hyg_pi(m, A)
+        hg.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, A * A)
+        assert len(taken) == 2 and taken[0] == taken[1], (m, A, taken)
+        tags.append(taken[0])
+    assert set(tags) == {"ke", "inner", "boundary"}
+
+
 def test_appell_f2_inner_route_for_i_hyg_alt_first_term():
     # F2(1/2; 1/2, 1; 3/2, 3/2; x, y), the idx = 0 term of i_hyg_alt variant
     # 3, at y < x inside C06's range x = m s^2 <= 1/8, y = A^2 <= 1/4, where
@@ -267,6 +323,18 @@ def test_i_hyg_odd_in_both_arguments():
 def test_i_hyg_boundary_guard():
     with pytest.raises(DomainError):
         hg.i_hyg(0.5, math.sqrt(0.5) - 1e-12, 2.0)
+
+
+@pytest.mark.parametrize("m", [0.05, 0.5, 0.9, 1.0 - 1e-6])
+def test_i_hyg_at_plus_minus_pi_is_i_hyg_pi_up_to_the_boundary(m):
+    # within 1e-12 of m + A^2 = 1, where the general-theta routes raise
+    # DomainError, theta = +-pi reads i_hyg_pi, bit for bit
+    for d in (1e-12, 1e-14):
+        A = math.sqrt(1.0 - m) - d
+        assert 0.0 < 1.0 - m - A * A < 1e-11
+        value = hg.i_hyg_pi(m, A)
+        for sa, st in itertools.product((1.0, -1.0), repeat=2):
+            assert repr(hg.i_hyg(m, sa * A, st * math.pi)) == repr(sa * st * value)
 
 
 def test_i_hyg_pi():
@@ -371,7 +439,7 @@ def test_i_hyg_pi_route_at_the_boundary_threshold(m, A, route_below, side, route
     else:
         gap = _gaps_around_ratio(m, 0.995)[side]
         A = math.sqrt(1.0 - m - gap)
-    tag, omm, omy = hg._i_hyg_pi_route(m, A, gap)
+    tag, omm, omy = hg._i_hyg_pi_route(m, A * A, gap)
     assert (omm, omy) == (A * A + gap, m + gap)
     smaller, larger = sorted((A * A / omm, m / omy))
     assert {1: smaller > 0.995, 0: smaller == 0.995, -1: smaller < 0.995}[side]
@@ -380,26 +448,29 @@ def test_i_hyg_pi_route_at_the_boundary_threshold(m, A, route_below, side, route
 
 
 def test_i_hyg_pi_route_tags():
+    # the rule takes (m, y = A^2, gap)
     route = hg._i_hyg_pi_route
-    # the tie A^2/(1 - m) = m/(1 - A^2) goes to the inner-2F1 sum, with and
+    # the tie y/(1 - m) = m/(1 - y) goes to the inner-2F1 sum, with and
     # without gap
-    assert route(0.25, 0.5, 0.5)[0] == route(0.25, 0.5, None)[0] == "inner"
-    assert route(0.0625, 0.25, 0.875)[0] == "inner"
+    assert route(0.25, 0.25, 0.5)[0] == route(0.25, 0.25, None)[0] == "inner"
+    assert route(0.0625, 0.0625, 0.875)[0] == "inner"
     # on the axis m = 0 the inner-2F1 sum is atanh: ratio 0
-    assert route(0.0, 0.5, 0.75)[0] == route(0.0, 0.5, None)[0] == "inner"
-    assert route(0.6, 0.25, None)[0] == "ke"
-    # A = 0 and the rim 1 - m = 0 give 0 early
-    assert route(0.3, 0.0, 0.7)[0] == route(0.3, -0.0, None)[0] == "zero"
-    assert route(1.0, 1e-9, None)[0] == "zero"
+    assert route(0.0, 0.25, 0.75)[0] == route(0.0, 0.25, None)[0] == "inner"
+    assert route(0.6, 0.0625, None)[0] == "ke"
+    # y = 0 is summed at ratio 0; i_hyg_pi itself returns 0 for A = 0
+    assert route(0.3, 0.0, 0.7)[0] == route(0.3, 0.0, None)[0] == "ke"
+    assert repr(hg.i_hyg_pi(0.3, 0.0, 0.7)) == repr(hg.i_hyg_pi(0.3, -0.0)) == "0.0"
+    # the rim 1 - m = 0 gives 0 early
+    assert route(1.0, 1e-18, None)[0] == "zero"
     from appellfield.geometry import aux
     a = aux(1.0, 0.0, 1.0)
-    assert route(a.m, a.A, a.gap)[0] == "zero"
+    assert route(a.m, a.A * a.A, a.gap)[0] == "zero"
     # on the boundary gap = 0 both ratios are 1
-    assert route(0.5, math.sqrt(0.5), 0.0)[0] == "boundary"
+    assert route(0.5, math.sqrt(0.5) ** 2, 0.0)[0] == "boundary"
     with pytest.raises(DomainError):
         route(0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
-        route(0.5, 0.75, None)
+        route(0.5, 0.5625, None)
 
 
 def _batch_arguments(rng, n):
@@ -461,10 +532,12 @@ def test_i_hyg_pi_batch_equals_the_scalar_calls():
 
 
 def _route_or_error(m, A, gap):
+    # i_hyg_pi's route: the rule's, and "zero" for A = 0
     try:
-        return hg._i_hyg_pi_route(m, A, gap)[0]
+        tag = hg._i_hyg_pi_route(m, A * A, gap)[0]
     except DomainError:
         return "error"
+    return "zero" if A == 0.0 else tag
 
 
 def _aux_triple(zeta, r):
@@ -622,6 +695,12 @@ def _surface_integral(m):
 def test_i_hyg_surface_below_one_third_matches_its_defining_integral(m):
     # the 4F3 series route; the quadrature route raises ConvergenceError
     # below m = 3.7e-10 and is 6.6e-10 off at m = 1e-8
+    assert hg.i_hyg_surface(m) == pytest.approx(_surface_integral(m), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [0.34, 0.5, 0.7, 0.9, 0.99, 0.999])
+def test_i_hyg_surface_above_one_third_matches_its_defining_integral(m):
+    # the quadrature route; check C03 compares it with the 4F3-log form
     assert hg.i_hyg_surface(m) == pytest.approx(_surface_integral(m), rel=1e-14, abs=0.0)
 
 
