@@ -480,7 +480,8 @@ def i_hyg(m, A, theta):
 
     Odd in both A and theta. Requires finite m in [0, 1], |theta| <= pi
     and A^2 <= 1 - m (DomainError otherwise). At |theta| = pi the value is
-    +-i_hyg_pi(m, A), up to the boundary m + A^2 = 1; elsewhere it requires
+    +-i_hyg_pi(m, A), on i_hyg_pi's domain: up to the boundary m + A^2 = 1,
+    with its allowance for the rounding of m and A; elsewhere it requires
     strictly interior arguments m + A^2 < 1 - 1e-9. Below
     |sin(theta/2)| = SMALL_S_THRESHOLD the series converges too slowly and
     the defining integral is evaluated by adaptive quadrature instead.
@@ -493,12 +494,14 @@ def i_hyg(m, A, theta):
         raise DomainError("i_hyg: theta is restricted to [-pi, pi]")
     if m * math.sin(theta / 2.0) ** 2 >= 1.0:
         raise DomainError("i_hyg: m*sin^2(theta/2) must stay below 1")
-    # worst case of the path condition A^2 < 1 - m*sin^2(t/2), at t = pi
-    if A * A > 1.0 - m:
+    # worst case of the path condition A^2 < 1 - m*sin^2(t/2), at t = pi;
+    # at |theta| = pi, i_hyg_pi checks it with its allowance for rounding
+    at_pi = abs(theta) == math.pi
+    if A * A > 1.0 - m and not at_pi:
         raise DomainError("i_hyg: A^2 must not exceed 1 - m")
     if theta == 0.0 or A == 0.0:
         return 0.0
-    if abs(theta) == math.pi:
+    if at_pi:
         return math.copysign(1.0, theta) * i_hyg_pi(m, A)
     if m + A * A > 1.0 - 1e-9:
         raise DomainError(

@@ -6,6 +6,7 @@ backs both ``appellfield verify`` and the acceptance test module; the checks
 compare closed forms against independent brute-force routes only.
 """
 
+import functools
 import math
 import time
 
@@ -113,11 +114,15 @@ def _crit04_zsc_formula(rng, full):
         def zsc(u, _m=m):
             return jacobi.jacobi_zeta(u, _m) * jacobi.jacobi_sc(u, _m)
 
-        for u in np.linspace(-K + 0.05, K - 0.05, npts):
-            if abs(u) < 1e-9:
-                continue
-            ref, _ = oracle.quad_1d(zsc, 0.0, float(u), _ZSC_QUADRATURE)
-            worst = max(worst, abs(jacobi.int_z_sc(float(u), m) - ref))
+        us = np.linspace(-K + 0.05, K - 0.05, npts).tolist()
+        # the reference integral from 0, accumulated outward over the
+        # intervals between consecutive u on each side of 0
+        for side in ([u for u in us if u >= 1e-9], [u for u in reversed(us) if u <= -1e-9]):
+            ref, prev = 0.0, 0.0
+            for u in side:
+                ref += oracle.quad_1d(zsc, prev, u, _ZSC_QUADRATURE)[0]
+                prev = u
+                worst = max(worst, abs(jacobi.int_z_sc(u, m) - ref))
         delta = 1e-7
         measured = jacobi.int_z_sc(K - delta, m) - jacobi.int_z_sc(K + delta, m)
         formula = jacobi.zsc_branch_jump(m)
@@ -139,24 +144,26 @@ def _fd_order(err_h, err_h2, floor):
 
 
 def _crit05_parameter_derivatives(rng, full):
+    # the closed-form derivative, integrated over [x - h, x + h] by an 8-node
+    # Gauss-Legendre rule, against the difference of i_hyg across it
     n = 50 if full else 15
-    min_order = math.inf
+    tol = 1e-11
     h = 5e-3
+    worst = 0.0
     for _ in range(n):
         m = rng.uniform(0.1, 0.8)
         amax = math.sqrt(max(0.9 - m, 0.02))
         A = rng.uniform(-amax, amax)
         th = rng.uniform(0.3, 2.9)
         cases = (
-            (hypergeom.di_hyg_dA(m, A, th), (lambda a: hypergeom.i_hyg(m, a, th)), A),
-            (hypergeom.di_hyg_dm(m, A, th), (lambda mm: hypergeom.i_hyg(mm, A, th)), m),
+            (lambda a: hypergeom.di_hyg_dA(m, a, th), lambda a: hypergeom.i_hyg(m, a, th), A),
+            (lambda mm: hypergeom.di_hyg_dm(mm, A, th), lambda mm: hypergeom.i_hyg(mm, A, th), m),
         )
-        for closed, fun, x0 in cases:
-            e1 = abs((fun(x0 + h) - fun(x0 - h)) / (2.0 * h) - closed)
-            e2 = abs((fun(x0 + h / 2.0) - fun(x0 - h / 2.0)) / h - closed)
-            min_order = min(min_order, _fd_order(e1, e2, 1e-7))
-    ok = min_order >= 1.9
-    return ok, 1.9 / max(min_order, 1e-9), f"{n} points, min FD order {min_order:.2f} (>= 1.9)"
+        for deriv, fun, x0 in cases:
+            hi, lo = fun(x0 + h), fun(x0 - h)
+            integral = oracle.gauss_legendre(deriv, x0 - h, x0 + h, 8)
+            worst = max(worst, abs(hi - lo - integral) / max(abs(hi), abs(lo), 1.0))
+    return worst < tol, worst / tol, f"{n} points x 2 derivatives, worst {worst:.2e}"
 
 
 def _crit06_alternative_series(rng, full):
@@ -246,6 +253,12 @@ def _crit09_far_field(rng, full):
     return worst < hi - 1.0, worst / (hi - 1.0), f"8 rays x 2 bodies at d={d:g}, worst |ratio-1| {worst:.2e}"
 
 
+def _once(f, body):
+    """f((r, z), body) as a function of r and z that evaluates each point
+    once, so the stencils of a check share their points."""
+    return functools.cache(lambda r, z: f((r, z), body))
+
+
 def _crit10_pde_residuals(rng, full):
     spec = FIG_CYLINDER
     rho0 = spec.rho0
@@ -258,9 +271,8 @@ def _crit10_pde_residuals(rng, full):
     exterior = [(spec.R + rng.uniform(0.2, 1.5), rng.uniform(-0.5, 0.5)) for _ in range(n // 2)]
     exterior += [(rng.uniform(0.2, 0.8), spec.Z + rng.uniform(0.2, 1.5)) for _ in range(n - n // 2)]
 
-    def phi(r, z):
-        return fields.phi_cyl((r, z), spec)
-
+    phi = _once(fields.phi_cyl, spec)
+    terms = _once(fields.phi_cyl_terms, spec)
     # full potential: exterior Laplace -> 0, interior Poisson -> -4 pi rho0
     for pts, target in ((exterior, 0.0), (interior, -4.0 * math.pi * rho0)):
         for (r, z) in pts:
@@ -269,9 +281,9 @@ def _crit10_pde_residuals(rng, full):
             min_order = min(min_order, _fd_order(e1, e2, 5e-7))
     # term-by-term decomposition
     for (r, z) in interior + exterior:
-        hyg = lambda rr, zz: fields.phi_cyl_terms((rr, zz), spec)[0]
-        ell = lambda rr, zz: fields.phi_cyl_terms((rr, zz), spec)[1]
-        corr = lambda rr, zz: fields.phi_cyl_terms((rr, zz), spec)[2]
+        hyg = lambda rr, zz: terms(rr, zz)[0]
+        ell = lambda rr, zz: terms(rr, zz)[1]
+        corr = lambda rr, zz: terms(rr, zz)[2]
         src = -4.0 * math.pi * rho0 if (r < spec.R and abs(z) < spec.Z) else 0.0
         worst_corr = max(worst_corr, abs(oracle.fd_laplacian_cyl(corr, r, z, h) - src))
         for part in (hyg, ell):
@@ -289,23 +301,20 @@ def _crit11_conjugacy(rng, full):
     n = 20 if full else 8
     h = 0.01
     min_order = math.inf
-    bodies = []
     # FD stencils need clearance from the axis
     cyl_pts = [(max(r, 0.15), z) for (r, z) in _cyl_exterior_points(n)]
-    bodies.append((lambda p: fields.phi_cyl(p, FIG_CYLINDER),
-                   lambda p: fields.psi_cyl(p, FIG_CYLINDER), cyl_pts))
     tube_pts = [(2.0, 0.4), (1.5, -0.9), (0.5, 0.35), (0.4, -0.4), (2.5, 1.5),
                 (0.2, 0.5), (1.8, 0.1), (0.6, -0.3), (3.0, -2.0), (1.3, 1.2)]
     tube_pts = (tube_pts * 2)[:n]
-    bodies.append((lambda p: fields.phi_tube(p, FIG_TUBE),
-                   lambda p: fields.psi_tube(p, FIG_TUBE), tube_pts))
-    for phi_f, psi_f, pts in bodies:
+    bodies = ((_once(fields.phi_cyl, FIG_CYLINDER), _once(fields.psi_cyl, FIG_CYLINDER), cyl_pts),
+              (_once(fields.phi_tube, FIG_TUBE), _once(fields.psi_tube, FIG_TUBE), tube_pts))
+    for phi, psi, pts in bodies:
         for (r, z) in pts:
             for hh in (h, h / 2.0):
-                pr, pz = oracle.fd_gradient(lambda rr, zz: phi_f((rr, zz)), r, z, hh)
-                sr, sz = oracle.fd_gradient(lambda rr, zz: psi_f((rr, zz)), r, z, hh)
+                pr, pz = oracle.fd_gradient(phi, r, z, hh)
+                sr, sz = oracle.fd_gradient(psi, r, z, hh)
                 res = max(abs(sr - r * pz), abs(sz + r * pr),
-                          abs(oracle.fd_psi_operator(lambda rr, zz: psi_f((rr, zz)), r, z, hh)))
+                          abs(oracle.fd_psi_operator(psi, r, z, hh)))
                 if hh == h:
                     e1 = res
                 else:
@@ -314,48 +323,33 @@ def _crit11_conjugacy(rng, full):
     return ok, 1.8 / max(min_order, 1e-9), f"2 bodies x {n} points, min order {min_order:.2f} (>= 1.8)"
 
 
-def _tube_loop(h):
-    # rectangle threading the tube cross-section, sampled densely; samples on
-    # the r < R edge are kept clear of the branch cut z = 0 by 6h
-    R, Z = FIG_TUBE.R, FIG_TUBE.Z
-    r_in, r_out = 0.3 * R, 2.0 * R
-    z_lo, z_hi = -1.5 * Z, 1.5 * Z
-    ds = 0.004
-    pts = []
-
-    def seg(p0, p1):
-        length = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
-        steps = max(int(length / ds), 2)
-        for i in range(steps):
-            t = i / steps
-            pts.append((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
-
-    seg((r_in, z_lo), (r_out, z_lo))
-    seg((r_out, z_lo), (r_out, z_hi))
-    seg((r_out, z_hi), (r_in, z_hi))
-    seg((r_in, z_hi), (r_in, z_lo))
-    gap = 6.0 * h
-    return [(r, z if (r > R or abs(z) > gap) else math.copysign(gap, z if z != 0.0 else 1.0))
-            for (r, z) in pts]
-
-
 def _crit12_topological_charge(rng, full):
     h = 1e-4
-    psival = lambda r, z: fields.psi_tube((r, z), FIG_TUBE)
-    threading = oracle.loop_integral_grad(psival, _tube_loop(h), h)
+    tol = 1e-7
+
+    def psi(r, z):
+        return fields.psi_tube((r, z), FIG_TUBE)
+
+    def grad(r, z):
+        return oracle.fd_gradient(psi, r, z, h)
+
+    # a rectangle threading the tube's cross-section; its r < R side steps
+    # across the branch-0 cut z = 0 between z = +-6h, so no stencil
+    # straddles the cut
+    R, Z = FIG_TUBE.R, FIG_TUBE.Z
+    r_in, r_out, z_lo, z_hi, gap = 0.3 * R, 2.0 * R, -1.5 * Z, 1.5 * Z, 6.0 * h
+    rectangle = [(r_in, z_lo), (r_out, z_lo), (r_out, z_hi), (r_in, z_hi),
+                 (r_in, gap), (r_in, -gap)]
+    threading = oracle.loop_integral(grad, rectangle, steps=(4,))
     expected = fields.tube_branch_jump(FIG_TUBE)
     rel = abs(abs(threading) - expected) / expected
     # a loop not threading the tube
-    side = 0.3
-    c = (2.6, 0.0)
-    small = [(c[0] + side * math.cos(t), c[1] + side * math.sin(t))
-             for t in np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)]
-    nonthreading = abs(oracle.loop_integral_grad(psival, small, h))
-    ok = rel < 1e-3 and nonthreading < 1e-3 * expected
-    worst = max(rel / 1e-3, nonthreading / (1e-3 * expected))
+    nonthreading = abs(oracle.circle_integral(grad, (2.6, 0.0), 0.3))
+    ok = rel < tol and nonthreading < tol * expected
+    worst = max(rel, nonthreading / expected) / tol
     return ok, worst, (
-        f"threading loop: {abs(threading):.6f} vs {expected:.6f} (rel {rel:.2e}); "
-        f"non-threading: {nonthreading:.2e}")
+        f"threading loop: {abs(threading):.9f} vs {expected:.9f} (rel {rel:.2e}); "
+        f"non-threading: {nonthreading:.2e} (both < {tol:g} of the jump)")
 
 
 def _crit13_disk_forms(rng, full):
@@ -466,7 +460,8 @@ CHECKS = [
     ("C02", "definite-integral reduction at theta = pi", _crit02_definite_reduction),
     ("C03", "surface value: quadrature form vs 4F3-log form", _crit03_surface_value),
     ("C04", "integral of Z*sc: closed form, jumps, branch increment", _crit04_zsc_formula),
-    ("C05", "parameter derivatives vs finite differences", _crit05_parameter_derivatives),
+    ("C05", "integrated parameter derivatives vs differences of i_hyg",
+     _crit05_parameter_derivatives),
     ("C06", "triple-sum and alternative series agreement", _crit06_alternative_series),
     ("C07", "characteristic-pair identity residual", _crit07_pi_identity),
     ("C08", "cylinder and tube potentials vs 1-D Coulomb quadrature", _crit08_phi_coulomb),

@@ -337,6 +337,26 @@ def test_i_hyg_at_plus_minus_pi_is_i_hyg_pi_up_to_the_boundary(m):
             assert repr(hg.i_hyg(m, sa * A, st * math.pi)) == repr(sa * st * value)
 
 
+def test_i_hyg_at_plus_minus_pi_takes_the_rounding_allowance_of_i_hyg_pi():
+    # on the boundary A = sqrt(1 - m), m = k/2000, the rounded A^2 exceeds
+    # the rounded 1 - m by an ulp at 455 points; there theta = +-pi reads
+    # +-i_hyg_pi, bit for bit, where i_hyg raised DomainError
+    count = 0
+    for k in range(1, 2000):
+        m = k / 2000.0
+        A = math.sqrt(1.0 - m)
+        if not A * A > 1.0 - m:
+            continue
+        count += 1
+        sa, st = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))[k % 4]
+        assert repr(hg.i_hyg(m, sa * A, st * math.pi)) == repr(sa * st * hg.i_hyg_pi(m, A))
+    assert count == 455
+    assert hg.i_hyg(0.001, math.sqrt(0.999), math.pi) == 15.20467019853874
+    # beyond the allowance theta = +-pi raises as before
+    with pytest.raises(DomainError):
+        hg.i_hyg(0.5, math.sqrt(0.5) + 1e-12, -math.pi)
+
+
 def test_i_hyg_pi():
     assert hg.i_hyg_pi(0.3, 0.0) == 0.0
     assert hg.i_hyg_pi(0.0, 0.4) == pytest.approx(math.pi * math.atanh(0.4), rel=1e-12)

@@ -84,11 +84,56 @@ def test_fd_operator_convergence_order():
     assert 1.8 <= order <= 2.2
 
 
-def test_loop_integral_single_valued_function():
+RECTANGLE = [(0.3, -1.05), (2.0, -1.05), (2.0, 1.05), (0.3, 1.05)]
+
+
+def test_loop_rules_integrate_an_exact_gradient_to_zero():
+    # the gradient of r^2 z, and the rotational field (-z, r), whose
+    # circulation is twice the enclosed area
+    grad = lambda r, z: (2.0 * r * z, r * r)
+    swirl = lambda r, z: (-z, r)
+    assert abs(oc.loop_integral(grad, RECTANGLE)) <= 1e-13
+    assert abs(oc.circle_integral(grad, (1.5, 0.2), 0.4)) <= 1e-13
+    assert oc.loop_integral(swirl, RECTANGLE) == pytest.approx(2.0 * 1.7 * 2.1, abs=1e-13)
+    assert oc.circle_integral(swirl, (1.5, 0.2), 0.4) == pytest.approx(
+        2.0 * math.pi * 0.16, abs=1e-13)
+
+
+def test_loop_integral_takes_a_step_by_its_trapezoid():
+    # the rectangle with its r = 0.3 side split at z = +-0.1, the short
+    # side between them a step: exact for a field linear along the step
+    split = RECTANGLE + [(0.3, 0.1), (0.3, -0.1)]
+    grad = lambda r, z: (2.0 * r * z, r * r)
+    assert abs(oc.loop_integral(grad, split, steps=(4,))) <= 1e-13
+    # a field quadratic along the step: its trapezoid misses by h^3 f''/12
+    bump = lambda r, z: (0.0, z * z)
+    assert oc.loop_integral(bump, split, steps=(4,)) == pytest.approx(
+        -(0.2 ** 3) * 2.0 / 12.0, abs=1e-13)
+    with pytest.raises(DomainError):
+        oc.loop_integral(grad, RECTANGLE[:2])
+
+
+def test_loop_rules_of_a_single_valued_function_vanish():
     f = lambda r, z: r * r * z + math.sin(z)
-    loop = [(1.5 + 0.4 * math.cos(t), 0.4 * math.sin(t))
-            for t in np.linspace(0, 2 * math.pi, 600, endpoint=False)]
-    assert abs(oc.loop_integral_grad(f, loop, 1e-4)) < 1e-6
+    grad = lambda r, z: oc.fd_gradient(f, r, z, 1e-4)
+    assert abs(oc.loop_integral(grad, RECTANGLE)) < 1e-9
+    assert abs(oc.circle_integral(grad, (1.5, 0.0), 0.4)) < 1e-9
+
+
+def test_gauss_legendre_rule():
+    # exact to degree 2n - 1
+    assert oc.gauss_legendre(lambda x: x ** 15, -1.0, 2.0, 8) == pytest.approx(
+        (2.0 ** 16 - 1.0) / 16.0, rel=1e-14)
+    assert oc.gauss_legendre(math.exp, 0.0, 1.0, 8) == pytest.approx(math.e - 1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 40])
+def test_legendre_rule_matches_numpy(n):
+    # numpy's leggauss weights are themselves up to 7e-13 off at n = 40
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    rule = sorted(oc._legendre_rule(n))
+    assert np.allclose([x for x, _ in rule], nodes, rtol=0.0, atol=2e-16)
+    assert np.allclose([w for _, w in rule], weights, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("body", [TUBE, CYL], ids=["tube", "cyl"])

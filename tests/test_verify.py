@@ -1,0 +1,43 @@
+"""The verify checks catch a defect of the closed form they test, and the
+checks whose stencils share their points read what they read when each
+stencil evaluated every point itself."""
+
+import pytest
+
+from appellfield import fields, hypergeom, verify
+
+
+def _scaled(monkeypatch, module, name, factor=1.0 + 1e-6):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: factor * original(*args, **kw))
+
+
+def test_c12_catches_a_scaled_psi_tube(monkeypatch):
+    assert verify.run_check("C12", seed=0, full=False).passed
+    _scaled(monkeypatch, fields, "psi_tube")
+    result = verify.run_check("C12", seed=0, full=False)
+    assert not result.passed, result.detail
+    assert result.worst > 5.0
+
+
+@pytest.mark.parametrize("name", ["di_hyg_dA", "di_hyg_dm"])
+def test_c05_catches_a_scaled_derivative(monkeypatch, name):
+    assert verify.run_check("C05", seed=0, full=False).passed
+    _scaled(monkeypatch, hypergeom, name)
+    result = verify.run_check("C05", seed=0, full=False)
+    assert not result.passed, result.detail
+    assert result.worst > 5.0
+
+
+# worst residual ratios of the fast suite, as read when each stencil
+# evaluated all its points itself
+@pytest.mark.parametrize("ident,seed,worst", [
+    ("C10", 0, "0.9000144414586894"),
+    ("C10", 42, "0.9000637111612076"),
+    ("C11", 0, "0.9000138249038667"),
+    ("C11", 42, "0.9000138249038667"),
+])
+def test_shared_stencil_points_keep_the_result(ident, seed, worst):
+    result = verify.run_check(ident, seed=seed, full=False)
+    assert result.passed
+    assert repr(result.worst) == worst
