@@ -6,12 +6,11 @@ Gauss/Appell/generalized hypergeometric series) and brute-force
 verification oracles."""
 
 from . import elliptic, errors, fields, geometry, hypergeom, indefinite, jacobi, oracle
-from .geometry import AuxGeometry, CylinderSpec, DiskSpec, FieldSample, TubeSpec, aux
+from .geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
 from .oracle import QuadratureSpec
 
 __all__ = [
-    "AuxGeometry", "CylinderSpec", "DiskSpec", "FieldSample",
-    "QuadratureSpec", "TubeSpec", "aux",
+    "AuxGeometry", "CylinderSpec", "DiskSpec", "QuadratureSpec", "TubeSpec", "aux",
     "elliptic", "errors", "fields", "geometry", "hypergeom", "indefinite",
     "jacobi", "oracle", "verify",
 ]

@@ -13,7 +13,7 @@ import sys
 
 from . import elliptic, fields, hypergeom, jacobi
 from .errors import AppellFieldError, DomainError, SingularityError
-from .geometry import CylinderSpec, DiskSpec, FieldSample, Record, TubeSpec
+from .geometry import CylinderSpec, DiskSpec, Record, TubeSpec
 
 
 class GridSpec(Record):
@@ -91,11 +91,11 @@ def cmd_eval(args):
 
 
 def _grid_column(task):
-    """(FieldSamples, failures) of one grid column (body, r, zs, quantity,
-    ends), evaluating only the requested quantity ('phi', 'psi' or 'both').
-    A quantity not requested, undefined (psi inside the charge or on the
-    disk body) or excluded (a singular set: the cylinder edge circle, the
-    tube sheet for psi, the disk edge) is None; so is one whose evaluation
+    """((phi, psi) pairs, failures) of one grid column (body, r, zs,
+    quantity, ends), evaluating only the requested quantity ('phi', 'psi' or
+    'both'). A quantity not requested, undefined (psi inside the charge or
+    on the disk body) or excluded (a singular set: the cylinder edge circle,
+    the tube sheet for psi, the disk edge) is None; so is one whose evaluation
     raised an AppellFieldError, and the failure is reported as one line.
     The calls of the column share ends, the column's table of end terms
     (see fields), which the task fills further and which lives as long as
@@ -114,7 +114,7 @@ def _grid_column(task):
                 except AppellFieldError as exc:
                     failures.append(f"{q} at (r, z) = ({r!r}, {z!r}): {exc}")
             values.append(value)
-        samples.append(FieldSample(*values))
+        samples.append(values)
     return samples, failures
 
 
@@ -150,15 +150,14 @@ def _grid_rows(spec: GridSpec, workers=1):
     rows = []
     for b in spec.branches:
         for r, (samples, _) in zip(rs, columns):
-            for z, s in zip(zs, samples):
-                psi = s.psi
+            for z, (phi, psi) in zip(zs, samples):
                 if b and psi is not None:
                     try:
                         psi = fields.psi_tube_on_branch(psi, body, b)
                     except DomainError as exc:
                         failures.append(f"psi at (r, z) = ({r!r}, {z!r}) on sheet {b}: {exc}")
                         psi = None
-                rows.append((r, z, s.phi, psi, b))
+                rows.append((r, z, phi, psi, b))
     return rows, failures
 
 

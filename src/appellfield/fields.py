@@ -381,35 +381,26 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
     if form != "takahashi":
         raise DomainError(f"phi_disk: unknown form {form!r}")
     # (2/L0) [L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum, + the n_pm pair]:
-    # the bracket, scaled after it is summed, is one part of the assembly
+    # the sum in [ ], scaled after it is summed, is one part of the assembly
+    rho = math.hypot(r, z)
+    n_minus = -2.0 * r * (r + rho) / z / z if z else -math.inf
     out = 2.0 * R * _ke_sum(a, s, R - r)
     rounding = 2.0 ** -52 * abs(out)
-    if not math.isinf(a.n_minus):
-        # z^2 sum_pm bracket(pm) Pi(n_pm | m), one AGM for both terms, with
-        # the complements formed exactly: 1 - n+ = t^2 with t = z/(r + rho)
-        # (n+ -> 1 as z -> 0), z^2 bracket(+1) = t z (rho - R) and
-        # z^2 bracket(-1) = (rho + R)(rho + r). Where n_minus is -inf (z = 0,
-        # or |z| so small that z^2/r^2 overflows it) the sum is O(|z|) and
-        # vanishes in the limit.
-        rho = math.hypot(r, z)
+    if not math.isinf(n_minus):
+        # z^2 sum_pm c_pm Pi(n_pm | m), c_pm = 1 - (n_pm/2)(1 + R/r), one AGM
+        # for both terms, with the complements formed exactly: 1 - n+ = t^2
+        # with t = z/(r + rho) (n+ -> 1 as z -> 0), z^2 c_+ = t z (rho - R)
+        # and z^2 c_- = (rho + R)(rho + r). Where n_- is -inf (z = 0, or |z|
+        # so small that z^2/r^2 overflows it) the sum is O(|z|) and vanishes
+        # in the limit.
         t = z / (r + rho)
         c_plus = t * z * (rho - R)
         c_minus = (rho + R) * (rho + r)
         plus, minus = elliptic.cel_pair(math.sqrt(a.one_minus_m), t * t, c_plus, c_plus,
-                                        1.0 - a.n_minus, c_minus, c_minus)
+                                        1.0 - n_minus, c_minus, c_minus)
         out += plus + minus
         rounding += 2.0 ** -52 * abs(plus) + 2.0 ** -52 * abs(minus)
     flat = 2.0 * math.pi * abs(z)
     parts = ((2.0 / L0 * out, 2.0 / L0 * rounding), (-flat, 2.0 ** -52 * flat))
     return _assemble("phi_disk", point, parts, factor=sigma)
-
-
-def psi_point(point, q, z_offset=0.0):
-    """Field-line potential of a point charge q at (0, z_offset):
-    q (z - z_offset)/sqrt(r^2 + (z - z_offset)^2). Superposes linearly."""
-    r, z = _check_point(point)
-    d = math.hypot(r, z - z_offset)
-    if d == 0.0:
-        raise SingularityError("psi_point: observation point coincides with the charge")
-    return _finite(q * (z - z_offset) / d, "psi_point")
 

@@ -85,12 +85,24 @@ MAX_TERMS = 6000
 
 
 def pochhammer(x, k):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1."""
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1), with (x)_0 = 1. Where a
+    factor is 0 (x a non-positive integer, k > -x) it is 0, signed as the
+    product of the factors before it; once the product overflows, +-inf with
+    the sign of all k factors."""
     if not (k >= 0 and float(k).is_integer()):
         raise DomainError("pochhammer requires a nonnegative integer k")
+    k = int(k)
+    if x <= 0.0 and float(x).is_integer() and k > -x:
+        return -0.0 if int(-x) % 2 else 0.0
     out = 1.0
-    for i in range(int(k)):
+    for i in range(k):
         out *= x + i
+        if math.isinf(out):
+            # the factors x + j < 0 are those with j < -x
+            negative = 0 if x > 0.0 else (k if x == -math.inf else min(k, math.ceil(-x)))
+            return -math.inf if negative % 2 else math.inf
+        if math.isnan(out):
+            return out
     return out
 
 

@@ -1,5 +1,6 @@
-"""The paper's general-theta indefinite integrals, and the characteristic-pair
-identity its theta = pi assemblies use.
+"""The paper's general-theta indefinite integrals, the characteristic pair
+n_pm they carry, and the characteristic-pair identity its theta = pi
+assemblies use.
 
 The cylinder's triple integral I(r, theta, z) of r/L and its field-line
 integral J of -r0 z (r0 + r cos(theta)) r/(L (L^2 - z^2)), and the tube's
@@ -10,6 +11,16 @@ computed there by cel; here they take any theta, through Carlson's
 incomplete integrals, the characteristic pair n_pm and i_hyg. So they are an
 independent second route to every end term of fields. No module on the
 potentials' path imports this one; verify and the tests do.
+
+The characteristic pair lives here, as functions of an AuxGeometry a with
+slots (r, z; r0), since no theta = pi assembly reads it:
+
+    rho = sqrt(r0^2 + z^2),  n_pm = 2 r0 / (r0 +- rho).
+
+n_minus is computed as -2 r0 (r0 + rho)/z/z (exact rearrangement), which
+survives the z -> 0 cancellation; it is -inf at z = 0 and where it
+overflows (|z| below about 1e-154 r0), and never divides by an underflowed
+z^2. The disk's takahashi form in fields forms the same n_minus inline.
 """
 
 import math
@@ -17,6 +28,33 @@ import math
 from . import elliptic, hypergeom
 from .errors import DomainError
 from .geometry import aux
+
+
+def _n_plus(a):
+    return 2.0 * a.r0 / (a.r0 + math.hypot(a.r0, a.z)) if a.r0 > 0.0 else 0.0
+
+
+def _n_minus(a):
+    z = a.z
+    return -2.0 * a.r0 * (a.r0 + math.hypot(a.r0, z)) / z / z if z else -math.inf
+
+
+def _bracket(a, sign):
+    """1 - (n/2)(1 + r/r0) for n = n_plus (sign=+1) or n_minus (sign=-1),
+    in the cancellation-free form (+-rho - r)/(r0 +- rho)."""
+    rho = math.hypot(a.r0, a.z)
+    if sign > 0:
+        return (rho - a.r) / (a.r0 + rho)
+    if a.z == 0.0:
+        raise DomainError("bracket(-1) is undefined at z = 0")
+    # (-(rho) - r)/(r0 - rho) = (rho + r)(rho + r0)/z^2; dividing by z
+    # twice overflows to +inf, the z -> 0 limit, where z * z underflows
+    return (rho + a.r) * (rho + a.r0) / a.z / a.z
+
+
+def _L(a, theta):
+    """Distance kernel sqrt(r^2 + r0^2 + 2 r r0 cos(theta) + z^2)."""
+    return math.sqrt(a.r ** 2 + a.r0 ** 2 + 2.0 * a.r * a.r0 * math.cos(theta) + a.z ** 2)
 
 
 def _atan(num, den):
@@ -48,14 +86,14 @@ def _legendre(a, theta, pair=True):
         return F, E, 0.0, 0.0
     p = (r - r0) / (r + r0) * elliptic.ellip_pi(4.0 * r * r0 / (r + r0) ** 2, phi, m) \
         if r != r0 else 0.0
-    nsum = a.bracket(+1) * elliptic.ellip_pi(a.n_plus, phi, m) \
-        + a.bracket(-1) * elliptic.ellip_pi(a.n_minus, phi, m) if pair else 0.0
+    nsum = _bracket(a, +1) * elliptic.ellip_pi(_n_plus(a), phi, m) \
+        + _bracket(a, -1) * elliptic.ellip_pi(_n_minus(a), phi, m) if pair else 0.0
     return F, E, p, nsum
 
 
 def i_cyl_trig(r, theta, z, r0):
     """Elementary part of the cylinder triple indefinite integral."""
-    L = aux(r, z, r0).L(theta)
+    L = _L(aux(r, z, r0), theta)
     st, ct = math.sin(theta), math.cos(theta)
     t1 = -(r0 * r0 * math.sin(2.0 * theta) / 4.0) * _atanh(z, L)
     t2 = -z * r0 * st * _atanh(r + r0 * ct, L)
@@ -83,7 +121,7 @@ def i_cyl_hyg(r, theta, z, r0):
 
 def j_cyl_trig(r, theta, z, r0):
     """Elementary part of the cylinder field-line indefinite integral."""
-    L = aux(r, z, r0).L(theta)
+    L = _L(aux(r, z, r0), theta)
     st, ct = math.sin(theta), math.cos(theta)
     t1 = ((3.0 * r0 ** 3 - 4.0 * r0 * z * z) * st - r0 ** 3 * math.sin(3.0 * theta)) / 8.0 \
         * _atanh(r + r0 * ct, L)
@@ -133,8 +171,8 @@ def pi_identity_residual(r, r0, z):
     if r == r0:
         raise DomainError("pi_identity_residual requires r != r0")
     a = aux(r, z, r0)
-    lhs = a.bracket(+1) * elliptic.comp_pi(a.n_plus, a.m) \
-        + a.bracket(-1) * elliptic.comp_pi(a.n_minus, a.m)
+    lhs = _bracket(a, +1) * elliptic.comp_pi(_n_plus(a), a.m) \
+        + _bracket(a, -1) * elliptic.comp_pi(_n_minus(a), a.m)
     rhs = elliptic.comp_k(a.m) \
         + (r - r0) / (r + r0) * elliptic.comp_pi(4.0 * r * r0 / (r + r0) ** 2, a.m) \
         + math.pi * a.L0 / abs(z) * (1.0 if r0 > r else 0.0)

@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from . import elliptic, fields, hypergeom, indefinite, jacobi, oracle
+from .errors import DomainError
 from .geometry import CylinderSpec, DiskSpec, Record, TubeSpec
 
 FIG_CYLINDER = CylinderSpec(R=1.0, Z=0.7, rho0=1.0)
@@ -489,14 +490,16 @@ def _run(cid, name, fn, seed, full):
 
 def run_check(ident, seed=42, full=True):
     """Run one named check; returns a CheckResult."""
-    for cid, name, fn in CHECKS:
-        if cid == ident:
-            return _run(cid, name, fn, seed, full)
+    for result in run_suite("full" if full else "fast", seed, {ident}):
+        return result
     raise KeyError(f"unknown check {ident!r}")
 
 
 def run_suite(suite="fast", seed=42, idents=None):
-    """Run the acceptance battery; suite is 'fast' or 'full'."""
+    """Run the acceptance battery; suite is 'fast' or 'full'. DomainError,
+    before any check runs, for a negative seed."""
+    if seed < 0:
+        raise DomainError(f"verify: the seed must be a non-negative integer (got {seed})")
     full = suite == "full"
     return [_run(cid, name, fn, seed, full) for cid, name, fn in CHECKS
             if idents is None or cid in idents]

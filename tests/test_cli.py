@@ -501,6 +501,13 @@ def test_verify_subset():
     assert "C02" in out and "C15" in out and "2/2 checks passed" in out
 
 
+def test_verify_rejects_a_negative_seed():
+    code, out, err = run_cli("verify", "--seed", "-1", "--only", "C09")
+    assert code == 2 and out == ""
+    assert err.startswith("error: verify: the seed must be a non-negative integer")
+    assert "internal error" not in err
+
+
 def test_public_names_resolve():
     res = subprocess.run([sys.executable, "-c", "from appellfield import *"],
                          capture_output=True, text=True)

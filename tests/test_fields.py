@@ -24,46 +24,6 @@ PSI_TUBE_15_03 = 1.9884147301598052
 PHI_DISK_13_04 = 2.425062662470501
 
 
-def test_aux_plugin_arithmetic():
-    a = aux(0.0, 1.0, 1.0)
-    assert a.m == 0.0
-    assert a.A == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-    assert a.n_plus == pytest.approx(2.0 / (1.0 + math.sqrt(2.0)), rel=1e-15)
-    assert a.n_minus == pytest.approx(-2.0 * (1.0 + math.sqrt(2.0)), rel=1e-15)
-
-
-def test_aux_boundary_at_equal_radii():
-    a = aux(1.0, 0.7, 1.0)
-    assert a.m + a.A ** 2 == pytest.approx(1.0, abs=1e-15)
-    assert 0.0 < a.n_plus < 1.0
-
-
-@given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-2.0, 2.0))
-@settings(max_examples=60, deadline=None)
-@example(r=1.0, r0=1.0, z=0.00390625)
-def test_alternate_prefactor_identity(r, r0, z):
-    if abs(z) < 1e-3:
-        z = 0.5
-    a = aux(r, z, r0)
-    for sign in (+1, -1):
-        assert a.bracket(sign) == pytest.approx(a.bracket_alt(sign),
-                                                rel=1e-12, abs=1e-12)
-    # bracket_alt(+1) forms n_plus - m exactly; check aux's rounded m against it
-    rho = math.hypot(r0, z)
-    exact_gap = 2.0 * r0 * (rho - r) ** 2 / ((r0 + rho) * ((r + r0) ** 2 + z * z))
-    assert a.n_plus - a.m == pytest.approx(exact_gap, rel=0, abs=1e-12)
-
-
-def test_aux_tiny_z_overflows_to_the_z0_limit():
-    # z * z underflows below |z| ~ 1.5e-162; dividing by z twice instead
-    # overflows to the z = 0 limit
-    for z in (1e-160, 1e-200, 5e-324, -1e-300):
-        a = aux(1.0, z, 0.5)
-        assert a.n_minus == -math.inf
-        assert a.bracket(-1) == math.inf
-    assert aux(1.0, 0.0, 0.5).n_minus == -math.inf
-
-
 @pytest.mark.parametrize("z", [10.0, 1e2, 1e3, -1e3, 1e4])
 def test_phi_tube_on_the_axis_far_out(z):
     # exact on-axis form 2 pi R sigma [asinh((z+Z)/R) - asinh((z-Z)/R)]; the
@@ -384,18 +344,6 @@ def test_tube_and_disk_exterior_laplace_residual():
                 assert math.log2(e1 / e2) > 1.7
 
 
-def test_psi_point():
-    assert fl.psi_point((0.0, 1.0), 1.0) == 1.0
-    assert fl.psi_point((1.0, 0.0), 1.0) == 0.0
-    # superposition of two charges at z = +-a
-    r, z, a = 0.8, 0.4, 0.6
-    total = fl.psi_point((r, z), 2.0, a) + fl.psi_point((r, z), -1.0, -a)
-    expect = 2.0 * (z - a) / math.hypot(r, z - a) - (z + a) / math.hypot(r, z + a)
-    assert total == pytest.approx(expect, rel=1e-15)
-    with pytest.raises(SingularityError):
-        fl.psi_point((0.0, 0.5), 1.0, 0.5)
-
-
 def test_pi_identity_residual():
     assert indefinite.pi_identity_residual(2.0, 1.0, 0.5) < 1e-9
     assert indefinite.pi_identity_residual(1.0, 2.0, 0.5) < 1e-9
@@ -486,5 +434,3 @@ def test_nonfinite_results_raise():
     assert math.isfinite(fl.psi_tube((0.5, 1.0), tube))
     with pytest.raises(DomainError, match="not finite"):
         fl.psi_tube((0.5, 1.0), tube, branch=1)
-    with pytest.raises(DomainError, match="not finite"):
-        fl.psi_point((0.0, 1e308), 1.0, z_offset=-1e308)

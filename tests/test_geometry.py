@@ -9,8 +9,7 @@ import pytest
 from appellfield import fields
 from appellfield.cli import GridSpec
 from appellfield.errors import AppellFieldError, DomainError
-from appellfield.geometry import (AuxGeometry, CylinderSpec, DiskSpec, FieldSample, TubeSpec,
-                                  aux)
+from appellfield.geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
 from appellfield.oracle import QuadratureSpec
 from appellfield.verify import CheckResult
 
@@ -18,7 +17,6 @@ RECORDS = [
     CylinderSpec(1.0, 0.7, 1.0),
     TubeSpec(1.0, 0.7, 2.0),
     DiskSpec(1.0, -1.0),
-    FieldSample(1.5, None),
     QuadratureSpec(1e-12, 1e-10, (True, False)),
     GridSpec(0.0, 2.0, -1.0, 1.0, 3, 5, "tube", 1.0, 0.7, 1.0, "both", (-1, 0, 1)),
     CheckResult("C01", "name", True, 0.5, "detail", 0.25),
@@ -29,15 +27,12 @@ def test_positional_keyword_and_default_construction():
     assert CylinderSpec(1.0, 0.7, 2.0) == CylinderSpec(rho0=2.0, Z=0.7, R=1.0)
     assert TubeSpec(1.0, 0.7, 2.0) == TubeSpec(R=1.0, Z=0.7, sigma0=2.0)
     assert DiskSpec(1.0, 2.0) == DiskSpec(sigma=2.0, R=1.0)
-    assert FieldSample(phi=1.0, psi=None).psi is None
     spec = QuadratureSpec(1e-12, rel_tol=1e-10)
     assert (spec.abs_tol, spec.rel_tol, spec.singular_endpoints) == (1e-12, 1e-10, (False, False))
     assert QuadratureSpec(1e-12, 1e-10, singular_endpoints=(False, True)).singular_endpoints \
         == (False, True)
     with pytest.raises(TypeError):
         CylinderSpec(1.0, 0.7)
-    with pytest.raises(TypeError):
-        FieldSample(1.0, 2.0, 3.0)
 
 
 def test_validation_raises_domain_error():
@@ -61,7 +56,7 @@ def test_equality_and_hash_by_type_and_fields():
     assert CylinderSpec(1.0, 0.7, 1.0) != CylinderSpec(1.0, 0.7, 2.0)
     # equal fields, different bodies
     assert CylinderSpec(1.0, 0.7, 1.0) != TubeSpec(1.0, 0.7, 1.0)
-    assert FieldSample(1.0, 2.0) != (1.0, 2.0)
+    assert CylinderSpec(1.0, 0.7, 1.0) != (1.0, 0.7, 1.0)
     assert hash(CylinderSpec(1.0, 0.7, 1.0)) == hash(CylinderSpec(1.0, 0.7, 1.0))
     assert len({CylinderSpec(1.0, 0.7, 1.0), CylinderSpec(1.0, 0.7, 1.0),
                 TubeSpec(1.0, 0.7, 1.0)}) == 2
@@ -83,7 +78,6 @@ def test_assignment_raises_attribute_error():
 
 def test_repr_is_dataclass_style():
     assert repr(CylinderSpec(1.0, 0.7, 1.0)) == "CylinderSpec(R=1.0, Z=0.7, rho0=1.0)"
-    assert repr(FieldSample(1.5, None)) == "FieldSample(phi=1.5, psi=None)"
     assert repr(QuadratureSpec(1e-12, 1e-10)) == \
         "QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, singular_endpoints=(False, False))"
 
@@ -97,7 +91,7 @@ def test_every_record_pickles():
 
 def test_aux_geometry_is_a_named_tuple():
     a = aux(0.5, 0.3, 1.5)
-    assert isinstance(a, AuxGeometry) and isinstance(a, tuple)
+    assert type(a) is AuxGeometry and AuxGeometry.__bases__ == (tuple,)
     assert AuxGeometry._fields == ("r", "z", "r0", "L0", "m", "A", "one_minus_m", "gap")
     assert (a.r, a.z, a.r0) == (0.5, 0.3, 1.5)
     assert a.L0 == math.sqrt(4.0 + 0.09)

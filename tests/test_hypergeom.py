@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -34,6 +35,39 @@ def test_pochhammer():
     assert hg.pochhammer(0.5, 3) == pytest.approx(15.0 / 8.0, rel=1e-15)
     with pytest.raises(DomainError):
         hg.pochhammer(1.0, -1)
+
+
+def _rising_loop(x, k):
+    out = 1.0
+    for i in range(k):
+        out *= x + i
+    return out
+
+
+def test_pochhammer_stops_once_the_product_overflows():
+    # the product loop ran all k steps: 1e300 of them here
+    t0 = time.perf_counter()
+    assert hg.pochhammer(0.5, 1e300) == math.inf
+    assert time.perf_counter() - t0 < 1.0
+    # 201 negative factors, then 10**6 - 201 positive ones
+    assert hg.pochhammer(-200.5, 10 ** 6) == -math.inf
+    assert hg.pochhammer(-math.inf, 3) == -math.inf and hg.pochhammer(math.inf, 2) == math.inf
+    assert math.isnan(hg.pochhammer(math.nan, 1e300))
+
+
+def test_pochhammer_is_zero_where_a_factor_is():
+    # the loop overflowed to inf before the factor 0 and returned inf * 0 = nan
+    assert hg.pochhammer(-200.0, 300) == 0.0
+    assert hg.pochhammer(-1e300, 1e301) == 0.0
+
+
+def test_pochhammer_equals_the_product_loop():
+    # bit for bit, signed zeros included, wherever the loop is not nan
+    for x in [i / 4.0 for i in range(-40, 41)] + [-170.5, 171.0, 1e-300, -1e15 - 0.5]:
+        for k in list(range(25)) + [169, 170, 171, 172, 300, 301, 1000]:
+            want = _rising_loop(x, k)
+            if not math.isnan(want):
+                assert repr(hg.pochhammer(x, k)) == repr(want), (x, k)
 
 
 def test_gauss_2f1_basic():

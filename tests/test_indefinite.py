@@ -9,6 +9,9 @@ Box: each form is an antiderivative of the paper's integrand, so its
 inclusion-exclusion sum over the corners of an (r, theta, z) box is the
 integral over the box. The reference integrates the elementary inner
 integral in z by numpy's Gauss-Legendre rule, with no package code.
+
+Pair: the characteristic pair n_pm and its brackets, against their
+defining forms.
 """
 
 import itertools
@@ -16,10 +19,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from appellfield import elliptic as el
 from appellfield import fields as fl
 from appellfield import indefinite as ind
 from appellfield.errors import AppellFieldError
+from appellfield.geometry import DiskSpec, aux
 
 R = 1.0  # source radius of the twin slots (r, zeta): observation radius r, offset zeta
 
@@ -169,3 +175,86 @@ def test_forms_at_z0_return_a_float_or_a_typed_error(form, theta, r, r0):
     except AppellFieldError:
         return
     assert isinstance(value, float) and math.isfinite(value)
+
+
+def _s_plus(a):
+    """sgn(rho - r), rho = sqrt(r0^2 + z^2): the sign of the n_plus bracket."""
+    d = math.hypot(a.r0, a.z) - a.r
+    return math.copysign(1.0, d) if d != 0.0 else 0.0
+
+
+def _bracket_alt(a, sign):
+    """The bracket via (L0/(2 r0)) s_pm sqrt(n_pm (n_pm - m)), s_minus = +1.
+    n_plus - m is formed as 2 r0 (rho - r)^2 / ((r0 + rho) L0^2), exact
+    since L0^2 - 2 r (r0 + rho) = (rho - r)^2; the difference of the
+    rounded values loses its digits at r = r0, z -> 0."""
+    n, s = (ind._n_plus(a), _s_plus(a)) if sign > 0 else (ind._n_minus(a), 1.0)
+    rho = math.hypot(a.r0, a.z)
+    gap = (2.0 * a.r0 * (rho - a.r) ** 2 / ((a.r0 + rho) * a.L0 ** 2)
+           if sign > 0 else n - a.m)
+    return a.L0 / (2.0 * a.r0) * s * math.sqrt(n * gap)
+
+
+def test_aux_plugin_arithmetic():
+    a = aux(0.0, 1.0, 1.0)
+    assert a.m == 0.0
+    assert a.A == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+    assert ind._n_plus(a) == pytest.approx(2.0 / (1.0 + math.sqrt(2.0)), rel=1e-15)
+    assert ind._n_minus(a) == pytest.approx(-2.0 * (1.0 + math.sqrt(2.0)), rel=1e-15)
+
+
+def test_aux_boundary_at_equal_radii():
+    a = aux(1.0, 0.7, 1.0)
+    assert a.m + a.A ** 2 == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 < ind._n_plus(a) < 1.0
+
+
+@given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-2.0, 2.0))
+@settings(max_examples=60, deadline=None)
+@example(r=1.0, r0=1.0, z=0.00390625)
+def test_alternate_prefactor_identity(r, r0, z):
+    if abs(z) < 1e-3:
+        z = 0.5
+    a = aux(r, z, r0)
+    for sign in (+1, -1):
+        assert ind._bracket(a, sign) == pytest.approx(_bracket_alt(a, sign),
+                                                      rel=1e-12, abs=1e-12)
+    # _bracket_alt(+1) forms n_plus - m exactly; check aux's rounded m against it
+    rho = math.hypot(r0, z)
+    exact_gap = 2.0 * r0 * (rho - r) ** 2 / ((r0 + rho) * ((r + r0) ** 2 + z * z))
+    assert ind._n_plus(a) - a.m == pytest.approx(exact_gap, rel=0, abs=1e-12)
+
+
+def test_aux_tiny_z_overflows_to_the_z0_limit():
+    # z * z underflows below |z| ~ 1.5e-162; dividing by z twice instead
+    # overflows to the z = 0 limit
+    for z in (1e-160, 1e-200, 5e-324, -1e-300):
+        a = aux(1.0, z, 0.5)
+        assert ind._n_minus(a) == -math.inf
+        assert ind._bracket(a, -1) == math.inf
+    assert ind._n_minus(aux(1.0, 0.0, 0.5)) == -math.inf
+
+
+def test_takahashi_n_minus_is_the_pairs_bit_for_bit(monkeypatch):
+    # phi_disk(form="takahashi") forms n_minus inline, in slots (R, z; r);
+    # it reaches elliptic.cel_pair as 1 - n_minus, which the branch calls
+    # only where n_minus is finite
+    seen, cel_pair = [], el.cel_pair
+
+    def spy(*args):
+        seen.append(args[4])
+        return cel_pair(*args)
+
+    monkeypatch.setattr(el, "cel_pair", spy)
+    disk = DiskSpec(1.0, 1.0)
+    rng = np.random.default_rng(0)
+    points = [(0.5, 0.0), (0.0, 0.0), (1.5, 0.0), (0.5, 1e-160), (2.0, -1e-160)]
+    points += [(float(r), float(z)) for r, z in zip(rng.uniform(0.0, 3.0, 200),
+                                                    rng.uniform(-3.0, 3.0, 200))]
+    for r, z in points:
+        seen.clear()
+        fl.phi_disk((r, z), disk, "takahashi")
+        n_minus = ind._n_minus(aux(disk.R, z, r))
+        if abs(z) <= 1e-160:
+            assert n_minus == -math.inf
+        assert seen == ([] if n_minus == -math.inf else [1.0 - n_minus])

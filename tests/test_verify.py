@@ -5,6 +5,7 @@ stencil evaluated every point itself."""
 import pytest
 
 from appellfield import fields, hypergeom, verify
+from appellfield.errors import DomainError
 
 
 def _scaled(monkeypatch, module, name, factor=1.0 + 1e-6):
@@ -41,3 +42,12 @@ def test_shared_stencil_points_keep_the_result(ident, seed, worst):
     result = verify.run_check(ident, seed=seed, full=False)
     assert result.passed
     assert repr(result.worst) == worst
+
+
+def test_a_negative_seed_raises_before_any_check_runs(monkeypatch):
+    # the seed reached np.random.default_rng, whose ValueError was untyped
+    monkeypatch.setattr(verify, "_run", lambda *args: pytest.fail("a check ran"))
+    with pytest.raises(DomainError, match="non-negative"):
+        verify.run_suite("fast", seed=-1)
+    with pytest.raises(DomainError, match="non-negative"):
+        verify.run_check("C09", seed=-1, full=False)
