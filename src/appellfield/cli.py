@@ -9,6 +9,7 @@ internal errors.
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import elliptic, fields, hypergeom, jacobi
@@ -273,6 +274,12 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
+# argparse, through Python 3.12, reads -1 and -0.5 as numbers but -1e3 as a
+# flag; no option here looks like a number, so every parser takes this
+# pattern, which adds the exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="appellfield",
@@ -327,6 +334,8 @@ def _build_parser():
     pv.add_argument("--only", nargs="+", default=None, metavar="ID",
                     help="run only the named checks (e.g. C01 C04)")
     pv.set_defaults(func=cmd_verify)
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 

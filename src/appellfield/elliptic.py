@@ -308,58 +308,50 @@ def carlson_rj(x, y, z, p):
     return pow4 * series / (Am * math.sqrt(Am)) + 6.0 * acc
 
 
-def _reduce_amplitude(phi):
-    """Split phi = k*pi + phi_r with |phi_r| <= pi/2, k integer."""
+def _continued(phi, m, complete, reduced, n=0.0):
+    """The continuation shared by F, E and Pi from their value
+    reduced(s, c) at an amplitude phi_r in [-pi/2, pi/2] of sine s and
+    cosine c: odd in phi, and f(k*pi + phi_r) = 2k * complete() + f(phi_r).
+    DomainError where m*sin^2(phi_r) > 1; then, for Pi's characteristic n,
+    SingularityError where n*sin^2 reaches within 1e-12 of 1 on the path.
+    """
+    if phi == 0.0:
+        return 0.0
+    if phi < 0.0:
+        return -_continued(-phi, m, complete, reduced, n)
     k = math.floor(phi / math.pi + 0.5)
-    return k, phi - k * math.pi
-
-
-def _check_param(phi, m):
-    s = math.sin(phi)
+    phi_r = phi - k * math.pi
+    s = math.sin(phi_r)
     if m * s * s > 1.0:
         raise DomainError(f"parameter m = {m} gives m*sin^2(phi) > 1")
+    if n * (1.0 if k else s ** 2) >= 1.0 - _PI_SINGULAR_BAND:
+        raise SingularityError(f"ellip_pi: characteristic n = {n} is singular on the path")
+    shift = 2.0 * k * complete() if k else 0.0
+    if phi_r == 0.0:
+        return shift
+    return shift + reduced(s, math.cos(phi_r))
 
 
 def ellip_f(phi, m):
     """Incomplete elliptic integral of the first kind F(phi | m); odd in phi."""
     _check_finite("ellip_f", phi, m)
-    if phi == 0.0:
-        return 0.0
-    if phi < 0.0:
-        return -ellip_f(-phi, m)
-    if m == 0.0:
+    if m == 0.0 and phi != 0.0:  # at phi = -0.0, _continued returns 0.0
         return float(phi)
-    k, phi_r = _reduce_amplitude(phi)
-    _check_param(phi_r, m)
-    s, c = math.sin(phi_r), math.cos(phi_r)
-    shift = 2.0 * k * comp_k(m) if k else 0.0
-    if phi_r == 0.0:
-        return shift
-    sgn = 1.0 if phi_r > 0 else -1.0
-    sa = abs(s)
-    return shift + sgn * sa * carlson_rf(c * c, 1.0 - m * s * s, 1.0)
+    return _continued(phi, m, lambda: comp_k(m),
+                      lambda s, c: s * carlson_rf(c * c, 1.0 - m * s * s, 1.0))
 
 
 def ellip_e(phi, m):
     """Incomplete elliptic integral of the second kind E(phi | m); odd in phi."""
     _check_finite("ellip_e", phi, m)
-    if phi == 0.0:
-        return 0.0
-    if phi < 0.0:
-        return -ellip_e(-phi, m)
-    if m == 0.0:
+    if m == 0.0 and phi != 0.0:  # at phi = -0.0, _continued returns 0.0
         return float(phi)
-    k, phi_r = _reduce_amplitude(phi)
-    _check_param(phi_r, m)
-    shift = 2.0 * k * comp_e(m) if k else 0.0
-    if phi_r == 0.0:
-        return shift
-    s, c = math.sin(phi_r), math.cos(phi_r)
-    sgn = 1.0 if phi_r > 0 else -1.0
-    sa = abs(s)
-    y = 1.0 - m * s * s
-    val = sa * carlson_rf(c * c, y, 1.0) - (m / 3.0) * sa ** 3 * carlson_rd(c * c, y, 1.0)
-    return shift + sgn * val
+
+    def reduced(s, c):
+        y = 1.0 - m * s * s
+        return s * carlson_rf(c * c, y, 1.0) - (m / 3.0) * s ** 3 * carlson_rd(c * c, y, 1.0)
+
+    return _continued(phi, m, lambda: comp_e(m), reduced)
 
 
 def ellip_pi(n, phi, m):
@@ -368,39 +360,22 @@ def ellip_pi(n, phi, m):
     Rejects singular characteristics n*sin^2(phi) within 1e-12 of (or past) 1.
     """
     _check_finite("ellip_pi", n, phi, m)
-    if phi == 0.0:
-        return 0.0
-    if phi < 0.0:
-        return -ellip_pi(n, -phi, m)
     if n == 0.0:
         return ellip_f(phi, m)
-    k, phi_r = _reduce_amplitude(phi)
-    _check_param(phi_r, m)
-    if k:
-        s_max = 1.0
-    else:
-        s_max = math.sin(phi_r) ** 2
-    if n * s_max >= 1.0 - _PI_SINGULAR_BAND:
-        raise SingularityError(f"ellip_pi: characteristic n = {n} is singular on the path")
-    shift = 2.0 * k * comp_pi(n, m) if k else 0.0
-    if phi_r == 0.0:
-        return shift
-    s, c = math.sin(phi_r), math.cos(phi_r)
-    sgn = 1.0 if phi_r > 0 else -1.0
-    sa = abs(s)
-    s2 = s * s
-    if n < -1.0 and 0.0 <= m <= 1.0:
-        # Pi(n) + Pi(q) = F + R_C term, q = m/n (DLMF 19.7.9), with
-        # Pi(q) - F in Carlson's form: the form below cancels sa R_F against
-        # (n/3) sa^3 R_J as n -> -inf (1.5e-12 off at n = -1e4, m = 0.991)
-        q = m / n
-        return shift + sgn * (
-            sa * carlson_rc(c * c * (1.0 - m * s2), (1.0 - n * s2) * (1.0 - q * s2))
-            - (q / 3.0) * sa ** 3 * carlson_rj(c * c, 1.0 - m * s2, 1.0, 1.0 - q * s2))
-    val = sa * carlson_rf(c * c, 1.0 - m * s2, 1.0) + (n / 3.0) * sa ** 3 * carlson_rj(
-        c * c, 1.0 - m * s2, 1.0, 1.0 - n * s2
-    )
-    return shift + sgn * val
+
+    def reduced(s, c):
+        s2 = s * s
+        if n < -1.0 and 0.0 <= m <= 1.0:
+            # Pi(n) + Pi(q) = F + R_C term, q = m/n (DLMF 19.7.9), with
+            # Pi(q) - F in Carlson's form: the form below cancels s R_F against
+            # (n/3) s^3 R_J as n -> -inf (1.5e-12 off at n = -1e4, m = 0.991)
+            q = m / n
+            return (s * carlson_rc(c * c * (1.0 - m * s2), (1.0 - n * s2) * (1.0 - q * s2))
+                    - (q / 3.0) * s ** 3 * carlson_rj(c * c, 1.0 - m * s2, 1.0, 1.0 - q * s2))
+        return s * carlson_rf(c * c, 1.0 - m * s2, 1.0) + (n / 3.0) * s ** 3 * carlson_rj(
+            c * c, 1.0 - m * s2, 1.0, 1.0 - n * s2)
+
+    return _continued(phi, m, lambda: comp_pi(n, m), reduced, n)
 
 
 def comp_k(m):

@@ -49,7 +49,10 @@ sums add in sequence (np.add.accumulate), as _series_sum's do, and a
 series that stops inside a block has its later terms in that block
 computed and dropped.
 
-i_hyg(m, A, theta) takes plain arguments and checks their domain itself.
+gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
+non-finite argument, as every public function of elliptic and jacobi does;
+pochhammer(nan, k) is nan. i_hyg(m, A, theta) takes plain arguments and
+checks their domain itself.
 Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
 value above m = 1/3 and the 4F3-log continuation each run oracle.quad_1d
 at one fixed QuadratureSpec, a module constant.
@@ -229,6 +232,7 @@ def gauss_2f1(a, b, c, x):
     (0.5, 0.5, 2) at x = 0.997), beyond PFQ_REL_TOL. The general
     z -> 1-z connection formulas (ROADMAP item 6) would cover that range.
     """
+    elliptic._check_finite("gauss_2f1", a, b, c, x)
     if c <= 0.0 and c == int(c):
         raise DomainError("gauss_2f1: c must not be a nonpositive integer")
     if x == 0.0:
@@ -246,13 +250,18 @@ def gauss_2f1(a, b, c, x):
 def pfq_4f3(a, b, x):
     """Generalized hypergeometric series 4F3(a1..a4; b1..b3; x).
 
-    ``a`` and ``b`` are sequences of length 4 and 3. Converges for |x| < 1,
-    and at x = -1 when sum(b) > sum(a) - 1.
+    ``a`` and ``b`` are sequences of length 4 and 3. Converges for |x| < 1.
+    At x = -1 the terms fall only as k^-(1 + sum(b) - sum(a)): the series
+    raises ConvergenceError where sum(b) <= sum(a), and it stops within
+    MAX_TERMS terms only where sum(b) - sum(a) is about 3 or more
+    ((1, 1, 1, 1; 2, 2, 3; -1) does; (1, 1, 1.5, 1.5; 2, 2, 2; -1) raises
+    ConvergenceError).
     """
     a = tuple(float(v) for v in a)
     b = tuple(float(v) for v in b)
     if len(a) != 4 or len(b) != 3:
         raise DomainError("pfq_4f3 expects 4 numerator and 3 denominator parameters")
+    elliptic._check_finite("pfq_4f3", *a, *b, x)
     for bv in b:
         if bv <= 0.0 and bv == int(bv):
             raise DomainError("pfq_4f3: denominator parameters must not be nonpositive integers")
@@ -315,6 +324,7 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     Raises ConvergenceError when no implemented transformation reaches a
     convergent regime.
     """
+    elliptic._check_finite("appell_f2", alpha, beta, beta2, gamma, gamma2, x, y)
     for g in (gamma, gamma2):
         if g <= 0.0 and g == int(g):
             raise DomainError("appell_f2: gamma parameters must not be nonpositive integers")
@@ -436,6 +446,7 @@ def _f2_inner_terms(beta, gamma, x, u, fhat, scaled):
 def appell_f1(alpha, beta, beta2, gamma, x, y):
     """Appell double hypergeometric series F1(alpha; beta, beta2; gamma; x, y),
     convergent for |x| < 1 and |y| < 1."""
+    elliptic._check_finite("appell_f1", alpha, beta, beta2, gamma, x, y)
     if gamma <= 0.0 and gamma == int(gamma):
         raise DomainError("appell_f1: gamma must not be a nonpositive integer")
     if abs(x) >= 1.0 or abs(y) >= 1.0:

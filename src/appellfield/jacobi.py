@@ -10,10 +10,11 @@ argument; so do jacobi_zeta and those built on the amplitude where |u|
 leaves no digit of u mod 2K.
 """
 
+import itertools
 import math
 
 from . import elliptic, hypergeom
-from .errors import ConvergenceError, DomainError, SingularityError
+from .errors import DomainError, SingularityError
 
 _POLE_GUARD = 1e-12
 
@@ -88,15 +89,10 @@ def jacobi_sc(u, m):
     """sc(u | m) = sn/cn, with poles at odd multiples of K(m)."""
     _check_u("jacobi_sc", u)
     _check_m(m)
-    if m > 0.0:
-        K = elliptic.comp_k(m)
-        k = math.floor(u / K + 0.5)
-        if k % 2 != 0 and abs(u - k * K) < _POLE_GUARD:
-            raise SingularityError(f"jacobi_sc: pole at u = {k}*K(m)")
-    else:
-        k = math.floor(u / math.pi + 0.5)
-        if abs(u - (k + 0.5) * math.pi) < _POLE_GUARD or abs(u - (k - 0.5) * math.pi) < _POLE_GUARD:
-            raise SingularityError("jacobi_sc: pole at odd multiple of pi/2")
+    K = elliptic.comp_k(m)  # pi/2 exactly at m = 0, where the poles are odd multiples of pi/2
+    k = math.floor(u / K + 0.5)
+    if k % 2 != 0 and abs(u - k * K) < _POLE_GUARD:
+        raise SingularityError(f"jacobi_sc: pole at u = {k}*K(m)")
     phi = jacobi_am(u, m)
     return math.tan(phi)
 
@@ -133,9 +129,9 @@ def nome(m):
 def theta(i, u, m):
     """Scaled Jacobi theta function Theta_i(u | m), i in 1..4.
 
-    q-series evaluation, stopped once the terms fall below hypergeom.REL_TOL
-    relative to the sum; raises ConvergenceError if hypergeom.MAX_TERMS
-    terms do not get there.
+    q-series evaluation, summed by hypergeom's series rule at REL_TOL: it
+    stops after three consecutive terms within 0.02 REL_TOL of the sum and
+    raises ConvergenceError past MAX_TERMS terms.
     """
     if i not in (1, 2, 3, 4):
         raise DomainError("theta index must be 1, 2, 3 or 4")
@@ -144,26 +140,17 @@ def theta(i, u, m):
     z = math.pi * u / (2.0 * elliptic.comp_k(m))
     if not math.isfinite(z):  # u is not, or pi u overflows
         raise DomainError(f"theta requires a finite pi u/(2K) (got u = {u})")
+    sign = -1.0 if i in (1, 4) else 1.0  # the alternating series
     if i in (1, 2):
-        # 2 q^(1/4) sum q^(n(n+1)) {sin, cos}((2n+1) z), alternating for theta_1
-        total = 0.0
-        qpow = 1.0  # q^(n(n+1))
-        for n in range(hypergeom.MAX_TERMS):
-            trig = math.sin((2 * n + 1) * z) if i == 1 else math.cos((2 * n + 1) * z)
-            sign = -1.0 if (i == 1 and n % 2 == 1) else 1.0
-            total += sign * qpow * trig
-            if qpow <= hypergeom.REL_TOL * max(abs(total), 1e-30) and n >= 1:
-                return 2.0 * q ** 0.25 * total
-            qpow *= q ** (2 * (n + 1))
-        raise ConvergenceError("theta series did not converge (m too close to 1?)")
-    total = 1.0
-    for n in range(1, hypergeom.MAX_TERMS):
-        qpow = q ** (n * n)
-        sign = -1.0 if (i == 4 and n % 2 == 1) else 1.0
-        total += 2.0 * sign * qpow * math.cos(2 * n * z)
-        if qpow <= hypergeom.REL_TOL * max(abs(total), 1e-30) and n >= 2:
-            return total
-    raise ConvergenceError("theta series did not converge (m too close to 1?)")
+        # 2 q^(1/4) sum q^(n(n+1)) {sin, cos}((2n+1) z)
+        trig = math.sin if i == 1 else math.cos
+        terms = (sign ** n * q ** (n * (n + 1)) * trig((2 * n + 1) * z)
+                 for n in itertools.count())
+        return 2.0 * q ** 0.25 * hypergeom._series_sum(terms, hypergeom.REL_TOL, "theta series")
+    # 1 + 2 sum q^(n^2) cos(2 n z)
+    terms = itertools.chain((1.0,), (2.0 * sign ** n * q ** (n * n) * math.cos(2 * n * z)
+                                     for n in itertools.count(1)))
+    return hypergeom._series_sum(terms, hypergeom.REL_TOL, "theta series")
 
 
 def zsc_branch_jump(m):

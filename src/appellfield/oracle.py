@@ -1,10 +1,10 @@
 """Independent brute-force references: adaptive Gauss-Kronrod quadrature in
 1-D (the package's only adaptive quadrature), the Coulomb references
 ``coulomb_phi`` and ``coulomb_psi`` for cylinders and tubes,
-finite-difference differential operators in cylindrical coordinates, fixed
-Gauss-Legendre rules, and the circulation of a vector field (such as a
-finite-difference gradient) around a polygon, by a Gauss-Legendre rule on
-each side, or around a circle, by the periodic trapezoid rule.
+one five-point finite-difference stencil for the two cylindrical operators,
+the central-difference gradient, fixed Gauss-Legendre rules, and the
+circulation of a vector field (such as a finite-difference gradient) around
+a polygon, by a Gauss-Legendre rule on each side.
 
 ``quad_1d`` applies QUADPACK's 7-point Gauss / 15-point Kronrod rule, its
 constants exact to double precision, and splits the worst panel up to 4000
@@ -303,26 +303,19 @@ def coulomb_psi(point, body):
     return math.copysign(body.total_charge + r * flux, z) if z != 0.0 else 0.0
 
 
-def fd_laplacian_cyl(f, r, z, h):
-    """Five-point O(h^2) stencil for f_rr + f_r/r + f_zz at (r, z)."""
+def fd_cyl_operators(f, r, z, h):
+    """The five-point O(h^2) stencils for f_rr + f_r/r + f_zz (the
+    cylindrical Laplacian) and f_rr - f_r/r + f_zz (the operator that
+    annihilates a field-line potential) at (r, z), from the same five
+    values of f."""
     if r - h <= 0.0:
-        raise DomainError("fd_laplacian_cyl: stencil crosses the axis r = 0")
+        raise DomainError("fd_cyl_operators: stencil crosses the axis r = 0")
     frp, frm = f(r + h, z), f(r - h, z)
     fzp, fzm = f(r, z + h), f(r, z - h)
     f0 = f(r, z)
-    return (frp - 2.0 * f0 + frm) / h ** 2 + (frp - frm) / (2.0 * r * h) \
-        + (fzp - 2.0 * f0 + fzm) / h ** 2
-
-
-def fd_psi_operator(f, r, z, h):
-    """Five-point O(h^2) stencil for f_rr - f_r/r + f_zz at (r, z)."""
-    if r - h <= 0.0:
-        raise DomainError("fd_psi_operator: stencil crosses the axis r = 0")
-    frp, frm = f(r + h, z), f(r - h, z)
-    fzp, fzm = f(r, z + h), f(r, z - h)
-    f0 = f(r, z)
-    return (frp - 2.0 * f0 + frm) / h ** 2 - (frp - frm) / (2.0 * r * h) \
-        + (fzp - 2.0 * f0 + fzm) / h ** 2
+    f_rr, f_r_over_r = (frp - 2.0 * f0 + frm) / h ** 2, (frp - frm) / (2.0 * r * h)
+    f_zz = (fzp - 2.0 * f0 + fzm) / h ** 2
+    return f_rr + f_r_over_r + f_zz, f_rr - f_r_over_r + f_zz
 
 
 def fd_gradient(f, r, z, h):
@@ -371,8 +364,6 @@ def gauss_legendre(f, a, b, nodes):
 # field of the tube check is analytic within about a fifth of a side of it,
 # and this many nodes resolve it to about 1e-9 of its circulation
 _SIDE_NODES = 24
-# nodes of the periodic trapezoid rule on a circle
-_CIRCLE_NODES = 64
 
 
 def loop_integral(field, vertices, steps=()):
@@ -404,19 +395,3 @@ def loop_integral(field, vertices, steps=()):
         else:
             total += gauss_legendre(along, 0.0, 1.0, _SIDE_NODES)
     return total
-
-
-def circle_integral(field, centre, radius):
-    """Counterclockwise circulation of the vector field (f_r, f_z) =
-    field(r, z) around the circle of ``radius`` about ``centre``, by the
-    periodic trapezoid rule on 64 equally spaced points, which converges
-    geometrically for a field analytic in an annulus about the circle
-    (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
-    rc, zc = centre
-    total = 0.0
-    for k in range(_CIRCLE_NODES):
-        t = 2.0 * math.pi * k / _CIRCLE_NODES
-        c, s = math.cos(t), math.sin(t)
-        fr, fz = field(rc + radius * c, zc + radius * s)
-        total += fz * c - fr * s
-    return total * 2.0 * math.pi * radius / _CIRCLE_NODES

@@ -277,8 +277,8 @@ def _crit10_pde_residuals(rng, full):
     # full potential: exterior Laplace -> 0, interior Poisson -> -4 pi rho0
     for pts, target in ((exterior, 0.0), (interior, -4.0 * math.pi * rho0)):
         for (r, z) in pts:
-            e1 = abs(oracle.fd_laplacian_cyl(phi, r, z, h) - target)
-            e2 = abs(oracle.fd_laplacian_cyl(phi, r, z, h / 2.0) - target)
+            e1 = abs(oracle.fd_cyl_operators(phi, r, z, h)[0] - target)
+            e2 = abs(oracle.fd_cyl_operators(phi, r, z, h / 2.0)[0] - target)
             min_order = min(min_order, _fd_order(e1, e2, 5e-7))
     # term-by-term decomposition
     for (r, z) in interior + exterior:
@@ -286,10 +286,10 @@ def _crit10_pde_residuals(rng, full):
         ell = lambda rr, zz: terms(rr, zz)[1]
         corr = lambda rr, zz: terms(rr, zz)[2]
         src = -4.0 * math.pi * rho0 if (r < spec.R and abs(z) < spec.Z) else 0.0
-        worst_corr = max(worst_corr, abs(oracle.fd_laplacian_cyl(corr, r, z, h) - src))
+        worst_corr = max(worst_corr, abs(oracle.fd_cyl_operators(corr, r, z, h)[0] - src))
         for part in (hyg, ell):
-            e1 = abs(oracle.fd_laplacian_cyl(part, r, z, h))
-            e2 = abs(oracle.fd_laplacian_cyl(part, r, z, h / 2.0))
+            e1 = abs(oracle.fd_cyl_operators(part, r, z, h)[0])
+            e2 = abs(oracle.fd_cyl_operators(part, r, z, h / 2.0)[0])
             min_order = min(min_order, _fd_order(e1, e2, 5e-7))
     ok = min_order >= 1.8 and worst_corr < 1e-8
     worst = max(1.8 / max(min_order, 1e-9), worst_corr / 1e-8)
@@ -315,7 +315,7 @@ def _crit11_conjugacy(rng, full):
                 pr, pz = oracle.fd_gradient(phi, r, z, hh)
                 sr, sz = oracle.fd_gradient(psi, r, z, hh)
                 res = max(abs(sr - r * pz), abs(sz + r * pr),
-                          abs(oracle.fd_psi_operator(psi, r, z, hh)))
+                          abs(oracle.fd_cyl_operators(psi, r, z, hh)[1]))
                 if hh == h:
                     e1 = res
                 else:
@@ -344,8 +344,8 @@ def _crit12_topological_charge(rng, full):
     threading = oracle.loop_integral(grad, rectangle, steps=(4,))
     expected = fields.tube_branch_jump(FIG_TUBE)
     rel = abs(abs(threading) - expected) / expected
-    # a loop not threading the tube
-    nonthreading = abs(oracle.circle_integral(grad, (2.6, 0.0), 0.3))
+    # a square about (2.6, 0), not threading the tube
+    nonthreading = abs(oracle.loop_integral(grad, [(2.3, -0.3), (2.9, -0.3), (2.9, 0.3), (2.3, 0.3)]))
     ok = rel < tol and nonthreading < tol * expected
     worst = max(rel, nonthreading / expected) / tol
     return ok, worst, (

@@ -134,6 +134,37 @@ def test_special_cel_and_nonfinite_arguments():
         assert code == 2 and err.startswith("error:"), err
 
 
+_TUBE_PHI = ("eval", "--body", "tube", "--R", "1", "--Z", "0.7", "--density", "1",
+             "--r", "0.5", "--quantity", "phi")
+
+
+@pytest.mark.parametrize("argv, same", [
+    ((*_TUBE_PHI, "--z", "-1e3"), (*_TUBE_PHI, "--z=-1e3")),
+    (("special", "--fn", "gauss_2f1", "0.5", "0.5", "1", "-1e3"),
+     ("special", "--fn", "gauss_2f1", "0.5", "0.5", "1", "-1000")),
+    (("special", "--fn", "ellip_f", "-.5E+0", "0.3"), ("special", "--fn", "ellip_f", "-0.5", "0.3"))])
+def test_negative_numbers_in_e_notation_are_numbers(argv, same):
+    # argparse reads -1e3 as a flag unless the parser is told otherwise
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert run_cli(*same) == (0, out, "")
+
+
+@pytest.mark.parametrize("flag, value", [("--density", "-1e-3"), ("--z-min", "-1e1")])
+def test_grid_takes_negative_numbers_in_e_notation(tmp_path, flag, value):
+    argv = ["grid", "--body", "cyl", "--R", "1", "--Z", "0.7", "--density", "1",
+            "--r-min", "0.5", "--r-max", "2", "--z-min", "-2", "--z-max", "2",
+            "--nr", "2", "--nz", "3", "--quantity", "phi"]
+    i = argv.index(flag)
+    spaced = argv[:i + 1] + [value] + argv[i + 2:]
+    joined = argv[:i] + [f"{flag}={value}"] + argv[i + 2:]
+    outs = []
+    for name, args in (("spaced.csv", spaced), ("joined.csv", joined)):
+        assert run_cli(*args, "--out", str(tmp_path / name))[0] == 0
+        outs.append((tmp_path / name).read_text())
+    assert outs[0] == outs[1]
+
+
 def grid_args(tmp_path, fmt, name, extra=()):
     out = tmp_path / name
     return out, ("grid", "--body", "tube", "--R", "1", "--Z", "0.7",

@@ -281,3 +281,79 @@ def test_comp_e_pinned_where_carlson_drifts():
             m = 1.0 - omm
             ref = mp.ellipe(mp.mpf(m))
             assert float(abs(el.comp_e(m) - ref) / ref) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The amplitude continuation F, E and Pi share
+
+# amplitudes over +-3 periods: phi = k pi + phi_r, phi_r = 0 and pi/2 included
+_AMPLITUDES = [k * math.pi + phi_r for k in range(-3, 4)
+               for phi_r in (0.0, 0.4, -1.1, 1.5, math.pi / 2)]
+
+
+def test_incomplete_integrals_over_several_periods_match_mpmath():
+    # measured within 8e-15 of 30-digit mpmath, at m = 0 and m < 0 too, and
+    # at n < -1, where ellip_pi takes DLMF 19.7.9
+    mpmath = pytest.importorskip("mpmath")
+
+    def close(value, ref):
+        return abs(value - ref) <= 2e-14 * abs(ref) if ref else value == 0.0
+
+    with mpmath.workdps(30):
+        for phi in _AMPLITUDES:
+            for m in (0.0, 0.3, 0.9, -0.5, -3.0):
+                assert close(el.ellip_f(phi, m), float(mpmath.ellipf(phi, m))), (phi, m)
+                assert close(el.ellip_e(phi, m), float(mpmath.ellipe(phi, m))), (phi, m)
+                for n in (0.5, -0.7, -2.5, -30.0):
+                    assert close(el.ellip_pi(n, phi, m),
+                                 float(mpmath.ellippi(n, phi, m))), (n, phi, m)
+
+
+def test_whole_periods_are_exact_multiples_of_the_complete_integrals():
+    for k in (-3, -1, 1, 3):
+        assert el.ellip_f(k * math.pi, 0.7) == 2.0 * k * el.comp_k(0.7)
+        assert el.ellip_e(k * math.pi, 0.7) == 2.0 * k * el.comp_e(0.7)
+        assert el.ellip_pi(-2.5, k * math.pi, 0.7) == 2.0 * k * el.comp_pi(-2.5, 0.7)
+    for fn in (el.ellip_f, el.ellip_e):
+        assert repr(fn(-0.0, 0.0)) == repr(fn(-0.0, 0.5)) == "0.0"
+    assert repr(el.ellip_pi(0.5, -0.0, 0.5)) == "0.0"
+
+
+def _expected_error(phi, m, n):
+    # the continuation's order of checks: m sin^2(phi_r) > 1, then Pi's
+    # singular characteristic on the path, then the complete integral's m
+    if phi == 0.0:
+        return None
+    k = math.floor(abs(phi) / math.pi + 0.5)
+    s2 = math.sin(abs(phi) - k * math.pi) ** 2
+    if m * s2 > 1.0:
+        return DomainError
+    if n is not None and n * (1.0 if k else s2) >= 1.0 - 1e-12:
+        return SingularityError
+    return DomainError if k and m >= 1.0 else None
+
+
+def test_error_types_and_their_order_are_pinned():
+    # a singular characteristic where m sin^2(phi) > 1 too is a DomainError
+    with pytest.raises(DomainError):
+        el.ellip_pi(1.5, 1.2, 2.0)
+    with pytest.raises(SingularityError):
+        el.ellip_pi(1.5, 1.2, 0.5)
+    # short of pi/2 neither n > 1 nor m > 1 needs to be singular; past it
+    # Pi(n | m) needs n < 1, and then m < 1
+    assert math.isfinite(el.ellip_pi(1.5, 0.1, 3.0))
+    with pytest.raises(SingularityError):
+        el.ellip_pi(1.5, math.pi + 0.1, 3.0)
+    with pytest.raises(DomainError):
+        el.ellip_pi(-0.5, math.pi + 0.1, 3.0)
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        phi, m, n = rng.uniform(-12.0, 12.0), rng.uniform(-3.0, 3.0), rng.uniform(-30.0, 3.0)
+        for fn, args, char in ((el.ellip_f, (phi, m), None), (el.ellip_e, (phi, m), None),
+                               (el.ellip_pi, (n, phi, m), n)):
+            want = _expected_error(phi, m, char)
+            if want is None:
+                assert math.isfinite(fn(*args))
+            else:
+                with pytest.raises(want):
+                    fn(*args)

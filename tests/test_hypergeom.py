@@ -161,6 +161,16 @@ def test_pfq_4f3():
         hg.pfq_4f3((1, 1, 1.5, 1.5), (2, 2, 2), 1.5)
     with pytest.raises(DomainError):
         hg.pfq_4f3((1, 1, 1.5), (2, 2, 2), 0.1)
+    # at x = -1 the terms fall as k^-(1 + sum(b) - sum(a)): at 3 the sum
+    # stops within MAX_TERMS terms, at 1 (the surface-value parameters) it
+    # does not; 2 sum (-1)^k/((k+1)^3 (k+2)) = 3 zeta(3)/2 - pi^2/6 + 4 ln 2 - 2
+    zeta3 = 1.2020569031595942
+    assert hg.pfq_4f3((1, 1, 1, 1), (2, 2, 3), -1.0) == pytest.approx(
+        1.5 * zeta3 - math.pi ** 2 / 6.0 + 4.0 * math.log(2.0) - 2.0, rel=1e-12)
+    with pytest.raises(ConvergenceError):
+        hg.pfq_4f3((1, 1, 1.5, 1.5), (2, 2, 2), -1.0)
+    with pytest.raises(ConvergenceError):
+        hg.pfq_4f3((1, 1, 1, 1), (1, 1, 2), -1.0)  # sum(b) <= sum(a)
 
 
 def test_appell_f2_values():
@@ -313,6 +323,42 @@ def test_appell_f2_general_parameters_take_direct_sum(monkeypatch):
         hg.appell_f2(al, b1, b2, g1, g2, x, y)
         hg.appell_f2(al, b1, 1.0, g1, 1.5, rng.uniform(0.0, 0.8), 0.0)
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("params, x, y", [
+    ((0.5, 0.5, 1.0, 1.0, 1.5), -0.5, -0.3),
+    ((0.7, 0.3, 1.2, 1.4, 1.6), -0.4, 0.2),
+    ((0.7, 0.3, 1.2, 1.4, 1.6), 0.3, -0.6),
+    ((0.7, 0.3, 1.2, 1.4, 1.6), -0.8, -0.9)])
+def test_appell_f2_euler_transformations_match_mpmath(params, x, y):
+    # the y < 0 and x < 0 Euler-type maps into |x| + |y| < 1, then the
+    # anti-diagonal sum; measured within 1e-14 of 30-digit mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.appellf2(*params, x, y))
+    assert hg.appell_f2(*params, x, y) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+_SERIES_FUNCTIONS = [
+    ("gauss_2f1", hg.gauss_2f1, 4),
+    ("pfq_4f3", lambda *a: hg.pfq_4f3(a[0:4], a[4:7], a[7]), 8),
+    ("appell_f1", hg.appell_f1, 6),
+    ("appell_f2", hg.appell_f2, 7)]
+
+
+@pytest.mark.parametrize("fn, nargs", [(fn, n) for _, fn, n in _SERIES_FUNCTIONS],
+                         ids=[name for name, _, _ in _SERIES_FUNCTIONS])
+def test_series_functions_reject_nonfinite_arguments_at_once(fn, nargs):
+    # DomainError before any series runs: summed, a nan term runs to the
+    # term cap (0.36 s for appell_f1) and a misleading ConvergenceError
+    for i in range(nargs):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = [0.5] * nargs
+            args[i] = bad
+            start = time.perf_counter()
+            with pytest.raises(DomainError):
+                fn(*args)
+            assert time.perf_counter() - start < 0.05
 
 
 def test_appell_f2_nonconvergence():

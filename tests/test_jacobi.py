@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,3 +246,34 @@ def test_agm_chain_stops_within_a_rounding_of_its_mean():
         chain = jc._agm_chain(m)
         assert len(chain) - 1 <= 8, m
         assert math.pi / (2.0 * chain[-1][0]) == pytest.approx(elliptic.comp_k(m), rel=1e-15)
+
+
+def test_sc_poles_at_m_zero_are_the_odd_multiples_of_half_pi():
+    # K(0) = pi/2 exactly, so m = 0 takes the general pole rule
+    assert elliptic.comp_k(0.0) == math.pi / 2
+    for k in range(-9, 10, 2):
+        for off in (0.0, 5e-13, -5e-13):
+            with pytest.raises(SingularityError):
+                jc.jacobi_sc(k * math.pi / 2 + off, 0.0)
+        u = k * math.pi / 2 + 2e-12
+        assert jc.jacobi_sc(u, 0.0) == math.tan(u)
+    for k in range(-8, 9, 2):
+        assert jc.jacobi_sc(k * math.pi / 2, 0.0) == math.tan(k * math.pi / 2)
+
+
+def test_theta_matches_mpmath_jtheta():
+    # 300 seeded (i, u, m): relative error, absolute below |theta| = 1e-8.
+    # 3.73e-14 measured, as when theta summed the series by its own loops:
+    # the error comes from K and z, not from the series
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(0)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(300):
+            i, u, m = rng.randint(1, 4), rng.uniform(-10.0, 10.0), rng.uniform(0.01, 0.99)
+            K = mpmath.ellipk(m)
+            q = mpmath.exp(-mpmath.pi * mpmath.ellipk(1 - mpmath.mpf(m)) / K)
+            ref = mpmath.jtheta(i, mpmath.pi * mpmath.mpf(u) / (2 * K), q)
+            err = float(abs(jc.theta(i, u, m) - ref))
+            worst = max(worst, err / float(abs(ref)) if abs(ref) > 1e-8 else err)
+    assert worst <= 3.75e-14

@@ -64,27 +64,43 @@ def test_quad_1d_nonintegrable_raises():
 
 
 def test_fd_operators_trivial():
-    assert oc.fd_laplacian_cyl(lambda r, z: r * r, 1.3, 0.2, 1e-3) == pytest.approx(
-        4.0, abs=1e-6)
-    assert oc.fd_laplacian_cyl(lambda r, z: z, 1.3, 0.2, 1e-3) == pytest.approx(
-        0.0, abs=1e-9)
-    assert oc.fd_psi_operator(lambda r, z: r * r, 1.3, 0.2, 1e-3) == pytest.approx(
-        0.0, abs=1e-6)
+    # f_rr + f_r/r + f_zz and f_rr - f_r/r + f_zz of r^2 are 4 and 0
+    laplacian, psi_operator = oc.fd_cyl_operators(lambda r, z: r * r, 1.3, 0.2, 1e-3)
+    assert laplacian == pytest.approx(4.0, abs=1e-6)
+    assert psi_operator == pytest.approx(0.0, abs=1e-6)
+    assert oc.fd_cyl_operators(lambda r, z: z, 1.3, 0.2, 1e-3) == pytest.approx(
+        (0.0, 0.0), abs=1e-9)
     with pytest.raises(DomainError):
-        oc.fd_laplacian_cyl(lambda r, z: r, 0.01, 0.0, 0.05)
+        oc.fd_cyl_operators(lambda r, z: r, 0.01, 0.0, 0.05)
+
+
+def test_fd_operators_evaluate_the_stencil_once():
+    calls = []
+
+    def f(r, z):
+        calls.append((r, z))
+        return r ** 3 + z * z
+
+    laplacian, psi_operator = oc.fd_cyl_operators(f, 1.3, 0.2, 1e-3)
+    assert len(calls) == len(set(calls)) == 5
+    # 9 r + 2 and 3 r + 2
+    assert laplacian == pytest.approx(9.0 * 1.3 + 2.0, abs=1e-5)
+    assert psi_operator == pytest.approx(3.0 * 1.3 + 2.0, abs=1e-5)
 
 
 def test_fd_operator_convergence_order():
     f = lambda r, z: math.sin(r) * math.exp(z) + r ** 3 * z * z
     exact = (-math.sin(1.3) + math.cos(1.3) / 1.3 + math.sin(1.3)) * math.exp(0.4) \
         + (6 * 1.3 + 3 * 1.3) * 0.4 ** 2 + 2 * 1.3 ** 3
-    e1 = abs(oc.fd_laplacian_cyl(f, 1.3, 0.4, 0.1) - exact)
-    e2 = abs(oc.fd_laplacian_cyl(f, 1.3, 0.4, 0.05) - exact)
+    e1 = abs(oc.fd_cyl_operators(f, 1.3, 0.4, 0.1)[0] - exact)
+    e2 = abs(oc.fd_cyl_operators(f, 1.3, 0.4, 0.05)[0] - exact)
     order = math.log2(e1 / e2)
     assert 1.8 <= order <= 2.2
 
 
 RECTANGLE = [(0.3, -1.05), (2.0, -1.05), (2.0, 1.05), (0.3, 1.05)]
+# the square of side 0.8 about (1.5, 0.2), counterclockwise
+SQUARE = [(1.1, -0.2), (1.9, -0.2), (1.9, 0.6), (1.1, 0.6)]
 
 
 def test_loop_rules_integrate_an_exact_gradient_to_zero():
@@ -93,10 +109,11 @@ def test_loop_rules_integrate_an_exact_gradient_to_zero():
     grad = lambda r, z: (2.0 * r * z, r * r)
     swirl = lambda r, z: (-z, r)
     assert abs(oc.loop_integral(grad, RECTANGLE)) <= 1e-13
-    assert abs(oc.circle_integral(grad, (1.5, 0.2), 0.4)) <= 1e-13
+    assert abs(oc.loop_integral(grad, SQUARE)) <= 1e-13
     assert oc.loop_integral(swirl, RECTANGLE) == pytest.approx(2.0 * 1.7 * 2.1, abs=1e-13)
-    assert oc.circle_integral(swirl, (1.5, 0.2), 0.4) == pytest.approx(
-        2.0 * math.pi * 0.16, abs=1e-13)
+    assert oc.loop_integral(swirl, SQUARE) == pytest.approx(2.0 * 0.64, abs=1e-13)
+    # clockwise, the circulation changes sign
+    assert oc.loop_integral(swirl, SQUARE[::-1]) == pytest.approx(-2.0 * 0.64, abs=1e-13)
 
 
 def test_loop_integral_takes_a_step_by_its_trapezoid():
@@ -117,7 +134,7 @@ def test_loop_rules_of_a_single_valued_function_vanish():
     f = lambda r, z: r * r * z + math.sin(z)
     grad = lambda r, z: oc.fd_gradient(f, r, z, 1e-4)
     assert abs(oc.loop_integral(grad, RECTANGLE)) < 1e-9
-    assert abs(oc.circle_integral(grad, (1.5, 0.0), 0.4)) < 1e-9
+    assert abs(oc.loop_integral(grad, [(1.1, -0.4), (1.9, -0.4), (1.9, 0.4), (1.1, 0.4)])) < 1e-9
 
 
 def test_gauss_legendre_rule():
