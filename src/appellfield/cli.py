@@ -274,10 +274,12 @@ def cmd_verify(args):
     return 1 if failed else 0
 
 
-# argparse, through Python 3.12, reads -1 and -0.5 as numbers but -1e3 as a
-# flag; no option here looks like a number, so every parser takes this
-# pattern, which adds the exponent
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# argparse, through Python 3.12, reads -1 and -0.5 as numbers but -1e3,
+# -inf and -nan as flags; no option here looks like a number, so every
+# parser takes this pattern, which adds the exponent and, in any case as
+# float() reads them, inf, infinity and nan
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 def _build_parser():

@@ -24,7 +24,11 @@ mapped into the convergence region |x|+|y| < 1 by the Euler-type
 transformation
 F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
 (and its y-counterpart) and summed along anti-diagonals j + l = N, which
-keeps terms of comparable magnitude near the boundary.
+keeps terms of comparable magnitude near the boundary. _antidiagonal_terms,
+which appell_f1 and the general-theta i_hyg sum too, forms _BLOCK = 32
+anti-diagonals at a time in a few array operations: every term by the
+multiplications of the row-by-row recurrence, each anti-diagonal summed
+pairwise over j.
 
 i_hyg_pi(m, A, gap), the theta = pi value pi A F2(1/2; 1/2, 1; 1, 3/2;
 m, A^2) that the potentials assemble, takes its route by one rule,
@@ -53,9 +57,11 @@ gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
 non-finite argument, as every public function of elliptic and jacobi does;
 pochhammer(nan, k) is nan. i_hyg(m, A, theta) takes plain arguments and
 checks their domain itself.
-Its small-theta quadrature, the boundary route of i_hyg_pi, the surface
-value above m = 1/3 and the 4F3-log continuation each run oracle.quad_1d
-at one fixed QuadratureSpec, a module constant.
+Its small-theta quadrature, the boundary route of i_hyg_pi and the surface
+value above m = 1/3 each run oracle.quad_1d at one fixed QuadratureSpec, a
+module constant. The 4F3 form of the surface value above m = 1/3, which
+check C03 compares with that quadrature, continues the 4F3 past its radius
+by fixed 16-node Gauss-Legendre sums of K (_f43_continued).
 
 The module imports no numpy: the functions that build arrays
 (i_hyg_pi_batch, _series_sums, _antidiagonal_terms, _i_hyg_quadrature,
@@ -141,8 +147,9 @@ def _series_sum(terms, tol, name):
     raise ConvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
 
 
-# _series_sums takes the terms of its series this many at a time (at least
-# two: see the recurrences _f2_ke_terms and _f2_inner_terms)
+# _series_sums takes the terms of its series, and _antidiagonal_terms its
+# anti-diagonals, this many at a time (at least two: see the recurrences
+# _f2_ke_terms and _f2_inner_terms)
 _BLOCK = 32
 
 
@@ -281,18 +288,44 @@ def _antidiagonal_terms(l_ratio, j_edge_ratio):
     """The anti-diagonal sums of t(j, l) over j + l = N, for N = 0, 1, ...
 
     ``l_ratio(N, j)`` maps row-N entries (j, l = N - j) to row N+1 entries
-    (j, l + 1); ``j_edge_ratio(j)`` is t(j+1, 0)/t(j, 0). t(0, 0) = 1.
+    (j, l + 1), and broadcasts over arrays N and j; ``j_edge_ratio(j)`` is
+    t(j+1, 0)/t(j, 0), called on ints. t(0, 0) = 1.
+
+    The rows N+1..N+_BLOCK are formed at once, from the carried row N, in
+    a band b[c, j] of c = 0.._BLOCK: row 0 holds row N, row c >= 1 the
+    ratios l_ratio(N + c - 1, j) and, at j = N + c, the edge term
+    t(N + c, 0) (a scalar product of the edge ratios); the entries with
+    l < 0, j > N + c, are 1. One cumprod along c then makes b[c, j] =
+    t(j, N + c - j) by the multiplications, in the order, of the row
+    recurrence, so every term is bit for bit the same; each band row is
+    summed pairwise along j, as numpy sums a contiguous row. The later rows
+    of the block in which the sum stops are computed and dropped: those
+    entries, and the ones with l < 0, may divide by zero or overflow
+    silently. Near MAX_TERMS the band and the l_ratio temporaries take a
+    few MB a block.
     """
     import numpy as np
-    row = np.array([1.0])
     yield 1.0
-    for N in itertools.count():
-        j = np.arange(N + 1, dtype=float)
-        nxt = np.empty(N + 2)
-        nxt[: N + 1] = row * l_ratio(N, j)
-        nxt[N + 1] = row[N] * j_edge_ratio(N)
-        row = nxt
-        yield float(row.sum())
+    row, N = np.ones(1), 0
+    cols = np.arange(_BLOCK + 1)[:, None]
+    while True:
+        j = np.arange(N + _BLOCK + 1, dtype=float)
+        above = j > N + cols  # l < 0
+        band = np.empty((_BLOCK + 1, j.size))
+        with np.errstate(all="ignore"):
+            edge, edges = float(row[N]), []
+            for c in range(N, N + _BLOCK):
+                edge *= j_edge_ratio(c)
+                edges.append(edge)
+            band[1:] = l_ratio(N + cols[:-1], j)
+            band[0, :N + 1] = row
+            band[above] = 1.0
+            band[cols[1:, 0], N + cols[1:, 0]] = edges
+            np.cumprod(band, axis=0, out=band)
+            band[above] = 0.0
+            sums = band[1:].sum(axis=1)
+        row, N = band[_BLOCK], N + _BLOCK
+        yield from sums.tolist()
 
 
 def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
@@ -686,23 +719,24 @@ def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
     return surf - val
 
 
-# -ln s is singular at s = 0
-_F43_LOG_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10,
-                                            singular_endpoints=(True, False))
-
-
-def _f43_log_continued(mu):
-    # 4F3(1,1,3/2,3/2; 2,2,2; mu) = int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds
-    # (the double integral over t u = s collapsed), with the 2F1 evaluated
-    # through Pfaff + the logarithmic connection formula; valid for all mu < 0.
+def _f43_continued(mu):
+    # 4F3(1,1,3/2,3/2; 2,2,2; mu) = (4/mu) int_0^1 [(2/pi) K(mu s) - 1] ds/s
+    # for mu < 0: int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds integrated by
+    # parts, with d/dx (2/pi) K(x) = 2F1(3/2,3/2;2; x)/4. The integrand is
+    # analytic on [0, 1], mu/4 at s = 0, and its one singularity is K's log
+    # branch at s = 1/mu; so 16-node Gauss-Legendre rules on the panels
+    # [0, h], [h, 2h], [2h, 4h], ..., 1 with h = min(1, -1/mu) each lie
+    # within a Bernstein ellipse of parameter >= 3 + sqrt(8) clear of it.
+    # K at the negative parameter mu s is cel at kc = sqrt(1 - mu s) >= 1.
     def f(s):
-        arg = mu * s
-        if arg == 0.0:
-            return 0.0
-        return gauss_2f1(1.5, 1.5, 2.0, arg) * -math.log(s)
+        return (2.0 / math.pi * elliptic.cel(math.sqrt(1.0 - mu * s), 1.0, 1.0, 1.0) - 1.0) / s
 
-    val, _ = oracle.quad_1d(f, 0.0, 1.0, _F43_LOG_QUADRATURE)
-    return val
+    a, b = 0.0, min(1.0, -1.0 / mu)
+    total = oracle.gauss_legendre(f, a, b, 16)
+    while b < 1.0:
+        a, b = b, min(1.0, 2.0 * b)
+        total += oracle.gauss_legendre(f, a, b, 16)
+    return 4.0 / mu * total
 
 
 def i_hyg_surface(m):
@@ -767,12 +801,13 @@ def _surface_by_series(m, omm):
 def _i_hyg_surface_f43(m, omm):
     # the 4F3-log closed form of the surface value at mu = -m/(1 - m), from
     # the complement omm = 1 - m the caller forms: the 4F3 series where
-    # _surface_by_series holds, its log continuation elsewhere
+    # _surface_by_series holds, its continuation by Gauss sums of K
+    # (_f43_continued) elsewhere, which only check C03 reads
     mu = -m / omm
     if _surface_by_series(m, omm):
         f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)
     else:
-        f43 = _f43_log_continued(mu)
+        f43 = _f43_continued(mu)
     return -math.pi * mu / 8.0 * f43 - math.pi / 2.0 * math.log(-mu / 16.0)
 
 

@@ -138,16 +138,27 @@ _TUBE_PHI = ("eval", "--body", "tube", "--R", "1", "--Z", "0.7", "--density", "1
              "--r", "0.5", "--quantity", "phi")
 
 
-@pytest.mark.parametrize("argv, same", [
-    ((*_TUBE_PHI, "--z", "-1e3"), (*_TUBE_PHI, "--z=-1e3")),
+@pytest.mark.parametrize("argv, same, expected", [
+    ((*_TUBE_PHI, "--z", "-1e3"), (*_TUBE_PHI, "--z=-1e3"), 0),
     (("special", "--fn", "gauss_2f1", "0.5", "0.5", "1", "-1e3"),
-     ("special", "--fn", "gauss_2f1", "0.5", "0.5", "1", "-1000")),
-    (("special", "--fn", "ellip_f", "-.5E+0", "0.3"), ("special", "--fn", "ellip_f", "-0.5", "0.3"))])
-def test_negative_numbers_in_e_notation_are_numbers(argv, same):
-    # argparse reads -1e3 as a flag unless the parser is told otherwise
+     ("special", "--fn", "gauss_2f1", "0.5", "0.5", "1", "-1000"), 0),
+    (("special", "--fn", "ellip_f", "-.5E+0", "0.3"), ("special", "--fn", "ellip_f", "-0.5", "0.3"), 0),
+    (("special", "--fn", "ellip_f", "-inf", "0.5"), ("special", "--fn", "ellip_f", "--", "-inf", "0.5"), 2),
+    (("special", "--fn", "ellip_f", "-Infinity", "0.5"),
+     ("special", "--fn", "ellip_f", "--", "-inf", "0.5"), 2),
+    (("special", "--fn", "ellip_f", "-nan", "0.5"), ("special", "--fn", "ellip_f", "--", "-NaN", "0.5"), 2),
+    ((*_TUBE_PHI, "--z", "-inf"), (*_TUBE_PHI, "--z=-inf"), 2)])
+def test_negative_numbers_in_e_notation_are_numbers(argv, same, expected):
+    # argparse reads -1e3, -inf and -nan as flags unless the parser is told
+    # otherwise; a non-finite number reaches the function, whose typed error
+    # exits 2
     code, out, err = run_cli(*argv)
-    assert code == 0, err
-    assert run_cli(*same) == (0, out, "")
+    assert code == expected, err
+    if expected == 0:
+        assert err == "", err
+    else:
+        assert err.startswith("error:") and "unrecognized" not in err, err
+    assert run_cli(*same) == (code, out, err)
 
 
 @pytest.mark.parametrize("flag, value", [("--density", "-1e-3"), ("--z-min", "-1e1")])

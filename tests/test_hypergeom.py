@@ -823,9 +823,9 @@ def test_i_hyg_surface_is_the_boundary_value_of_i_hyg_pi(m):
 
 
 def test_surface_value_takes_the_4f3_series_up_to_one_third(monkeypatch):
-    # one route per side of m = 1/3, and never the 4F3 log continuation
+    # one route per side of m = 1/3, and never the 4F3 continuation
     calls = []
-    for name in ("_i_hyg_surface_quad", "_i_hyg_surface_f43", "_f43_log_continued"):
+    for name in ("_i_hyg_surface_quad", "_i_hyg_surface_f43", "_f43_continued"):
         def record(*args, _name=name, _fn=getattr(hg, name)):
             calls.append(_name)
             return _fn(*args)
@@ -835,6 +835,19 @@ def test_surface_value_takes_the_4f3_series_up_to_one_third(monkeypatch):
         calls.clear()
         hg.i_hyg_pi(m, math.sqrt(1.0 - m), 0.0)
         assert calls == [route], m
+
+
+@pytest.mark.parametrize("m", [0.34, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6])
+def test_surface_value_4f3_continuation_matches_mpmath(m):
+    # above m = 1/3 the closed form -(pi mu/8) 4F3(1,1,3/2,3/2; 2,2,2; mu)
+    # - (pi/2) ln(-mu/16) takes the 4F3 past its radius, at mu = -m/(1-m)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mm = mpmath.mpf(m)
+        mu = -mm / (1 - mm)
+        ref = float(-(mpmath.pi * mu / 8) * mpmath.hyper([1, 1, 1.5, 1.5], [2, 2, 2], mu)
+                    - mpmath.pi / 2 * mpmath.log(-mu / 16))
+    assert hg._i_hyg_surface_f43(m, 1.0 - m) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_i_hyg_surface_matches_boundary_series_extrapolation():
@@ -888,3 +901,72 @@ def test_triple_sum_and_alternatives_match():
         assert hg.i_hyg_alt(v, m, A, s) == pytest.approx(base, abs=1e-10)
     assert hg.lauricella_f11_triple(m, A, 0.0) == 0.0
     assert hg.i_hyg_alt(2, m, 0.0, s) == 0.0
+
+
+def _row_loop(l_ratio, j_edge_ratio):
+    # the anti-diagonal sums one row at a time, each row from the last by
+    # the same ratios, with the absolute sum of its terms
+    row = np.array([1.0])
+    yield 1.0, 1.0
+    for N in itertools.count():
+        nxt = np.empty(N + 2)
+        nxt[:N + 1] = row * l_ratio(N, np.arange(N + 1, dtype=float))
+        nxt[N + 1] = row[N] * j_edge_ratio(N)
+        row = nxt
+        yield float(row.sum()), float(np.abs(row).sum())
+
+
+def _antidiagonal_cases():
+    rng = np.random.default_rng(11)
+    cases = [(hg.appell_f2, 0.7, 0.3, 0.8, 1.2, 1.4, 0.01, 0.02),  # stops in its first block
+             (hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.9, 0.9),  # runs for many blocks
+             # 4250 anti-diagonals of up to 4250 terms each, where summing a
+             # row in sequence drifts 5.5e-15 of its absolute sum from the
+             # row loop's pairwise sum
+             (hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.995, 0.995)]
+    for _ in range(40):
+        a, b, b2, g, g2 = rng.uniform(0.2, 2.5, 5).tolist()
+        x, y = rng.uniform(-0.9, 0.9, 2).tolist()
+        cases.append((hg.appell_f2, a, b, b2, g, g2, x, y * (0.5 if abs(x) + abs(y) > 0.9 else 1.0)))
+        cases.append((hg.appell_f1, a, b, b2, g, *rng.uniform(-0.9, 0.9, 2).tolist()))
+        m = rng.uniform(0.0, 0.9)
+        cases.append((hg.i_hyg, m, rng.uniform(0.0, 0.95) * math.sqrt(1.0 - m), rng.uniform(0.2, 3.1)))
+    return cases
+
+
+def test_antidiagonal_blocks_match_the_row_loop(monkeypatch):
+    # a block of anti-diagonals at a time forms every term t(j, l) as the row
+    # loop does and sums each anti-diagonal pairwise, padded with zeros to the
+    # block's width, where the row loop sums it unpadded: within 4e-15 of
+    # the row loop's sum, relative to its absolute sum, and the whole value
+    # within 4e-15 relative where every term is positive
+    blocked = hg._antidiagonal_terms
+    consumed = []
+
+    def compared(l_ratio, j_edge_ratio):
+        for s, (ref, size) in zip(blocked(l_ratio, j_edge_ratio), _row_loop(l_ratio, j_edge_ratio)):
+            assert abs(s - ref) <= 4e-15 * size, (s, ref, size)
+            consumed.append(s)
+            yield s
+
+    def row_loop(l_ratio, j_edge_ratio):
+        return (s for s, _ in _row_loop(l_ratio, j_edge_ratio))
+
+    counts = []
+    for fn, *args in _antidiagonal_cases():
+        outcome = []
+        for generator in (row_loop, compared):
+            monkeypatch.setattr(hg, "_antidiagonal_terms", generator)
+            consumed.clear()
+            try:
+                outcome.append(fn(*args))
+            except ConvergenceError as exc:
+                outcome.append(type(exc))
+        ref, value = outcome
+        if isinstance(ref, float) and min(args) >= 0.0:
+            assert value == pytest.approx(ref, rel=4e-15, abs=0.0), (fn.__name__, args)
+        else:
+            assert type(value) is type(ref), (fn.__name__, args)
+        counts.append(len(consumed))
+    assert 0 < counts[0] < hg._BLOCK and counts[1] > 3 * hg._BLOCK and counts[2] > 4000
+    assert sum(map(bool, counts)) >= 115, counts
