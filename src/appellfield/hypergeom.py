@@ -9,11 +9,12 @@ Series conventions: every series is a generator of its terms, summed by
 _series_sum. The sum stops after three consecutive terms within 0.02 tol of
 the running sum, tol = REL_TOL (gauss_2f1, pfq_4f3: PFQ_REL_TOL), and raises
 ConvergenceError naming the series past term MAX_TERMS = 6000, a cap per
-series. For terms falling geometrically at ratio q the neglected tail is
-then below 0.02 tol/(1-q) of the sum, which is within tol for q <= 0.95
-only. The single-index F2 sums run up to q = 0.995 and the gauss_2f1
-series up to x < 1, where the truncation error can exceed tol:
-gauss_2f1(0.5, 0.5, 2, 0.99) is 1.7e-13 off.
+series, or where the sum is not finite. For terms falling geometrically at
+ratio q the neglected tail is then below 0.02 tol/(1-q) of the sum, which
+is within tol for q <= 0.95 only. The single-index F2 sums run up to
+q = SERIES_RATIO_MAX = 0.995 and the gauss_2f1 series up to x < 1, where
+the truncation error can exceed tol: gauss_2f1(0.5, 0.5, 2, 0.99) is
+1.7e-13 off.
 
 Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is
 one single-index series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for
@@ -23,12 +24,11 @@ takes its route by i_hyg_pi's rule (see appell_f2). Every other F2 is
 mapped into the convergence region |x|+|y| < 1 by the Euler-type
 transformation
 F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
-(and its y-counterpart) and summed along anti-diagonals j + l = N, which
-keeps terms of comparable magnitude near the boundary. _antidiagonal_terms,
-which appell_f1 and the general-theta i_hyg sum too, forms _BLOCK = 32
-anti-diagonals at a time in a few array operations: every term by the
-multiplications of the row-by-row recurrence, each anti-diagonal summed
-pairwise over j.
+(and its y-counterpart) and summed over one index, the inner
+2F1(a + j, b'; g'; y) run forward by Gauss's contiguous relation in its
+first parameter (_appell_f2_direct). appell_f1 and the general-theta i_hyg
+are single sums over an inner 2F1 too: no series of the module has two
+indices.
 
 i_hyg_pi(m, A, gap), the theta = pi value pi A F2(1/2; 1/2, 1; 1, 3/2;
 m, A^2) that the potentials assemble, takes its route by one rule,
@@ -57,16 +57,17 @@ gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
 non-finite argument, as every public function of elliptic and jacobi does;
 pochhammer(nan, k) is nan. i_hyg(m, A, theta) takes plain arguments and
 checks their domain itself.
-Its small-theta quadrature, the boundary route of i_hyg_pi and the surface
-value above m = 1/3 each run oracle.quad_1d at one fixed QuadratureSpec, a
-module constant. The 4F3 form of the surface value above m = 1/3, which
-check C03 compares with that quadrature, continues the 4F3 past its radius
-by fixed 16-node Gauss-Legendre sums of K (_f43_continued).
+Its quadrature of the defining integral (small theta, and a ratio
+m/(1 - A^2) beyond SERIES_RATIO_MAX), the boundary route of i_hyg_pi and
+the surface value above m = 1/3 each run oracle.quad_1d at one fixed
+QuadratureSpec, a module constant. The 4F3 form of the surface value above
+m = 1/3, which check C03 compares with that quadrature, continues the 4F3
+past its radius by fixed 16-node Gauss-Legendre sums of K (_f43_continued).
 
 The module imports no numpy: the functions that build arrays
-(i_hyg_pi_batch, _series_sums, _antidiagonal_terms, _i_hyg_quadrature,
-lauricella_f11_triple) import it where they run, so the scalar sums, and
-the potentials built on them, run without it.
+(i_hyg_pi_batch, _series_sums, _i_hyg_quadrature, lauricella_f11_triple)
+import it where they run, so the scalar sums, and the potentials built on
+them, run without it.
 """
 
 import itertools
@@ -91,6 +92,11 @@ PFQ_REL_TOL = 1e-13
 
 # term cap of each series _series_sum sums
 MAX_TERMS = 6000
+
+# the largest ratio at which a single-index sum of I(m, A; theta) runs:
+# beyond it i_hyg_pi integrates in from the surface value and the
+# general-theta i_hyg takes its defining integral
+SERIES_RATIO_MAX = 0.995
 
 
 def pochhammer(x, k):
@@ -129,27 +135,27 @@ def _digamma(x):
 def _series_sum(terms, tol, name):
     # the sum of the terms the iterable yields: stops after three consecutive
     # terms within 0.02 tol of the running sum, or where a finite series
-    # ends, and raises ConvergenceError past term MAX_TERMS
+    # ends, and raises ConvergenceError past term MAX_TERMS or for a sum
+    # that is not finite
     eps = 0.02 * tol
     total, small = 0.0, 0
     for k, term in enumerate(terms):
         if k > MAX_TERMS:
-            break
+            raise ConvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
         total += term
         if abs(term) <= eps * abs(total):
             small += 1
             if small >= 3:
-                return total
+                break
         else:
             small = 0
-    else:
-        return total
-    raise ConvergenceError(f"{name} did not converge within {MAX_TERMS} terms")
+    if not math.isfinite(total):
+        raise ConvergenceError(f"{name} is not finite (sum {total})")
+    return total
 
 
-# _series_sums takes the terms of its series, and _antidiagonal_terms its
-# anti-diagonals, this many at a time (at least two: see the recurrences
-# _f2_ke_terms and _f2_inner_terms)
+# _series_sums takes the terms of its series this many at a time (at least
+# two: see the recurrences _f2_ke_terms and _f2_inner_terms)
 _BLOCK = 32
 
 
@@ -284,60 +290,40 @@ def pfq_4f3(a, b, x):
                        PFQ_REL_TOL, "pfq_4f3 series")
 
 
-def _antidiagonal_terms(l_ratio, j_edge_ratio):
-    """The anti-diagonal sums of t(j, l) over j + l = N, for N = 0, 1, ...
-
-    ``l_ratio(N, j)`` maps row-N entries (j, l = N - j) to row N+1 entries
-    (j, l + 1), and broadcasts over arrays N and j; ``j_edge_ratio(j)`` is
-    t(j+1, 0)/t(j, 0), called on ints. t(0, 0) = 1.
-
-    The rows N+1..N+_BLOCK are formed at once, from the carried row N, in
-    a band b[c, j] of c = 0.._BLOCK: row 0 holds row N, row c >= 1 the
-    ratios l_ratio(N + c - 1, j) and, at j = N + c, the edge term
-    t(N + c, 0) (a scalar product of the edge ratios); the entries with
-    l < 0, j > N + c, are 1. One cumprod along c then makes b[c, j] =
-    t(j, N + c - j) by the multiplications, in the order, of the row
-    recurrence, so every term is bit for bit the same; each band row is
-    summed pairwise along j, as numpy sums a contiguous row. The later rows
-    of the block in which the sum stops are computed and dropped: those
-    entries, and the ones with l < 0, may divide by zero or overflow
-    silently. Near MAX_TERMS the band and the l_ratio temporaries take a
-    few MB a block.
-    """
-    import numpy as np
-    yield 1.0
-    row, N = np.ones(1), 0
-    cols = np.arange(_BLOCK + 1)[:, None]
-    while True:
-        j = np.arange(N + _BLOCK + 1, dtype=float)
-        above = j > N + cols  # l < 0
-        band = np.empty((_BLOCK + 1, j.size))
-        with np.errstate(all="ignore"):
-            edge, edges = float(row[N]), []
-            for c in range(N, N + _BLOCK):
-                edge *= j_edge_ratio(c)
-                edges.append(edge)
-            band[1:] = l_ratio(N + cols[:-1], j)
-            band[0, :N + 1] = row
-            band[above] = 1.0
-            band[cols[1:, 0], N + cols[1:, 0]] = edges
-            np.cumprod(band, axis=0, out=band)
-            band[above] = 0.0
-            sums = band[1:].sum(axis=1)
-        row, N = band[_BLOCK], N + _BLOCK
-        yield from sums.tolist()
-
-
 def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
-    # valid for |x| + |y| < 1; terms t = (a)_{j+l}(b)_j(b')_l x^j y^l /((g)_j (g')_l j! l!)
-    def l_ratio(N, j):
-        lidx = N - j
-        return (alpha + N) * (beta2 + lidx) * y / ((gamma2 + lidx) * (lidx + 1.0))
+    # valid for |x| + |y| < 1: F2 = sum_j (alpha)_j (beta)_j/((gamma)_j j!)
+    #   x^j 2F1(alpha + j, beta2; gamma2; y),
+    # or its mirror image under (beta, gamma, x) <-> (beta2, gamma2, y),
+    # whichever runs at the smaller ratio |x|/(1 - max(y, 0)). The inner
+    # 2F1 is scaled by u^j, u = 1 - y, and run forward from two gauss_2f1
+    # seeds by Gauss's contiguous relation in its first parameter (DLMF
+    # 15.5.11), in which it is the dominant solution for y < 1:
+    #   g_{j+1} = ((gamma2 - a) u g_{j-1} + (a + beta2 - gamma2 + (a - beta2) u) g_j)/a,
+    # a = alpha + j. The sum ends where its coefficient vanishes (alpha or
+    # beta a nonpositive integer), before the relation divides by a = 0.
+    def ratio(x, y):
+        return abs(x) / (1.0 - max(y, 0.0))
 
-    def j_edge(j):
-        return (alpha + j) * (beta + j) * x / ((gamma + j) * (j + 1.0))
+    if ratio(y, x) < ratio(x, y):
+        beta, beta2, gamma, gamma2, x, y = beta2, beta, gamma2, gamma, y, x
+    u = 1.0 - y
 
-    return _series_sum(_antidiagonal_terms(l_ratio, j_edge), REL_TOL, "appell_f2 anti-diagonal sum")
+    def terms():
+        g_prev = gauss_2f1(alpha, beta2, gamma2, y)
+        yield g_prev
+        g = u * gauss_2f1(alpha + 1.0, beta2, gamma2, y)
+        coef = 1.0
+        for j in itertools.count():
+            a = alpha + j
+            coef *= a * (beta + j) / ((gamma + j) * (j + 1.0)) * (x / u)
+            if coef == 0.0:
+                return
+            if j:
+                g_prev, g = g, ((gamma2 - a) * u * g_prev
+                                + (a + beta2 - gamma2 + (a - beta2) * u) * g) / a
+            yield coef * g
+
+    return _series_sum(terms(), REL_TOL, "appell_f2 series")
 
 
 def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
@@ -353,9 +339,12 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     the surface value. Other F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2,
     0 <= x < 1 - 1e-12 and x/(1-y) < 1 - 1e-12 (any y < 0, at ratio x)
     are the inner-2F1 sum. Other arguments are mapped into |x|+|y| < 1 by
-    the Euler-type transformations, then summed along anti-diagonals.
-    Raises ConvergenceError when no implemented transformation reaches a
-    convergent regime.
+    the Euler-type transformations, then summed over one index at the
+    smaller of the ratios x/(1-y) and y/(1-x), over the inner
+    2F1(alpha + j, beta2; gamma2; y) or its mirror image. Raises
+    ConvergenceError when no implemented transformation reaches a
+    convergent regime, and where that ratio is too close to 1 for the sum
+    to stop within MAX_TERMS terms.
     """
     elliptic._check_finite("appell_f2", alpha, beta, beta2, gamma, gamma2, x, y)
     for g in (gamma, gamma2):
@@ -478,7 +467,14 @@ def _f2_inner_terms(beta, gamma, x, u, fhat, scaled):
 
 def appell_f1(alpha, beta, beta2, gamma, x, y):
     """Appell double hypergeometric series F1(alpha; beta, beta2; gamma; x, y),
-    convergent for |x| < 1 and |y| < 1."""
+    convergent for |x| < 1 and |y| < 1.
+
+    Summed over one index as sum_j (alpha)_j (beta)_j/((gamma)_j j!) x^j
+    2F1(alpha + j, beta2; gamma + j; y), at ratio |x|, each inner 2F1 by
+    gauss_2f1. Where x < 0 and y < 0, the Euler transformation
+    F1(alpha; beta, beta2; gamma; x, y) = (1-x)^(-beta) (1-y)^(-beta2)
+    F1(gamma - alpha; beta, beta2; gamma; x/(x-1), y/(y-1)) first maps both
+    arguments into (0, 1/2), where the terms do not alternate."""
     elliptic._check_finite("appell_f1", alpha, beta, beta2, gamma, x, y)
     if gamma <= 0.0 and gamma == int(gamma):
         raise DomainError("appell_f1: gamma must not be a nonpositive integer")
@@ -486,49 +482,47 @@ def appell_f1(alpha, beta, beta2, gamma, x, y):
         raise ConvergenceError("appell_f1 requires |x| < 1 and |y| < 1")
     if x == 0.0 and y == 0.0:
         return 1.0
+    if x < 0.0 and y < 0.0:
+        return (1.0 - x) ** (-beta) * (1.0 - y) ** (-beta2) * appell_f1(
+            gamma - alpha, beta, beta2, gamma, x / (x - 1.0), y / (y - 1.0))
 
-    def l_ratio(N, j):
-        lidx = N - j
-        return (alpha + N) * (beta2 + lidx) * y / ((gamma + N) * (lidx + 1.0))
+    def terms():
+        coef = 1.0
+        for j in itertools.count():
+            yield coef * gauss_2f1(alpha + j, beta2, gamma + j, y)
+            coef *= (alpha + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * x
+            if coef == 0.0:
+                return
 
-    def j_edge(j):
-        return (alpha + j) * (beta + j) * x / ((gamma + j) * (j + 1.0))
-
-    return _series_sum(_antidiagonal_terms(l_ratio, j_edge), REL_TOL, "appell_f1 anti-diagonal sum")
+    return _series_sum(terms(), REL_TOL, "appell_f1 series")
 
 
 def _i_hyg_series(m, A, s):
     # Eq-series route: sgn(s) i_hyg_pi(m, A) minus the k-sum, the latter
     # collapsed analytically to
-    # 2As sqrt(1-s^2) sum_{j,l} (1/2)_{j+l} m^j phi_j A^(2l) / (j! (3/2)_l)
-    # where phi_j = s^(2j) 2F1(j+1, 1; 3/2; 1-s^2) stays bounded.
+    # 2As sqrt(1-s^2) sum_j (1/2)_j m^j phi_j 2F1(1/2 + j, 1; 3/2; A^2)/j!
+    # where phi_j = s^(2j) 2F1(j+1, 1; 3/2; 1-s^2) stays bounded: the terms
+    # of F2(1/2; 1, 1; 1, 3/2; m, A^2) over the inner 2F1 (_f2_inner_terms),
+    # at ratio m/(1 - A^2), times phi_j, from
+    # phi_0 = asin(sqrt(w))/(sqrt(w) |s|) by
+    # phi_{j+1} = ((2j + 1) phi_j + s^(2j))/(2j + 2), w = 1 - s^2.
     y = A * A
     term1 = math.copysign(1.0, s) * i_hyg_pi(m, A)
     s2 = s * s
     w = 1.0 - s2
     if w <= 0.0:
         return term1
-    sa = abs(s)
-    # phi_0 = asin(sqrt(w)) / (sqrt(w) |s|)
     sw = math.sqrt(w)
-    phis = [math.asin(sw) / (sw * sa)]
-    spow = [1.0]  # s^(2j)
+    u = 1.0 - y
 
-    def l_ratio(N, j):
-        lidx = N - j
-        return (0.5 + N) * y / (1.5 + lidx)
+    def terms():
+        phi, spow = math.asin(sw) / (sw * abs(s)), 1.0
+        for j, term in enumerate(_f2_inner_terms(1.0, 1.0, m, u, _f2_inner_seed(y, u), True)):
+            yield term * phi
+            phi = ((2.0 * j + 1.0) * phi + spow) / (2.0 * (j + 1.0))
+            spow *= s2
 
-    def j_edge(j):
-        ji = int(j)
-        while len(phis) <= ji + 1:
-            jj = len(phis) - 1
-            phis.append(((2.0 * jj + 1.0) * phis[jj] + spow[jj]) / (2.0 * (jj + 1.0)))
-            spow.append(spow[jj] * s2)
-        return (0.5 + j) * m * phis[ji + 1] / ((j + 1.0) * phis[ji])
-
-    coupled = _series_sum(_antidiagonal_terms(l_ratio, j_edge), REL_TOL, "i_hyg anti-diagonal sum")
-    term2 = 2.0 * A * s * math.sqrt(w) * phis[0] * coupled
-    return term1 - term2
+    return term1 - 2.0 * A * s * sw * _series_sum(terms(), REL_TOL, "i_hyg series")
 
 
 def i_hyg(m, A, theta):
@@ -538,9 +532,12 @@ def i_hyg(m, A, theta):
     and A^2 <= 1 - m (DomainError otherwise). At |theta| = pi the value is
     +-i_hyg_pi(m, A), on i_hyg_pi's domain: up to the boundary m + A^2 = 1,
     with its allowance for the rounding of m and A; elsewhere it requires
-    strictly interior arguments m + A^2 < 1 - 1e-9. Below
-    |sin(theta/2)| = SMALL_S_THRESHOLD the series converges too slowly and
-    the defining integral is evaluated by adaptive quadrature instead.
+    strictly interior arguments m + A^2 < 1 - 1e-9. Elsewhere the value
+    is i_hyg_pi's minus a single sum over the inner 2F1(1/2 + j, 1; 3/2; A^2)
+    at ratio m/(1 - A^2). Below |sin(theta/2)| = SMALL_S_THRESHOLD, where
+    that series loses accuracy to cancellation, and where its ratio exceeds
+    SERIES_RATIO_MAX, the defining integral is evaluated by adaptive
+    quadrature instead.
     """
     if not (math.isfinite(m) and math.isfinite(A) and math.isfinite(theta)):
         raise DomainError("i_hyg requires finite arguments")
@@ -564,7 +561,7 @@ def i_hyg(m, A, theta):
             "i_hyg: m + A^2 within 1e-9 of the convergence boundary; "
             "use i_hyg_surface for the boundary value")
     s = math.sin(theta / 2.0)
-    if abs(s) < SMALL_S_THRESHOLD:
+    if abs(s) < SMALL_S_THRESHOLD or m / (1.0 - A * A) > SERIES_RATIO_MAX:
         return _i_hyg_quadrature(m, A, theta)
     return _i_hyg_series(m, A, s)
 
@@ -638,7 +635,7 @@ def _i_hyg_pi_route(m, y, gap):
     if omy <= 0.0 and m == 0.0:
         raise DomainError(f"i_hyg_pi diverges at m = 0, |A| = 1 (got A^2 = {y})")
     ratio_ke, ratio_inner = y / omm, (m / omy if omy > 0.0 else math.inf)
-    if min(ratio_ke, ratio_inner) > 0.995:
+    if min(ratio_ke, ratio_inner) > SERIES_RATIO_MAX:
         return "boundary", omm, omy
     return ("ke" if ratio_ke < ratio_inner else "inner"), omm, omy
 

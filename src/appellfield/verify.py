@@ -460,7 +460,7 @@ def _crit15_unit_layer(rng, full):
 CHECKS = [
     ("C01", "hypergeometric integral: closed form vs defining integral", _crit01_ihyg_identity),
     ("C02", "definite-integral reduction at theta = pi", _crit02_definite_reduction),
-    ("C03", "surface value: quadrature form vs 4F3-log form", _crit03_surface_value),
+    ("C03", "surface value: quadrature form vs 4F3 form", _crit03_surface_value),
     ("C04", "integral of Z*sc: closed form, jumps, branch increment", _crit04_zsc_formula),
     ("C05", "integrated parameter derivatives vs differences of i_hyg",
      _crit05_parameter_derivatives),

@@ -98,6 +98,29 @@ def test_special_functions():
 
 
 @pytest.mark.parametrize("fn, args, message", [
+    ("appell_f2", ("1.5", "1.5", "1", "2", "1.5", "0.5", "0.499"),
+     "error: appell_f2 series did not converge within 6000 terms"),
+    ("gauss_2f1", ("400", "400", "1", "0.5"), "error: gauss_2f1 series is not finite")])
+def test_special_series_out_of_reach_is_a_typed_error(fn, args, message):
+    # both printed inf and exited 0
+    code, out, err = run_cli("special", "--fn", fn, *args)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and "internal error" not in err
+
+
+def test_special_general_theta_i_hyg_near_the_boundary_is_finite():
+    # m + A^2 = 1 - 3.9e-4, ratio m/(1 - A^2) = 0.9994: it printed -inf
+    mpmath = pytest.importorskip("mpmath")
+    m, A, theta = 0.6977342177635587, 0.5497842154496615, 2.626357925129683
+    code, out, err = run_cli("special", "--fn", "i_hyg", repr(m), repr(A), repr(theta))
+    assert code == 0 and err == ""
+    with mpmath.workdps(30):
+        ref = mpmath.quad(lambda t: mpmath.atanh(A / mpmath.sqrt(1 - m * mpmath.sin(t / 2) ** 2)),
+                          [0, theta])
+    assert float(out) == pytest.approx(float(ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("fn, args, message", [
     ("pochhammer", ("0.5", "2.5"), "error: pochhammer requires a nonnegative integer k"),
     ("theta", ("2.5", "0.3", "0.5"), "error: theta index must be 1, 2, 3 or 4"),
     ("int_z_sc", ("0.3", "0.5", "1.5"), "error: int_z_sc: branch must be an integer")])

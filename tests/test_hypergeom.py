@@ -131,11 +131,12 @@ def test_series_sum_term_cap():
 def test_max_terms_caps_each_series(monkeypatch):
     # each call needs more than 64 terms of the series its error names: the
     # 2F1 series at x = 0.94, the inner-2F1 and K/E-seeded single-index F2
-    # sums, the F1 anti-diagonal sum and the i_hyg_alt series
+    # sums, the F1 sum over x (its inner 2F1 series at y = 0.1 need fewer)
+    # and the i_hyg_alt series
     calls = [((hg.gauss_2f1, 0.5, 0.5, 1.0, 0.94), "gauss_2f1 series"),
              ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.3, 0.69), "appell_f2 inner-2F1 series"),
              ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.69, 0.3), "appell_f2 K/E-seeded series"),
-             ((hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.9, 0.9), "appell_f1 anti-diagonal sum"),
+             ((hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.9, 0.1), "appell_f1 series"),
              ((hg.i_hyg_alt, 3, 0.45, 0.6, 0.95), "i_hyg_alt variant 3")]
     values = [fn(*args) for (fn, *args), _ in calls]
     assert all(map(math.isfinite, values))
@@ -144,6 +145,15 @@ def test_max_terms_caps_each_series(monkeypatch):
     for (fn, *args), name in calls:
         with pytest.raises(ConvergenceError, match=f"^{name} did not converge within 64 terms$"):
             fn(*args)
+
+
+def test_a_sum_that_is_not_finite_raises():
+    # the terms of 2F1(400, 400; 1; 1/2) overflow: the sum was inf, and the
+    # CLI printed it with exit code 0
+    with pytest.raises(ConvergenceError, match="^gauss_2f1 series is not finite"):
+        hg.gauss_2f1(400.0, 400.0, 1.0, 0.5)
+    with pytest.raises(ConvergenceError, match="^big is not finite"):
+        hg._series_sum(iter([1e308, 1e308, 0.0, 0.0, 0.0]), hg.REL_TOL, "big")
 
 
 def test_gauss_2f1_divergence():
@@ -339,6 +349,87 @@ def test_appell_f2_euler_transformations_match_mpmath(params, x, y):
     assert hg.appell_f2(*params, x, y) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+def _f2_by_euler_integral(alpha, beta, beta2, gamma, gamma2, x, y):
+    # F2 = Gamma(g)/(Gamma(b) Gamma(g-b)) int_0^1 t^(b-1) (1-t)^(g-b-1)
+    #   (1-xt)^(-a) 2F1(a, b'; g'; y/(1-xt)) dt, g > b > 0, at 30 digits,
+    # with t = v^(1/b) on [0, 1/2] and 1 - t = w^(1/(g-b)) on [1/2, 1] so
+    # that no endpoint is singular; mpmath.appellf2 does not converge near
+    # x + y = 1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, b2, g, g2, x, y = map(mpmath.mpf, (alpha, beta, beta2, gamma, gamma2, x, y))
+        c, half = g - b, mpmath.mpf(0.5)
+
+        def h(t):
+            return (1 - x * t) ** (-a) * mpmath.hyp2f1(a, b2, g2, y / (1 - x * t))
+
+        lo = mpmath.quad(lambda v: (1 - v ** (1 / b)) ** (c - 1) * h(v ** (1 / b)) / b,
+                         [0, half ** b])
+        hi = mpmath.quad(lambda w: (1 - w ** (1 / c)) ** (b - 1) * h(1 - w ** (1 / c)) / c,
+                         [0, half ** c])
+        return float(mpmath.gamma(g) / (mpmath.gamma(b) * mpmath.gamma(c)) * (lo + hi))
+
+
+def test_appell_f2_single_sum_matches_the_euler_integral_up_to_x_plus_y_near_one():
+    # the sum over one index, at the smaller of x/(1-y) and y/(1-x), on
+    # seeded general parameters with x + y in [0.5, 0.99]: within 1e-12 of
+    # the integral or a typed error, never a non-finite value. The
+    # anti-diagonal double sum it replaced lost its edge terms to underflow:
+    # 2.1e-10 off at (0.3, 0.69), a value 53% off at (0.3, 0.6999) and inf
+    # at (0.5, 0.499), where the single sum needs more than MAX_TERMS terms
+    item19 = (1.5, 1.5, 1.0, 2.0, 1.5)
+    assert hg.appell_f2(*item19, 0.3, 0.69) == pytest.approx(
+        _f2_by_euler_integral(*item19, 0.3, 0.69), rel=1e-12, abs=0.0)
+    for x, y in ((0.3, 0.6999), (0.5, 0.499)):
+        with pytest.raises(ConvergenceError, match="^appell_f2 series did not converge"):
+            hg.appell_f2(*item19, x, y)
+    rng = np.random.default_rng(7)
+    summed = 0
+    for _ in range(24):
+        a, b2 = rng.uniform(0.2, 2.5, 2).tolist()
+        b = float(rng.uniform(0.2, 1.5))
+        g, g2 = b + float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.5, 2.5))
+        total = float(rng.uniform(0.5, 0.99))
+        x = total * float(rng.uniform(0.0, 1.0))
+        args = (a, b, b2, g, g2, x, total - x)
+        try:
+            value = hg.appell_f2(*args)
+        except AppellFieldError:
+            continue
+        assert value == pytest.approx(_f2_by_euler_integral(*args), rel=1e-12, abs=0.0), args
+        summed += 1
+    assert summed >= 20
+
+
+def test_appell_f2_terminating_series_ends_before_its_zero_divisor():
+    # alpha = -2: the coefficients vanish from j = 3 on, where the
+    # contiguous relation in the inner 2F1's first parameter divides by
+    # alpha + 2 = 0
+    mpmath = pytest.importorskip("mpmath")
+    for args in ((-2.0, 0.5, 0.7, 1.3, 1.6, 0.3, 0.4), (-2.0, 0.5, 0.7, 1.3, 1.6, 0.4, 0.3),
+                 (0.8, -1.0, 0.7, 1.3, 1.6, 0.3, 0.4)):
+        with mpmath.workdps(30):
+            ref = float(mpmath.appellf2(*args))
+        assert hg.appell_f2(*args) == pytest.approx(ref, rel=1e-13, abs=0.0), args
+
+
+def test_appell_f1_at_negative_arguments_matches_mpmath():
+    # x < 0 and y < 0 are mapped to x/(x-1), y/(y-1) in (0, 1/2) by the Euler
+    # transformation; summed where they are, the terms alternate, and the
+    # first two points were 9.3e-12 and 4.8e-12 off
+    mpmath = pytest.importorskip("mpmath")
+    points = [(2.0058940597182793, 2.208170544139358, 1.0166175339664234, 1.1434324220144751,
+               -0.939117659179741, -0.5100409508794435),
+              (2.2187, 1.4036, 2.3060, 0.3073, -0.9116, -0.4697)]
+    rng = np.random.default_rng(29)
+    for _ in range(32):
+        points.append((*rng.uniform(0.2, 2.5, 4).tolist(), *(-rng.uniform(0.0, 0.95, 2)).tolist()))
+    for args in points:
+        with mpmath.workdps(30):
+            ref = float(mpmath.appellf1(*args))
+        assert hg.appell_f1(*args) == pytest.approx(ref, rel=1e-12, abs=0.0), args
+
+
 _SERIES_FUNCTIONS = [
     ("gauss_2f1", hg.gauss_2f1, 4),
     ("pfq_4f3", lambda *a: hg.pfq_4f3(a[0:4], a[4:7], a[7]), 8),
@@ -392,6 +483,31 @@ def test_i_hyg_matches_quadrature_including_small_theta():
     for (m, A, th) in ((0.8, 0.35, 0.08), (0.6, -0.4, 2.8), (0.2, 0.15, 0.5)):
         assert hg.i_hyg(m, A, th) == pytest.approx(
             quad_ihyg(m, A, th), rel=1e-9, abs=1e-12)
+
+
+def test_i_hyg_near_the_boundary_matches_quadrature():
+    # seeded (m, A, theta) with 1 - m - A^2 down to 10^-8.5 (1 - m), inside
+    # i_hyg's domain m + A^2 < 1 - 1e-9: every value finite. Up to ratio
+    # m/(1 - A^2) = 0.95 the single sum is within 1e-11 of the defining
+    # integral; on (0.95, SERIES_RATIO_MAX] the stopping rule's tail bound
+    # (ROADMAP item 6) allows 5e-11; beyond it i_hyg takes the integral. The
+    # double sum this replaced returned +-inf, raised or was off at 355 of
+    # 396 such points
+    rng = np.random.default_rng(31)
+    worst = {"series": 0.0, "tail": 0.0, "quadrature": 0.0}
+    for _ in range(396):
+        m = float(rng.uniform(0.05, 0.95))
+        frac = 10.0 ** rng.uniform(max(-8.5, math.log10(2e-9 / (1.0 - m))), -1.0)
+        A, th = math.sqrt((1.0 - m) * (1.0 - frac)), float(rng.uniform(0.2, math.pi))
+        value, ratio = hg.i_hyg(m, A, th), m / (1.0 - A * A)
+        band = ("series" if ratio <= 0.95 else
+                "tail" if ratio <= hg.SERIES_RATIO_MAX else "quadrature")
+        ref = quad_ihyg(m, A, th)
+        assert math.isfinite(value), (m, A, th)
+        worst[band] = max(worst[band], abs(value - ref) / abs(ref))
+    assert all(worst.values()), worst  # every band is drawn
+    assert worst["series"] <= 1e-11 and worst["quadrature"] <= 1e-11, worst
+    assert worst["tail"] <= 5e-11, worst
 
 
 def test_i_hyg_odd_in_both_arguments():
@@ -800,7 +916,7 @@ def test_i_hyg_surface_below_one_third_matches_its_defining_integral(m):
 
 @pytest.mark.parametrize("m", [0.34, 0.5, 0.7, 0.9, 0.99, 0.999])
 def test_i_hyg_surface_above_one_third_matches_its_defining_integral(m):
-    # the quadrature route; check C03 compares it with the 4F3-log form
+    # the quadrature route; check C03 compares it with the 4F3 form
     assert hg.i_hyg_surface(m) == pytest.approx(_surface_integral(m), rel=1e-14, abs=0.0)
 
 
@@ -901,72 +1017,3 @@ def test_triple_sum_and_alternatives_match():
         assert hg.i_hyg_alt(v, m, A, s) == pytest.approx(base, abs=1e-10)
     assert hg.lauricella_f11_triple(m, A, 0.0) == 0.0
     assert hg.i_hyg_alt(2, m, 0.0, s) == 0.0
-
-
-def _row_loop(l_ratio, j_edge_ratio):
-    # the anti-diagonal sums one row at a time, each row from the last by
-    # the same ratios, with the absolute sum of its terms
-    row = np.array([1.0])
-    yield 1.0, 1.0
-    for N in itertools.count():
-        nxt = np.empty(N + 2)
-        nxt[:N + 1] = row * l_ratio(N, np.arange(N + 1, dtype=float))
-        nxt[N + 1] = row[N] * j_edge_ratio(N)
-        row = nxt
-        yield float(row.sum()), float(np.abs(row).sum())
-
-
-def _antidiagonal_cases():
-    rng = np.random.default_rng(11)
-    cases = [(hg.appell_f2, 0.7, 0.3, 0.8, 1.2, 1.4, 0.01, 0.02),  # stops in its first block
-             (hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.9, 0.9),  # runs for many blocks
-             # 4250 anti-diagonals of up to 4250 terms each, where summing a
-             # row in sequence drifts 5.5e-15 of its absolute sum from the
-             # row loop's pairwise sum
-             (hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.995, 0.995)]
-    for _ in range(40):
-        a, b, b2, g, g2 = rng.uniform(0.2, 2.5, 5).tolist()
-        x, y = rng.uniform(-0.9, 0.9, 2).tolist()
-        cases.append((hg.appell_f2, a, b, b2, g, g2, x, y * (0.5 if abs(x) + abs(y) > 0.9 else 1.0)))
-        cases.append((hg.appell_f1, a, b, b2, g, *rng.uniform(-0.9, 0.9, 2).tolist()))
-        m = rng.uniform(0.0, 0.9)
-        cases.append((hg.i_hyg, m, rng.uniform(0.0, 0.95) * math.sqrt(1.0 - m), rng.uniform(0.2, 3.1)))
-    return cases
-
-
-def test_antidiagonal_blocks_match_the_row_loop(monkeypatch):
-    # a block of anti-diagonals at a time forms every term t(j, l) as the row
-    # loop does and sums each anti-diagonal pairwise, padded with zeros to the
-    # block's width, where the row loop sums it unpadded: within 4e-15 of
-    # the row loop's sum, relative to its absolute sum, and the whole value
-    # within 4e-15 relative where every term is positive
-    blocked = hg._antidiagonal_terms
-    consumed = []
-
-    def compared(l_ratio, j_edge_ratio):
-        for s, (ref, size) in zip(blocked(l_ratio, j_edge_ratio), _row_loop(l_ratio, j_edge_ratio)):
-            assert abs(s - ref) <= 4e-15 * size, (s, ref, size)
-            consumed.append(s)
-            yield s
-
-    def row_loop(l_ratio, j_edge_ratio):
-        return (s for s, _ in _row_loop(l_ratio, j_edge_ratio))
-
-    counts = []
-    for fn, *args in _antidiagonal_cases():
-        outcome = []
-        for generator in (row_loop, compared):
-            monkeypatch.setattr(hg, "_antidiagonal_terms", generator)
-            consumed.clear()
-            try:
-                outcome.append(fn(*args))
-            except ConvergenceError as exc:
-                outcome.append(type(exc))
-        ref, value = outcome
-        if isinstance(ref, float) and min(args) >= 0.0:
-            assert value == pytest.approx(ref, rel=4e-15, abs=0.0), (fn.__name__, args)
-        else:
-            assert type(value) is type(ref), (fn.__name__, args)
-        counts.append(len(consumed))
-    assert 0 < counts[0] < hg._BLOCK and counts[1] > 3 * hg._BLOCK and counts[2] > 4000
-    assert sum(map(bool, counts)) >= 115, counts

@@ -61,3 +61,13 @@ def test_two_passes_of_the_special_function_checks_read_the_same():
               for _ in range(2)]
     assert passes[0] == passes[1]
     assert len(passes[0]) == 5 and all(passed for _, passed, _ in passes[0])
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_c01_checks_the_series_at_every_point(monkeypatch, full):
+    # C01's largest ratio m/(1 - A^2) is 0.954, below SERIES_RATIO_MAX, and
+    # its smallest |sin(theta/2)| above SMALL_S_THRESHOLD: the closed form
+    # it compares with the defining integral is never that integral itself
+    monkeypatch.setattr(hypergeom, "_i_hyg_quadrature",
+                        lambda *args: pytest.fail("i_hyg took its quadrature"))
+    assert verify.run_check("C01", seed=0, full=full).passed
