@@ -26,9 +26,11 @@ transformation
 F2(a; b, b'; g, g'; x, y) = (1-x)^(-a) F2(a; g-b, b'; g, g'; x/(x-1), y/(1-x))
 (and its y-counterpart) and summed over one index, the inner
 2F1(a + j, b'; g'; y) run forward by Gauss's contiguous relation in its
-first parameter (_appell_f2_direct). appell_f1 and the general-theta i_hyg
-are single sums over an inner 2F1 too: no series of the module has two
-indices.
+first parameter (_appell_f2_direct). The family at y < 0, which int_z_sc
+takes, is an integral of cel instead, summed by fixed Gauss-Legendre
+panels (_f2_family_at_negative_y). appell_f1 and the general-theta i_hyg
+are single sums over an inner 2F1 too, appell_f1's run backward by the
+contiguous relation in c: no series of the module has two indices.
 
 i_hyg_pi(m, A, gap), the theta = pi value pi A F2(1/2; 1/2, 1; 1, 3/2;
 m, A^2) that the potentials assemble, takes its route by one rule,
@@ -336,9 +338,12 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     the K/E-seeded 2F1(1/2 + l, 1/2; 1; x) at ratio y/(1-x) or the sum
     over the inner 2F1(1/2 + j, 1; 3/2; y) at ratio x/(1-y), whichever
     ratio is smaller, and, where both exceed 0.995, the integral in from
-    the surface value. Other F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2,
-    0 <= x < 1 - 1e-12 and x/(1-y) < 1 - 1e-12 (any y < 0, at ratio x)
-    are the inner-2F1 sum. Other arguments are mapped into |x|+|y| < 1 by
+    the surface value. At y < 0 and 0 <= x < 1 that family is
+    J/(pi sqrt(-y)), J = 2 int_0^atan(sqrt(-y)) cel(sqrt(1-x),
+    1 - x cos^2 t, 1, 1-x) dt, by 16-node Gauss-Legendre panels. Other F2
+    with alpha = 1/2, beta2 = 1, gamma2 = 3/2, 0 <= x < 1 - 1e-12 and
+    x/(1-y) < 1 - 1e-12 (any y < 0, at ratio x) are the inner-2F1 sum.
+    Other arguments are mapped into |x|+|y| < 1 by
     the Euler-type transformations, then summed over one index at the
     smaller of the ratios x/(1-y) and y/(1-x), over the inner
     2F1(alpha + j, beta2; gamma2; y) or its mirror image. Raises
@@ -353,6 +358,8 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     if x == 0.0 and y == 0.0:
         return 1.0
     if alpha == 0.5 and beta2 == 1.0 and gamma2 == 1.5:
+        if beta == 0.5 and gamma == 1.0 and y < 0.0 and 0.0 <= x < 1.0:
+            return _f2_family_at_negative_y(x, y)
         if beta == 0.5 and gamma == 1.0 and y >= 0.0:
             if 0.0 <= x < 1.0 and y < 1.0 and x + y <= 1.0:
                 route, omm, omy = _i_hyg_pi_route(x, y, None)
@@ -376,6 +383,42 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     if x + y >= 1.0 - 1e-12:
         raise ConvergenceError(f"appell_f2 does not converge at |x|+|y| = {x + y}")
     return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y)
+
+
+def _graded_gauss_legendre(f, h, end):
+    # int_0^end f(t) dt, 0 < h <= end, by 16-node Gauss-Legendre rules on
+    # the panels [0, h], [h, 2h], [2h, 4h], ..., end: for f analytic but for
+    # singularities at distance h or more from 0 on the negative or the
+    # imaginary axis, each panel lies within a Bernstein ellipse of
+    # parameter >= 4.6 clear of them
+    a, b = 0.0, h
+    total = oracle.gauss_legendre(f, a, b, 16)
+    while b < end:
+        a, b = b, min(end, 2.0 * b)
+        total += oracle.gauss_legendre(f, a, b, 16)
+    return total
+
+
+def _f2_family_at_negative_y(x, y):
+    # F2(1/2; 1/2, 1; 1, 3/2; x, y) for 0 <= x < 1 and y < 0: with B = sqrt(-y),
+    # pi B F2 = int_0^pi atan(B/sqrt(1 - x sin^2(t/2))) dt
+    #   = 2 int_0^atan(B) cel(sqrt(1-x), 1 - x cos^2 t, 1, 1-x) dt
+    # (atan(B/s) = int_0^atan(B) s dt/(s^2 cos^2 t + sin^2 t)). The integrand
+    # is analytic but for the zeros of 1 - x cos^2 t, the nearest at
+    # t = +-i acosh(1/sqrt(x)), at least sqrt(1-x) from 0: the panels of
+    # _graded_gauss_legendre with h = min(atan(B), sqrt(1-x)) stay clear of
+    # them. The characteristic is formed as 1 - x + x sin^2 t, without
+    # cancellation.
+    b = math.sqrt(-y)
+    end = math.atan(b)
+    omx = 1.0 - x
+    kc = math.sqrt(omx)
+
+    def f(t):
+        s = math.sin(t)
+        return elliptic.cel(kc, omx + x * s * s, 1.0, omx)
+
+    return 2.0 * _graded_gauss_legendre(f, min(end, kc), end) / (math.pi * b)
 
 
 def _f2_ke_seeds(u):
@@ -470,8 +513,13 @@ def appell_f1(alpha, beta, beta2, gamma, x, y):
     convergent for |x| < 1 and |y| < 1.
 
     Summed over one index as sum_j (alpha)_j (beta)_j/((gamma)_j j!) x^j
-    2F1(alpha + j, beta2; gamma + j; y), at ratio |x|, each inner 2F1 by
-    gauss_2f1. Where x < 0 and y < 0, the Euler transformation
+    h_j, h_j = 2F1(alpha + j, beta2; gamma + j; y), at ratio |x|. By Pfaff's
+    transformation h_j = (1-y)^(-beta2) 2F1(beta2, gamma - alpha; gamma + j;
+    y/(y-1)), so the h_j satisfy the contiguous relation in c (DLMF
+    15.5.18), of which they are the minimal solution for -1 < y < 1: they
+    are run backward by it over blocks of j, [0, 32), [32, 64), [64, 128),
+    ..., each from two gauss_2f1 seeds at its upper end, until the sum
+    stops. Where x < 0 and y < 0, the Euler transformation
     F1(alpha; beta, beta2; gamma; x, y) = (1-x)^(-beta) (1-y)^(-beta2)
     F1(gamma - alpha; beta, beta2; gamma; x/(x-1), y/(y-1)) first maps both
     arguments into (0, 1/2), where the terms do not alternate."""
@@ -486,13 +534,36 @@ def appell_f1(alpha, beta, beta2, gamma, x, y):
         return (1.0 - x) ** (-beta) * (1.0 - y) ** (-beta2) * appell_f1(
             gamma - alpha, beta, beta2, gamma, x / (x - 1.0), y / (y - 1.0))
 
+    def seed(j):
+        # h_j; where y < 0 in its Pfaff form: gauss_2f1's own Pfaff step
+        # keeps alpha + j as the first parameter, and its series then grows
+        # as (1 - y)^j, past the float range from j = 1024 on near y = -1
+        if y < 0.0:
+            return (1.0 - y) ** -beta2 * gauss_2f1(beta2, gamma - alpha, gamma + j, y / (y - 1.0))
+        return gauss_2f1(alpha + j, beta2, gamma + j, y)
+
+    def inner(lo, hi):
+        # h_lo, ..., h_{hi-1} from the seeds h_hi, h_{hi+1} by
+        # c (c - 1) h_j = c ((c - 1) + (alpha + j + 1 - beta2) y) h_{j+1}
+        #   - (c - beta2) (alpha + j + 1) y h_{j+2},  c = gamma + j + 1
+        h_next, h = seed(hi + 1.0), seed(hi)
+        block = []
+        for j in range(hi - 1, lo - 1, -1):
+            c = gamma + j + 1.0
+            h, h_next = (c * ((c - 1.0) + (alpha + j + 1.0 - beta2) * y) * h
+                         - (c - beta2) * (alpha + j + 1.0) * y * h_next) / (c * (c - 1.0)), h
+            block.append(h)
+        return reversed(block)
+
     def terms():
-        coef = 1.0
-        for j in itertools.count():
-            yield coef * gauss_2f1(alpha + j, beta2, gamma + j, y)
-            coef *= (alpha + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * x
-            if coef == 0.0:
-                return
+        coef, lo, hi = 1.0, 0, 32
+        while True:
+            for j, h in enumerate(inner(lo, hi), lo):
+                yield coef * h
+                coef *= (alpha + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * x
+                if coef == 0.0:
+                    return
+            lo, hi = hi, 2 * hi
 
     return _series_sum(terms(), REL_TOL, "appell_f1 series")
 
@@ -721,19 +792,13 @@ def _f43_continued(mu):
     # for mu < 0: int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds integrated by
     # parts, with d/dx (2/pi) K(x) = 2F1(3/2,3/2;2; x)/4. The integrand is
     # analytic on [0, 1], mu/4 at s = 0, and its one singularity is K's log
-    # branch at s = 1/mu; so 16-node Gauss-Legendre rules on the panels
-    # [0, h], [h, 2h], [2h, 4h], ..., 1 with h = min(1, -1/mu) each lie
-    # within a Bernstein ellipse of parameter >= 3 + sqrt(8) clear of it.
-    # K at the negative parameter mu s is cel at kc = sqrt(1 - mu s) >= 1.
+    # branch at s = 1/mu, summed by _graded_gauss_legendre with
+    # h = min(1, -1/mu). K at the negative parameter mu s is cel at
+    # kc = sqrt(1 - mu s) >= 1.
     def f(s):
         return (2.0 / math.pi * elliptic.cel(math.sqrt(1.0 - mu * s), 1.0, 1.0, 1.0) - 1.0) / s
 
-    a, b = 0.0, min(1.0, -1.0 / mu)
-    total = oracle.gauss_legendre(f, a, b, 16)
-    while b < 1.0:
-        a, b = b, min(1.0, 2.0 * b)
-        total += oracle.gauss_legendre(f, a, b, 16)
-    return 4.0 / mu * total
+    return 4.0 / mu * _graded_gauss_legendre(f, min(1.0, -1.0 / mu), 1.0)
 
 
 def i_hyg_surface(m):

@@ -1,6 +1,6 @@
 """Jacobi amplitude and elliptic functions (descending AGM), the Jacobi zeta
-function, scaled theta functions (q-series), and the closed-form integral of
-Z(u|m) sc(u|m).
+function (summed over the same descent), scaled theta functions (q-series),
+and the closed-form integral of Z(u|m) sc(u|m).
 
 The scaled theta functions are Theta_i(u|m) = theta_i(pi*u/(2K(m)), q) with
 nome q = exp(-pi K(1-m)/K(m)); in this scaling Z(u|m) = d/du ln Theta_4(u|m).
@@ -44,6 +44,27 @@ def _agm_chain(m):
     return chain
 
 
+def _descent(u, m):
+    # (am(u | m), sum_k c_k sin(phi_k)) for m > 0: the descent
+    # phi_{k-1} = (phi_k + asin((c_k/a_k) sin(phi_k)))/2 from
+    # phi_N = 2^N a_N u down the AGM chain (A&S 16.4), which ends at
+    # phi_0 = am(u | m), and over the same phi_k the sum that is Z(u | m)
+    # (A&S 17.6), added from the smallest c_k up
+    chain = _agm_chain(m)
+    n = len(chain) - 1
+    if abs(u) * 2.0 ** -52 >= math.pi / (2.0 * chain[n][0]):
+        raise DomainError(f"jacobi_am: no digit of u mod 2K is left at u = {u}")
+    phi = math.ldexp(chain[n][0] * u, n)
+    zeta = 0.0
+    for k in range(n, 0, -1):
+        a, c = chain[k]
+        s = math.sin(phi)
+        zeta += c * s
+        ratio = max(-1.0, min(1.0, c / a * s))
+        phi = 0.5 * (phi + math.asin(ratio))
+    return phi, zeta
+
+
 def jacobi_am(u, m):
     """Jacobi amplitude am(u | m), continuous and increasing in u;
     am(u + 2K | m) = am(u | m) + pi.
@@ -57,16 +78,7 @@ def jacobi_am(u, m):
     _check_m(m)
     if m == 0.0:
         return float(u)
-    chain = _agm_chain(m)
-    n = len(chain) - 1
-    if abs(u) * 2.0 ** -52 >= math.pi / (2.0 * chain[n][0]):
-        raise DomainError(f"jacobi_am: no digit of u mod 2K is left at u = {u}")
-    phi = math.ldexp(chain[n][0] * u, n)
-    for k in range(n, 0, -1):
-        a, c = chain[k]
-        ratio = max(-1.0, min(1.0, c / a * math.sin(phi)))
-        phi = 0.5 * (phi + math.asin(ratio))
-    return phi
+    return _descent(u, m)[0]
 
 
 def jacobi_sn(u, m):
@@ -104,7 +116,9 @@ def jacobi_zeta(u, m):
     u is first reduced to [-K, K] by whole periods (math.remainder, exact
     for the rounded 2K). The reduced u is then off by about |u| 2^-52, from
     the rounding of u and of K; DomainError where that reaches K, so that
-    no digit of u mod 2K is left (|u| >= 8.3e15 at m = 0.5).
+    no digit of u mod 2K is left (|u| >= 8.3e15 at m = 0.5). Z is then the
+    sum c_1 sin(phi_1) + ... + c_N sin(phi_N) over the descent that gives
+    am(u | m) (A&S 17.6), which has no cancellation near u = 0.
     """
     _check_u("jacobi_zeta", u)
     _check_m(m)
@@ -115,9 +129,7 @@ def jacobi_zeta(u, m):
     K = elliptic.comp_k(m)
     if abs(u) * 2.0 ** -52 >= K:
         raise DomainError(f"jacobi_zeta: no digit of u mod 2K is left at u = {u}")
-    u = math.remainder(u, 2.0 * K)
-    phi = jacobi_am(u, m)
-    return elliptic.ellip_e(phi, m) - u * elliptic.comp_e(m) / K
+    return _descent(math.remainder(u, 2.0 * K), m)[1]
 
 
 def nome(m):
@@ -169,7 +181,8 @@ def int_z_sc(u, m, branch=0):
     The branch-0 form equals the integral on -K < u < K and jumps by the
     branch increment across every odd multiple of K; branch n recovers the
     continuous integral on ((2n-1)K, (2n+1)K). A branch that is not an
-    integer raises DomainError.
+    integer raises DomainError. The F2, at the negative argument
+    (m-1) sc^2, is appell_f2's Gauss sum of cel, accurate up to m -> 1.
     """
     if not float(branch).is_integer():
         raise DomainError(f"int_z_sc: branch must be an integer (got {branch})")

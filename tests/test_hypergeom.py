@@ -222,6 +222,23 @@ def test_appell_f2_negative_argument_routes_agree(monkeypatch):
     assert calls == []
 
 
+def test_appell_f2_family_at_negative_y_matches_the_integral():
+    # F2(1/2; 1/2, 1; 1, 3/2; x, y) at y < 0, int_z_sc's F2, against
+    # int_0^pi atan(B/sqrt(1 - x sin^2(t/2))) dt/(pi B), B = sqrt(-y): the
+    # inner-2F1 sum at ratio x it replaces was 1.7e-12 off at x = 0.99 and
+    # did not converge from x = 0.999 on
+    mpmath = pytest.importorskip("mpmath")
+    for x in (0.0, 0.3, 0.85, 0.99, 0.999, 0.9999):
+        for y in (-1e-6, -0.01, -0.5, -3.0, -1e3, -1e6, -1e12):
+            with mpmath.workdps(30):
+                mx, b = mpmath.mpf(x), mpmath.sqrt(-mpmath.mpf(y))
+                ref = float(mpmath.quad(
+                    lambda t: mpmath.atan(b / mpmath.sqrt(1 - mx * mpmath.sin(t / 2) ** 2)),
+                    [0, mpmath.pi / 2, mpmath.pi]) / (mpmath.pi * b))
+            assert hg.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, x, y) == pytest.approx(
+                ref, rel=1e-13, abs=0.0), (x, y)
+
+
 def test_appell_f2_family_takes_single_index_route(monkeypatch):
     # the potentials' family F2(1/2; 1/2, 1; 1, 3/2; m, A^2) away from the
     # |x|+|y| = 1 boundary: the single-index sums against the anti-diagonal sum
@@ -428,6 +445,48 @@ def test_appell_f1_at_negative_arguments_matches_mpmath():
         with mpmath.workdps(30):
             ref = float(mpmath.appellf1(*args))
         assert hg.appell_f1(*args) == pytest.approx(ref, rel=1e-12, abs=0.0), args
+
+
+def _f1_euler_integral(alpha, beta, beta2, gamma, x, y):
+    # 30-digit F1 by its Euler integral, gamma > alpha > 0:
+    # Gamma(gamma)/(Gamma(alpha) Gamma(gamma - alpha)) int_0^1 t^(alpha-1)
+    # (1-t)^(gamma-alpha-1) (1-xt)^(-beta) (1-yt)^(-beta2) dt, with the
+    # endpoint powers taken out by t = v^(1/alpha) on [0, 1/2] and
+    # 1 - t = w^(1/(gamma-alpha)) on [1/2, 1]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, b2, g, x, y = map(mpmath.mpf, (alpha, beta, beta2, gamma, x, y))
+        d = g - a
+
+        def rest(t):
+            return (1 - x * t) ** (-b) * (1 - y * t) ** (-b2)
+
+        half = mpmath.mpf(0.5)
+        lo = mpmath.quad(lambda v: (1 - v ** (1 / a)) ** (d - 1) * rest(v ** (1 / a)) / a,
+                         [0, half ** a])
+        hi = mpmath.quad(lambda w: (1 - w ** (1 / d)) ** (a - 1) * rest(1 - w ** (1 / d)) / d,
+                         [0, half ** d])
+        return float(mpmath.gamma(g) / (mpmath.gamma(a) * mpmath.gamma(d)) * (lo + hi))
+
+
+def test_appell_f1_matches_the_euler_integral_up_to_0995():
+    # |x|, |y| up to 0.995: one gauss_2f1 call per outer term took 11.7 s
+    # at the first point; near 0.995 the stopping rule's tail leaves about
+    # 4e-12
+    points = [(0.5, 0.5, 0.5, 1.5, 0.995, 0.995), (0.5, 0.5, 0.5, 1.5, 0.99, -0.995),
+              (0.5, 0.5, 0.5, 1.5, -0.995, 0.99)]
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        alpha, beta, beta2 = rng.uniform(0.2, 2.5, 3).tolist()
+        gamma = alpha + float(rng.uniform(0.2, 2.0))
+        points.append((alpha, beta, beta2, gamma, *rng.uniform(-0.995, 0.995, 2).tolist()))
+    seconds = 0.0
+    for args in points:
+        start = time.perf_counter()
+        value = hg.appell_f1(*args)
+        seconds += time.perf_counter() - start
+        assert value == pytest.approx(_f1_euler_integral(*args), rel=1e-11, abs=0.0), args
+    assert seconds < 5.0
 
 
 _SERIES_FUNCTIONS = [

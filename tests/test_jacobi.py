@@ -113,6 +113,33 @@ def test_int_z_sc_against_quadrature():
         assert jc.int_z_sc(u, m) == pytest.approx(ref, abs=1e-10)
 
 
+def test_int_z_sc_near_m_one_matches_mpmath():
+    # the F2 at y = (m - 1) sc^2 < 0 as Gauss sums of cel: its inner-2F1 sum
+    # at ratio m was 8.9e-12 off at m = 0.99, u = 1, and from m = 0.999 on
+    # needed more than MAX_TERMS terms. The reference integrates Z sc, which
+    # is analytic on [0, K], at 30 digits outward over [0, 0.5], [0.5, 1],
+    # [1, K - 0.05] by Gauss-Legendre rules up to mpmath's degree 4 (within
+    # 3.5e-24 of its tanh-sinh quadrature over [0, u/2, u], at a sixth of
+    # the cost)
+    mpmath = pytest.importorskip("mpmath")
+    for m in (0.99, 0.999, 0.9999):
+        K = elliptic.comp_k(m)
+        with mpmath.workdps(30):
+            mm = mpmath.mpf(m)
+            ek = mpmath.ellipe(mm) / mpmath.ellipk(mm)
+
+            def zsc(t):
+                # |t| < K: am = asin(sn), cn = sqrt(1 - sn^2)
+                sn = mpmath.ellipfun("sn", t, m=mm)
+                return (mpmath.ellipe(mpmath.asin(sn), mm) - t * ek) * sn / mpmath.sqrt(1 - sn * sn)
+
+            ref, prev = 0, 0
+            for u in (0.5, 1.0, K - 0.05):
+                ref += mpmath.quad(zsc, [prev, u], method="gauss-legendre", maxdegree=4)
+                prev = u
+                assert jc.int_z_sc(u, m) == pytest.approx(float(ref), rel=1e-12, abs=0.0), (m, u)
+
+
 def test_int_z_sc_jump_and_branches():
     m = 0.85
     K = elliptic.comp_k(m)
@@ -204,14 +231,26 @@ def test_amplitude_raises_where_no_digit_of_u_mod_2k_is_left():
     assert jc.jacobi_am(1e300, 0.0) == 1e300
 
 
+def _zeta_mpmath(u, m):
+    # 30-digit Z(u | m) = E(am(u) | m) - u E(m)/K(m) for |am(u)| < pi,
+    # am(u) = atan2(sn(u), cn(u))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        u, m = mpmath.mpf(u), mpmath.mpf(m)
+        am = mpmath.atan2(mpmath.ellipfun("sn", u, m=m), mpmath.ellipfun("cn", u, m=m))
+        return float(mpmath.ellipe(am, m) - u * mpmath.ellipe(m) / mpmath.ellipk(m))
+
+
 def test_zeta_reduced_by_whole_periods():
     m = 0.5
     K = elliptic.comp_k(m)
-    # unchanged inside one period, bit for bit
-    for u in (0.7, -1.2, K, -K):
-        phi = jc.jacobi_am(u, m)
-        assert jc.jacobi_zeta(u, m) == (
-            elliptic.ellip_e(phi, m) - u * elliptic.comp_e(m) / K)
+    # inside one period, the 30-digit value; at u = 0.01 K, m = 0.05
+    # E(am) and u E/K nearly cancel
+    for u, mm in ((0.7, m), (-1.2, m), (0.01 * elliptic.comp_k(0.05), 0.05)):
+        assert jc.jacobi_zeta(u, mm) == pytest.approx(_zeta_mpmath(u, mm), rel=1e-13, abs=0.0)
+    # at the rounded K, a few ulps off the zero of Z at K
+    for u in (K, -K):
+        assert jc.jacobi_zeta(u, m) == pytest.approx(_zeta_mpmath(u, m), rel=0.0, abs=1e-16)
     # odd and 2K-periodic, to the rounding of u and 2K (about |u| 2^-52)
     z07 = jc.jacobi_zeta(0.7, m)
     for n in (1, 7, 10 ** 6, 10 ** 12):
