@@ -11,10 +11,10 @@ the running sum, tol = REL_TOL (gauss_2f1, pfq_4f3: PFQ_REL_TOL), and raises
 ConvergenceError naming the series past term MAX_TERMS = 6000, a cap per
 series, or where the sum is not finite. For terms falling geometrically at
 ratio q the neglected tail is then below 0.02 tol/(1-q) of the sum, which
-is within tol for q <= 0.95 only. The single-index F2 sums run up to
-q = SERIES_RATIO_MAX = 0.995 and the gauss_2f1 series up to x < 1, where
-the truncation error can exceed tol: gauss_2f1(0.5, 0.5, 2, 0.99) is
-1.7e-13 off.
+is within tol for q <= 0.95 only. The single-index sums of I(m, A; pi)
+run up to q = SERIES_RATIO_MAX = 0.95; the gauss_2f1 series runs up to
+x < 1, where the truncation error can exceed tol:
+gauss_2f1(0.5, 0.5, 2, 0.99) is 1.7e-13 off.
 
 Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is
 one single-index series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for
@@ -39,13 +39,17 @@ single-index ratios; appell_f2 on that family reads it too. It forms the
 complements 1 - m and 1 - A^2 once (exactly, as A^2 + gap and m + gap,
 when the caller passes gap = 1 - m - A^2) and hands them to the sums:
 the K/E-seeded sum where A^2/(1-m) < m/(1-A^2), the inner-2F1 sum
-otherwise, and, where both ratios exceed 0.995, integration of dI/dA in
-from the surface value I(m, sqrt(1-m); pi), which is the 4F3 series of
-its closed form up to m = 1/3 and a quadrature above
+otherwise, both up to ratio 0.95. Beyond it the value is an integral of
+dI/dA' = 2K(m) + c Pi(n | m) = 2 cel(sqrt(1-m), 1-n, 1, 1-m)/(1 - A'^2),
+one cel call per node, by the graded 16-node Gauss-Legendre panels of one
+helper (_di_da_integral): over
+0 <= A' <= A where the smaller ratio is at most 0.995 (_i_hyg_pi_integral),
+and in from the surface value I(m, sqrt(1-m); pi) beyond, which is the
+4F3 series of its closed form up to m = 1/3 and a quadrature above
 (_i_hyg_pi_from_boundary, _surface_by_series). The general-theta i_hyg
 takes its theta = pi term, and its whole value at theta = +-pi, from it,
 and i_hyg_surface(m) is its value on the boundary. i_hyg_pi_batch takes
-many arguments at once by the same rule and leaves the other routes to
+many arguments at once by the same rule and leaves the integrals to
 i_hyg_pi; the grids use it. Each single-index sum has one recurrence,
 _f2_ke_terms or _f2_inner_terms, a generator run on floats by
 _series_sum and over arrays by _series_sums, so the batch is bit for bit
@@ -60,11 +64,11 @@ non-finite argument, as every public function of elliptic and jacobi does;
 pochhammer(nan, k) is nan. i_hyg(m, A, theta) takes plain arguments and
 checks their domain itself.
 Its quadrature of the defining integral (small theta, and a ratio
-m/(1 - A^2) beyond SERIES_RATIO_MAX), the boundary route of i_hyg_pi and
-the surface value above m = 1/3 each run oracle.quad_1d at one fixed
-QuadratureSpec, a module constant. The 4F3 form of the surface value above
-m = 1/3, which check C03 compares with that quadrature, continues the 4F3
-past its radius by fixed 16-node Gauss-Legendre sums of K (_f43_continued).
+m/(1 - A^2) beyond SERIES_RATIO_MAX) and the surface value above m = 1/3
+each run oracle.quad_1d at one fixed QuadratureSpec, a module constant.
+The 4F3 form of the surface value above m = 1/3, which check C03 compares
+with that quadrature, continues the 4F3 past its radius by fixed 16-node
+Gauss-Legendre sums of K (_f43_continued).
 
 The module imports no numpy: the functions that build arrays
 (i_hyg_pi_batch, _series_sums, _i_hyg_quadrature, lauricella_f11_triple)
@@ -74,6 +78,7 @@ them, run without it.
 
 import itertools
 import math
+import sys
 
 from . import elliptic, oracle
 from .errors import ConvergenceError, DomainError
@@ -95,10 +100,14 @@ PFQ_REL_TOL = 1e-13
 # term cap of each series _series_sum sums
 MAX_TERMS = 6000
 
-# the largest ratio at which a single-index sum of I(m, A; theta) runs:
-# beyond it i_hyg_pi integrates in from the surface value and the
-# general-theta i_hyg takes its defining integral
-SERIES_RATIO_MAX = 0.995
+# the largest ratio at which a single-index sum of I(m, A; theta) runs, the
+# largest at which the stopping rule bounds its tail: beyond it i_hyg_pi
+# integrates dI/dA and the general-theta i_hyg takes its defining integral
+SERIES_RATIO_MAX = 0.95
+
+# beyond this ratio i_hyg_pi integrates dI/dA in from the surface value
+# rather than up from A = 0
+_BOUNDARY_RATIO = 0.995
 
 
 def pochhammer(x, k):
@@ -237,8 +246,11 @@ def _gauss_2f1_log_near_one(a, b, c, x):
 def gauss_2f1(a, b, c, x):
     """Gauss hypergeometric series 2F1(a, b; c; x).
 
-    Direct series for 0 <= x < 1, Pfaff transformation for x < 0, and the
-    logarithmic z -> 1-z connection formula when c = a + b and x > 0.95.
+    Direct series for 0 <= x < 1, Pfaff transformation for x < 0 (on
+    whichever of a, b leaves the smaller numerator parameters: on a,
+    (1-x)^(-a) 2F1(a, c-b; c; x/(x-1)), whose terms grow as (1-x)^a where
+    c - b is about a), and the logarithmic z -> 1-z connection formula when
+    c = a + b and x > 0.95.
     Raises ConvergenceError for x >= 1. For c != a + b the direct series
     is the only route up to x = 1, and there it fails: it needs more than
     MAX_TERMS terms and raises ConvergenceError close to 1
@@ -255,6 +267,8 @@ def gauss_2f1(a, b, c, x):
     if x >= 1.0:
         raise ConvergenceError(f"gauss_2f1 series diverges at x >= 1 (got {x})")
     if x < 0.0:
+        if abs(c - a) + abs(b) < abs(a) + abs(c - b):
+            a, b = b, a
         return (1.0 - x) ** (-a) * gauss_2f1(a, c - b, c, x / (x - 1.0))
     if x > 0.95 and abs(c - a - b) < 1e-12 and a > 0 and b > 0:
         return _gauss_2f1_log_near_one(a, b, c, x)
@@ -337,8 +351,9 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     takes its route by i_hyg_pi's rule (_i_hyg_pi_route): the sum over
     the K/E-seeded 2F1(1/2 + l, 1/2; 1; x) at ratio y/(1-x) or the sum
     over the inner 2F1(1/2 + j, 1; 3/2; y) at ratio x/(1-y), whichever
-    ratio is smaller, and, where both exceed 0.995, the integral in from
-    the surface value. At y < 0 and 0 <= x < 1 that family is
+    ratio is smaller, up to 0.95, and beyond it i_hyg_pi's integral of
+    dI/dA, up from A = 0 or, where both ratios exceed 0.995, in from the
+    surface value. At y < 0 and 0 <= x < 1 that family is
     J/(pi sqrt(-y)), J = 2 int_0^atan(sqrt(-y)) cel(sqrt(1-x),
     1 - x cos^2 t, 1, 1-x) dt, by 16-node Gauss-Legendre panels. Other F2
     with alpha = 1/2, beta2 = 1, gamma2 = 3/2, 0 <= x < 1 - 1e-12 and
@@ -363,12 +378,14 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
         if beta == 0.5 and gamma == 1.0 and y >= 0.0:
             if 0.0 <= x < 1.0 and y < 1.0 and x + y <= 1.0:
                 route, omm, omy = _i_hyg_pi_route(x, y, None)
-                if route == "boundary":
+                if route in ("integral", "boundary"):
                     # the gap 1 - x - y correctly rounded: I has a
                     # square-root branch at x + y = 1, so a gap formed from
                     # the rounded 1 - x and sqrt(y) would cost up to 1e-8
-                    sq = math.sqrt(y)
-                    return _i_hyg_pi_from_boundary(x, sq, omm, math.fsum((1.0, -x, -y))) / (math.pi * sq)
+                    sq, gap = math.sqrt(y), math.fsum((1.0, -x, -y))
+                    by_derivative = (_i_hyg_pi_integral if route == "integral"
+                                     else _i_hyg_pi_from_boundary)
+                    return by_derivative(x, sq, omm, gap) / (math.pi * sq)
                 if route == "ke":
                     return _f2_ke_sum(x, y, omm)
                 return _f2_inner_sum(beta, gamma, x, y, omy)
@@ -385,17 +402,17 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y)
 
 
-def _graded_gauss_legendre(f, h, end):
-    # int_0^end f(t) dt, 0 < h <= end, by 16-node Gauss-Legendre rules on
-    # the panels [0, h], [h, 2h], [2h, 4h], ..., end: for f analytic but for
-    # singularities at distance h or more from 0 on the negative or the
-    # imaginary axis, each panel lies within a Bernstein ellipse of
-    # parameter >= 4.6 clear of them
-    a, b = 0.0, h
-    total = oracle.gauss_legendre(f, a, b, 16)
-    while b < end:
-        a, b = b, min(end, 2.0 * b)
-        total += oracle.gauss_legendre(f, a, b, 16)
+def _graded_gauss_legendre(f, h, lo, hi):
+    # int_lo^hi f(t) dt, 0 <= lo <= hi, h > 0, by 16-node Gauss-Legendre
+    # rules on the panels [0, h], [h, 2h], [2h, 4h], ... clipped to
+    # [lo, hi]: for f analytic but for singularities at distance h or more
+    # from 0 on the negative or the imaginary axis, each panel lies within a
+    # Bernstein ellipse of parameter >= 4.6 clear of them
+    total, a, b = 0.0, 0.0, h
+    while a < hi:
+        if b > lo:
+            total += oracle.gauss_legendre(f, max(a, lo), min(b, hi), 16)
+        a, b = b, 2.0 * b
     return total
 
 
@@ -418,7 +435,7 @@ def _f2_family_at_negative_y(x, y):
         s = math.sin(t)
         return elliptic.cel(kc, omx + x * s * s, 1.0, omx)
 
-    return 2.0 * _graded_gauss_legendre(f, min(end, kc), end) / (math.pi * b)
+    return 2.0 * _graded_gauss_legendre(f, min(end, kc), 0.0, end) / (math.pi * b)
 
 
 def _f2_ke_seeds(u):
@@ -607,7 +624,8 @@ def i_hyg(m, A, theta):
     is i_hyg_pi's minus a single sum over the inner 2F1(1/2 + j, 1; 3/2; A^2)
     at ratio m/(1 - A^2). Below |sin(theta/2)| = SMALL_S_THRESHOLD, where
     that series loses accuracy to cancellation, and where its ratio exceeds
-    SERIES_RATIO_MAX, the defining integral is evaluated by adaptive
+    SERIES_RATIO_MAX = 0.95, beyond which the stopping rule no longer
+    bounds its tail, the defining integral is evaluated by adaptive
     quadrature instead.
     """
     if not (math.isfinite(m) and math.isfinite(A) and math.isfinite(theta)):
@@ -663,23 +681,29 @@ def i_hyg_pi(m, A, gap=None):
     m = 1 and the axis m = 0; without it they are formed from m and A.
 
     One rule, _i_hyg_pi_route, chooses the route from the two single-index
-    ratios A^2/(1 - m) and m/(1 - A^2): where both exceed 0.995, the
-    A-derivative is integrated in from the surface value I(m, sqrt(1-m); pi),
-    which is the 4F3 series of its closed form where m <= 1/3 (at
-    mu = -m/(1-m), |mu| <= 1/2, from the exact 1 - m) and the quadrature of
-    int_m^1 K(t) dt/(t sqrt(1-t)) above; otherwise F2 is summed at the
-    smaller ratio, K/E-seeded (_f2_ke_sum) where the first is smaller and
-    over the inner 2F1 (_f2_inner_sum) where it is not. On the boundary
+    ratios A^2/(1 - m) and m/(1 - A^2). Where the smaller is at most
+    SERIES_RATIO_MAX = 0.95, F2 is summed at it, K/E-seeded (_f2_ke_sum)
+    where the first is smaller and over the inner 2F1 (_f2_inner_sum)
+    where it is not. Beyond, the A-derivative 2K(m) + c Pi(n | m) is
+    integrated by fixed 16-node Gauss-Legendre panels (_di_da_integral):
+    up from A' = 0 where the smaller ratio is at most 0.995, and in from
+    the surface value I(m, sqrt(1-m); pi) where both exceed it, which is
+    the 4F3 series of its closed form where m <= 1/3 (at mu = -m/(1-m),
+    |mu| <= 1/2, from the exact 1 - m) and the quadrature of
+    int_m^1 K(t) dt/(t sqrt(1-t)) above. On the boundary
     (gap = 0, or m + A^2 = 1 without gap) the value is the surface value;
     at the rim and at A = 0 it is 0. A negative m, an m + A^2 beyond 1 by
     more than rounding, a gap that is not 1 - m - A^2 up to rounding, a
     non-finite m, A or gap, and m = 0 with |A| = 1, where I diverges, raise
-    DomainError.
+    DomainError; an integral of dI/dA at an m below the normal float range
+    raises ConvergenceError.
     """
     y = A * A
     route, omm, omy = _i_hyg_pi_route(m, y, gap)
     if route == "zero" or A == 0.0:
         return 0.0
+    if route == "integral":
+        return math.copysign(1.0, A) * _i_hyg_pi_integral(m, abs(A), omm, gap)
     if route == "boundary":
         return math.copysign(1.0, A) * _i_hyg_pi_from_boundary(m, abs(A), omm, gap)
     if route == "ke":
@@ -692,10 +716,12 @@ def _i_hyg_pi_route(m, y, gap):
     F2(1/2; 1/2, 1; 1, 3/2; m, y) = I(m, sqrt(y); pi)/(pi sqrt(y)), for
     i_hyg_pi and its batch (y = A^2) and for appell_f2. It alone compares
     the two single-index ratios y/(1 - m) and m/(1 - y). The route is
-    "zero" at the rim 1 - m = 0 (where I is 0), "boundary" where both
-    ratios exceed 0.995, "ke" (the K/E-seeded sum) where the first is
-    smaller and "inner" (the inner-2F1 sum) otherwise. With ``gap`` the
-    complements are y + gap and m + gap. DomainError outside the domain."""
+    "zero" at the rim 1 - m = 0 (where I is 0), "boundary" (the integral
+    in from the surface value) where both ratios exceed 0.995, "integral"
+    (the integral up from A = 0) where both exceed SERIES_RATIO_MAX, and
+    else "ke" (the K/E-seeded sum) where the first is smaller and "inner"
+    (the inner-2F1 sum) otherwise. With ``gap`` the complements are
+    y + gap and m + gap. DomainError outside the domain."""
     if not (m >= 0.0 and m + y <= 1.0 + _BOUNDARY_ROUNDING):
         raise DomainError(f"i_hyg_pi requires m >= 0 and m + A^2 <= 1 (got m = {m}, A^2 = {y})")
     if gap is not None and not abs(m + y + gap - 1.0) <= _BOUNDARY_ROUNDING:
@@ -706,17 +732,21 @@ def _i_hyg_pi_route(m, y, gap):
     if omy <= 0.0 and m == 0.0:
         raise DomainError(f"i_hyg_pi diverges at m = 0, |A| = 1 (got A^2 = {y})")
     ratio_ke, ratio_inner = y / omm, (m / omy if omy > 0.0 else math.inf)
-    if min(ratio_ke, ratio_inner) > SERIES_RATIO_MAX:
+    ratio = min(ratio_ke, ratio_inner)
+    if ratio > _BOUNDARY_RATIO:
         return "boundary", omm, omy
+    if ratio > SERIES_RATIO_MAX:
+        return "integral", omm, omy
     return ("ke" if ratio_ke < ratio_inner else "inner"), omm, omy
 
 
 def i_hyg_pi_batch(m, A, gap):
     """i_hyg_pi(m[i], A[i], gap[i]) for every i, as a float array, where
-    the value comes from a single-index sum; nan elsewhere: on the boundary
-    route, where i_hyg_pi returns 0 early or raises DomainError, and where
-    the sum does not stop within MAX_TERMS terms. The caller takes those
-    values, or their errors, from i_hyg_pi itself.
+    the value comes from a single-index sum, at a ratio of at most
+    SERIES_RATIO_MAX; nan elsewhere: on the integral and boundary routes,
+    where i_hyg_pi returns 0 early or raises DomainError, and where the sum
+    does not stop within MAX_TERMS terms. The caller takes those values,
+    or their errors, from i_hyg_pi itself.
 
     Each element takes its route from i_hyg_pi's rule and its seeds from
     the scalar code; the sums of each route then run in lockstep through
@@ -757,34 +787,55 @@ def i_hyg_pi_batch(m, A, gap):
     return math.pi * A * out
 
 
-# the surface value above m = 1/3 and the integral in from it
-# (_i_hyg_pi_from_boundary, _i_hyg_surface_quad)
+# the surface value above m = 1/3 (_i_hyg_surface_quad)
 _BOUNDARY_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
 
 
-def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
-    # I(m, A) = I(m, A0) - int_A^A0 dI/dA' dA', A0 = sqrt(1-m) = sqrt(omm),
-    # substituted A' = A0 - u^2; the integrable 1/sqrt singularity of the
-    # characteristic-1 limit of Pi disappears in the substitution.
-    # Everything is cancellation-free in u; with gap the span A0 - A is too.
+def _di_da_integral(m, A0, lo, hi):
+    # int_lo^hi of dI/dA' (2u du), A' = A0 - u^2, A0 = sqrt(1 - m): the
+    # integral of dI/dA' over A0 - hi^2 <= A' <= A0 - lo^2. The integrand
+    # dI/dA' = 2K(m) + c Pi(n | m), c = 2 A'^2/(1 - A'^2), n = m/(1 - A'^2),
+    # is cel(A0, 1 - n, 2 + c, 2(1 - n) + c), which is linear in its last
+    # two arguments; times (1 - A'^2)/2 they are 1 and A0^2, so it is
+    # 2 cel(A0, 1 - n, 1, A0^2)/(1 - A'^2), one cel call with 1 - n formed
+    # exactly and no overflow where 1 - A'^2 is small. The integrable
+    # 1/sqrt singularity of Pi at n = 1 (u = 0) disappears in the
+    # substitution. It is analytic in u but for the zeros of 1 - A'^2, the
+    # nearest at u = +-i sqrt(1 - A0), so the panels of
+    # _graded_gauss_legendre with h = sqrt(1 - A0) = sqrt(m/(1 + A0)) stay
+    # clear of them. Everything is cancellation-free in u.
+    if m < sys.float_info.min:
+        # the nodes' u^2, about m or less, would lose their digits
+        raise ConvergenceError(f"i_hyg_pi: the integral of dI/dA needs a normal float m "
+                               f"(got m = {m})")
+
+    def f(u):
+        d = u * u * (2.0 * A0 - u * u)
+        oma2 = m + d  # 1 - A'^2, exactly
+        return elliptic.cel(A0, d / oma2, 1.0, A0 * A0) * (4.0 * u / oma2)
+
+    return _graded_gauss_legendre(f, math.sqrt(m / (1.0 + A0)), lo, hi)
+
+
+def _a0_span(A_abs, omm, gap):
+    # A0 = sqrt(1 - m) and the span A0 - |A|, exact with gap
     A0 = math.sqrt(omm)
-    span = A0 - A_abs if gap is None else gap / (A0 + A_abs)
+    return A0, (A0 - A_abs if gap is None else gap / (A0 + A_abs))
+
+
+def _i_hyg_pi_integral(m, A_abs, omm, gap):
+    # I(m, A) = int_0^A dI/dA' dA', over u from sqrt(A0 - A) to sqrt(A0)
+    A0, span = _a0_span(A_abs, omm, gap)
+    return _di_da_integral(m, A0, math.sqrt(span), math.sqrt(A0))
+
+
+def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
+    # I(m, A) = I(m, A0) - int_A^A0 dI/dA' dA', over u from 0 to sqrt(A0 - A)
+    A0, span = _a0_span(A_abs, omm, gap)
     surf = _i_hyg_surface_f43(m, omm) if _surface_by_series(m, omm) else _i_hyg_surface_quad(A0)
     if span <= 0.0:
         return surf
-
-    def integrand(u):
-        # dI/dA' = 2K(m) + c Pi(n | m), c = 2 A'^2/(1 - A'^2),
-        # n = m/(1 - A'^2): one cel call, at kc = sqrt(1 - m) = A0 and with
-        # 1 - n formed exactly
-        ap = A0 - u * u
-        oma2 = m + u * u * (2.0 * A0 - u * u)  # 1 - A'^2, exactly
-        one_minus_n = u * u * (2.0 * A0 - u * u) / oma2
-        c = 2.0 * ap * ap / oma2
-        return elliptic.cel(A0, one_minus_n, 2.0 + c, 2.0 * one_minus_n + c) * 2.0 * u
-
-    val, _ = oracle.quad_1d(integrand, 0.0, math.sqrt(span), _BOUNDARY_QUADRATURE)
-    return surf - val
+    return surf - _di_da_integral(m, A0, 0.0, math.sqrt(span))
 
 
 def _f43_continued(mu):
@@ -798,7 +849,7 @@ def _f43_continued(mu):
     def f(s):
         return (2.0 / math.pi * elliptic.cel(math.sqrt(1.0 - mu * s), 1.0, 1.0, 1.0) - 1.0) / s
 
-    return 4.0 / mu * _graded_gauss_legendre(f, min(1.0, -1.0 / mu), 1.0)
+    return 4.0 / mu * _graded_gauss_legendre(f, min(1.0, -1.0 / mu), 0.0, 1.0)
 
 
 def i_hyg_surface(m):

@@ -35,12 +35,14 @@ def _agm_chain(m):
     chain = []
     for _ in range(64):
         chain.append((a, c))
-        # c is half the difference of a and b; once it is within a rounding
-        # of a (at m = 0.5 it stalls at half an ulp, never reaching 1e-17 a)
-        # the next step changes a by no more than that
+        # once c is within a rounding of a the next step changes a by no
+        # more than that
         if abs(c) <= 2.0 ** -53 * a:
             break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        # c_{k+1} = (a_k - b_k)/2 = c_k^2/(4 a_{k+1}), formed without the
+        # cancellation of a_k - b_k at small m
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = c * c / (4.0 * a)
     return chain
 
 

@@ -59,7 +59,12 @@ def _crit01_ihyg_identity(rng, full):
             if m + A * A >= 0.98:
                 continue
             for th in thetas:
-                closed = hypergeom.i_hyg(m, A, th)
+                # the closed form at every point: i_hyg_pi's value minus the
+                # single sum (just the former at theta = pi), also at the full
+                # grid's m = 0.945, |A| = 0.099, whose ratio m/(1 - A^2) =
+                # 0.954 is past SERIES_RATIO_MAX, where i_hyg itself takes
+                # the defining integral
+                closed = hypergeom._i_hyg_series(m, A, math.sin(th / 2.0))
                 ref = _ihyg_quad(m, A, th)
                 worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-3))
                 count += 1

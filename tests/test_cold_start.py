@@ -86,9 +86,9 @@ def test_package_attributes_resolve():
 
 
 def test_array_paths_work_from_a_fresh_process(tmp_path):
-    # the boundary route of a near-surface phi_tube runs quad_1d, which
-    # loads numpy; the batch sums with numpy; the grid batches its end
-    # terms; each gives what it gives in this process
+    # the boundary route of a near-surface phi_tube runs quad_1d for its
+    # surface value, which loads numpy; the batch sums with numpy; the grid
+    # batches its end terms; each gives what it gives in this process
     near = (1.0 + 1e-9, 0.3)
     m, A, gap = [0.3, 0.6, 0.1], [0.5, 0.2, 0.9], [1.0 - 0.3 - 0.25, 1.0 - 0.6 - 0.04, 0.0]
     grid = ["grid", "--body", "tube", "--R", "1", "--Z", "0.7", "--density", "1",

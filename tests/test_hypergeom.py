@@ -80,6 +80,17 @@ def test_gauss_2f1_basic():
         2.0 / math.pi * elliptic.comp_k(0.7), rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [200.5, 1000.5, 1100.5])
+def test_gauss_2f1_at_negative_x_transforms_the_smaller_parameter(a):
+    # Pfaff's transformation on a gives 2F1(a, a + 1/2; a + 1; 0.4987...),
+    # whose terms grow as 1.995^a: 2.5e-14 and 1.2e-13 off at a = 200.5 and
+    # 1000.5 and not finite at 1100.5; on b it is 2F1(1, 1/2; a + 1; ...)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyp2f1(a, 0.5, a + 1.0, -0.995))
+    assert hg.gauss_2f1(a, 0.5, a + 1.0, -0.995) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_gauss_2f1_euler_integral_cross_check():
     # 2F1(a,b;c;x) = B(b, c-b)^(-1) int_0^1 t^(b-1) (1-t)^(c-b-1) (1-xt)^(-a) dt
     a, b, c, x = 0.8, 0.6, 2.2, -3.5
@@ -131,11 +142,11 @@ def test_series_sum_term_cap():
 def test_max_terms_caps_each_series(monkeypatch):
     # each call needs more than 64 terms of the series its error names: the
     # 2F1 series at x = 0.94, the inner-2F1 and K/E-seeded single-index F2
-    # sums, the F1 sum over x (its inner 2F1 series at y = 0.1 need fewer)
-    # and the i_hyg_alt series
+    # sums (at ratio 0.9375, below SERIES_RATIO_MAX), the F1 sum over x (its
+    # inner 2F1 series at y = 0.1 need fewer) and the i_hyg_alt series
     calls = [((hg.gauss_2f1, 0.5, 0.5, 1.0, 0.94), "gauss_2f1 series"),
-             ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.3, 0.69), "appell_f2 inner-2F1 series"),
-             ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.69, 0.3), "appell_f2 K/E-seeded series"),
+             ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.3, 0.68), "appell_f2 inner-2F1 series"),
+             ((hg.appell_f2, 0.5, 0.5, 1, 1, 1.5, 0.68, 0.3), "appell_f2 K/E-seeded series"),
              ((hg.appell_f1, 0.5, 0.5, 0.5, 1.5, 0.9, 0.1), "appell_f1 series"),
              ((hg.i_hyg_alt, 3, 0.45, 0.6, 0.95), "i_hyg_alt variant 3")]
     values = [fn(*args) for (fn, *args), _ in calls]
@@ -285,6 +296,16 @@ def _f2_family_by_quadrature(m, y):
         return float(mpmath.quad(f, nodes) / (mpmath.pi * A))
 
 
+@pytest.mark.parametrize("m, y", [(0.3, 0.69), (0.4, 0.595), (0.55, 0.447)])
+def test_appell_f2_family_above_the_series_ratio_matches_its_defining_integral(m, y):
+    # the smaller single-index ratio 0.968, 0.988 and 0.993: the integral of
+    # dI/dA up from A = 0. The sums there were 5.2e-13, 1.4e-12 and 2.7e-12
+    # off, the stopping rule's tail beyond ratio 0.95
+    assert hg._i_hyg_pi_route(m, y, None)[0] == "integral"
+    assert hg.appell_f2(0.5, 0.5, 1, 1, 1.5, m, y) == pytest.approx(
+        _f2_family_by_quadrature(m, y), rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("m, y", [(0.5, 0.4976), (0.5, 0.4999), (0.9, 0.0999), (0.1, 0.8999),
                                   (0.3, 0.7), (1e-13, 1.0 - 1e-13)])
 def test_appell_f2_family_near_the_boundary_matches_its_defining_integral(m, y):
@@ -302,7 +323,8 @@ def test_appell_f2_family_takes_the_route_of_i_hyg_pi(monkeypatch):
     # one rule decides both
     taken = []
     for name, tag in (("_f2_ke_sum", "ke"), ("_f2_inner_sum", "inner"),
-                      ("_i_hyg_pi_from_boundary", "boundary"), ("_appell_f2_direct", "direct")):
+                      ("_i_hyg_pi_integral", "integral"), ("_i_hyg_pi_from_boundary", "boundary"),
+                      ("_appell_f2_direct", "direct")):
         def record(*args, _tag=tag, _fn=getattr(hg, name)):
             taken.append(_tag)
             return _fn(*args)
@@ -318,7 +340,7 @@ def test_appell_f2_family_takes_the_route_of_i_hyg_pi(monkeypatch):
         hg.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, A * A)
         assert len(taken) == 2 and taken[0] == taken[1], (m, A, taken)
         tags.append(taken[0])
-    assert set(tags) == {"ke", "inner", "boundary"}
+    assert set(tags) == {"ke", "inner", "integral", "boundary"}
 
 
 def test_appell_f2_inner_route_for_i_hyg_alt_first_term():
@@ -547,26 +569,24 @@ def test_i_hyg_matches_quadrature_including_small_theta():
 def test_i_hyg_near_the_boundary_matches_quadrature():
     # seeded (m, A, theta) with 1 - m - A^2 down to 10^-8.5 (1 - m), inside
     # i_hyg's domain m + A^2 < 1 - 1e-9: every value finite. Up to ratio
-    # m/(1 - A^2) = 0.95 the single sum is within 1e-11 of the defining
-    # integral; on (0.95, SERIES_RATIO_MAX] the stopping rule's tail bound
-    # (ROADMAP item 6) allows 5e-11; beyond it i_hyg takes the integral. The
-    # double sum this replaced returned +-inf, raised or was off at 355 of
-    # 396 such points
+    # m/(1 - A^2) = SERIES_RATIO_MAX = 0.95, the limit of the stopping
+    # rule's tail bound, the single sum is within 1e-11 of the defining
+    # integral; beyond it i_hyg takes the integral (with the single sum on
+    # (0.95, 0.995] that band was 2.2e-11 off). The double sum this replaced
+    # returned +-inf, raised or was off at 355 of 396 such points
     rng = np.random.default_rng(31)
-    worst = {"series": 0.0, "tail": 0.0, "quadrature": 0.0}
+    worst = {"series": 0.0, "quadrature": 0.0}
     for _ in range(396):
         m = float(rng.uniform(0.05, 0.95))
         frac = 10.0 ** rng.uniform(max(-8.5, math.log10(2e-9 / (1.0 - m))), -1.0)
         A, th = math.sqrt((1.0 - m) * (1.0 - frac)), float(rng.uniform(0.2, math.pi))
         value, ratio = hg.i_hyg(m, A, th), m / (1.0 - A * A)
-        band = ("series" if ratio <= 0.95 else
-                "tail" if ratio <= hg.SERIES_RATIO_MAX else "quadrature")
+        band = "series" if ratio <= hg.SERIES_RATIO_MAX else "quadrature"
         ref = quad_ihyg(m, A, th)
         assert math.isfinite(value), (m, A, th)
         worst[band] = max(worst[band], abs(value - ref) / abs(ref))
     assert all(worst.values()), worst  # every band is drawn
     assert worst["series"] <= 1e-11 and worst["quadrature"] <= 1e-11, worst
-    assert worst["tail"] <= 5e-11, worst
 
 
 def test_i_hyg_odd_in_both_arguments():
@@ -629,12 +649,29 @@ def test_i_hyg_pi_near_boundary_band():
     assert hg.i_hyg_pi(m, A) == pytest.approx(quad_ihyg(m, A, math.pi), rel=1e-9)
 
 
+def _i_hyg_pi_at_slot(R, zeta, r):
+    # I(m, A; pi) at slot (R, zeta; r) in 30-digit mpmath, m and A formed
+    # there from the exact geometry, by the defining integral written with
+    # t = pi - u: 1 - m sin^2(t/2) = sin^2(u/2) + (1 - m) cos^2(u/2)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        R, z, r0 = mpmath.mpf(R), mpmath.mpf(zeta), mpmath.mpf(r)
+        L2 = (R + r0) ** 2 + z * z
+        A, omm = z / mpmath.sqrt(L2), ((R - r0) ** 2 + z * z) / L2
+
+        def f(u):
+            return mpmath.atanh(A / mpmath.sqrt(mpmath.sin(u / 2) ** 2
+                                                + omm * mpmath.cos(u / 2) ** 2))
+
+        nodes = [0] + [mpmath.mpf(10) ** k for k in range(-9, 1)] + [mpmath.pi]
+        return float(mpmath.quad(f, nodes))
+
+
 def test_i_hyg_pi_next_to_the_rim_takes_a_single_index_sum(monkeypatch):
     # slots (1, 1e-6; 1 + 1e-6), next to the rim of the tube: 1 - m = 5e-13
     # and gap/(1 - m) = 0.5. With the exact complements from aux the
     # K/E-seeded sum runs at ratio 0.5; the reference integrates the
     # defining integral with 1 - m sin^2(t/2) written through the exact 1 - m
-    mpmath = pytest.importorskip("mpmath")
     from appellfield.geometry import aux
     a = aux(1.0, 1e-6, 1.0 + 1e-6)
     assert a.one_minus_m == pytest.approx(5e-13, rel=1e-5)
@@ -642,18 +679,51 @@ def test_i_hyg_pi_next_to_the_rim_takes_a_single_index_sum(monkeypatch):
     monkeypatch.setattr(hg, "_i_hyg_pi_from_boundary",
                         lambda *args: pytest.fail("boundary route taken"))
     value = hg.i_hyg_pi(a.m, a.A, a.gap)
-    with mpmath.workdps(30):
-        r, z, r0 = mpmath.mpf(1.0), mpmath.mpf(1e-6), mpmath.mpf(1.0 + 1e-6)
-        L2 = (r + r0) ** 2 + z * z
-        A, omm = z / mpmath.sqrt(L2), ((r - r0) ** 2 + z * z) / L2
+    assert value == pytest.approx(_i_hyg_pi_at_slot(1.0, 1e-6, 1.0 + 1e-6), rel=1e-13, abs=0.0)
 
-        def f(u):  # t = pi - u
-            return mpmath.atanh(A / mpmath.sqrt(mpmath.sin(u / 2) ** 2
-                                                + omm * mpmath.cos(u / 2) ** 2))
 
-        nodes = [0] + [mpmath.mpf(10) ** k for k in range(-9, 1)] + [mpmath.pi]
-        ref = float(mpmath.quad(f, nodes))
-    assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+def test_i_hyg_pi_above_the_series_ratio_matches_mpmath():
+    # seeded slots (R = 1, zeta; r) whose smaller single-index ratio lies in
+    # (0.95, 0.995], the integral route: half of them near the r = R column
+    # far up it, m down to 4e-5, where the graded panels are most; the
+    # single-index sums there were up to 3.4e-12 off
+    from appellfield.geometry import aux
+    rng = np.random.default_rng(33)
+    slots = []
+    for i in range(240):
+        if i % 2:
+            r, zeta = 1.0 + float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.5)), \
+                float(10.0 ** rng.uniform(1.0, 2.5))
+        else:
+            r, zeta = float(rng.uniform(0.0, 3.0)), float(10.0 ** rng.uniform(-1.0, 1.0))
+        a = aux(1.0, zeta, r)
+        y = a.A * a.A
+        if 0.95 < min(y / (y + a.gap), a.m / (a.m + a.gap)) <= 0.995 and len(slots) < 24:
+            slots.append((zeta, r, a))
+    assert len(slots) == 24 and min(a.m for _, _, a in slots) < 1e-4
+    for zeta, r, a in slots:
+        assert hg._i_hyg_pi_route(a.m, a.A * a.A, a.gap)[0] == "integral", (zeta, r)
+        assert hg.i_hyg_pi(a.m, a.A, a.gap) == pytest.approx(
+            _i_hyg_pi_at_slot(1.0, zeta, r), rel=1e-14, abs=0.0), (zeta, r)
+
+
+def test_i_hyg_pi_integrates_di_da_down_to_the_normal_float_range():
+    # at m = 1e-300, gap = 1e-303 the boundary route's integral in from the
+    # surface value equals the 360-digit mpmath value of the defining
+    # integral; below the normal float range the nodes' u^2 lose their
+    # digits, and both integrals of dI/dA raise one typed error naming
+    # i_hyg_pi, while the surface value itself (gap = 0) stays finite
+    m, gap = 1e-300, 1e-303
+    assert hg._i_hyg_pi_route(m, 1.0 - m - gap, gap)[0] == "boundary"
+    assert hg.i_hyg_pi(m, math.sqrt(1.0 - m - gap), gap) == pytest.approx(
+        1089.3235047104695, rel=1e-14, abs=0.0)
+    for m, gap, route in ((1e-322, 5e-324, "integral"), (1e-320, 1e-323, "boundary")):
+        A = math.sqrt(1.0 - m - gap)
+        assert hg._i_hyg_pi_route(m, A * A, gap)[0] == route
+        with pytest.raises(ConvergenceError, match="i_hyg_pi"):
+            hg.i_hyg_pi(m, A, gap)
+        assert math.isnan(hg.i_hyg_pi_batch([m], [A], [gap])[0])
+    assert math.isfinite(hg.i_hyg_pi(1e-322, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("A", [1.0, -1.0])
@@ -700,26 +770,49 @@ def _gaps_around_ratio(num, target):
     return gaps
 
 
-@pytest.mark.parametrize("side, route", [(-1, None), (0, None), (1, "boundary")])
-@pytest.mark.parametrize("m, A, route_below", [(0.6, 0.45, "ke"), (0.45 * 0.45, 0.75, "inner")])
-def test_i_hyg_pi_route_at_the_boundary_threshold(m, A, route_below, side, route):
-    # the smaller ratio just below, at and just above 0.995, the larger one
-    # above it: only above 0.995 does the boundary route take over. The
-    # smaller ratio's numerator (A^2 on the K/E-seeded route, m on the
+@pytest.mark.parametrize("side", [-1, 0, 1])
+@pytest.mark.parametrize("threshold, above", [(0.95, "integral"), (0.995, "boundary")])
+@pytest.mark.parametrize("m, A, series", [(0.6, 0.45, "ke"), (0.45 * 0.45, 0.75, "inner")])
+def test_i_hyg_pi_route_at_the_ratio_thresholds(m, A, series, threshold, above, side):
+    # the smaller ratio just below, at and just above each threshold, the
+    # larger one above it: the single-index sums run up to 0.95
+    # (SERIES_RATIO_MAX), the integral of dI/dA up from A = 0 beyond it and
+    # up to 0.995, and the integral in from the surface value beyond that.
+    # The smaller ratio's numerator (A^2 on the K/E-seeded route, m on the
     # inner-2F1 one) and the gap fix the triple: the other argument is
     # replaced by the one that m + A^2 + gap = 1 gives
-    if route_below == "ke":
-        gap = _gaps_around_ratio(A * A, 0.995)[side]
+    below = series if threshold == hg.SERIES_RATIO_MAX else "integral"
+    if series == "ke":
+        gap = _gaps_around_ratio(A * A, threshold)[side]
         m = 1.0 - A * A - gap
     else:
-        gap = _gaps_around_ratio(m, 0.995)[side]
+        gap = _gaps_around_ratio(m, threshold)[side]
         A = math.sqrt(1.0 - m - gap)
     tag, omm, omy = hg._i_hyg_pi_route(m, A * A, gap)
     assert (omm, omy) == (A * A + gap, m + gap)
     smaller, larger = sorted((A * A / omm, m / omy))
-    assert {1: smaller > 0.995, 0: smaller == 0.995, -1: smaller < 0.995}[side]
-    assert larger > 0.995
-    assert tag == (route or route_below)
+    assert {1: smaller > threshold, 0: smaller == threshold, -1: smaller < threshold}[side]
+    assert larger > threshold
+    assert tag == (above if side == 1 else below)
+
+
+@pytest.mark.parametrize("threshold", [0.95, 0.995])
+@pytest.mark.parametrize("m, A", [(0.6, 0.45), (0.45 * 0.45, 0.75)])
+def test_i_hyg_pi_is_continuous_across_the_ratio_thresholds(m, A, threshold):
+    # the values just below and just above each threshold, on either
+    # single-index route, agree to the accuracy of the route below: the
+    # sums' tolerance at 0.95, the rounding of the integrals at 0.995
+    values = []
+    for side in (-1, 1):
+        if m > A * A:
+            gap = _gaps_around_ratio(A * A, threshold)[side]
+            triple = (1.0 - A * A - gap, A, gap)
+        else:
+            gap = _gaps_around_ratio(m, threshold)[side]
+            triple = (m, math.sqrt(1.0 - m - gap), gap)
+        values.append(hg.i_hyg_pi(*triple))
+    tol = hg.REL_TOL if threshold == hg.SERIES_RATIO_MAX else 1e-14
+    assert values[0] == pytest.approx(values[1], rel=tol, abs=0.0)
 
 
 def test_i_hyg_pi_route_tags():
@@ -751,8 +844,8 @@ def test_i_hyg_pi_route_tags():
 def _batch_arguments(rng, n):
     # (m, A, gap = 1 - m - A^2) over both single-index routes, their ratios
     # up to 0.995, the axis m = 0, A^2 down to 1e-30 and gap from 0 to 1 - m,
-    # the grids' arguments, and boundary, zero and out-of-domain elements
-    # for the batch to leave
+    # the grids' arguments, and integral, boundary, zero and out-of-domain
+    # elements for the batch to leave
     out = []
     for _ in range(n):
         m = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
@@ -779,7 +872,8 @@ def _batch_arguments(rng, n):
     out += [(0.3, 0.0, 0.7), (0.5, math.sqrt(0.5), 0.0), (0.0, 1.0, 0.0), (-0.1, 0.5, 0.5),
             (0.5, 0.75, 0.1), (math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
             (0.5, 0.5, 1e301)]  # a gap that is not 1 - m - A^2
-    assert {_route_or_error(*a) for a in out} == {"zero", "boundary", "ke", "inner", "error"}
+    assert {_route_or_error(*a) for a in out} == {"zero", "integral", "boundary", "ke", "inner",
+                                                  "error"}
     return out
 
 

@@ -267,6 +267,13 @@ def test_zeta_reduced_by_whole_periods():
     assert abs(jc.jacobi_zeta(8e15, m)) < 0.15
 
 
+@pytest.mark.parametrize("u", [1e-8, 1e-4, 0.016])
+def test_zeta_at_small_m_matches_mpmath(u):
+    # the AGM chain's c_1 = (1 - sqrt(1 - m))/2 cancels at small m, and Z
+    # carried that 8e-15 error; c_{k+1} = c_k^2/(4 a_{k+1}) does not cancel
+    assert jc.jacobi_zeta(u, 0.05) == pytest.approx(_zeta_mpmath(u, 0.05), rel=1e-15, abs=0.0)
+
+
 def test_zeta_raises_where_no_digit_of_u_mod_2k_is_left():
     m = 0.5
     edge = elliptic.comp_k(m) * 2.0 ** 52  # 8.35e15: |u| 2^-52 reaches K

@@ -65,9 +65,10 @@ def test_two_passes_of_the_special_function_checks_read_the_same():
 
 @pytest.mark.parametrize("full", [False, True])
 def test_c01_checks_the_series_at_every_point(monkeypatch, full):
-    # C01's largest ratio m/(1 - A^2) is 0.954, below SERIES_RATIO_MAX, and
-    # its smallest |sin(theta/2)| above SMALL_S_THRESHOLD: the closed form
-    # it compares with the defining integral is never that integral itself
+    # C01 takes i_hyg's single sum at every point, also at its largest
+    # ratio m/(1 - A^2), 0.954, past SERIES_RATIO_MAX, where i_hyg itself
+    # takes its quadrature: the closed form it compares with the defining
+    # integral is never that integral itself
     monkeypatch.setattr(hypergeom, "_i_hyg_quadrature",
                         lambda *args: pytest.fail("i_hyg took its quadrature"))
     assert verify.run_check("C01", seed=0, full=full).passed
