@@ -41,9 +41,9 @@ when the caller passes gap = 1 - m - A^2) and hands them to the sums:
 the K/E-seeded sum where A^2/(1-m) < m/(1-A^2), the inner-2F1 sum
 otherwise, both up to ratio 0.95. Beyond it the value is an integral of
 dI/dA' = 2K(m) + c Pi(n | m) = 2 cel(sqrt(1-m), 1-n, 1, 1-m)/(1 - A'^2),
-one cel call per node, by the graded 16-node Gauss-Legendre panels of one
-helper (_di_da_integral): over
-0 <= A' <= A where the smaller ratio is at most 0.995 (_i_hyg_pi_integral),
+one cel call per node, by oracle.graded_gauss_legendre in one helper
+(_di_da_integral): over 0 <= A' <= A where the smaller ratio is at most
+0.995 (_i_hyg_pi_integral),
 and in from the surface value I(m, sqrt(1-m); pi) beyond, which is the
 4F3 series of its closed form up to m = 1/3 and a quadrature above
 (_i_hyg_pi_from_boundary, _surface_by_series). The general-theta i_hyg
@@ -63,12 +63,15 @@ gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
 non-finite argument, as every public function of elliptic and jacobi does;
 pochhammer(nan, k) is nan. i_hyg(m, A, theta) takes plain arguments and
 checks their domain itself.
-Its quadrature of the defining integral (small theta, and a ratio
-m/(1 - A^2) beyond SERIES_RATIO_MAX) and the surface value above m = 1/3
-each run oracle.quad_1d at one fixed QuadratureSpec, a module constant.
-The 4F3 form of the surface value above m = 1/3, which check C03 compares
-with that quadrature, continues the 4F3 past its radius by fixed 16-node
-Gauss-Legendre sums of K (_f43_continued).
+Two integrals run oracle.quad_1d, each at one fixed QuadratureSpec, a
+module constant: i_hyg's defining integral (small theta, and a ratio
+m/(1 - A^2) beyond SERIES_RATIO_MAX; _I_HYG_QUADRATURE) and the surface
+value above m = 1/3 (_i_hyg_surface_quad; _SURFACE_QUADRATURE). Every
+other integral of the module, of cel or K, is the scalar form of
+oracle.graded_gauss_legendre, the package's one graded 16-node
+Gauss-Legendre rule: _di_da_integral, _f2_family_at_negative_y, and
+_f43_continued, which continues the 4F3 form of the surface value past its
+radius for check C03 to compare with that quadrature.
 
 The module imports no numpy: the functions that build arrays
 (i_hyg_pi_batch, _series_sums, _i_hyg_quadrature, lauricella_f11_triple)
@@ -402,20 +405,6 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     return _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y)
 
 
-def _graded_gauss_legendre(f, h, lo, hi):
-    # int_lo^hi f(t) dt, 0 <= lo <= hi, h > 0, by 16-node Gauss-Legendre
-    # rules on the panels [0, h], [h, 2h], [2h, 4h], ... clipped to
-    # [lo, hi]: for f analytic but for singularities at distance h or more
-    # from 0 on the negative or the imaginary axis, each panel lies within a
-    # Bernstein ellipse of parameter >= 4.6 clear of them
-    total, a, b = 0.0, 0.0, h
-    while a < hi:
-        if b > lo:
-            total += oracle.gauss_legendre(f, max(a, lo), min(b, hi), 16)
-        a, b = b, 2.0 * b
-    return total
-
-
 def _f2_family_at_negative_y(x, y):
     # F2(1/2; 1/2, 1; 1, 3/2; x, y) for 0 <= x < 1 and y < 0: with B = sqrt(-y),
     # pi B F2 = int_0^pi atan(B/sqrt(1 - x sin^2(t/2))) dt
@@ -423,9 +412,9 @@ def _f2_family_at_negative_y(x, y):
     # (atan(B/s) = int_0^atan(B) s dt/(s^2 cos^2 t + sin^2 t)). The integrand
     # is analytic but for the zeros of 1 - x cos^2 t, the nearest at
     # t = +-i acosh(1/sqrt(x)), at least sqrt(1-x) from 0: the panels of
-    # _graded_gauss_legendre with h = min(atan(B), sqrt(1-x)) stay clear of
-    # them. The characteristic is formed as 1 - x + x sin^2 t, without
-    # cancellation.
+    # oracle.graded_gauss_legendre with h = min(atan(B), sqrt(1-x)) stay
+    # clear of them. The characteristic is formed as 1 - x + x sin^2 t,
+    # without cancellation.
     b = math.sqrt(-y)
     end = math.atan(b)
     omx = 1.0 - x
@@ -435,7 +424,7 @@ def _f2_family_at_negative_y(x, y):
         s = math.sin(t)
         return elliptic.cel(kc, omx + x * s * s, 1.0, omx)
 
-    return 2.0 * _graded_gauss_legendre(f, min(end, kc), 0.0, end) / (math.pi * b)
+    return 2.0 * oracle.graded_gauss_legendre(f, min(end, kc), 0.0, end) / (math.pi * b)
 
 
 def _f2_ke_seeds(u):
@@ -788,7 +777,7 @@ def i_hyg_pi_batch(m, A, gap):
 
 
 # the surface value above m = 1/3 (_i_hyg_surface_quad)
-_BOUNDARY_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+_SURFACE_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
 
 
 def _di_da_integral(m, A0, lo, hi):
@@ -802,8 +791,8 @@ def _di_da_integral(m, A0, lo, hi):
     # 1/sqrt singularity of Pi at n = 1 (u = 0) disappears in the
     # substitution. It is analytic in u but for the zeros of 1 - A'^2, the
     # nearest at u = +-i sqrt(1 - A0), so the panels of
-    # _graded_gauss_legendre with h = sqrt(1 - A0) = sqrt(m/(1 + A0)) stay
-    # clear of them. Everything is cancellation-free in u.
+    # oracle.graded_gauss_legendre with h = sqrt(1 - A0) = sqrt(m/(1 + A0))
+    # stay clear of them. Everything is cancellation-free in u.
     if m < sys.float_info.min:
         # the nodes' u^2, about m or less, would lose their digits
         raise ConvergenceError(f"i_hyg_pi: the integral of dI/dA needs a normal float m "
@@ -814,7 +803,7 @@ def _di_da_integral(m, A0, lo, hi):
         oma2 = m + d  # 1 - A'^2, exactly
         return elliptic.cel(A0, d / oma2, 1.0, A0 * A0) * (4.0 * u / oma2)
 
-    return _graded_gauss_legendre(f, math.sqrt(m / (1.0 + A0)), lo, hi)
+    return oracle.graded_gauss_legendre(f, math.sqrt(m / (1.0 + A0)), lo, hi)
 
 
 def _a0_span(A_abs, omm, gap):
@@ -843,13 +832,13 @@ def _f43_continued(mu):
     # for mu < 0: int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds integrated by
     # parts, with d/dx (2/pi) K(x) = 2F1(3/2,3/2;2; x)/4. The integrand is
     # analytic on [0, 1], mu/4 at s = 0, and its one singularity is K's log
-    # branch at s = 1/mu, summed by _graded_gauss_legendre with
+    # branch at s = 1/mu, summed by oracle.graded_gauss_legendre with
     # h = min(1, -1/mu). K at the negative parameter mu s is cel at
     # kc = sqrt(1 - mu s) >= 1.
     def f(s):
         return (2.0 / math.pi * elliptic.cel(math.sqrt(1.0 - mu * s), 1.0, 1.0, 1.0) - 1.0) / s
 
-    return 4.0 / mu * _graded_gauss_legendre(f, min(1.0, -1.0 / mu), 0.0, 1.0)
+    return 4.0 / mu * oracle.graded_gauss_legendre(f, min(1.0, -1.0 / mu), 0.0, 1.0)
 
 
 def i_hyg_surface(m):
@@ -900,7 +889,7 @@ def _i_hyg_surface_quad(b):
         # K(1 - v^2) with the complementary modulus kc = v exact
         return 2.0 * elliptic.cel(v, 1.0, 1.0, 1.0) / (1.0 - v * v) - 2.0 * L
 
-    rem, _ = oracle.quad_1d(remainder, 0.0, b, _BOUNDARY_QUADRATURE)
+    rem, _ = oracle.quad_1d(remainder, 0.0, b, _SURFACE_QUADRATURE)
     return 2.0 * b * (math.log(4.0 / b) + 1.0) + rem
 
 

@@ -99,16 +99,21 @@ def jacobi_dn(u, m):
     return math.sqrt(1.0 - m * sn * sn)
 
 
+def _am_off_poles(u, m, K):
+    # am(u | m), for finite u and m in [0, 1) with K = K(m); SingularityError
+    # within _POLE_GUARD of an odd multiple of K, the poles of sc
+    k = math.floor(u / K + 0.5)
+    if k % 2 != 0 and abs(u - k * K) < _POLE_GUARD:
+        raise SingularityError(f"jacobi_sc: pole at u = {k}*K(m)")
+    return jacobi_am(u, m)
+
+
 def jacobi_sc(u, m):
     """sc(u | m) = sn/cn, with poles at odd multiples of K(m)."""
     _check_u("jacobi_sc", u)
     _check_m(m)
-    K = elliptic.comp_k(m)  # pi/2 exactly at m = 0, where the poles are odd multiples of pi/2
-    k = math.floor(u / K + 0.5)
-    if k % 2 != 0 and abs(u - k * K) < _POLE_GUARD:
-        raise SingularityError(f"jacobi_sc: pole at u = {k}*K(m)")
-    phi = jacobi_am(u, m)
-    return math.tan(phi)
+    # K is pi/2 exactly at m = 0, where the poles are odd multiples of pi/2
+    return math.tan(_am_off_poles(u, m, elliptic.comp_k(m)))
 
 
 def jacobi_zeta(u, m):
@@ -191,9 +196,10 @@ def int_z_sc(u, m, branch=0):
     _check_m(m, allow_zero=False)
     if u == 0.0 and branch == 0:
         return 0.0
-    sc = jacobi_sc(u, m)  # raises at poles
-    am = jacobi_am(u, m)
+    _check_u("int_z_sc", u)
     K = elliptic.comp_k(m)
+    am = _am_off_poles(u, m, K)  # raises at the poles of sc
+    sc = math.tan(am)
     f2 = hypergeom.appell_f2(0.5, 0.5, 1.0, 1.0, 1.5, m, (m - 1.0) * sc * sc)
     val = -am + math.pi * sc / (2.0 * K) * f2
     if branch:

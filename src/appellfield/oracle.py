@@ -1,6 +1,7 @@
 """Independent brute-force references: adaptive Gauss-Kronrod quadrature in
-1-D (the package's only adaptive quadrature), the Coulomb references
-``coulomb_phi`` and ``coulomb_psi`` for cylinders and tubes,
+1-D (the package's only adaptive quadrature), the package's one graded
+Gauss-Legendre rule, the Coulomb references ``coulomb_phi`` and
+``coulomb_psi`` for cylinders and tubes,
 one five-point finite-difference stencil for the two cylindrical operators,
 the central-difference gradient, fixed Gauss-Legendre rules, and the
 circulation of a vector field (such as a finite-difference gradient) around
@@ -12,6 +13,13 @@ times. Every caller passes a ``QuadratureSpec``: an absolute and a relative
 tolerance, and at most one singular endpoint. Callers with a fixed request
 build their spec once, as a module constant.
 
+``graded_gauss_legendre(f, h, lo, hi)`` is a fixed rule instead: 16-node
+Gauss-Legendre panels [0, h], [h, 2h], [2h, 4h], ... clipped to [lo, hi],
+for an integrand whose nearest singularity lies at distance h from 0. Its
+scalar form serves hypergeom's integrals of cel and K; its vectorized form,
+every panel's nodes in one numpy call, serves the Coulomb references and
+verify's defining integral of I(m, A; theta).
+
 Importing this module loads no numpy, so hypergeom, which builds its specs
 at import, stays free of it too: the rule's tables are literal tuples, made
 numpy arrays once, on the first panel, and the quadrature and the Coulomb
@@ -19,12 +27,16 @@ integrands import numpy where they run. The fixed Gauss-Legendre rules are
 formed by Newton's iteration on first use.
 
 The Coulomb references integrate Coulomb's law with every inner integral
-done exactly, so one ``quad_1d`` of an elementary integrand remains. At
-points within distance 1e2 of the origin they agree with 30-digit mpmath
-quadrature of the same reductions to within 8e-15 for phi and 6.1e-14 for
-psi (2.1e-13 next to the tube sheet). Further out the cylinder's ray
-differences cancel: the error grows (4.5e-11 for phi at |z| = 5e5 on the
-axis) and quad_1d can exhaust its subdivision budget.
+done exactly, so one integral of an elementary integrand over an angle
+remains, which graded_gauss_legendre takes toward its singular end: the
+ring's theta = 0, where D vanishes on r = R, and the chord's upper end.
+At 140 seeded points per body (polar, and 1e-12 to 1e-2 from the side and
+the end planes) they agree with 30-digit mpmath quadrature of the same
+reductions to within 1.1e-15 for phi and 3.7e-15 for psi where the point
+lies within 10 max(R, Z) of the origin, and 1.8e-14 for phi and 4.2e-14
+for psi out to 1e2 max(R, Z). Further out the cylinder's chord differences
+cancel (phi was 4.5e-11 off at |z| = 5e5 on the axis), so both raise
+DomainError beyond that range.
 
 These are deliberately kept free of any closed-form machinery from the rest
 of the package so that every acceptance test compares two independent routes.
@@ -173,11 +185,14 @@ def quad_1d(f, a, b, spec, vectorized=False):
 # the z' integral over the source is done exactly and, for the cylinder, so is
 # the radial integral along each ray of a polar frame centred on the point.
 # What is left is elementary, and the differences that would cancel next to
-# the surfaces are rearranged, so one adaptive 1-D quadrature at this
-# tolerance lands within about 1e-14 of the result (see the module docstring).
-# The ring's theta = 0 end and the chord's upper end are flagged singular.
-_RING_QUADRATURE = QuadratureSpec(1e-15, 1e-13, singular_endpoints=(True, False))
-_CHORD_QUADRATURE = QuadratureSpec(1e-15, 1e-13, singular_endpoints=(False, True))
+# the surfaces are rearranged, so graded_gauss_legendre, its panels sized by
+# the integrand's nearest singularity and its first panel no smaller than
+# this (for a singularity on the end of the interval), lands within about
+# 1e-15 of the result (see the module docstring).
+_INNERMOST = 2.0 ** -60
+# the references raise DomainError beyond this many times max(R, Z) from
+# the origin
+_COULOMB_RANGE = 1e2
 
 
 def _inv_root_plus(D, c):
@@ -206,15 +221,19 @@ def _root_minus_integral(D, c):
 def _ring_integral(g, r, R):
     """int_0^pi g(D^2, r - R cos theta) dtheta over the ring of radius R seen
     from radius r, D^2 = (r-R)^2 + 4 r R sin^2(theta/2) being its squared
-    distance in the plane; theta = 0 is flagged singular (a log singularity
-    on r = R)."""
+    distance in the plane, graded from theta = 0, where D is smallest (a log
+    singularity on r = R)."""
     import numpy as np
 
     def f(th):
         s2 = np.sin(th / 2.0) ** 2
         return g((r - R) ** 2 + 4.0 * r * R * s2, (r - R) + 2.0 * R * s2)
 
-    return quad_1d(f, 0.0, math.pi, _RING_QUADRATURE, vectorized=True)[0]
+    # D^2 vanishes at theta = +-i 2 asinh(|r - R|/(2 sqrt(r R))), about
+    # |r - R|/sqrt(r R) from 0 near r = R; on r = R the panels reach in to
+    # 2^-60
+    h = 2.0 * math.asinh(0.5 * abs(r - R) / (math.sqrt(r) * math.sqrt(R))) if r > 0.0 else math.pi
+    return graded_gauss_legendre(f, max(h, _INNERMOST), 0.0, math.pi, vectorized=True)
 
 
 def _chord_integral(g, r, R):
@@ -231,14 +250,32 @@ def _chord_integral(g, r, R):
         d1 = r * c + np.sqrt(np.maximum(R * R - (r * np.sin(t)) ** 2, 0.0))
         return g(c, d1, abs(R - r) * (R + r) / d1, 1.0 if r < R else -1.0)
 
-    upper = math.pi / 2.0 if r < R else math.asin(R / r)
-    return quad_1d(f, 0.0, upper, _CHORD_QUADRATURE, vectorized=True)[0]
+    if r < R:
+        # graded in s = pi/2 - t, toward the square root's branch points at
+        # s = +-i acosh(R/r)
+        h = math.acosh(R / r) if r > 0.0 else math.pi
+        return graded_gauss_legendre(lambda s: f(math.pi / 2.0 - s), max(h, _INNERMOST),
+                                     0.0, math.pi / 2.0, vectorized=True)
+    # t = upper - s^2 takes out the square root at the upper end. In s the
+    # nearest singularity is then the zero of d1 near -sqrt(cot(upper)/2),
+    # or the square root's other zero, t = -upper, at s = sqrt(2 upper),
+    # which at least two panels keep clear of the last one
+    upper = math.asin(R / r)
+    h = min(math.sqrt(math.sqrt((r - R) * (r + R)) / (2.0 * R)), 0.5 * math.sqrt(upper))
+    return graded_gauss_legendre(lambda s: 2.0 * s * f(upper - s * s), max(h, _INNERMOST),
+                                 0.0, math.sqrt(upper), vectorized=True)
 
 
 def _coulomb_args(point, body, name):
     if not isinstance(body, (CylinderSpec, TubeSpec)):
         raise DomainError(f"{name}: unsupported body {type(body).__name__}")
     r, z = float(point[0]), float(point[1])
+    if not r >= 0.0:
+        raise DomainError(f"{name}: the radius must be non-negative (got r = {r})")
+    if not math.hypot(r, z) <= _COULOMB_RANGE * max(body.R, body.Z):
+        # further out the cylinder's chord differences cancel
+        raise DomainError(f"{name}: ({r}, {z}) lies beyond {_COULOMB_RANGE:g} max(R, Z) "
+                          "of the origin, where the reference is not validated")
     # the far and near vertical offsets of the source; both potentials are
     # even in z
     return r, z, abs(z) + body.Z, abs(z) - body.Z
@@ -251,7 +288,10 @@ def coulomb_phi(point, body):
 
     * tube: 2 sigma R int_0^pi [asinh((z+Z)/D) - asinh((z-Z)/D)] dtheta;
     * cylinder: 2 rho int [W(D_hi) - W(D_lo)] over the polar angle, with
-      W(D) = int_0^D t dt int_-Z^Z dz' / sqrt(t^2 + (z-z')^2)."""
+      W(D) = int_0^D t dt int_-Z^Z dz' / sqrt(t^2 + (z-z')^2).
+
+    Raises DomainError beyond 1e2 max(R, Z) of the origin, where it is not
+    validated."""
     import numpy as np
     r, z, a, b = _coulomb_args(point, body, "coulomb_phi")
     if isinstance(body, TubeSpec):
@@ -273,8 +313,9 @@ def coulomb_psi(point, body):
     path from (r, |z|) upward meeting no charge. The z' integral is done
     exactly, leaving one angular integral as in coulomb_phi. Raises
     DomainError on the tube sheet {r = R, |z| < Z} and inside the closed
-    cylinder, where psi is not defined. Near z = 0 outside the body psi is
-    the small difference Q + r * flux, so its relative error grows as psi
+    cylinder, where psi is not defined, and, as coulomb_phi, beyond
+    1e2 max(R, Z) of the origin. Near z = 0 outside the body psi is the
+    small difference Q + r * flux, so its relative error grows as psi
     shrinks."""
     import numpy as np
     r, z, a, b = _coulomb_args(point, body, "coulomb_psi")
@@ -358,6 +399,44 @@ def gauss_legendre(f, a, b, nodes):
     2 nodes - 1, and geometrically convergent for f analytic about [a, b]."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     return half * sum(w * f(mid + half * x) for x, w in _legendre_rule(nodes))
+
+
+def graded_gauss_legendre(f, h, lo, hi, vectorized=False):
+    """The integral of f over [lo, hi], 0 <= lo <= hi, by 16-node
+    Gauss-Legendre rules on the panels [0, h], [h, 2h], [2h, 4h], ...
+    clipped to [lo, hi], for h > 0.
+
+    Where f is analytic but for singularities at distance h or more from 0,
+    on the negative or the imaginary axis (an integrable singularity at 0
+    itself included, for a small enough h), each panel lies within a
+    Bernstein ellipse of parameter >= 4.6 clear of them. The scalar form
+    takes the panels one at a time by ``gauss_legendre``. With
+    ``vectorized=True``, f maps an ndarray of every panel's nodes to an
+    ndarray, in one call, and DomainError is raised where it is not finite.
+    """
+    if not h > 0.0:
+        raise DomainError(f"graded_gauss_legendre requires h > 0 (got {h})")
+    ends, a, b = [], 0.0, h
+    while a < hi:
+        if b > lo:
+            ends.append((max(a, lo), min(b, hi)))
+        a, b = b, 2.0 * b
+    if not vectorized:
+        total = 0.0
+        for a, b in ends:
+            total += gauss_legendre(f, a, b, 16)
+        return total
+    if not ends:
+        return 0.0
+    import numpy as np
+    ends = np.array(ends)
+    half, mid = 0.5 * (ends[:, 1] - ends[:, 0]), 0.5 * (ends[:, 0] + ends[:, 1])
+    nodes, weights = np.array(_legendre_rule(16)).T
+    xs = mid[:, None] + half[:, None] * nodes
+    fx = np.broadcast_to(np.asarray(f(xs.ravel()), dtype=float), (xs.size,))
+    if not np.all(np.isfinite(fx)):
+        raise DomainError(f"integrand not finite on [{lo}, {hi}]")
+    return float(half @ (fx.reshape(xs.shape) @ weights))
 
 
 # nodes of the Gauss-Legendre rule on each straight side of a loop: the

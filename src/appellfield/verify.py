@@ -32,17 +32,20 @@ class CheckResult(Record):
         object.__setattr__(self, "seconds", seconds)
 
 
-# the defining-integral reference of C01 and C02
-_IHYG_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-15, rel_tol=1e-13)
 # C04's reference for the integral of Z*sc
 _ZSC_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
 
 
 def _ihyg_quad(m, A, theta):
-    val, _ = oracle.quad_1d(
-        lambda t: np.arctanh(A / np.sqrt(1.0 - m * np.sin(t / 2.0) ** 2)),
-        0.0, theta, _IHYG_QUADRATURE, vectorized=True)
-    return val
+    # the defining integral of C01 and C02 in s = pi - t, over
+    # [pi - theta, pi]: atanh(A/sqrt(1 - m + m sin^2(s/2))), graded from
+    # s = 0 toward its nearest singularities, where the atanh argument
+    # reaches +-1, at s = +-2i asinh(sqrt((1 - m - A^2)/m))
+    # = +-2i acosh(sqrt((1 - A^2)/m))
+    h = 2.0 * math.asinh(math.sqrt(max(1.0 - m - A * A, 0.0) / m)) if m > 0.0 else math.pi
+    return oracle.graded_gauss_legendre(
+        lambda s: np.arctanh(A / np.sqrt((1.0 - m) + m * np.sin(s / 2.0) ** 2)),
+        h, math.pi - theta, math.pi, vectorized=True)
 
 
 def _crit01_ihyg_identity(rng, full):
@@ -119,7 +122,10 @@ def _crit04_zsc_formula(rng, full):
         K = elliptic.comp_k(m)
 
         def zsc(u, _m=m):
-            return jacobi.jacobi_zeta(u, _m) * jacobi.jacobi_sc(u, _m)
+            # Z(u) sc(u) = Z tan(am(u)) from one descent, which for
+            # |u| < K is jacobi_zeta(u) * jacobi_sc(u)
+            am, zeta = jacobi._descent(u, _m)
+            return zeta * math.tan(am)
 
         us = np.linspace(-K + 0.05, K - 0.05, npts).tolist()
         # the reference integral from 0, accumulated outward over the
@@ -391,13 +397,18 @@ def _crit13_disk_forms(rng, full):
         f"{count} grid points, forms agree to {worst:.2e}; on-axis residual {worst_axis:.2e}")
 
 
+# C14's points off the surfaces, the fast suite taking the first 3 of each
+_PSI_TUBE_POINTS = ((1.5, 0.3), (0.5, 1.2), (2.0, -1.0), (0.5, 0.2), (1.3, -0.4),
+                    (0.8, 1.5), (2.5, 2.0), (0.2, -0.3), (1.1, 0.9), (3.0, 0.5))
+_PSI_CYL_POINTS = ((1.5, 0.3), (0.5, 1.2), (2.0, -1.0), (1.2, 0.5), (0.3, -1.0),
+                   (1.8, 1.1), (0.9, 2.0), (2.5, -0.2), (1.06, 0.6), (0.1, 0.9))
+
+
 def _crit14_psi_coulomb(rng, full):
     tol = 1e-10
     n = 10 if full else 3
-    tube_pts = [(1.5, 0.3), (0.5, 1.2), (2.0, -1.0), (0.5, 0.2), (1.3, -0.4),
-                (0.8, 1.5), (2.5, 2.0), (0.2, -0.3), (1.1, 0.9), (3.0, 0.5)][:n]
-    cyl_pts = [(1.5, 0.3), (0.5, 1.2), (2.0, -1.0), (1.2, 0.5), (0.3, -1.0),
-               (1.8, 1.1), (0.9, 2.0), (2.5, -0.2), (1.06, 0.6), (0.1, 0.9)][:n]
+    tube_pts = list(_PSI_TUBE_POINTS[:n])
+    cyl_pts = list(_PSI_CYL_POINTS[:n])
     cyl_pts += [(r, z) for (r, z) in _surface_axis_points()
                 if r > FIG_CYLINDER.R or abs(z) > FIG_CYLINDER.Z]
     worst = 0.0

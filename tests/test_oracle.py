@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from appellfield import oracle as oc
+from appellfield import oracle as oc, verify
 from appellfield.errors import ConvergenceError, DomainError
 from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec
 
@@ -144,6 +144,50 @@ def test_gauss_legendre_rule():
     assert oc.gauss_legendre(math.exp, 0.0, 1.0, 8) == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
+# three integrands analytic about [0, 40] but for singularities at least h
+# from 0, taking floats and arrays alike
+_GRADED_INTEGRANDS = [(lambda x: 1.0 / (x * x + 0.04), 0.2), (lambda x: np.log(x + 0.3), 0.3),
+                      (lambda x: np.exp(-x) / (1.0 + x), 1.0)]
+
+
+@pytest.mark.parametrize("f,h", _GRADED_INTEGRANDS)
+@pytest.mark.parametrize("lo,hi", [(0.0, 3.0), (0.05, 3.0), (0.7, 40.0), (0.0, 1e-3)])
+def test_graded_rule_vectorized_matches_the_scalar_form(f, h, lo, hi):
+    # the same nodes and weights, summed in another order: within 4 ulps of
+    # the sum of |w f|
+    scalar = oc.graded_gauss_legendre(f, h, lo, hi)
+    vector = oc.graded_gauss_legendre(f, h, lo, hi, vectorized=True)
+    scale = oc.graded_gauss_legendre(lambda x: abs(f(x)), h, lo, hi)
+    assert abs(scalar - vector) <= 4.0 * math.ulp(scale)
+    assert scalar == pytest.approx(oc.quad_1d(f, lo, hi, SPEC, vectorized=True)[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_graded_rule_is_exact_to_degree_31_on_each_panel(vectorized):
+    # h = 0.25 over [0, 3]: the panels [0, 0.25], [0.25, 0.5], [0.5, 1],
+    # [1, 2] and [2, 4] clipped to [2, 3], each taken alone as [lo, hi]
+    for a, b in ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0), (1.0, 2.0), (2.0, 3.0)):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        for k in range(33):
+            def f(x, k=k):
+                return ((x - mid) / half) ** k
+            err = oc.graded_gauss_legendre(f, 0.25, a, b, vectorized) - half * (
+                2.0 / (k + 1) if k % 2 == 0 else 0.0)
+            if k <= 31:
+                assert abs(err) <= 4.0 * math.ulp(2.0 * half), (a, b, k)
+            else:
+                assert abs(err) > 1e-10 * half
+    assert oc.graded_gauss_legendre(np.cos, 0.25, 2.0, 2.0, vectorized) == 0.0
+    with pytest.raises(DomainError):
+        oc.graded_gauss_legendre(np.cos, 0.0, 0.0, 1.0, vectorized)
+
+
+def test_graded_rule_vectorized_refuses_a_non_finite_integrand():
+    with pytest.raises(DomainError, match="not finite"):
+        oc.graded_gauss_legendre(lambda x: np.where(x > 0.9, np.inf, x), 0.1, 0.0, 1.0,
+                                 vectorized=True)
+
+
 @pytest.mark.parametrize("n", [1, 2, 8, 24, 40])
 def test_legendre_rule_matches_numpy(n):
     # numpy's leggauss weights are themselves up to 7e-13 off at n = 40
@@ -241,19 +285,50 @@ def _mp_cyl(mp, r, z):
     return phi, mp.sign(z) * (2 * mp.pi * R * R * Z * rho + 2 * rho * r * flux)
 
 
-@pytest.mark.parametrize("body,r,z", [
+_MPMATH_POINTS = [
     ("tube", 1.5, 0.3), ("tube", 0.5, 1.2), ("tube", 1.0 + 1e-9, -0.3), ("tube", 1.0, 0.3),
     ("cyl", 0.5, 0.3), ("cyl", 1.5, -0.3), ("cyl", 0.5, 1.2), ("cyl", 1.0 - 1e-9, 0.3),
     ("cyl", 2.0, 0.7 + 1e-9),
-])
+]
+# every point at which C08 (phi) or C14 (psi) takes a reference, in the fast
+# and the full suite, for both bodies: 1e-9 from each charged surface and end
+# plane, on the axis, and off the bodies down to (1.05, -0.56)
+_VERIFY_POINTS = sorted(set(verify._cyl_exterior_points(20)) | set(verify._surface_axis_points())
+                        | set(verify._PSI_TUBE_POINTS) | set(verify._PSI_CYL_POINTS))
+
+
+@pytest.mark.parametrize("body,r,z", _MPMATH_POINTS + [
+    (body, r, z) for body in ("tube", "cyl") for (r, z) in _VERIFY_POINTS
+    if (body, r, z) not in _MPMATH_POINTS])
 def test_coulomb_matches_mpmath(body, r, z):
     mp = pytest.importorskip("mpmath")
     spec, ref = (TUBE, _mp_tube) if body == "tube" else (CYL, _mp_cyl)
     with mp.workdps(30):
         phi, psi = ref(mp, r, z)
     assert oc.coulomb_phi((r, z), spec) == pytest.approx(float(phi), rel=1e-13)
-    if psi is not None and not (body == "tube" and r == TUBE.R):
+    if psi is not None and not (body == "tube" and r == TUBE.R and abs(z) < TUBE.Z):
         assert oc.coulomb_psi((r, z), spec) == pytest.approx(float(psi), rel=1e-13)
+
+
+def test_coulomb_refuses_points_beyond_its_validated_range():
+    # past 1e2 max(R, Z) from the origin the cylinder's chord differences
+    # cancel; both references raise there, for both bodies
+    for spec in (TUBE, CYL):
+        for fn in (oc.coulomb_phi, oc.coulomb_psi):
+            for point in ((100.0, 1.0), (0.0, -100.5), (3.0, math.inf), (0.0, math.nan)):
+                with pytest.raises(DomainError, match="beyond"):
+                    fn(point, spec)
+            # as in fields, a point has r >= 0
+            for point in ((-0.5, 1.3), (math.nan, 0.0)):
+                with pytest.raises(DomainError, match="non-negative"):
+                    fn(point, spec)
+        # hypot(60, 80) is 100 exactly, on the edge of the range
+        assert math.isfinite(oc.coulomb_phi((60.0, 80.0), spec))
+        assert math.isfinite(oc.coulomb_psi((60.0, 80.0), spec))
+    # the range scales with the larger of R and Z
+    assert math.isfinite(oc.coulomb_phi((0.0, 250.0), TubeSpec(1.0, 3.0, 1.0)))
+    with pytest.raises(DomainError, match="beyond"):
+        oc.coulomb_phi((0.0, 301.0), CylinderSpec(1.0, 3.0, 1.0))
 
 
 def test_coulomb_excluded_points():

@@ -1,10 +1,15 @@
 """The verify checks catch a defect of the closed form they test, the
 checks whose stencils share their points read what they read when each
-stencil evaluated every point itself, and two passes read the same."""
+stencil evaluated every point itself, two passes read the same, and the
+defining-integral and Coulomb references are fixed rules that match
+mpmath."""
 
+import math
+
+import numpy as np
 import pytest
 
-from appellfield import fields, hypergeom, verify
+from appellfield import fields, hypergeom, oracle, verify
 from appellfield.errors import DomainError
 
 
@@ -56,11 +61,11 @@ def test_a_negative_seed_raises_before_any_check_runs(monkeypatch):
 def test_two_passes_of_the_special_function_checks_read_the_same():
     # the benchmark requires every pass of a run to give the same results,
     # so nothing a check computes may carry over to the next pass
-    idents = {"C01", "C03", "C05", "C06", "C15"}
+    idents = {"C01", "C02", "C03", "C04", "C05", "C06", "C08", "C14", "C15"}
     passes = [[(r.ident, r.passed, repr(r.worst)) for r in verify.run_suite("fast", 0, idents)]
               for _ in range(2)]
     assert passes[0] == passes[1]
-    assert len(passes[0]) == 5 and all(passed for _, passed, _ in passes[0])
+    assert len(passes[0]) == 9 and all(passed for _, passed, _ in passes[0])
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -72,3 +77,32 @@ def test_c01_checks_the_series_at_every_point(monkeypatch, full):
     monkeypatch.setattr(hypergeom, "_i_hyg_quadrature",
                         lambda *args: pytest.fail("i_hyg took its quadrature"))
     assert verify.run_check("C01", seed=0, full=full).passed
+
+
+@pytest.mark.parametrize("ident", ["C01", "C02", "C14"])
+@pytest.mark.parametrize("full", [False, True])
+def test_the_series_and_coulomb_checks_take_no_adaptive_quadrature(monkeypatch, ident, full):
+    # their references, the defining integral and the Coulomb angular
+    # integrals, are fixed graded Gauss-Legendre sums, and so is whatever
+    # their closed forms integrate
+    monkeypatch.setattr(oracle, "quad_1d", lambda *args, **kw: pytest.fail("quad_1d ran"))
+    result = verify.run_check(ident, seed=0, full=full)
+    assert result.passed, result.detail
+
+
+def test_defining_integral_reference_matches_mpmath():
+    # C01 and C02's reference at seeded (m, A, theta) with m + A^2 up to
+    # C02's 0.979, at theta = pi and below, against 30-digit mpmath
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    cases = [(m, s * math.sqrt(0.979 - m), th) for m in (0.05, 0.5, 0.9, 0.95)
+             for s, th in ((1.0, math.pi), (-1.0, 3.0), (1.0, 0.12))]
+    for _ in range(24):
+        m = rng.uniform(0.0, 0.95)
+        amax = math.sqrt(max(0.979 - m, 1e-4))
+        cases.append((m, rng.uniform(-amax, amax), rng.choice([math.pi, rng.uniform(0.1, math.pi)])))
+    for m, A, th in cases:
+        with mp.workdps(30):
+            ref = float(mp.quad(lambda t: mp.atanh(A / mp.sqrt(1 - m * mp.sin(t / 2) ** 2)),
+                                [0, th / 2, th]))
+        assert abs(verify._ihyg_quad(m, A, th) - ref) <= 1e-14 * max(abs(ref), 1.0), (m, A, th)
