@@ -122,11 +122,13 @@ def _grid_column(task):
 def _grid_rows(spec: GridSpec, workers=1):
     """((r, z, phi, psi, branch) rows, failure lines): rows sheet by sheet,
     r-major within a sheet. Each column (fixed r) is one task, evaluated on
-    sheet 0 with its table of end terms; where phi is requested on the
-    cylinder or the tube, fields.phi_end_tables fills the I(m, A; pi) end
-    terms of all columns first, in one batch. Tube sheet b != 0 moves the
-    psi to its sheet as psi_tube does, and reports a psi that is not finite
-    there as failed."""
+    sheet 0 with its table of end terms; on the cylinder and the tube,
+    fields.phi_end_tables first fills every end term of all columns that
+    the requested quantity reads, over arrays, so a cell computes only the
+    terms the arrays leave (the boundary route of I(m, A; pi), and its
+    zeros and errors). The tables travel with the column tasks to the
+    worker processes. Tube sheet b != 0 moves the psi to its sheet as
+    psi_tube does, and reports a psi that is not finite there as failed."""
     # imported here, where the grid needs them: eval and special run
     # without either
     import concurrent.futures
@@ -136,10 +138,10 @@ def _grid_rows(spec: GridSpec, workers=1):
     body = _build_body(spec.body, spec.R, spec.Z, spec.density)
     rs = [float(r) for r in np.linspace(spec.r_min, spec.r_max, spec.nr)]
     zs = [float(z) for z in np.linspace(spec.z_min, spec.z_max, spec.nz)]
-    if spec.quantity == "psi" or isinstance(body, DiskSpec):
+    if isinstance(body, DiskSpec):
         tables = ({} for _ in rs)
     else:
-        tables = fields.phi_end_tables(body, rs, zs)
+        tables = fields.phi_end_tables(body, rs, zs, spec.quantity)
     tasks = ((body, r, zs, spec.quantity, ends) for r, ends in zip(rs, tables))
     workers = min(workers, os.cpu_count() or 1, len(rs))
     if workers > 1:

@@ -2,7 +2,8 @@
 
 Complete integrals K, E and Pi are computed with Bulirsch's general complete
 integral `cel`, one AGM-type loop (`cel_pair`: two integrals at one kc from
-one loop); incomplete integrals are built on Carlson
+one loop; `cel_array`: the loop over arrays, which imports numpy where it
+runs); incomplete integrals are built on Carlson
 symmetric forms (`carlson_rf`, `carlson_rc`, `carlson_rd`, `carlson_rj`).
 
 All Legendre functions take the parameter ``m`` (= k**2), never the modulus
@@ -119,6 +120,49 @@ def cel_pair(kc, p1, a1, b1, p2, a2, b2):
         qc = 2.0 * math.sqrt(e)
         e = qc * em
     raise ConvergenceError("cel_pair: AGM failed to converge")
+
+
+def cel_array(kc, p, a, b):
+    """cel over arrays: cel(kc, p, a, b) elementwise over the broadcast
+    arguments, as a float array, bit for bit each scalar call, and nan where
+    that call raises. The AGM runs in lockstep over the elements, and each
+    stops at its own step: the AGM (qc, e, em) and its stop test depend on
+    kc alone, and the steps use only + - * / and sqrt, which numpy rounds as
+    Python does. The point API keeps the scalar cel and cel_pair; the grids'
+    end terms take this one."""
+    import numpy as np
+    kc, p, a, b = (np.asarray(v, dtype=float) for v in np.broadcast_arrays(kc, p, a, b))
+    out = np.full(kc.shape, np.nan)
+    # the elements still running, by flat index into out
+    live = np.flatnonzero((0.0 < kc) & (kc <= _KC_MAX) & (0.0 < p) & (p < math.inf)
+                          & np.isfinite(a) & np.isfinite(b))
+    flat = out.reshape(-1)
+    qc = e = kc.reshape(-1)[live]
+    em = np.ones(live.size)
+    p = np.sqrt(p.reshape(-1)[live])
+    a = a.reshape(-1)[live]
+    b = b.reshape(-1)[live] / p
+    # a value that overflows is silent, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_AGM_STEPS):
+            if not live.size:
+                break
+            f = a
+            a = a + b / p
+            g = e / p
+            b = 2.0 * (b + f * g)
+            p = p + g
+            g = em
+            em = em + qc
+            done = abs(g - qc) <= g * _CEL_TOL
+            if done.any():
+                ed = em[done]
+                flat[live[done]] = math.pi / 2.0 * (b[done] + a[done] * ed) / (ed * (ed + p[done]))
+                keep = ~done
+                live, a, b, p, em, e = (v[keep] for v in (live, a, b, p, em, e))
+            qc = 2.0 * np.sqrt(e)
+            e = qc * em
+    return out
 
 
 def carlson_rf(x, y, z):

@@ -53,7 +53,25 @@ def _ke_sum(a: AuxGeometry, ca, cb):
     return elliptic.cel(math.sqrt(omm), 1.0, ca, cb)
 
 
-def _ke_sum_and_pi_star(a: AuxGeometry, ca, cb):
+def _cels(omm, ca, cb, p, b):
+    """(cel(kc, 1, ca, cb), cel(kc, p, 0, b)) at kc = sqrt(omm), by one
+    elliptic.cel_pair. Where p = 0 (r = r0, where b = 0 too) the second is
+    0 and the first its own cel call, or, at the rim omm = 0, where K
+    diverges, ca: cb, its coefficient, vanishes there for every caller."""
+    if p == 0.0:
+        return (ca if omm == 0.0 else elliptic.cel(math.sqrt(omm), 1.0, ca, cb)), 0.0
+    return elliptic.cel_pair(math.sqrt(omm), 1.0, ca, cb, p, 0.0, b)
+
+
+def _cels_arrays(omm, ca, cb, p, b):
+    """_cels over arrays, by elliptic.cel_array, bit for bit."""
+    import numpy as np
+    ke, pk = elliptic.cel_array(np.sqrt(omm), np.stack((np.ones_like(p), p)),
+                                np.stack((ca, np.zeros_like(ca))), np.stack((cb, b)))
+    return np.where(omm == 0.0, ca, ke), np.where(p == 0.0, 0.0, pk)
+
+
+def _ke_sum_and_pi_star(a: AuxGeometry, ca, cb, cels=_cels):
     """(_ke_sum(a, ca, cb), (r - r0) (Pi(n* | m) - K(m))), n* = 4 r r0/(r+r0)^2,
     both from one run of the AGM (elliptic.cel_pair), each bit for bit its
     own cel call. At r = r0 the second is 0 exactly (the symmetric mean of
@@ -62,13 +80,14 @@ def _ke_sum_and_pi_star(a: AuxGeometry, ca, cb):
     last two arguments, takes the factor r - r0 there; both complements are
     exact: kc^2 = 1 - m from aux and 1 - n* = ((r-r0)/(r+r0))^2 here. cel
     needs no special case for a small 1 - n*, so the product is accurate
-    all the way to r -> r0, where it tends to its limit."""
+    all the way to r -> r0, where it tends to its limit.
+
+    The arithmetic runs on the floats of one aux record, and on arrays for
+    the grid's end tables: ``cels`` is _cels on floats and _cels_arrays on
+    arrays, and it takes the limits r = r0 and 1 - m = 0."""
     r, r0 = a.r, a.r0
-    if r == r0:
-        return _ke_sum(a, ca, cb), 0.0
     dr, s = r - r0, r + r0
-    return elliptic.cel_pair(math.sqrt(a.one_minus_m), 1.0, ca, cb,
-                             (dr / s) ** 2, 0.0, dr * 4.0 * r * r0 / (s * s))
+    return cels(a.one_minus_m, ca, cb, (dr / s) ** 2, dr * 4.0 * r * r0 / (s * s))
 
 
 # Each assembly below is k K + e E + c (r - r0) Pi* + (elementary), with
@@ -80,43 +99,44 @@ def _ke_sum_and_pi_star(a: AuxGeometry, ca, cb):
 # characteristic-sum identity of indefinite.pi_identity_residual on their
 # n_pm pair; its (pi L0/|z|) H(r0 - r) piece is their elementary last term.
 # Each equals its general-theta twin of module indefinite at theta = pi.
+# Like _ke_sum_and_pi_star, each runs on floats and, given cels, on arrays;
+# the factors sgn(z) and h = H(r0 - r) come from the caller.
 
-def _i_cyl_ell_pi(a: AuxGeometry):
+def _i_cyl_ell_pi(a: AuxGeometry, sgn, h, cels=_cels):
     """Elliptic part of the cylinder's theta = pi integral:
     k = -z (4 r0^2 + z^2)/(4 L0), e = 3 z L0/4,
-    c = z (r^2 - r0^2 + 2 z^2)/(4 L0 (r + r0)); 0 at z = 0."""
+    c = z (r^2 - r0^2 + 2 z^2)/(4 L0 (r + r0)). It is 0 at z = 0, where
+    the caller takes 0.0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
-    if z == 0.0:
-        return 0.0
     s = r + r0
-    ke, pk = _ke_sum_and_pi_star(a, s * s + z * z, (r - 2.0 * r0) * s + z * z)
+    ke, pk = _ke_sum_and_pi_star(a, s * s + z * z, (r - 2.0 * r0) * s + z * z, cels)
     out = z * r / (L0 * s) * ke
     out += z * (r * r - r0 * r0 + 2.0 * z * z) / (4.0 * L0 * s) * pk
-    out += _sgn(z) * math.pi * (2.0 * z * z - r0 * r0) / 4.0 * heaviside(r0 - r)
+    out += sgn * math.pi * (2.0 * z * z - r0 * r0) / 4.0 * h
     return out
 
 
-def _j_cyl_ell_pi(a: AuxGeometry):
+def _j_cyl_ell_pi(a: AuxGeometry, h, cels=_cels):
     """Elliptic part of the cylinder's field-line integral at theta = pi:
     k = (2 (r^2 - r0^2)^2 + z^2 (r0^2 - 2 r^2 - z^2))/(6 L0) - r0^2 z^2/(2 L0),
     e = L0 (z^2 - 2 (r^2 + r0^2))/6, c = z^2 (r - r0)/(2 L0). On the axis
     (r0 = 0) the value is exactly 0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
     s = r + r0
-    ke, pk = _ke_sum_and_pi_star(a, -(s * s + z * z), (r - r0) ** 2 - 2.0 * z * z)
+    ke, pk = _ke_sum_and_pi_star(a, -(s * s + z * z), (r - r0) ** 2 - 2.0 * z * z, cels)
     out = 2.0 * r * r0 / (3.0 * L0) * ke
     out += z * z * (r - r0) / (2.0 * L0) * pk
-    out -= math.pi * r0 * r0 * abs(z) / 2.0 * heaviside(r0 - r)
+    out -= math.pi * r0 * r0 * abs(z) / 2.0 * h
     return out
 
 
-def _j_tube_pi(a: AuxGeometry):
+def _j_tube_pi(a: AuxGeometry, cels=_cels):
     """The tube's field-line integral at theta = pi: k = (r^2 - r0^2)/L0,
     e = -L0, c = z^2/(L0 (r + r0)). On the axis (r0 = 0) the value is
     exactly 0."""
     z, r, r0, L0 = a.z, a.r, a.r0, a.L0
     s = r + r0
-    ke, pk = _ke_sum_and_pi_star(a, -(s * s + z * z), (r - r0) * s - z * z)
+    ke, pk = _ke_sum_and_pi_star(a, -(s * s + z * z), (r - r0) * s - z * z, cels)
     out = 2.0 * r0 / (s * L0) * ke
     out += z * z / (L0 * s) * pk
     return out
@@ -149,7 +169,7 @@ def _check_cyl_point(point, spec: CylinderSpec):
 # value at |zeta|: on a grid column (fixed r) the offsets repeat, and every
 # value stays what the call without the table returns. _hyg_end,
 # I(m, A; pi), is the tube's phi end term and the hypergeometric part of the
-# cylinder's; phi_end_tables fills it for a whole grid at once.
+# cylinder's; phi_end_tables fills every kind for a whole grid at once.
 
 def _hyg_end(R, r, zeta):
     a = aux(R, zeta, r)
@@ -157,11 +177,12 @@ def _hyg_end(R, r, zeta):
 
 
 def _cyl_ell_end(R, r, zeta):
-    return _i_cyl_ell_pi(aux(R, zeta, r))
+    a = aux(R, zeta, r)
+    return 0.0 if zeta == 0.0 else _i_cyl_ell_pi(a, _sgn(zeta), heaviside(r - R))
 
 
 def _psi_cyl_end(R, r, zeta):
-    return _j_cyl_ell_pi(aux(R, zeta, r))
+    return _j_cyl_ell_pi(aux(R, zeta, r), heaviside(r - R))
 
 
 def _psi_tube_end(R, r, zeta):
@@ -169,6 +190,12 @@ def _psi_tube_end(R, r, zeta):
 
 
 _ODD_ENDS = (_hyg_end, _cyl_ell_end)
+
+# the end kinds each potential reads, by body and quantity
+_END_KINDS = {(CylinderSpec, "phi"): (_hyg_end, _cyl_ell_end),
+              (CylinderSpec, "psi"): (_psi_cyl_end,),
+              (TubeSpec, "phi"): (_hyg_end,),
+              (TubeSpec, "psi"): (_psi_tube_end,)}
 
 
 def _end_from(ends, end, R, r, zeta):
@@ -184,26 +211,55 @@ def _end_from(ends, end, R, r, zeta):
     return -value if zeta < 0.0 and end in _ODD_ENDS else value
 
 
-def phi_end_tables(spec, rs, zs):
+def phi_end_tables(spec, rs, zs, quantity):
     """The end-term tables of a grid rs x zs over spec (a CylinderSpec or
     TubeSpec), one per column r of rs and in their order, for the ``ends``
-    of its phi calls. Each holds the column's I(m, A; pi) end terms at the
-    offsets +-Z - z, all columns' computed by one hypergeom.i_hyg_pi_batch
-    call before the first table is yielded; the terms the batch leaves are
-    absent, and the calls compute them on a miss as they would without a
-    table."""
-    import numpy as np
+    of its calls of ``quantity`` ('phi', 'psi' or 'both'). Each holds
+    every end term of the kinds that quantity reads, at the column's
+    offsets +-Z - z, all columns' computed before the first table is
+    yielded, as arrays, bit for bit the scalar end terms: I(m, A; pi) by
+    one hypergeom.i_hyg_pi_batch call, the elliptic end terms by one
+    evaluation of their assembly over arrays (_cels_arrays). A term the
+    arrays do not give is absent (the batch leaves the boundary route, the
+    zeros and the errors to i_hyg_pi, and an end term whose scalar call
+    raises or is not finite is left out), and the calls compute it on a
+    miss as they would without a table."""
     R, Z = spec.R, spec.Z
+    kinds = [end for q in ("phi", "psi") if quantity in (q, "both")
+             for end in _END_KINDS[type(spec), q]]
     zetas = list(dict.fromkeys(zeta for z in zs for zeta in (abs(Z - z), abs(-Z - z))))
-    m, A, gap = (np.empty(len(rs) * len(zetas)) for _ in range(3))
-    for i, (r, zeta) in enumerate(itertools.product(rs, zetas)):
-        a = aux(R, zeta, r)
-        m[i], A[i], gap[i] = a.m, a.A, a.gap
-    values = hypergeom.i_hyg_pi_batch(m, A, gap).reshape(len(rs), len(zetas))
-    del m, A, gap  # the generator lives as long as the grid; keep the values only
-    for r, column in zip(rs, values):
-        yield {(_hyg_end, R, r, zeta): value
-               for zeta, value in zip(zetas, column.tolist()) if not math.isnan(value)}
+    values = [(end, column.reshape(len(rs), len(zetas)))
+              for end, column in zip(kinds, _end_arrays(kinds, R, itertools.product(rs, zetas)))]
+    for j, r in enumerate(rs):
+        yield {(end, R, r, zeta): value for end, table in values
+               for zeta, value in zip(zetas, table[j].tolist()) if math.isfinite(value)}
+
+
+def _end_arrays(kinds, R, pairs):
+    """For each end kind of ``kinds``, its values end(R, r, zeta) at the
+    (r, zeta) pairs, as one array, bit for bit; nan where aux refuses the
+    pair, and wherever the array form gives nan."""
+    import numpy as np
+    pairs = list(pairs)
+    # the aux records of the pairs, as the fields of one AuxGeometry of
+    # arrays; a pair aux refuses stays nan
+    slots = np.full((7, len(pairs)), np.nan)
+    for i, (r, zeta) in enumerate(pairs):
+        try:
+            slots[:, i] = aux(R, zeta, r)[1:]
+        except DomainError:
+            pass
+    a = AuxGeometry(R, *slots)
+    h = np.heaviside(a.r0 - R, 0.5)
+    arrays = {
+        _hyg_end: lambda: hypergeom.i_hyg_pi_batch(a.m, a.A, a.gap),
+        _cyl_ell_end: lambda: np.where(a.z == 0.0, 0.0,
+                                       _i_cyl_ell_pi(a, np.sign(a.z), h, _cels_arrays)),
+        _psi_cyl_end: lambda: _j_cyl_ell_pi(a, h, _cels_arrays),
+        _psi_tube_end: lambda: _j_tube_pi(a, _cels_arrays)}
+    # an overflow is silent, as in Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [arrays[end]() for end in kinds]
 
 
 def _finite(value, name):

@@ -49,15 +49,18 @@ and in from the surface value I(m, sqrt(1-m); pi) beyond, which is the
 (_i_hyg_pi_from_boundary, _surface_by_series). The general-theta i_hyg
 takes its theta = pi term, and its whole value at theta = +-pi, from it,
 and i_hyg_surface(m) is its value on the boundary. i_hyg_pi_batch takes
-many arguments at once by the same rule and leaves the integrals to
-i_hyg_pi; the grids use it. Each single-index sum has one recurrence,
-_f2_ke_terms or _f2_inner_terms, a generator run on floats by
-_series_sum and over arrays by _series_sums, so the batch is bit for bit
-what i_hyg_pi returns. _series_sums takes the terms 32 at a time and
-tests the stopping rule once per block, on all its terms: the running
-sums add in sequence (np.add.accumulate), as _series_sum's do, and a
-series that stops inside a block has its later terms in that block
-computed and dropped.
+many arguments at once by the same rule and leaves only the integral in
+from the surface value to i_hyg_pi; the grids use it. Each single-index
+sum has one recurrence, _f2_ke_terms or _f2_inner_terms, a generator run
+on floats by _series_sum and over arrays by _series_sums, and the
+integral up from A = 0 one integrand, _di_da_node, run on floats with
+elliptic.cel and over arrays with elliptic.cel_array, its nodes and panels
+added in the scalar rule's order (oracle.graded_gauss_legendre_each), so
+the batch is bit for bit what i_hyg_pi returns. _series_sums takes the
+terms 32 at a time and tests the stopping rule once per block, on all its
+terms: the running sums add in sequence (np.add.accumulate), as
+_series_sum's do, and a series that stops inside a block has its later
+terms in that block computed and dropped.
 
 gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
 non-finite argument, as every public function of elliptic and jacobi does;
@@ -71,7 +74,8 @@ other integral of the module, of cel or K, is the scalar form of
 oracle.graded_gauss_legendre, the package's one graded 16-node
 Gauss-Legendre rule: _di_da_integral, _f2_family_at_negative_y, and
 _f43_continued, which continues the 4F3 form of the surface value past its
-radius for check C03 to compare with that quadrature.
+radius for check C03 to compare with that quadrature; i_hyg_pi_batch takes
+the first over arrays.
 
 The module imports no numpy: the functions that build arrays
 (i_hyg_pi_batch, _series_sums, _i_hyg_quadrature, lauricella_f11_triple)
@@ -732,23 +736,28 @@ def _i_hyg_pi_route(m, y, gap):
 def i_hyg_pi_batch(m, A, gap):
     """i_hyg_pi(m[i], A[i], gap[i]) for every i, as a float array, where
     the value comes from a single-index sum, at a ratio of at most
-    SERIES_RATIO_MAX; nan elsewhere: on the integral and boundary routes,
-    where i_hyg_pi returns 0 early or raises DomainError, and where the sum
-    does not stop within MAX_TERMS terms. The caller takes those values,
-    or their errors, from i_hyg_pi itself.
+    SERIES_RATIO_MAX, or from the integral of dI/dA up from A = 0; nan
+    elsewhere: on the boundary route, where i_hyg_pi returns 0 early or
+    raises DomainError, and where it raises ConvergenceError (a sum that
+    does not stop within MAX_TERMS terms, an integral at an m below the
+    normal float range). The caller takes those values, or their errors,
+    from i_hyg_pi itself.
 
-    Each element takes its route from i_hyg_pi's rule and its seeds from
-    the scalar code; the sums of each route then run in lockstep through
-    the one recurrence i_hyg_pi sums (_f2_ke_terms, _f2_inner_terms), over
-    arrays, a block of 32 terms at a time, and with the scalar stopping
-    rule tested once per block (_series_sums), so every value is bit for
-    bit what i_hyg_pi returns. The terms a series computes past its stop
-    may overflow; that is silent and they are dropped.
+    Each element takes its route from i_hyg_pi's rule. The sums of each
+    route then run in lockstep through the one recurrence i_hyg_pi sums
+    (_f2_ke_terms, _f2_inner_terms), over arrays, a block of 32 terms at a
+    time, and with the scalar stopping rule tested once per block
+    (_series_sums), from K/E seeds by elliptic.cel_array. The integrals
+    take _di_da_integral's integrand and panels, all elements' at once
+    (oracle.graded_gauss_legendre_each). So every value is bit for bit
+    what i_hyg_pi returns. The terms a series computes past its stop may
+    overflow; that is silent and they are dropped.
     """
     import numpy as np
     m, A, gap = (np.asarray(v, dtype=float) for v in (m, A, gap))
-    route = np.zeros(len(m), dtype=np.int8)  # 1: K/E-seeded, 2: inner-2F1
-    u, seed0, seed1 = np.empty(len(m)), np.empty(len(m)), np.empty(len(m))
+    # 1: K/E-seeded, 2: inner-2F1, 3: the integral up from A = 0
+    route = np.zeros(len(m), dtype=np.int8)
+    u, seed = np.zeros(len(m)), np.zeros(len(m))
     for i, (mi, ai, gi) in enumerate(zip(m.tolist(), A.tolist(), gap.tolist())):
         try:
             tag, omm, omy = _i_hyg_pi_route(mi, ai * ai, gi)
@@ -757,23 +766,36 @@ def i_hyg_pi_batch(m, A, gap):
         if ai == 0.0:
             continue  # left to i_hyg_pi, which returns 0
         if tag == "ke":
-            seed0[i], seed1[i] = _f2_ke_seeds(omm)
             route[i], u[i] = 1, omm
         elif tag == "inner":
-            seed0[i] = _f2_inner_seed(ai * ai, omy)
-            route[i], u[i] = 2, omy
+            route[i], u[i], seed[i] = 2, omy, _f2_inner_seed(ai * ai, omy)
+        elif tag == "integral" and mi >= sys.float_info.min:
+            route[i], u[i] = 3, omm
     out = np.full(len(m), np.nan)
-    ke, inner = route == 1, route == 2
+    ke, inner, integral = (route == k for k in (1, 2, 3))
     # an overflow is silent, as in Python floats: that sum does not stop,
     # and i_hyg_pi reports it
     with np.errstate(over="ignore", invalid="ignore"):
         if ke.any():
-            terms = _f2_ke_terms(m[ke], A[ke] * A[ke], u[ke], seed0[ke], seed1[ke])
+            uk = u[ke]
+            # _f2_ke_seeds: (2/pi) K and (2/pi) E at kc = sqrt(1 - m)
+            k, e = 2.0 / math.pi * elliptic.cel_array(np.sqrt(uk), 1.0, 1.0,
+                                                      np.stack((np.ones(uk.size), uk)))
+            terms = _f2_ke_terms(m[ke], A[ke] * A[ke], uk, k, e)
             out[ke] = _series_sums(terms, np.count_nonzero(ke), REL_TOL)
         if inner.any():
-            terms = _f2_inner_terms(0.5, 1.0, m[inner], u[inner], seed0[inner], True)
+            terms = _f2_inner_terms(0.5, 1.0, m[inner], u[inner], seed[inner], True)
             out[inner] = _series_sums(terms, np.count_nonzero(inner), REL_TOL)
-    return math.pi * A * out
+        out = math.pi * A * out
+        if integral.any():
+            # _i_hyg_pi_integral with the exact span gap/(A0 + |A|)
+            m_int, A0 = m[integral], np.sqrt(u[integral])
+            span = gap[integral] / (A0 + np.abs(A[integral]))
+            values = oracle.graded_gauss_legendre_each(
+                lambda x, i: _di_da_node(x, m_int[i], A0[i], elliptic.cel_array),
+                np.sqrt(m_int / (1.0 + A0)), np.sqrt(span), np.sqrt(A0))
+            out[integral] = np.copysign(1.0, A[integral]) * values
+    return out
 
 
 # the surface value above m = 1/3 (_i_hyg_surface_quad)
@@ -797,13 +819,16 @@ def _di_da_integral(m, A0, lo, hi):
         # the nodes' u^2, about m or less, would lose their digits
         raise ConvergenceError(f"i_hyg_pi: the integral of dI/dA needs a normal float m "
                                f"(got m = {m})")
+    return oracle.graded_gauss_legendre(lambda u: _di_da_node(u, m, A0, elliptic.cel),
+                                        math.sqrt(m / (1.0 + A0)), lo, hi)
 
-    def f(u):
-        d = u * u * (2.0 * A0 - u * u)
-        oma2 = m + d  # 1 - A'^2, exactly
-        return elliptic.cel(A0, d / oma2, 1.0, A0 * A0) * (4.0 * u / oma2)
 
-    return oracle.graded_gauss_legendre(f, math.sqrt(m / (1.0 + A0)), lo, hi)
+def _di_da_node(u, m, A0, cel):
+    # the integrand of _di_da_integral, dI/dA' (2u) at A' = A0 - u^2, on
+    # floats with elliptic.cel and on arrays with elliptic.cel_array
+    d = u * u * (2.0 * A0 - u * u)
+    oma2 = m + d  # 1 - A'^2, exactly
+    return cel(A0, d / oma2, 1.0, A0 * A0) * (4.0 * u / oma2)
 
 
 def _a0_span(A_abs, omm, gap):

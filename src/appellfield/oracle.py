@@ -10,8 +10,8 @@ a polygon, by a Gauss-Legendre rule on each side.
 ``quad_1d`` applies QUADPACK's 7-point Gauss / 15-point Kronrod rule, its
 constants exact to double precision, and splits the worst panel up to 4000
 times. Every caller passes a ``QuadratureSpec``: an absolute and a relative
-tolerance, and at most one singular endpoint. Callers with a fixed request
-build their spec once, as a module constant.
+tolerance. Callers with a fixed request build their spec once, as a module
+constant.
 
 ``graded_gauss_legendre(f, h, lo, hi)`` is a fixed rule instead: 16-node
 Gauss-Legendre panels [0, h], [h, 2h], [2h, 4h], ... clipped to [lo, hi],
@@ -84,16 +84,13 @@ _MAX_SUBDIVISIONS = 4000
 
 
 class QuadratureSpec(Record):
-    __slots__ = _fields = ("abs_tol", "rel_tol", "singular_endpoints")
+    __slots__ = _fields = ("abs_tol", "rel_tol")
 
-    def __init__(self, abs_tol, rel_tol, singular_endpoints=(False, False)):
+    def __init__(self, abs_tol, rel_tol):
         if abs_tol <= 0.0 or rel_tol <= 0.0:
             raise DomainError("QuadratureSpec tolerances must be positive")
-        if all(singular_endpoints):
-            raise DomainError("QuadratureSpec: at most one endpoint may be singular")
         object.__setattr__(self, "abs_tol", abs_tol)
         object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "singular_endpoints", singular_endpoints)
 
 
 def _eval_panel(f, a, b, vectorized):
@@ -133,8 +130,8 @@ def quad_1d(f, a, b, spec, vectorized=False):
     Kronrod-Gauss differences fall below a small fraction of
     max(abs_tol, rel_tol*|value|); the returned estimate is that bound (it is
     conservative for smooth integrands and shrinks proportionally with the
-    requested tolerance). ``singular_endpoints`` flags an integrable
-    singularity at one endpoint, handled by a quadratic substitution. With
+    requested tolerance). An integrable singularity at an endpoint is the
+    caller's to take out, by a substitution such as x = a + u^2. With
     ``vectorized=True``, f must map an ndarray of nodes to an ndarray.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -144,17 +141,6 @@ def quad_1d(f, a, b, spec, vectorized=False):
     if a > b:
         v, e = quad_1d(f, b, a, spec, vectorized)
         return -v, e
-    left_sing, right_sing = spec.singular_endpoints
-    if left_sing or right_sing:
-        if left_sing:
-            def g(u):
-                return f(a + u * u) * 2.0 * u
-        else:
-            def g(u):
-                return f(b - u * u) * 2.0 * u
-        return quad_1d(g, 0.0, math.sqrt(b - a),
-                       QuadratureSpec(spec.abs_tol, spec.rel_tol), vectorized)
-
     v, e, fl = _eval_panel(f, a, b, vectorized)
     panels = [(e, fl, a, b, v)]
     min_width = (b - a) * 1e-14
@@ -396,24 +382,20 @@ def _legendre_rule(n):
 def gauss_legendre(f, a, b, nodes):
     """The fixed ``nodes``-point Gauss-Legendre rule for the integral of the
     scalar function f over [a, b]: exact for a polynomial of degree
-    2 nodes - 1, and geometrically convergent for f analytic about [a, b]."""
+    2 nodes - 1, and geometrically convergent for f analytic about [a, b].
+    The weighted values are summed left to right from 0.0 (not by sum(),
+    which compensates float sums from Python 3.12 on), so an array
+    evaluation that adds the nodes in this order has the same bits."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    return half * sum(w * f(mid + half * x) for x, w in _legendre_rule(nodes))
+    total = 0.0
+    for x, w in _legendre_rule(nodes):
+        total += w * f(mid + half * x)
+    return half * total
 
 
-def graded_gauss_legendre(f, h, lo, hi, vectorized=False):
-    """The integral of f over [lo, hi], 0 <= lo <= hi, by 16-node
-    Gauss-Legendre rules on the panels [0, h], [h, 2h], [2h, 4h], ...
-    clipped to [lo, hi], for h > 0.
-
-    Where f is analytic but for singularities at distance h or more from 0,
-    on the negative or the imaginary axis (an integrable singularity at 0
-    itself included, for a small enough h), each panel lies within a
-    Bernstein ellipse of parameter >= 4.6 clear of them. The scalar form
-    takes the panels one at a time by ``gauss_legendre``. With
-    ``vectorized=True``, f maps an ndarray of every panel's nodes to an
-    ndarray, in one call, and DomainError is raised where it is not finite.
-    """
+def _graded_panels(h, lo, hi):
+    """The panels (a, b) of graded_gauss_legendre, in order: [0, h],
+    [h, 2h], [2h, 4h], ... clipped to [lo, hi]."""
     if not h > 0.0:
         raise DomainError(f"graded_gauss_legendre requires h > 0 (got {h})")
     ends, a, b = [], 0.0, h
@@ -421,6 +403,24 @@ def graded_gauss_legendre(f, h, lo, hi, vectorized=False):
         if b > lo:
             ends.append((max(a, lo), min(b, hi)))
         a, b = b, 2.0 * b
+    return ends
+
+
+def graded_gauss_legendre(f, h, lo, hi, vectorized=False):
+    """The integral of f over [lo, hi], 0 <= lo <= hi, by 16-node
+    Gauss-Legendre rules on the panels [0, h], [h, 2h], [2h, 4h], ...
+    clipped to [lo, hi], for h > 0 (_graded_panels).
+
+    Where f is analytic but for singularities at distance h or more from 0,
+    on the negative or the imaginary axis (an integrable singularity at 0
+    itself included, for a small enough h), each panel lies within a
+    Bernstein ellipse of parameter >= 4.6 clear of them. The scalar form
+    takes the panels one at a time by ``gauss_legendre`` and adds them in
+    order from 0.0. With ``vectorized=True``, f maps an ndarray of every
+    panel's nodes to an ndarray, in one call, and DomainError is raised
+    where it is not finite.
+    """
+    ends = _graded_panels(h, lo, hi)
     if not vectorized:
         total = 0.0
         for a, b in ends:
@@ -437,6 +437,37 @@ def graded_gauss_legendre(f, h, lo, hi, vectorized=False):
     if not np.all(np.isfinite(fx)):
         raise DomainError(f"integrand not finite on [{lo}, {hi}]")
     return float(half @ (fx.reshape(xs.shape) @ weights))
+
+
+def graded_gauss_legendre_each(f, h, lo, hi):
+    """graded_gauss_legendre(lambda u: f(u, i), h[i], lo[i], hi[i]) for
+    every i of the float arrays h, lo and hi, as an array, bit for bit
+    the scalar form, for f(u, idx) that maps an ndarray of nodes u, each
+    of element idx[k], to an ndarray, elementwise as f(u, i) on floats
+    rounds. Every element's panels are taken at once, one node at a time
+    in gauss_legendre's order, so the arrays stay at the panel count, and
+    each element's panels are added in order from 0.0."""
+    import numpy as np
+    owner, rank, ends = [], [], []
+    for i, args in enumerate(zip(h.tolist(), lo.tolist(), hi.tolist())):
+        panels = _graded_panels(*args)
+        owner += [i] * len(panels)
+        rank += range(len(panels))
+        ends += panels
+    total = np.zeros(len(h))
+    if not ends:
+        return total
+    owner, rank = np.array(owner), np.array(rank)
+    a, b = np.array(ends).T
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    sums = np.zeros(len(owner))
+    for x, w in _legendre_rule(16):
+        sums += w * f(mid + half * x, owner)
+    sums = half * sums
+    for k in range(rank.max() + 1):
+        at = rank == k
+        total[owner[at]] += sums[at]
+    return total
 
 
 # nodes of the Gauss-Legendre rule on each straight side of a loop: the

@@ -10,6 +10,7 @@ import pytest
 
 from appellfield import cli, jacobi
 from appellfield.errors import SingularityError
+from appellfield.geometry import CylinderSpec, TubeSpec
 
 
 def run_cli(*argv):
@@ -506,6 +507,30 @@ def test_grid_under_a_low_term_cap_equals_the_scalar_calls(tmp_path, body):
     assert got["err"] == got["failed"] and got["code"] == 1
     # the cap makes sums fail, in the batch and in the scalar calls
     assert got["nan_left"] > 0 and any("within 64 terms" in line for line in got["failed"])
+
+
+@pytest.mark.parametrize("body", ["cyl", "tube"])
+@pytest.mark.parametrize("quantity", ["phi", "psi", "both"])
+def test_a_column_beyond_the_length_range_fails_only_its_cells(tmp_path, body, quantity):
+    # the column r = 1e160 lies beyond aux's length range: the end tables
+    # leave its offsets out, so its cells raise and fail one by one, and the
+    # grid is written with exit code 1, as without a table (a phi grid
+    # exited 2 and wrote nothing while its batch called aux unguarded)
+    spec = {"cyl": CylinderSpec(1.0, 0.7, 1.0), "tube": TubeSpec(1.0, 0.7, 1.0)}[body]
+    out = tmp_path / "grid.csv"
+    code, _, err = run_cli("grid", "--body", body, "--R", "1", "--Z", "0.7", "--density", "1",
+                           "--r-min", "2", "--r-max", "1e160", "--z-min", "-1", "--z-max", "1",
+                           "--nr", "2", "--nz", "3", "--quantity", quantity, "--out", str(out))
+    assert code == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["2.0"] * 3 + ["1e+160"] * 3
+    for r, z, phi, psi, _ in rows[:3]:
+        assert [phi, psi] == _scalar_row(body, spec, 2.0, float(z), quantity, 0)
+    assert all(row[2:4] == ["nan", "nan"] for row in rows[3:])
+    lines = err.splitlines()
+    assert len(lines) == 3 * (2 if quantity == "both" else 1)
+    assert all(line.startswith("failed: ") and "(1e+160, " in line and "aux" in line
+               for line in lines)
 
 
 def test_grid_batches_only_phi_of_the_cylinder_and_tube(tmp_path, monkeypatch):

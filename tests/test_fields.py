@@ -9,7 +9,7 @@ from appellfield import fields as fl
 from appellfield import indefinite
 from appellfield import oracle as oc
 from appellfield.errors import ConvergenceError, DomainError, SingularityError
-from appellfield.geometry import CylinderSpec, DiskSpec, TubeSpec, aux
+from appellfield.geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
 
 CYL = CylinderSpec(R=1.0, Z=0.7, rho0=1.0)
 TUBE = TubeSpec(R=1.0, Z=0.7, sigma0=1.0)
@@ -89,7 +89,7 @@ def test_cancellation_guard_spares_the_figure_window():
     # cylinder's largest rounding estimate there is 1.6e-14 of phi. Both
     # bodies share their I(m, A; pi) end terms, and so one table per column
     rs, zs = np.linspace(0.0, 3.0, 61).tolist(), np.linspace(0.0, 3.0, 61).tolist()
-    for r, ends in zip(rs, fl.phi_end_tables(CYL, rs, zs)):
+    for r, ends in zip(rs, fl.phi_end_tables(CYL, rs, zs, "phi")):
         for z in zs:
             fl.phi_tube((r, z), TUBE, ends=ends)
             try:
@@ -138,11 +138,21 @@ def test_ke_sum_and_pi_star_is_the_two_cel_calls():
              (2.0, 0.0, 1.0), (1.0, 0.3, 0.0), (1.0, 0.0, 1.0 + 1e-15)]
     slots += [(1.0, float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.0, 3.0)))
               for _ in range(300)]
+    records, coefs, wants = [], [], []
     for R, zeta, r in slots:
         a = aux(R, zeta, r)
         ca, cb = rng.normal(size=2).tolist()
         want = (fl._ke_sum(a, ca, cb), _pi_star_by_cel(a))
         assert repr(fl._ke_sum_and_pi_star(a, ca, cb)) == repr(want), (R, zeta, r)
+        records.append(a)
+        coefs.append((ca, cb))
+        wants.append(want)
+    # the same arithmetic over arrays, the grid's end tables' form
+    arrays = AuxGeometry(*(np.array(field) for field in zip(*records)))
+    ca, cb = np.array(coefs).T
+    got = fl._ke_sum_and_pi_star(arrays, ca, cb, fl._cels_arrays)
+    assert [repr(pair) for pair in zip(*(v.tolist() for v in got))] == \
+        [repr(pair) for pair in wants]
 
 
 def test_aux_degenerate():
@@ -260,9 +270,10 @@ def test_phi_tube_surface_against_quadrature():
         a = 2.0 * np.abs(np.cos(th / 2.0))
         return np.arcsinh((z_obs + TUBE.Z) / a) - np.arcsinh((z_obs - TUBE.Z) / a)
 
-    spec = oc.QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9,
-                             singular_endpoints=(False, True))
-    val, _ = oc.quad_1d(integrand, 0.0, math.pi, spec, vectorized=True)
+    # theta = pi - u^2 takes out the log endpoint
+    spec = oc.QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+    val, _ = oc.quad_1d(lambda u: integrand(math.pi - u * u) * 2.0 * u, 0.0, math.sqrt(math.pi),
+                        spec, vectorized=True)
     ref = 2.0 * TUBE.sigma0 * TUBE.R * val
     assert fl.phi_tube((1.0, z_obs), TUBE) == pytest.approx(ref, rel=1e-8)
 
@@ -403,19 +414,32 @@ def test_end_term_table_gives_the_plain_values(r, z, Z):
 
 
 def test_phi_end_tables_hold_the_plain_end_terms():
-    # one table per column, in order, each holding I(m, A; pi) end terms
-    # bit for bit as the calls compute them. The batch leaves the column
-    # r = R (gap = 0: the boundary route) and the offset 0 (A = 0) to the calls
+    # one table per column, in order, each holding every end term of the
+    # kinds the quantity reads, bit for bit as the calls compute them, the
+    # columns r = 0 and r = R and the offset 0 included. Only I(m, A; pi)
+    # on the column r = R (gap = 0: the boundary route) and at the offset 0
+    # (A = 0) is left to the calls
     rs, zs = [0.0, 0.5, 1.0, 2.5], [-1.5, -0.7, 0.0, 0.35, 1.2]
+    kinds = {"phi": {CylinderSpec: {fl._hyg_end, fl._cyl_ell_end}, TubeSpec: {fl._hyg_end}},
+             "psi": {CylinderSpec: {fl._psi_cyl_end}, TubeSpec: {fl._psi_tube_end}}}
     for spec in (CylinderSpec(R=1.0, Z=0.7, rho0=1.0), TubeSpec(R=1.0, Z=0.7, sigma0=1.0)):
-        tables = list(fl.phi_end_tables(spec, rs, zs))
-        assert len(tables) == len(rs)
-        for r, table in zip(rs, tables):
-            zetas = {abs(b * spec.Z - z) for z in zs for b in (1.0, -1.0)} - {0.0}
-            assert {key[:3] for key in table} <= {(fl._hyg_end, spec.R, r)}
-            assert {key[3] for key in table} == (set() if r == spec.R else zetas)
-            for (end, R, rr, zeta), value in table.items():
-                assert value == end(R, rr, zeta)
+        for quantity in ("phi", "psi", "both"):
+            ends = set().union(*(kinds[q][type(spec)] for q in ("phi", "psi")
+                                 if quantity in (q, "both")))
+            tables = list(fl.phi_end_tables(spec, rs, zs, quantity))
+            assert len(tables) == len(rs)
+            for r, table in zip(rs, tables):
+                zetas = {abs(b * spec.Z - z) for z in zs for b in (1.0, -1.0)}
+                assert 0.0 in zetas
+                assert {key[:3] for key in table} <= {(end, spec.R, r) for end in ends}
+                for end in ends:
+                    held = {key[3] for key in table if key[0] is end}
+                    if end is fl._hyg_end:
+                        assert held == (set() if r == spec.R else zetas - {0.0}), (end, r)
+                    else:
+                        assert held == zetas, (end, r)
+                for (end, R, rr, zeta), value in table.items():
+                    assert repr(value) == repr(end(R, rr, zeta)), (end, rr, zeta)
 
 
 def test_nonfinite_results_raise():

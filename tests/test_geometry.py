@@ -17,7 +17,7 @@ RECORDS = [
     CylinderSpec(1.0, 0.7, 1.0),
     TubeSpec(1.0, 0.7, 2.0),
     DiskSpec(1.0, -1.0),
-    QuadratureSpec(1e-12, 1e-10, (True, False)),
+    QuadratureSpec(1e-12, 1e-10),
     GridSpec(0.0, 2.0, -1.0, 1.0, 3, 5, "tube", 1.0, 0.7, 1.0, "both", (-1, 0, 1)),
     CheckResult("C01", "name", True, 0.5, "detail", 0.25),
 ]
@@ -28,9 +28,8 @@ def test_positional_keyword_and_default_construction():
     assert TubeSpec(1.0, 0.7, 2.0) == TubeSpec(R=1.0, Z=0.7, sigma0=2.0)
     assert DiskSpec(1.0, 2.0) == DiskSpec(sigma=2.0, R=1.0)
     spec = QuadratureSpec(1e-12, rel_tol=1e-10)
-    assert (spec.abs_tol, spec.rel_tol, spec.singular_endpoints) == (1e-12, 1e-10, (False, False))
-    assert QuadratureSpec(1e-12, 1e-10, singular_endpoints=(False, True)).singular_endpoints \
-        == (False, True)
+    assert (spec.abs_tol, spec.rel_tol) == (1e-12, 1e-10)
+    assert QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12) == spec
     with pytest.raises(TypeError):
         CylinderSpec(1.0, 0.7)
 
@@ -45,8 +44,8 @@ def test_validation_raises_domain_error():
             DiskSpec(*bad)
     with pytest.raises(DomainError, match="positive"):
         QuadratureSpec(0.0, 1e-10)
-    with pytest.raises(DomainError, match="at most one endpoint"):
-        QuadratureSpec(1e-12, 1e-10, (True, True))
+    with pytest.raises(TypeError):
+        QuadratureSpec(1e-12, 1e-10, (True, False))
     with pytest.raises(AppellFieldError, match="nr >= 2"):
         GridSpec(0.0, 2.0, -1.0, 1.0, 1, 5, "cyl", 1.0, 0.7, 1.0, "both", (0,))
 
@@ -79,7 +78,7 @@ def test_assignment_raises_attribute_error():
 def test_repr_is_dataclass_style():
     assert repr(CylinderSpec(1.0, 0.7, 1.0)) == "CylinderSpec(R=1.0, Z=0.7, rho0=1.0)"
     assert repr(QuadratureSpec(1e-12, 1e-10)) == \
-        "QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10, singular_endpoints=(False, False))"
+        "QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)"
 
 
 def test_every_record_pickles():

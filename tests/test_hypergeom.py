@@ -95,18 +95,21 @@ def test_gauss_2f1_euler_integral_cross_check():
     # 2F1(a,b;c;x) = B(b, c-b)^(-1) int_0^1 t^(b-1) (1-t)^(c-b-1) (1-xt)^(-a) dt
     a, b, c, x = 0.8, 0.6, 2.2, -3.5
     front = math.gamma(c) / (math.gamma(b) * math.gamma(c - b))
-    spec = oracle.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12,
-                                 singular_endpoints=(True, False))
-    ref, _ = oracle.quad_1d(
-        lambda t: t ** (b - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - x * t) ** (-a),
-        0.0, 1.0, spec, vectorized=True)
+    spec = oracle.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+
+    def euler(t):
+        return t ** (b - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - x * t) ** (-a)
+
+    # t = u^2 takes out the t^(b - 1) singularity at t = 0
+    ref, _ = oracle.quad_1d(lambda u: euler(0.0 + u * u) * 2.0 * u, 0.0, 1.0, spec,
+                            vectorized=True)
     assert hg.gauss_2f1(a, b, c, x) == pytest.approx(front * ref, rel=1e-10)
 
 
 def test_gauss_2f1_near_one_log_case():
     # c = a + b: logarithmic connection formula region; reference via the
-    # Euler integral split at 1/2, each half substituted at its singular end
-    # (t = 0, and the t = 1 boundary layer)
+    # Euler integral split at 1/2, each half substituted, t = a + u^2 or
+    # b - u^2, at its singular end (t = 0, and the t = 1 boundary layer)
     x = 0.9999
     val = hg.gauss_2f1(1.5, 0.5, 2.0, x)
     front = math.gamma(2.0) / (math.gamma(0.5) * math.gamma(1.5))
@@ -114,10 +117,11 @@ def test_gauss_2f1_near_one_log_case():
     def euler(t):
         return t ** (-0.5) * (1.0 - t) ** 0.5 * (1.0 - x * t) ** (-1.5)
 
+    spec = oracle.QuadratureSpec(abs_tol=0.5e-12, rel_tol=1e-11)
     ref = 0.0
-    for a, b, ends in ((0.0, 0.5, (True, False)), (0.5, 1.0, (False, True))):
-        spec = oracle.QuadratureSpec(abs_tol=0.5e-12, rel_tol=1e-11, singular_endpoints=ends)
-        ref += oracle.quad_1d(euler, a, b, spec, vectorized=True)[0]
+    for halfway in (lambda u: euler(0.0 + u * u) * 2.0 * u,
+                    lambda u: euler(1.0 - u * u) * 2.0 * u):
+        ref += oracle.quad_1d(halfway, 0.0, math.sqrt(0.5), spec, vectorized=True)[0]
     assert val == pytest.approx(front * ref, rel=1e-8)
 
 
@@ -878,8 +882,9 @@ def _batch_arguments(rng, n):
 
 
 def _assert_batch_matches_scalar(args):
-    # every value the batch returns is the scalar one; it leaves (nan) only
-    # the elements off the single-index routes and the unfinished sums
+    # every value the batch returns is the scalar one, on the single-index
+    # routes and the integral up from A = 0; it leaves (nan) only the
+    # boundary route, the zeros and the elements whose scalar call raises
     m, A, gap = (list(v) for v in zip(*args))
     batch = hg.i_hyg_pi_batch(m, A, gap)
     assert batch.shape == (len(args),)
@@ -889,7 +894,7 @@ def _assert_batch_matches_scalar(args):
             scalar = hg.i_hyg_pi(mi, ai, gi)
         except (DomainError, ConvergenceError):
             scalar = None
-        if route in ("ke", "inner") and scalar is not None:
+        if route in ("ke", "inner", "integral") and scalar is not None:
             assert value == scalar, (mi, ai, gi)
         else:
             assert math.isnan(value), (mi, ai, gi)

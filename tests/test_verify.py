@@ -35,6 +35,16 @@ def test_c05_catches_a_scaled_derivative(monkeypatch, name):
     assert result.worst > 5.0
 
 
+@pytest.mark.parametrize("name", ["_i_hyg_surface_quad", "_i_hyg_surface_f43"])
+def test_c03_catches_a_surface_route_off_by_1e_12(monkeypatch, name):
+    # C03 draws no random numbers: every seed and suite reads the same
+    assert verify.run_check("C03", seed=0, full=False).passed
+    _scaled(monkeypatch, hypergeom, name, factor=1.0 + 1e-12)
+    result = verify.run_check("C03", seed=0, full=False)
+    assert not result.passed, result.detail
+    assert result.worst > 1.0
+
+
 # worst residual ratios of the fast suite, as read when each stencil
 # evaluated all its points itself
 @pytest.mark.parametrize("ident,seed,worst", [
