@@ -7,10 +7,9 @@ verification oracles."""
 
 from . import elliptic, errors, fields, geometry, hypergeom, indefinite, jacobi, oracle
 from .geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
-from .oracle import QuadratureSpec
 
 __all__ = [
-    "AuxGeometry", "CylinderSpec", "DiskSpec", "QuadratureSpec", "TubeSpec", "aux",
+    "AuxGeometry", "CylinderSpec", "DiskSpec", "TubeSpec", "aux",
     "elliptic", "errors", "fields", "geometry", "hypergeom", "indefinite",
     "jacobi", "oracle", "verify",
 ]

@@ -284,40 +284,45 @@ def _pair(ends, end, R, r, z, Z, coef):
     return value, 2.0 ** -52 * abs(plus) + 2.0 ** -52 * abs(minus)
 
 
-def _assemble(name, point, parts, psi_body=None, factor=1.0):
-    """factor times the sum, left to right, of the values of ``parts``, each
-    a pair (value, rounding) as _pair gives them. DomainError where the
-    result is not finite. ConvergenceError where the parts cancel so far
-    that their rounding exceeds 1e-6 of the scale of the sum (before
-    factor, the disk's density): |phi| for a phi, and max(|psi|, 1e-3 |Q|)
-    for the psi of psi_body, whose charge is Q. Far from the body a
-    potential is a small difference of large end terms (ROADMAP item 1);
-    psi tends to Q cos t there and is 0 on z = 0."""
+def _assemble(name, point, parts, density, psi_charge=None):
+    """density times the sum, left to right, of the values of ``parts``, the
+    unit-density parts of a potential, each a pair (value, rounding) as
+    _pair gives them; 0.0 at density 0. DomainError where the result is not
+    finite. ConvergenceError where the parts cancel so far that their
+    rounding exceeds 1e-6 of the scale of the unit-density sum: |phi| for a
+    phi, and max(|psi|, 1e-3 |Q|) for a psi, Q = psi_charge being the
+    body's charge at unit density. So the guard decides at every density as
+    at density 1, and at density 1 the value is the plain sum. Far from the
+    body a potential is a small difference of large end terms (ROADMAP item
+    1); psi tends to Q cos t there and is 0 on z = 0."""
     total = rounding = 0.0
     for value, err in parts:
         total += value
         rounding += err
+    if density == 0.0:
+        return 0.0
     if rounding > 1e-6 * abs(total) and (
-            psi_body is None or rounding > 1e-9 * abs(psi_body.total_charge)):
+            psi_charge is None or rounding > 1e-9 * abs(psi_charge)):
         raise ConvergenceError(f"{name}: the end terms cancel beyond 1e-6 of its scale at {point}")
-    return _finite(factor * total, name)
+    return _finite(density * total, name)
 
 
 def _phi_cyl_parts(point, spec: CylinderSpec, ends):
-    """The parts of phi_cyl for _assemble: the hyg pair, the ell pair and
-    p_corr."""
+    """The unit-density parts of phi_cyl for _assemble: the hyg pair, the
+    ell pair and p_corr."""
     r, z = _check_cyl_point(point, spec)
-    R, Z, rho0 = spec.R, spec.Z, spec.rho0
-    corr = math.pi * rho0 * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
-        * heaviside(Z - abs(z)) - 4.0 * math.pi * rho0 * Z * abs(z) * heaviside(abs(z) - Z)
-    return (_pair(ends, _hyg_end, R, r, z, Z, rho0 * 2.0 * (R * R / 2.0)),
-            _pair(ends, _cyl_ell_end, R, r, z, Z, rho0 * 2.0), (corr, 2.0 ** -52 * abs(corr)))
+    R, Z = spec.R, spec.Z
+    corr = math.pi * (r * r * heaviside(r - R) - 2.0 * (z * z + Z * Z)) \
+        * heaviside(Z - abs(z)) - 4.0 * math.pi * Z * abs(z) * heaviside(abs(z) - Z)
+    return (_pair(ends, _hyg_end, R, r, z, Z, 2.0 * (R * R / 2.0)),
+            _pair(ends, _cyl_ell_end, R, r, z, Z, 2.0), (corr, 2.0 ** -52 * abs(corr)))
 
 
 def phi_cyl_terms(point, spec: CylinderSpec, *, ends=None):
-    """The three parts (phi_hyg, phi_ell, phi_corr) of the cylinder potential;
-    each part separately satisfies a Laplace/Poisson equation away from the
-    surfaces r = R, z = +-Z. Given ``ends``, a dict that calls may share,
+    """The three parts (phi_hyg, phi_ell, phi_corr) of the cylinder potential,
+    each the density times its unit-density part; each part separately
+    satisfies a Laplace/Poisson equation away from the surfaces r = R,
+    z = +-Z. Given ``ends``, a dict that calls may share,
     each end term is read from it, or computed and stored in it; the result
     is the same bit for bit. DomainError where their sum, phi_cyl, is not
     finite (it overflows at an extreme density). ConvergenceError where the
@@ -326,16 +331,17 @@ def phi_cyl_terms(point, spec: CylinderSpec, *, ends=None):
     1e-6 |phi_cyl|: for R = 1, Z = 0.7 from |z| = 1.5e3 on the axis and on
     the r = R column."""
     parts = _phi_cyl_parts(point, spec, ends)
-    _assemble("phi_cyl", point, parts)
-    return tuple(value for value, _ in parts)
+    _assemble("phi_cyl", point, parts, spec.rho0)
+    return tuple(spec.rho0 * value for value, _ in parts)
 
 
 def phi_cyl(point, spec: CylinderSpec, *, ends=None):
     """Electric potential of the uniformly charged cylinder; C^1 across the
-    surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity. The
+    surface, -> Q/sqrt(r^2+z^2) with Q = 2 pi R^2 Z rho0 at infinity. rho0
+    times the left-to-right sum of the unit-density terms: at density 1 the
     left-to-right sum of phi_cyl_terms. ``ends``, DomainError and
     ConvergenceError as for phi_cyl_terms."""
-    return _assemble("phi_cyl", point, _phi_cyl_parts(point, spec, ends))
+    return _assemble("phi_cyl", point, _phi_cyl_parts(point, spec, ends), spec.rho0)
 
 
 def psi_cyl(point, spec: CylinderSpec, *, ends=None):
@@ -348,15 +354,16 @@ def psi_cyl(point, spec: CylinderSpec, *, ends=None):
     magnitudes of the parts, exceeds 1e-6 max(|psi|, 1e-3 |Q|): for R = 1,
     Z = 0.7 from a distance of 2.0e3 on the 45-degree ray."""
     r, z = _check_cyl_point(point, spec)
-    R, Z, rho0 = spec.R, spec.Z, spec.rho0
+    R, Z = spec.R, spec.Z
     if r <= R and abs(z) <= Z:
         return None
-    side = -2.0 * math.pi * rho0 * r * r * z * heaviside(Z - abs(z))
-    cap = 2.0 * math.pi * rho0 * Z * _sgn(z) * (-r * r + R * R * heaviside(R - r)) \
+    side = -2.0 * math.pi * r * r * z * heaviside(Z - abs(z))
+    cap = 2.0 * math.pi * Z * _sgn(z) * (-r * r + R * R * heaviside(R - r)) \
         * heaviside(abs(z) - Z)
-    return _assemble("psi_cyl", point, (_pair(ends, _psi_cyl_end, R, r, z, Z, rho0 * 2.0),
+    return _assemble("psi_cyl", point, (_pair(ends, _psi_cyl_end, R, r, z, Z, 2.0),
                                         (side, 2.0 ** -52 * abs(side)),
-                                        (cap, 2.0 ** -52 * abs(cap))), spec)
+                                        (cap, 2.0 ** -52 * abs(cap))),
+                     spec.rho0, 2.0 * math.pi * R ** 2 * Z)
 
 
 def phi_tube(point, spec: TubeSpec, *, ends=None):
@@ -369,8 +376,8 @@ def phi_tube(point, spec: TubeSpec, *, ends=None):
     |z| = 1.6e8 on the axis and on the r = R column."""
     r, z = _check_point(point)
     R = spec.R
-    return _assemble("phi_tube", point,
-                     (_pair(ends, _hyg_end, R, r, z, spec.Z, spec.sigma0 * R * 2.0),))
+    return _assemble("phi_tube", point, (_pair(ends, _hyg_end, R, r, z, spec.Z, R * 2.0),),
+                     spec.sigma0)
 
 
 def tube_branch_jump(spec: TubeSpec):
@@ -389,12 +396,13 @@ def psi_tube(point, spec: TubeSpec, branch=0, *, ends=None):
     1e-6 max(|psi|, 1e-3 |Q|) on branch 0: for R = 1, Z = 0.7 from a
     distance of 2.2e9 on the 45-degree ray."""
     r, z = _check_point(point)
-    R, Z, sigma0 = spec.R, spec.Z, spec.sigma0
+    R, Z = spec.R, spec.Z
     if abs(r - R) < 1e-12 * R and abs(z) < Z:
         raise SingularityError("psi_tube: point on the charged tube surface")
-    inner = 4.0 * math.pi * sigma0 * R * Z * _sgn(z) * heaviside(R - r)
-    psi = _assemble("psi_tube", point, (_pair(ends, _psi_tube_end, R, r, z, Z, sigma0 * R * 2.0),
-                                        (inner, 2.0 ** -52 * abs(inner))), spec)
+    inner = 4.0 * math.pi * R * Z * _sgn(z) * heaviside(R - r)
+    psi = _assemble("psi_tube", point, (_pair(ends, _psi_tube_end, R, r, z, Z, R * 2.0),
+                                        (inner, 2.0 ** -52 * abs(inner))),
+                    spec.sigma0, 4.0 * math.pi * R * Z)
     return psi_tube_on_branch(psi, spec, branch)
 
 
@@ -433,7 +441,7 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         flat = 2.0 * math.pi * abs(z) * heaviside(R - r)
         parts = ((ell, 2.0 ** -52 * abs(ell)), (pi_part, 2.0 ** -52 * abs(pi_part)),
                  (-flat, 2.0 ** -52 * flat))
-        return _assemble("phi_disk", point, parts, factor=sigma)
+        return _assemble("phi_disk", point, parts, sigma)
     if form != "takahashi":
         raise DomainError(f"phi_disk: unknown form {form!r}")
     # (2/L0) [L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum, + the n_pm pair]:
@@ -458,5 +466,5 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         rounding += 2.0 ** -52 * abs(plus) + 2.0 ** -52 * abs(minus)
     flat = 2.0 * math.pi * abs(z)
     parts = ((2.0 / L0 * out, 2.0 / L0 * rounding), (-flat, 2.0 ** -52 * flat))
-    return _assemble("phi_disk", point, parts, factor=sigma)
+    return _assemble("phi_disk", point, parts, sigma)
 

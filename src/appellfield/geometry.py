@@ -3,8 +3,8 @@ closed-form potentials and the brute-force oracles.
 
 Units: 4*pi*eps0 = 1 throughout, so [phi] = charge/length and [psi] = charge.
 
-The package's immutable records (the body specs here, oracle.QuadratureSpec,
-cli.GridSpec and verify.CheckResult) derive from Record: a class with
+The package's immutable records (the body specs here, cli.GridSpec and
+verify.CheckResult) derive from Record: a class with
 ``__slots__`` that names its fields in ``_fields`` and sets them in its own
 ``__init__`` through ``object.__setattr__``, past Record's ``__setattr__``,
 which refuses assignment. Record compares and hashes

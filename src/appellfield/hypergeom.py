@@ -66,21 +66,20 @@ gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
 non-finite argument, as every public function of elliptic and jacobi does;
 pochhammer(nan, k) is nan. i_hyg(m, A, theta) takes plain arguments and
 checks their domain itself.
-Two integrals run oracle.quad_1d, each at one fixed QuadratureSpec, a
-module constant: i_hyg's defining integral (small theta, and a ratio
-m/(1 - A^2) beyond SERIES_RATIO_MAX; _I_HYG_QUADRATURE) and the surface
-value above m = 1/3 (_i_hyg_surface_quad; _SURFACE_QUADRATURE). Every
-other integral of the module, of cel or K, is the scalar form of
+One integral runs oracle.quad_1d, the adaptive rule: the surface value
+above m = 1/3 (_i_hyg_surface_quad). Every other integral of the module is
 oracle.graded_gauss_legendre, the package's one graded 16-node
-Gauss-Legendre rule: _di_da_integral, _f2_family_at_negative_y, and
-_f43_continued, which continues the 4F3 form of the surface value past its
-radius for check C03 to compare with that quadrature; i_hyg_pi_batch takes
-the first over arrays.
+Gauss-Legendre rule: i_hyg's defining integral (small theta, and a ratio
+m/(1 - A^2) beyond SERIES_RATIO_MAX; _i_hyg_defining, also the reference
+of checks C01 and C02), and, of cel or K, _di_da_integral,
+_f2_family_at_negative_y and _f43_continued, which continues the 4F3 form
+of the surface value past its radius for check C03 to compare with that
+quadrature; i_hyg_pi_batch takes _di_da_integral over arrays.
 
 The module imports no numpy: the functions that build arrays
-(i_hyg_pi_batch, _series_sums, _i_hyg_quadrature, lauricella_f11_triple)
-import it where they run, so the scalar sums, and the potentials built on
-them, run without it.
+(i_hyg_pi_batch, _series_sums, lauricella_f11_triple) and quad_1d import it
+where they run, so the scalar sums, the defining integral, and the
+potentials built on them, run without it.
 """
 
 import itertools
@@ -618,8 +617,9 @@ def i_hyg(m, A, theta):
     at ratio m/(1 - A^2). Below |sin(theta/2)| = SMALL_S_THRESHOLD, where
     that series loses accuracy to cancellation, and where its ratio exceeds
     SERIES_RATIO_MAX = 0.95, beyond which the stopping rule no longer
-    bounds its tail, the defining integral is evaluated by adaptive
-    quadrature instead.
+    bounds its tail, the value is the defining integral instead, by fixed
+    16-node Gauss-Legendre panels (the one the verify checks C01 and C02
+    take as their reference).
     """
     if not (math.isfinite(m) and math.isfinite(A) and math.isfinite(theta)):
         raise DomainError("i_hyg requires finite arguments")
@@ -644,21 +644,41 @@ def i_hyg(m, A, theta):
             "use i_hyg_surface for the boundary value")
     s = math.sin(theta / 2.0)
     if abs(s) < SMALL_S_THRESHOLD or m / (1.0 - A * A) > SERIES_RATIO_MAX:
-        return _i_hyg_quadrature(m, A, theta)
+        return _i_hyg_defining(m, A, theta)
     return _i_hyg_series(m, A, s)
 
 
-_I_HYG_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-11)
+def _i_hyg_defining(m, A, theta):
+    # the defining integral int_0^theta atanh(A/sqrt(1 - m sin^2(t/2))) dt,
+    # odd in A and theta, for m + A^2 < 1. With a = |A|, q = 1 - m sin^2(t/2)
+    # and d = q - a^2 = gap + m cos^2(t/2), gap = 1 - m - a^2 to one rounding
+    # (a^2 = p + e exactly, by Veltkamp's split of a), the integrand is
+    # atanh(a/sqrt(q)) = log1p(2a (sqrt(q) + a)/d)/2, which keeps its digits
+    # where the atanh argument nears 1. It is analytic but where d = 0, at
+    # cos^2(t/2) = -gap/m: at t = pi, or off the real axis beyond it. Up to
+    # |theta| = pi/2 that is at least pi/2 from [0, |theta|], which one
+    # 16-node panel in t takes (the graded rule with h = pi/2). Beyond, the
+    # integral runs in s = pi - t over [pi - |theta|, pi], where
+    # d = gap + m sin^2(s/2) vanishes at s = +-2i asinh(sqrt(gap/m)), by the
+    # graded rule from s = 0.
+    a = abs(A)
+    p, top = a * a, 134217729.0 * a
+    top -= top - a  # a's upper 26 bits, and a - top its lower 27
+    e = ((top * top - p) + 2.0 * top * (a - top)) + (a - top) * (a - top)
+    gap = math.fsum((1.0, -m, -p, -e))
+    th = abs(theta)
+    if th <= 0.5 * math.pi:
+        trig, h, lo, hi = math.cos, 0.5 * math.pi, 0.0, th
+    else:
+        trig, lo, hi = math.sin, math.pi - th, math.pi
+        h = 2.0 * math.asinh(math.sqrt(gap / m)) if m > 0.0 else math.pi
 
+    def f(x):  # cos^2(t/2) = trig(x/2)^2, x being t or s
+        d = gap + m * trig(0.5 * x) ** 2
+        return 0.5 * math.log1p(2.0 * a * (math.sqrt(p + d) + a) / d)
 
-def _i_hyg_quadrature(m, A, theta):
-    import numpy as np
-
-    def integrand(t):
-        return np.arctanh(A / np.sqrt(1.0 - m * np.sin(t / 2.0) ** 2))
-
-    val, _ = oracle.quad_1d(integrand, 0.0, theta, _I_HYG_QUADRATURE, vectorized=True)
-    return val
+    value = oracle.graded_gauss_legendre(f, h, lo, hi)
+    return math.copysign(1.0, A) * math.copysign(1.0, theta) * value
 
 
 def i_hyg_pi(m, A, gap=None):
@@ -798,10 +818,6 @@ def i_hyg_pi_batch(m, A, gap):
     return out
 
 
-# the surface value above m = 1/3 (_i_hyg_surface_quad)
-_SURFACE_QUADRATURE = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-
-
 def _di_da_integral(m, A0, lo, hi):
     # int_lo^hi of dI/dA' (2u du), A' = A0 - u^2, A0 = sqrt(1 - m): the
     # integral of dI/dA' over A0 - hi^2 <= A' <= A0 - lo^2. The integrand
@@ -914,7 +930,7 @@ def _i_hyg_surface_quad(b):
         # K(1 - v^2) with the complementary modulus kc = v exact
         return 2.0 * elliptic.cel(v, 1.0, 1.0, 1.0) / (1.0 - v * v) - 2.0 * L
 
-    rem, _ = oracle.quad_1d(remainder, 0.0, b, _SURFACE_QUADRATURE)
+    rem, _ = oracle.quad_1d(remainder, 0.0, b, 1e-12, 1e-11)
     return 2.0 * b * (math.log(4.0 / b) + 1.0) + rem
 
 

@@ -7,24 +7,24 @@ the central-difference gradient, fixed Gauss-Legendre rules, and the
 circulation of a vector field (such as a finite-difference gradient) around
 a polygon, by a Gauss-Legendre rule on each side.
 
-``quad_1d`` applies QUADPACK's 7-point Gauss / 15-point Kronrod rule, its
-constants exact to double precision, and splits the worst panel up to 4000
-times. Every caller passes a ``QuadratureSpec``: an absolute and a relative
-tolerance. Callers with a fixed request build their spec once, as a module
-constant.
+``quad_1d(f, a, b, abs_tol, rel_tol)`` applies QUADPACK's 7-point Gauss /
+15-point Kronrod rule, its constants exact to double precision, and splits
+the worst panel up to 4000 times. Its one caller in the package is
+hypergeom's surface value above m = 1/3 (_i_hyg_surface_quad).
 
 ``graded_gauss_legendre(f, h, lo, hi)`` is a fixed rule instead: 16-node
 Gauss-Legendre panels [0, h], [h, 2h], [2h, 4h], ... clipped to [lo, hi],
-for an integrand whose nearest singularity lies at distance h from 0. Its
-scalar form serves hypergeom's integrals of cel and K; its vectorized form,
-every panel's nodes in one numpy call, serves the Coulomb references and
-verify's defining integral of I(m, A; theta).
+for an integrand whose nearest singularity lies at distance h from 0, taken
+one panel at a time by ``gauss_legendre``. It serves hypergeom's integrals
+of cel and K and its defining integral of I(m, A; theta), verify's
+reference for the integral of Z sc, and the Coulomb references;
+``graded_gauss_legendre_each`` is its array form, many integrals at once,
+for hypergeom's batch.
 
-Importing this module loads no numpy, so hypergeom, which builds its specs
-at import, stays free of it too: the rule's tables are literal tuples, made
-numpy arrays once, on the first panel, and the quadrature and the Coulomb
-integrands import numpy where they run. The fixed Gauss-Legendre rules are
-formed by Newton's iteration on first use.
+Importing this module loads no numpy: quad_1d's tables are literal tuples,
+made numpy arrays once, on its first panel, and the graded rule and the
+Coulomb integrands run on floats. The fixed Gauss-Legendre rules are formed
+by Newton's iteration on first use.
 
 The Coulomb references integrate Coulomb's law with every inner integral
 done exactly, so one integral of an elementary integrand over an angle
@@ -46,7 +46,7 @@ import functools
 import math
 
 from .errors import ConvergenceError, DomainError
-from .geometry import CylinderSpec, Record, TubeSpec
+from .geometry import CylinderSpec, TubeSpec
 
 # 7-point Gauss / 15-point Kronrod rule on [-1, 1]: QUADPACK qk15's
 # nonnegative nodes and weights as printed, mirrored
@@ -83,27 +83,12 @@ _ESTIMATE_FLOOR = 0.05
 _MAX_SUBDIVISIONS = 4000
 
 
-class QuadratureSpec(Record):
-    __slots__ = _fields = ("abs_tol", "rel_tol")
-
-    def __init__(self, abs_tol, rel_tol):
-        if abs_tol <= 0.0 or rel_tol <= 0.0:
-            raise DomainError("QuadratureSpec tolerances must be positive")
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "rel_tol", rel_tol)
-
-
-def _eval_panel(f, a, b, vectorized):
+def _eval_panel(f, a, b):
     import numpy as np
     nodes, kronrod_weights, gauss_weights = _rule_arrays()
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * nodes
-    if vectorized:
-        fx = np.asarray(f(xs), dtype=float)
-        if fx.ndim == 0:
-            fx = np.full_like(xs, float(fx))
-    else:
-        fx = np.array([float(f(x)) for x in xs])
+    fx = np.array([float(f(x)) for x in xs])
     if not np.all(np.isfinite(fx)):
         raise DomainError(f"integrand not finite on [{a}, {b}]")
     k15 = half * float(kronrod_weights @ fx)
@@ -123,32 +108,35 @@ def _eval_panel(f, a, b, vectorized):
     return k15, max(err, floor), floor
 
 
-def quad_1d(f, a, b, spec, vectorized=False):
-    """Adaptive Gauss-Kronrod integral of f over [a, b].
+def quad_1d(f, a, b, abs_tol, rel_tol):
+    """Adaptive Gauss-Kronrod integral of the scalar function f over [a, b].
 
     Returns (value, error_estimate). Refinement continues until the summed
     Kronrod-Gauss differences fall below a small fraction of
     max(abs_tol, rel_tol*|value|); the returned estimate is that bound (it is
     conservative for smooth integrands and shrinks proportionally with the
     requested tolerance). An integrable singularity at an endpoint is the
-    caller's to take out, by a substitution such as x = a + u^2. With
-    ``vectorized=True``, f must map an ndarray of nodes to an ndarray.
+    caller's to take out, by a substitution such as x = a + u^2. DomainError
+    for a tolerance that is not positive, an infinite endpoint or an
+    integrand that is not finite at a node.
     """
+    if not (abs_tol > 0.0 and rel_tol > 0.0):
+        raise DomainError(f"quad_1d tolerances must be positive (got {abs_tol}, {rel_tol})")
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("quad_1d requires finite endpoints")
     if a == b:
         return 0.0, 0.0
     if a > b:
-        v, e = quad_1d(f, b, a, spec, vectorized)
+        v, e = quad_1d(f, b, a, abs_tol, rel_tol)
         return -v, e
-    v, e, fl = _eval_panel(f, a, b, vectorized)
+    v, e, fl = _eval_panel(f, a, b)
     panels = [(e, fl, a, b, v)]
     min_width = (b - a) * 1e-14
     for _ in range(_MAX_SUBDIVISIONS):
         total = sum(p[4] for p in panels)
         err = sum(p[0] for p in panels)
         noise = sum(p[1] for p in panels)  # summed rounding floors
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        tol = max(abs_tol, rel_tol * abs(total))
         # stop at the request, or once further splitting can only shuffle
         # rounding noise between panels
         if err <= max(_ESTIMATE_FLOOR * tol, 2.0 * noise):
@@ -160,8 +148,8 @@ def quad_1d(f, a, b, spec, vectorized=False):
                 f"quad_1d: interval [{pa}, {pb}] below resolution limit "
                 "(non-integrable singularity?)")
         pm = 0.5 * (pa + pb)
-        v1, e1, f1 = _eval_panel(f, pa, pm, vectorized)
-        v2, e2, f2 = _eval_panel(f, pm, pb, vectorized)
+        v1, e1, f1 = _eval_panel(f, pa, pm)
+        v2, e2, f2 = _eval_panel(f, pm, pb)
         panels.append((e1, f1, pa, pm, v1))
         panels.append((e2, f2, pm, pb, v2))
     raise ConvergenceError("quad_1d: subdivision budget exhausted")
@@ -183,25 +171,22 @@ _COULOMB_RANGE = 1e2
 
 def _inv_root_plus(D, c):
     """1/(sqrt(D^2 + c^2) + c) = (sqrt(D^2 + c^2) - c)/D^2 for c >= 0."""
-    import numpy as np
-    return 1.0 / (np.sqrt(D * D + c * c) + c)
+    return 1.0 / (math.sqrt(D * D + c * c) + c)
 
 
 def _asinh_gap(D, a, b):
     """asinh(a/D) - asinh(b/D) for a > |b|, without cancellation."""
-    import numpy as np
     if b <= 0.0:
-        return np.arcsinh(a / D) + np.arcsinh(-b / D)
+        return math.asinh(a / D) + math.asinh(-b / D)
     # asinh x - asinh y = asinh((x^2 - y^2)/(x sqrt(1 + y^2) + y sqrt(1 + x^2)))
-    return np.arcsinh((a - b) * (a + b) / (a * np.hypot(D, b) + b * np.hypot(D, a)))
+    return math.asinh((a - b) * (a + b) / (a * math.hypot(D, b) + b * math.hypot(D, a)))
 
 
 def _root_minus_integral(D, c):
     """int_0^D (sqrt(t^2 + c^2) - c) dt for c >= 0."""
-    import numpy as np
     if c == 0.0:
         return 0.5 * D * D
-    return 0.5 * (D ** 3 * _inv_root_plus(D, c) - c * (D - c * np.arcsinh(D / c)))
+    return 0.5 * (D ** 3 * _inv_root_plus(D, c) - c * (D - c * math.asinh(D / c)))
 
 
 def _ring_integral(g, r, R):
@@ -209,17 +194,15 @@ def _ring_integral(g, r, R):
     from radius r, D^2 = (r-R)^2 + 4 r R sin^2(theta/2) being its squared
     distance in the plane, graded from theta = 0, where D is smallest (a log
     singularity on r = R)."""
-    import numpy as np
-
     def f(th):
-        s2 = np.sin(th / 2.0) ** 2
+        s2 = math.sin(th / 2.0) ** 2
         return g((r - R) ** 2 + 4.0 * r * R * s2, (r - R) + 2.0 * R * s2)
 
     # D^2 vanishes at theta = +-i 2 asinh(|r - R|/(2 sqrt(r R))), about
     # |r - R|/sqrt(r R) from 0 near r = R; on r = R the panels reach in to
     # 2^-60
     h = 2.0 * math.asinh(0.5 * abs(r - R) / (math.sqrt(r) * math.sqrt(R))) if r > 0.0 else math.pi
-    return graded_gauss_legendre(f, max(h, _INNERMOST), 0.0, math.pi, vectorized=True)
+    return graded_gauss_legendre(f, max(h, _INNERMOST), 0.0, math.pi)
 
 
 def _chord_integral(g, r, R):
@@ -229,11 +212,9 @@ def _chord_integral(g, r, R):
     ray at pi - t (sign +1; t in [0, pi/2]) and, for r >= R, the near end of
     the chord (sign -1; t up to asin(R/r), a square-root singularity for
     r > R). D2 = 0 on r = R."""
-    import numpy as np
-
     def f(t):
-        c = np.cos(t)
-        d1 = r * c + np.sqrt(np.maximum(R * R - (r * np.sin(t)) ** 2, 0.0))
+        c = math.cos(t)
+        d1 = r * c + math.sqrt(max(R * R - (r * math.sin(t)) ** 2, 0.0))
         return g(c, d1, abs(R - r) * (R + r) / d1, 1.0 if r < R else -1.0)
 
     if r < R:
@@ -241,7 +222,7 @@ def _chord_integral(g, r, R):
         # s = +-i acosh(R/r)
         h = math.acosh(R / r) if r > 0.0 else math.pi
         return graded_gauss_legendre(lambda s: f(math.pi / 2.0 - s), max(h, _INNERMOST),
-                                     0.0, math.pi / 2.0, vectorized=True)
+                                     0.0, math.pi / 2.0)
     # t = upper - s^2 takes out the square root at the upper end. In s the
     # nearest singularity is then the zero of d1 near -sqrt(cot(upper)/2),
     # or the square root's other zero, t = -upper, at s = sqrt(2 upper),
@@ -249,7 +230,7 @@ def _chord_integral(g, r, R):
     upper = math.asin(R / r)
     h = min(math.sqrt(math.sqrt((r - R) * (r + R)) / (2.0 * R)), 0.5 * math.sqrt(upper))
     return graded_gauss_legendre(lambda s: 2.0 * s * f(upper - s * s), max(h, _INNERMOST),
-                                 0.0, math.sqrt(upper), vectorized=True)
+                                 0.0, math.sqrt(upper))
 
 
 def _coulomb_args(point, body, name):
@@ -278,11 +259,10 @@ def coulomb_phi(point, body):
 
     Raises DomainError beyond 1e2 max(R, Z) of the origin, where it is not
     validated."""
-    import numpy as np
     r, z, a, b = _coulomb_args(point, body, "coulomb_phi")
     if isinstance(body, TubeSpec):
         return 2.0 * body.sigma0 * body.R * _ring_integral(
-            lambda D2, _: _asinh_gap(np.sqrt(D2), a, b), r, body.R)
+            lambda D2, _: _asinh_gap(math.sqrt(D2), a, b), r, body.R)
 
     def V(D):  # W(D) - W(0)
         return 0.5 * D * D * (_asinh_gap(D, a, b) + a * _inv_root_plus(D, a)
@@ -303,7 +283,6 @@ def coulomb_psi(point, body):
     1e2 max(R, Z) of the origin. Near z = 0 outside the body psi is the
     small difference Q + r * flux, so its relative error grows as psi
     shrinks."""
-    import numpy as np
     r, z, a, b = _coulomb_args(point, body, "coulomb_psi")
     R, Z = body.R, body.Z
     if isinstance(body, TubeSpec):
@@ -313,7 +292,7 @@ def coulomb_psi(point, body):
         # the ring's z' integral: (r - R cos theta)/D^2 [2Z - sqrt(D^2 + a^2)
         # + sqrt(D^2 + b^2)], with 2Z - a + |b| = |b| - b
         def g(D2, num):
-            D = np.sqrt(D2)
+            D = math.sqrt(D2)
             return num * ((abs(b) - b) / D2 + _inv_root_plus(D, abs(b)) - _inv_root_plus(D, a))
 
         flux = -2.0 * body.sigma0 * R * _ring_integral(g, r, R)
@@ -406,37 +385,25 @@ def _graded_panels(h, lo, hi):
     return ends
 
 
-def graded_gauss_legendre(f, h, lo, hi, vectorized=False):
-    """The integral of f over [lo, hi], 0 <= lo <= hi, by 16-node
-    Gauss-Legendre rules on the panels [0, h], [h, 2h], [2h, 4h], ...
-    clipped to [lo, hi], for h > 0 (_graded_panels).
+def graded_gauss_legendre(f, h, lo, hi):
+    """The integral of the scalar function f over [lo, hi], 0 <= lo <= hi,
+    by 16-node Gauss-Legendre rules on the panels [0, h], [h, 2h], [2h, 4h],
+    ... clipped to [lo, hi], for h > 0 (_graded_panels).
 
     Where f is analytic but for singularities at distance h or more from 0,
     on the negative or the imaginary axis (an integrable singularity at 0
     itself included, for a small enough h), each panel lies within a
-    Bernstein ellipse of parameter >= 4.6 clear of them. The scalar form
-    takes the panels one at a time by ``gauss_legendre`` and adds them in
-    order from 0.0. With ``vectorized=True``, f maps an ndarray of every
-    panel's nodes to an ndarray, in one call, and DomainError is raised
-    where it is not finite.
+    Bernstein ellipse of parameter >= 4.6 clear of them. The panels are
+    taken one at a time by ``gauss_legendre`` and added in order from 0.0.
+    DomainError where the sum is not finite, as it is for an integrand that
+    is nan or infinite at a node.
     """
-    ends = _graded_panels(h, lo, hi)
-    if not vectorized:
-        total = 0.0
-        for a, b in ends:
-            total += gauss_legendre(f, a, b, 16)
-        return total
-    if not ends:
-        return 0.0
-    import numpy as np
-    ends = np.array(ends)
-    half, mid = 0.5 * (ends[:, 1] - ends[:, 0]), 0.5 * (ends[:, 0] + ends[:, 1])
-    nodes, weights = np.array(_legendre_rule(16)).T
-    xs = mid[:, None] + half[:, None] * nodes
-    fx = np.broadcast_to(np.asarray(f(xs.ravel()), dtype=float), (xs.size,))
-    if not np.all(np.isfinite(fx)):
-        raise DomainError(f"integrand not finite on [{lo}, {hi}]")
-    return float(half @ (fx.reshape(xs.shape) @ weights))
+    total = 0.0
+    for a, b in _graded_panels(h, lo, hi):
+        total += gauss_legendre(f, a, b, 16)
+    if not math.isfinite(total):
+        raise DomainError(f"graded_gauss_legendre: integrand not finite on [{lo}, {hi}]")
+    return total
 
 
 def graded_gauss_legendre_each(f, h, lo, hi):

@@ -550,9 +550,11 @@ def test_grid_batches_only_phi_of_the_cylinder_and_tube(tmp_path, monkeypatch):
 
 
 def test_nonfinite_result_is_a_typed_error(tmp_path):
-    # at density 1e308 the tube's phi and psi overflow at valid points: the
-    # grid reports every cell as failed and writes the whole file, CSV or
-    # JSON, with exit code 1; eval exits 2 with an error
+    # at density 1e308 the tube's phi, and its psi off the plane z = 0,
+    # overflow at valid points: the grid reports those cells as failed and
+    # writes the whole file, CSV or JSON, with exit code 1; eval exits 2 with
+    # an error. psi on z = 0 is 0.0 at every density: the density multiplies
+    # the unit-density sum, whose end terms there cancel exactly
     grid = ("grid", "--body", "tube", "--R", "1", "--Z", "0.7", "--density", "1e308",
             "--r-min", "0.5", "--r-max", "2", "--z-min", "0", "--z-max", "1",
             "--nr", "2", "--nz", "2")
@@ -561,14 +563,14 @@ def test_nonfinite_result_is_a_typed_error(tmp_path):
         code, _, err = run_cli(*grid, "--format", fmt, "--out", str(out))
         assert code == 1
         lines = err.splitlines()
-        assert len(lines) == 8 and all(line.startswith("failed: ") and "not finite" in line
+        assert len(lines) == 6 and all(line.startswith("failed: ") and "not finite" in line
                                        for line in lines)
         if fmt == "csv":
             rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-            assert len(rows) == 4 and all(row[2:4] == ["nan", "nan"] for row in rows)
+            assert [row[2:4] for row in rows] == [["nan", "0.0"], ["nan", "nan"]] * 2
         else:
             rows = json.loads(out.read_text())["rows"]
-            assert len(rows) == 4 and all(row["phi"] is row["psi"] is None for row in rows)
+            assert [(row["phi"], row["psi"]) for row in rows] == [(None, 0.0), (None, None)] * 2
     code, out, err = run_cli("eval", "--body", "tube", "--R", "1", "--Z", "0.7",
                              "--density", "1e308", "--r", "0.5", "--z", "0")
     assert code == 2 and out == "" and "not finite" in err

@@ -1,8 +1,8 @@
 """A fresh interpreter (python -I) imports the package and evaluates the
-scalar potentials without loading numpy, concurrent.futures, dataclasses,
-inspect, typing or json; the code that builds arrays (the grid batch,
-quadrature, verify) still works from a fresh process, where it loads numpy
-on first use."""
+scalar potentials, i_hyg's defining integral and the Coulomb references
+without loading numpy, concurrent.futures, dataclasses, inspect, typing or
+json; the code that builds arrays (the grid batch, quad_1d, verify) still
+works from a fresh process, where it loads numpy on first use."""
 
 import subprocess
 import sys
@@ -74,7 +74,7 @@ def test_scalar_path_loads_no_numpy():
 def test_package_attributes_resolve():
     out = run_fresh(
         "import appellfield\n"
-        "print(appellfield.QuadratureSpec is appellfield.oracle.QuadratureSpec)\n"
+        "print(appellfield.TubeSpec is appellfield.geometry.TubeSpec)\n"
         "print('numpy' in sys.modules)\n"
         "print(appellfield.verify.run_check('C09').passed)\n"
         "from appellfield import verify\n"
@@ -83,6 +83,23 @@ def test_package_attributes_resolve():
         "print(callable(appellfield.cli.main))\n")
     assert out.split() == ["True", "False", "True", "True", "True", "True"]
     assert not hasattr(appellfield, "no_such_module")
+
+
+def test_defining_integral_and_coulomb_references_load_no_numpy():
+    # i_hyg's defining integral (small theta, and a ratio m/(1 - A^2) past
+    # SERIES_RATIO_MAX) and the Coulomb references run on floats, and give
+    # what they give in this process
+    calls = ("hypergeom.i_hyg(0.3, 0.4, 1e-6)", "hypergeom.i_hyg(0.97, 0.1, 2.0)",
+             "oracle.coulomb_phi((1.5, 0.3), CYL)", "oracle.coulomb_psi((1.5, 0.3), CYL)",
+             "oracle.coulomb_phi((0.5, 1.2), TUBE)", "oracle.coulomb_psi((0.5, 1.2), TUBE)")
+    setup = ("from appellfield import hypergeom, oracle\n"
+             "from appellfield.geometry import CylinderSpec, TubeSpec\n"
+             "CYL, TUBE = CylinderSpec(1.0, 0.7, 1.0), TubeSpec(1.0, 0.7, 1.0)\n")
+    out = run_fresh(setup + f"print(repr([{', '.join(calls)}]))\n"
+                    "print('numpy' in sys.modules)\n")
+    here = {}
+    exec(setup + f"values = [{', '.join(calls)}]", here)
+    assert out.splitlines() == [repr(here["values"]), "False"]
 
 
 def test_array_paths_work_from_a_fresh_process(tmp_path):

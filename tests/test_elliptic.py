@@ -36,9 +36,8 @@ def test_rf_against_defining_integral():
         return val / (1.0 - u) ** 2
 
     # u = 1 - v^2 takes out the u -> 1 end
-    spec = oracle.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-    ref, _ = oracle.quad_1d(lambda v: integrand(1.0 - v * v) * 2.0 * v, 0.0, 1.0, spec,
-                            vectorized=True)
+    tols = (1e-13, 1e-12)
+    ref, _ = oracle.quad_1d(lambda v: integrand(1.0 - v * v) * 2.0 * v, 0.0, 1.0, *tols)
     assert el.carlson_rf(x, y, z) == pytest.approx(ref, rel=1e-10)
 
 
@@ -70,17 +69,16 @@ def test_rj_negative_p_principal_value():
     def integrand(t):
         return 1.5 / ((t + p) * np.sqrt(t + x) * np.sqrt(t + y) * np.sqrt(t + z))
 
-    spec = oracle.QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
-    left, _ = oracle.quad_1d(integrand, 0.0, t0 - delta, spec, vectorized=True)
-    mid, _ = oracle.quad_1d(integrand, t0 + delta, 50.0, spec, vectorized=True)
+    tols = (1e-12, 1e-10)
+    left, _ = oracle.quad_1d(integrand, 0.0, t0 - delta, *tols)
+    mid, _ = oracle.quad_1d(integrand, t0 + delta, 50.0, *tols)
 
     def tail(u):
         t = 50.0 + u / (1.0 - u)
         return integrand(t) / (1.0 - u) ** 2
 
     # u = 1 - v^2 takes out the u -> 1 end
-    far, _ = oracle.quad_1d(lambda v: tail(1.0 - v * v) * 2.0 * v, 0.0, 1.0, spec,
-                            vectorized=True)
+    far, _ = oracle.quad_1d(lambda v: tail(1.0 - v * v) * 2.0 * v, 0.0, 1.0, *tols)
     assert el.carlson_rj(x, y, z, p) == pytest.approx(left + mid + far, abs=1e-4)
 
 
@@ -112,17 +110,17 @@ def test_complete_values():
 
 
 def test_incomplete_against_quadrature_grid():
-    spec = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
+    tols = (1e-14, 1e-12)
     for m in (0.1, 0.5, 0.9):
         for phi in (0.3, 0.8, 1.4):
             for n in (-2.0, -0.3, 0.4):
                 f_ref, _ = oracle.quad_1d(
                     lambda t: 1.0 / np.sqrt(1.0 - m * np.sin(t) ** 2),
-                    0.0, phi, spec, vectorized=True)
+                    0.0, phi, *tols)
                 pi_ref, _ = oracle.quad_1d(
                     lambda t: 1.0 / ((1.0 - n * np.sin(t) ** 2)
                                      * np.sqrt(1.0 - m * np.sin(t) ** 2)),
-                    0.0, phi, spec, vectorized=True)
+                    0.0, phi, *tols)
                 assert el.ellip_f(phi, m) == pytest.approx(f_ref, rel=1e-10)
                 assert el.ellip_pi(n, phi, m) == pytest.approx(pi_ref, rel=1e-10)
 

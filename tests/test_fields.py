@@ -83,6 +83,53 @@ def test_phi_raises_where_its_end_terms_cancel(phi, spec, point):
         phi(point, spec)
 
 
+_DENSITY_CALLS = {
+    "phi_cyl": (fl.phi_cyl, CylinderSpec), "psi_cyl": (fl.psi_cyl, CylinderSpec),
+    "phi_tube": (fl.phi_tube, TubeSpec), "psi_tube": (fl.psi_tube, TubeSpec),
+    "phi_disk": (fl.phi_disk, DiskSpec), "phi_disk_takahashi": (_phi_disk_takahashi, DiskSpec)}
+# window, near-surface, axis and far points, among them some where the end
+# terms cancel at unit density
+_DENSITY_POINTS = [(1.5, 0.3), (0.5, 1.2), (0.5, 0.0), (0.0, 0.35), (1.0 + 1e-9, 0.3),
+                   (1.0 - 1e-9, -0.3), (0.0, 2e3), (0.0, 1e5), (0.0, 1e9), _ray45(1e3),
+                   _ray45(1e6), _ray45(1e12)]
+
+
+def _outcome(fn, point, spec):
+    try:
+        return fn(point, spec)
+    except (ConvergenceError, DomainError, SingularityError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_DENSITY_CALLS))
+@pytest.mark.parametrize("density", [1e-320, -1e-320, 1e300, -1e300, 2.5])
+def test_the_density_scales_the_unit_density_sum(name, density):
+    # every part is formed at unit density and the density applied last:
+    # the guard decides as at density 1, where it once could not fire at a
+    # subnormal density (phi_cyl at the 45-degree point 1e6 out returned
+    # -1.18e-319 at density -1e-320), and the value is the density times
+    # the unit-density value, correctly rounded
+    fn, body = _DENSITY_CALLS[name]
+    shape = (1.0,) if body is DiskSpec else (1.0, 0.7)
+    for point in _DENSITY_POINTS:
+        unit = _outcome(fn, point, body(*shape, 1.0))
+        scaled = _outcome(fn, point, body(*shape, density))
+        if isinstance(unit, float):
+            assert repr(scaled) == repr(density * unit), (point, unit)
+        else:
+            assert scaled == unit, point
+
+
+@pytest.mark.parametrize("name", sorted(_DENSITY_CALLS))
+def test_density_zero_gives_zero(name):
+    # also where the end terms cancel at unit density (the disk at (0, 1e5))
+    fn, body = _DENSITY_CALLS[name]
+    shape = (1.0,) if body is DiskSpec else (1.0, 0.7)
+    for point in _DENSITY_POINTS:
+        value = fn(point, body(*shape, 0.0))
+        assert value is None or repr(value) == "0.0", point
+
+
 def test_cancellation_guard_spares_the_figure_window():
     # the z >= 0 half of the 61 x 121 figure grid (the end terms at -z are
     # those at z, exchanged and negated, so the guard reads the same); the
@@ -271,9 +318,9 @@ def test_phi_tube_surface_against_quadrature():
         return np.arcsinh((z_obs + TUBE.Z) / a) - np.arcsinh((z_obs - TUBE.Z) / a)
 
     # theta = pi - u^2 takes out the log endpoint
-    spec = oc.QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+    tols = (1e-11, 1e-9)
     val, _ = oc.quad_1d(lambda u: integrand(math.pi - u * u) * 2.0 * u, 0.0, math.sqrt(math.pi),
-                        spec, vectorized=True)
+                        *tols)
     ref = 2.0 * TUBE.sigma0 * TUBE.R * val
     assert fl.phi_tube((1.0, z_obs), TUBE) == pytest.approx(ref, rel=1e-8)
 
@@ -374,8 +421,8 @@ def test_tube_psi_reconstructed_from_phi():
         return r * (fl.phi_tube((r, z + h), TUBE)
                     - fl.phi_tube((r, z - h), TUBE)) / (2.0 * h)
 
-    spec = oc.QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
-    delta, _ = oc.quad_1d(integrand, r1, r2, spec)
+    tols = (1e-9, 1e-7)
+    delta, _ = oc.quad_1d(integrand, r1, r2, *tols)
     expect = fl.psi_tube((r2, z), TUBE) - fl.psi_tube((r1, z), TUBE)
     assert delta == pytest.approx(expect, abs=1e-6)
 

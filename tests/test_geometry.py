@@ -10,14 +10,12 @@ from appellfield import fields
 from appellfield.cli import GridSpec
 from appellfield.errors import AppellFieldError, DomainError
 from appellfield.geometry import AuxGeometry, CylinderSpec, DiskSpec, TubeSpec, aux
-from appellfield.oracle import QuadratureSpec
 from appellfield.verify import CheckResult
 
 RECORDS = [
     CylinderSpec(1.0, 0.7, 1.0),
     TubeSpec(1.0, 0.7, 2.0),
     DiskSpec(1.0, -1.0),
-    QuadratureSpec(1e-12, 1e-10),
     GridSpec(0.0, 2.0, -1.0, 1.0, 3, 5, "tube", 1.0, 0.7, 1.0, "both", (-1, 0, 1)),
     CheckResult("C01", "name", True, 0.5, "detail", 0.25),
 ]
@@ -27,9 +25,10 @@ def test_positional_keyword_and_default_construction():
     assert CylinderSpec(1.0, 0.7, 2.0) == CylinderSpec(rho0=2.0, Z=0.7, R=1.0)
     assert TubeSpec(1.0, 0.7, 2.0) == TubeSpec(R=1.0, Z=0.7, sigma0=2.0)
     assert DiskSpec(1.0, 2.0) == DiskSpec(sigma=2.0, R=1.0)
-    spec = QuadratureSpec(1e-12, rel_tol=1e-10)
-    assert (spec.abs_tol, spec.rel_tol) == (1e-12, 1e-10)
-    assert QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12) == spec
+    result = CheckResult("C01", "name", True, worst=0.5, detail="detail", seconds=0.25)
+    assert (result.worst, result.seconds) == (0.5, 0.25)
+    assert CheckResult(seconds=0.25, detail="detail", worst=0.5, passed=True, name="name",
+                       ident="C01") == result
     with pytest.raises(TypeError):
         CylinderSpec(1.0, 0.7)
 
@@ -42,10 +41,8 @@ def test_validation_raises_domain_error():
     for bad in [(0.0, 1.0), (math.nan, 1.0), (1.0, math.inf)]:
         with pytest.raises(DomainError):
             DiskSpec(*bad)
-    with pytest.raises(DomainError, match="positive"):
-        QuadratureSpec(0.0, 1e-10)
     with pytest.raises(TypeError):
-        QuadratureSpec(1e-12, 1e-10, (True, False))
+        DiskSpec(1.0, 1.0, 1.0)
     with pytest.raises(AppellFieldError, match="nr >= 2"):
         GridSpec(0.0, 2.0, -1.0, 1.0, 1, 5, "cyl", 1.0, 0.7, 1.0, "both", (0,))
 
@@ -77,8 +74,7 @@ def test_assignment_raises_attribute_error():
 
 def test_repr_is_dataclass_style():
     assert repr(CylinderSpec(1.0, 0.7, 1.0)) == "CylinderSpec(R=1.0, Z=0.7, rho0=1.0)"
-    assert repr(QuadratureSpec(1e-12, 1e-10)) == \
-        "QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)"
+    assert repr(DiskSpec(1.0, -1e-12)) == "DiskSpec(R=1.0, sigma=-1e-12)"
 
 
 def test_every_record_pickles():

@@ -22,10 +22,10 @@ DIM_05_03_20 = 0.14036218456687088
 
 
 def quad_ihyg(m, A, theta):
-    spec = oracle.QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
+    tols = (1e-14, 1e-12)
     val, _ = oracle.quad_1d(
         lambda t: np.arctanh(A / np.sqrt(1.0 - m * np.sin(t / 2.0) ** 2)),
-        0.0, theta, spec, vectorized=True)
+        0.0, theta, *tols)
     return val
 
 
@@ -95,14 +95,13 @@ def test_gauss_2f1_euler_integral_cross_check():
     # 2F1(a,b;c;x) = B(b, c-b)^(-1) int_0^1 t^(b-1) (1-t)^(c-b-1) (1-xt)^(-a) dt
     a, b, c, x = 0.8, 0.6, 2.2, -3.5
     front = math.gamma(c) / (math.gamma(b) * math.gamma(c - b))
-    spec = oracle.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+    tols = (1e-13, 1e-12)
 
     def euler(t):
         return t ** (b - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - x * t) ** (-a)
 
     # t = u^2 takes out the t^(b - 1) singularity at t = 0
-    ref, _ = oracle.quad_1d(lambda u: euler(0.0 + u * u) * 2.0 * u, 0.0, 1.0, spec,
-                            vectorized=True)
+    ref, _ = oracle.quad_1d(lambda u: euler(0.0 + u * u) * 2.0 * u, 0.0, 1.0, *tols)
     assert hg.gauss_2f1(a, b, c, x) == pytest.approx(front * ref, rel=1e-10)
 
 
@@ -117,11 +116,11 @@ def test_gauss_2f1_near_one_log_case():
     def euler(t):
         return t ** (-0.5) * (1.0 - t) ** 0.5 * (1.0 - x * t) ** (-1.5)
 
-    spec = oracle.QuadratureSpec(abs_tol=0.5e-12, rel_tol=1e-11)
+    tols = (0.5e-12, 1e-11)
     ref = 0.0
     for halfway in (lambda u: euler(0.0 + u * u) * 2.0 * u,
                     lambda u: euler(1.0 - u * u) * 2.0 * u):
-        ref += oracle.quad_1d(halfway, 0.0, math.sqrt(0.5), spec, vectorized=True)[0]
+        ref += oracle.quad_1d(halfway, 0.0, math.sqrt(0.5), *tols)[0]
     assert val == pytest.approx(front * ref, rel=1e-8)
 
 

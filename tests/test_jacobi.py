@@ -56,8 +56,8 @@ def test_zeta_zeros_and_value():
 def test_zeta_against_quadrature():
     m, u = 0.85, 0.7
     ratio = elliptic.comp_e(m) / elliptic.comp_k(m)
-    spec = oracle.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-    ref, _ = oracle.quad_1d(lambda t: jc.jacobi_dn(t, m) ** 2 - ratio, 0.0, u, spec)
+    tols = (1e-13, 1e-12)
+    ref, _ = oracle.quad_1d(lambda t: jc.jacobi_dn(t, m) ** 2 - ratio, 0.0, u, *tols)
     assert jc.jacobi_zeta(u, m) == pytest.approx(ref, rel=1e-11)
 
 
@@ -106,10 +106,10 @@ def test_int_z_sc_values():
 
 def test_int_z_sc_against_quadrature():
     m = 0.5
-    spec = oracle.QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
+    tols = (1e-13, 1e-11)
     for u in (0.4, 1.1, -0.8):
         ref, _ = oracle.quad_1d(
-            lambda t: jc.jacobi_zeta(t, m) * jc.jacobi_sc(t, m), 0.0, u, spec)
+            lambda t: jc.jacobi_zeta(t, m) * jc.jacobi_sc(t, m), 0.0, u, *tols)
         assert jc.int_z_sc(u, m) == pytest.approx(ref, abs=1e-10)
 
 

@@ -1,15 +1,15 @@
 """The verify checks catch a defect of the closed form they test, the
 checks whose stencils share their points read what they read when each
 stencil evaluated every point itself, two passes read the same, and the
-defining-integral and Coulomb references are fixed rules that match
-mpmath."""
+defining-integral, Z sc and Coulomb references are fixed rules, the first
+matching mpmath."""
 
 import math
 
 import numpy as np
 import pytest
 
-from appellfield import fields, hypergeom, oracle, verify
+from appellfield import fields, hypergeom, jacobi, oracle, verify
 from appellfield.errors import DomainError
 
 
@@ -33,6 +33,15 @@ def test_c05_catches_a_scaled_derivative(monkeypatch, name):
     result = verify.run_check("C05", seed=0, full=False)
     assert not result.passed, result.detail
     assert result.worst > 5.0
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_c04_catches_int_z_sc_off_by_1e_9(monkeypatch, full):
+    assert verify.run_check("C04", seed=0, full=full).passed
+    _scaled(monkeypatch, jacobi, "int_z_sc", factor=1.0 + 1e-9)
+    result = verify.run_check("C04", seed=0, full=full)
+    assert not result.passed, result.detail
+    assert result.worst > 1.0
 
 
 @pytest.mark.parametrize("name", ["_i_hyg_surface_quad", "_i_hyg_surface_f43"])
@@ -82,37 +91,42 @@ def test_two_passes_of_the_special_function_checks_read_the_same():
 def test_c01_checks_the_series_at_every_point(monkeypatch, full):
     # C01 takes i_hyg's single sum at every point, also at its largest
     # ratio m/(1 - A^2), 0.954, past SERIES_RATIO_MAX, where i_hyg itself
-    # takes its quadrature: the closed form it compares with the defining
-    # integral is never that integral itself
-    monkeypatch.setattr(hypergeom, "_i_hyg_quadrature",
-                        lambda *args: pytest.fail("i_hyg took its quadrature"))
+    # takes the defining integral: the closed form it compares with the
+    # defining integral is never i_hyg's route, which may be that integral
+    monkeypatch.setattr(hypergeom, "i_hyg", lambda *args: pytest.fail("C01 ran i_hyg"))
     assert verify.run_check("C01", seed=0, full=full).passed
 
 
-@pytest.mark.parametrize("ident", ["C01", "C02", "C14"])
+@pytest.mark.parametrize("ident", ["C01", "C02", "C04", "C14"])
 @pytest.mark.parametrize("full", [False, True])
 def test_the_series_and_coulomb_checks_take_no_adaptive_quadrature(monkeypatch, ident, full):
-    # their references, the defining integral and the Coulomb angular
-    # integrals, are fixed graded Gauss-Legendre sums, and so is whatever
-    # their closed forms integrate
+    # their references, the defining integral, the integral of Z sc and the
+    # Coulomb angular integrals, are fixed graded Gauss-Legendre sums, and
+    # so is whatever their closed forms integrate
     monkeypatch.setattr(oracle, "quad_1d", lambda *args, **kw: pytest.fail("quad_1d ran"))
     result = verify.run_check(ident, seed=0, full=full)
     assert result.passed, result.detail
 
 
 def test_defining_integral_reference_matches_mpmath():
-    # C01 and C02's reference at seeded (m, A, theta) with m + A^2 up to
-    # C02's 0.979, at theta = pi and below, against 30-digit mpmath
+    # the defining integral of C01 and C02, which i_hyg takes too, at seeded
+    # (m, A, theta): |theta| from 1e-8 to pi, m + A^2 up to 1 - 1e-9 (the
+    # distance to 1 log-uniform, and uniform), against 40-digit mpmath
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
-    cases = [(m, s * math.sqrt(0.979 - m), th) for m in (0.05, 0.5, 0.9, 0.95)
-             for s, th in ((1.0, math.pi), (-1.0, 3.0), (1.0, 0.12))]
-    for _ in range(24):
-        m = rng.uniform(0.0, 0.95)
-        amax = math.sqrt(max(0.979 - m, 1e-4))
-        cases.append((m, rng.uniform(-amax, amax), rng.choice([math.pi, rng.uniform(0.1, math.pi)])))
+    cases = [(0.3, 0.4, 1e-6), (0.3, 0.4, math.pi), (0.5, -0.6, -0.5 * math.pi),
+             (0.5, 0.6, math.nextafter(0.5 * math.pi, 4.0)), (0.0, 0.9, 2.0),
+             (0.99, -math.sqrt(0.01 - 1e-9), math.pi), (1e-6, math.sqrt(1.0 - 2e-6), -1e-4)]
+    for k in range(40):
+        m = rng.uniform(0.0, 1.0)
+        gap = 10.0 ** rng.uniform(-9.0, 0.0) * (1.0 - m) if k % 2 else rng.uniform(0.0, 1.0 - m)
+        A = rng.choice([-1.0, 1.0]) * math.sqrt(max(1.0 - m - max(gap, 1e-9), 0.0))
+        th = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, math.log10(math.pi))
+        cases.append((m, A, th))
     for m, A, th in cases:
-        with mp.workdps(30):
-            ref = float(mp.quad(lambda t: mp.atanh(A / mp.sqrt(1 - m * mp.sin(t / 2) ** 2)),
-                                [0, th / 2, th]))
-        assert abs(verify._ihyg_quad(m, A, th) - ref) <= 1e-14 * max(abs(ref), 1.0), (m, A, th)
+        assert m + A * A <= 1.0 - 1e-9
+        with mp.workdps(40):
+            ref = mp.quad(lambda t: mp.atanh(A / mp.sqrt(1 - m * mp.sin(t / 2) ** 2)),
+                          mp.linspace(0, th, 9))
+        value = hypergeom._i_hyg_defining(m, A, th)
+        assert abs(value - ref) <= 2e-15 * abs(ref), (m, A, th)
