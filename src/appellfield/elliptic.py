@@ -4,7 +4,8 @@ Complete integrals K, E and Pi are computed with Bulirsch's general complete
 integral `cel`, one AGM-type loop (`cel_pair`: two integrals at one kc from
 one loop; `cel_array`: the loop over arrays, which imports numpy where it
 runs); incomplete integrals are built on Carlson
-symmetric forms (`carlson_rf`, `carlson_rc`, `carlson_rd`, `carlson_rj`).
+symmetric forms (`carlson_rf`, `carlson_rc`, `carlson_rj`, and `carlson_rd`,
+which is R_J at p = z).
 
 All Legendre functions take the parameter ``m`` (= k**2), never the modulus
 k; `cel` takes the complementary modulus kc = sqrt(1 - m), so callers that
@@ -12,12 +13,16 @@ form 1 - m exactly keep its digits. Incomplete integrals accept any finite
 real amplitude; amplitudes beyond |phi| = pi/2 are reduced with the additive
 quasi-periodicity F(phi + k*pi | m) = 2k*K(m) + F(phi | m) and its
 analogues, using exact integer multiples of the complete integrals. Every
-public function raises DomainError for a non-finite argument.
+public function raises DomainError for a non-finite argument. R_F and R_J
+are homogeneous, and below a largest argument of 2^-300 they are taken at
+the arguments times an exact power of four; carlson_rj raises
+ConvergenceError where its value or a step on its way leaves the float
+range.
 """
 
 import math
 
-from .errors import ConvergenceError, DomainError, SingularityError
+from .errors import ConvergenceError, DomainError, SingularityError, typed_float_errors
 
 # Duplication stops once the scaled argument spread is below this. For this
 # stop Carlson's bound on the relative error of the truncated series is the
@@ -26,6 +31,11 @@ from .errors import ConvergenceError, DomainError, SingularityError
 # (seeds 0-4; 1.5e-14 on seed 0, which a Tier-1 test pins at 3e-14).
 _RF_TOL = 2.5e-13
 _MAX_DUPLICATIONS = 200
+# Below this largest argument carlson_rf and carlson_rj take their arguments
+# times an exact power of four, 4^j, where the duplication's products stay in
+# the normal range, and their value times 2^j and 2^(3j): R_F is homogeneous
+# of degree -1/2 and R_J of degree -3/2
+_SCALE_BELOW = 2.0 ** -300
 
 # Characteristics inside [1 - this, 1] are rejected rather than regularized;
 # the theta = pi assemblies in `fields` take those terms by cel instead.
@@ -175,6 +185,9 @@ def carlson_rf(x, y, z):
         raise DomainError("carlson_rf requires nonnegative arguments")
     if (x == 0.0) + (y == 0.0) + (z == 0.0) >= 2:
         raise DomainError("carlson_rf: at most one argument may be zero")
+    if max(x, y, z) < _SCALE_BELOW:
+        j = -(math.frexp(max(x, y, z))[1] // 2)
+        return math.ldexp(carlson_rf(*(math.ldexp(v, 2 * j) for v in (x, y, z))), j)
     xm, ym, zm = float(x), float(y), float(z)
     A0 = Am = (xm + ym + zm) / 3.0
     Q = (3.0 * _RF_TOL) ** (-1.0 / 6.0) * max(abs(A0 - xm), abs(A0 - ym), abs(A0 - zm))
@@ -236,57 +249,23 @@ def carlson_rc(x, y):
 
 
 def carlson_rd(x, y, z):
-    """Degenerate integral R_D(x,y,z) = R_J(x,y,z,z); z > 0, at most one of x,y zero."""
+    """Degenerate integral R_D(x,y,z) = R_J(x,y,z,z) (DLMF 19.16.5), taken
+    as that R_J; z > 0, at most one of x,y zero."""
     _check_finite("carlson_rd", x, y, z)
-    if x < 0.0 or y < 0.0 or z <= 0.0:
-        raise DomainError("carlson_rd requires x, y >= 0 and z > 0")
-    if x == 0.0 and y == 0.0:
-        raise DomainError("carlson_rd: x and y may not both be zero")
-    xm, ym, zm = float(x), float(y), float(z)
-    A0 = Am = (xm + ym + 3.0 * zm) / 5.0
-    Q = (0.25 * _RF_TOL) ** (-1.0 / 6.0) * max(abs(A0 - xm), abs(A0 - ym), abs(A0 - zm))
-    pow4 = 1.0
-    acc = 0.0
-    for _ in range(_MAX_DUPLICATIONS):
-        if pow4 * Q < abs(Am):
-            break
-        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
-        lam = sx * sy + sx * sz + sy * sz
-        acc += pow4 / (sz * (zm + lam))
-        xm = (xm + lam) * 0.25
-        ym = (ym + lam) * 0.25
-        zm = (zm + lam) * 0.25
-        Am = (Am + lam) * 0.25
-        pow4 *= 0.25
-    else:
-        raise ConvergenceError("carlson_rd: duplication failed to converge")
-    t = pow4 / Am
-    X = (A0 - x) * t
-    Y = (A0 - y) * t
-    Z = -(X + Y) / 3.0
-    XY = X * Y
-    ZZ = Z * Z
-    E2 = XY - 6.0 * ZZ
-    E3 = (3.0 * XY - 8.0 * ZZ) * Z
-    E4 = 3.0 * (XY - ZZ) * ZZ
-    E5 = XY * ZZ * Z
-    series = (
-        1.0
-        - 3.0 * E2 / 14.0
-        + E3 / 6.0
-        + 9.0 * E2 * E2 / 88.0
-        - 3.0 * E4 / 22.0
-        - 9.0 * E2 * E3 / 52.0
-        + 3.0 * E5 / 26.0
-    )
-    return pow4 * series / (Am * math.sqrt(Am)) + 3.0 * acc
+    if x < 0.0 or y < 0.0 or z <= 0.0 or x == y == 0.0:
+        raise DomainError("carlson_rd requires x, y >= 0, not both zero, and z > 0")
+    return carlson_rj(x, y, z, z)
 
 
+@typed_float_errors
 def carlson_rj(x, y, z, p):
     """Symmetric integral R_J(x,y,z,p) = 3/2 * int_0^inf dt / ((t+p) sqrt((t+x)(t+y)(t+z))).
 
     x, y, z >= 0 with at most one zero; p != 0. For p < 0 the Cauchy
     principal value is computed through the standard reduction to R_C.
+    ConvergenceError where the value overflows, or where a divisor of the
+    duplication underflows to 0: where p and two of x, y, z are below about
+    1e-162 and the third is not.
     """
     _check_finite("carlson_rj", x, y, z, p)
     if x < 0.0 or y < 0.0 or z < 0.0:
@@ -306,6 +285,9 @@ def carlson_rj(x, y, z, p):
             + 3.0 * carlson_rc(x * z / y, p * gamma / y)
         )
         return num / (y + q)
+    if max(x, y, z, p) < _SCALE_BELOW:
+        j = -(math.frexp(max(x, y, z, p))[1] // 2)
+        return math.ldexp(carlson_rj(*(math.ldexp(v, 2 * j) for v in (x, y, z, p))), 3 * j)
     xm, ym, zm, pm = float(x), float(y), float(z), float(p)
     A0 = Am = (xm + ym + zm + 2.0 * pm) / 5.0
     delta = (pm - xm) * (pm - ym) * (pm - zm)
@@ -353,7 +335,8 @@ def carlson_rj(x, y, z, p):
 
 
 def _continued(phi, m, complete, reduced, n=0.0):
-    """The continuation shared by F, E and Pi from their value
+    """The continuation shared by F, E and Pi (and hypergeom.di_hyg_dm's
+    Pi - F) from their value
     reduced(s, c) at an amplitude phi_r in [-pi/2, pi/2] of sine s and
     cosine c: odd in phi, and f(k*pi + phi_r) = 2k * complete() + f(phi_r).
     DomainError where m*sin^2(phi_r) > 1; then, for Pi's characteristic n,

@@ -39,23 +39,13 @@ def _sgn(x):
 # ---------------------------------------------------------------------------
 # theta = pi building blocks (complete integrals, singular limits resolved)
 
-def _ke_sum(a: AuxGeometry, ca, cb):
-    """k K(m) + e E(m) in one cel call, for ca = k + e and cb = k + e (1 - m),
-    the coefficients of cos^2 and sin^2 in its integrand; kc^2 = 1 - m is
-    the exact complement of aux. Callers form ca and cb in closed form, so
-    the cancellation of k K against e E (to 0 on the axis, where K = E)
-    never happens in rounded arithmetic. At the exact rim 1 - m = 0, K
-    diverges; there cb, its coefficient, vanishes for every caller and the
-    sum is ca."""
-    omm = a.one_minus_m
-    if omm == 0.0:
-        return ca
-    return elliptic.cel(math.sqrt(omm), 1.0, ca, cb)
-
-
 def _cels(omm, ca, cb, p, b):
     """(cel(kc, 1, ca, cb), cel(kc, p, 0, b)) at kc = sqrt(omm), by one
-    elliptic.cel_pair. Where p = 0 (r = r0, where b = 0 too) the second is
+    elliptic.cel_pair. The first is k K(m) + e E(m) for ca = k + e and
+    cb = k + e (1 - m), the coefficients of cos^2 and sin^2 in its
+    integrand; callers form ca and cb in closed form, so the cancellation
+    of k K against e E (to 0 on the axis, where K = E) never happens in
+    rounded arithmetic. Where p = 0 (r = r0, where b = 0 too) the second is
     0 and the first its own cel call, or, at the rim omm = 0, where K
     diverges, ca: cb, its coefficient, vanishes there for every caller."""
     if p == 0.0:
@@ -72,15 +62,16 @@ def _cels_arrays(omm, ca, cb, p, b):
 
 
 def _ke_sum_and_pi_star(a: AuxGeometry, ca, cb, cels=_cels):
-    """(_ke_sum(a, ca, cb), (r - r0) (Pi(n* | m) - K(m))), n* = 4 r r0/(r+r0)^2,
+    """(k K(m) + e E(m), (r - r0) (Pi(n* | m) - K(m))), n* = 4 r r0/(r+r0)^2,
     both from one run of the AGM (elliptic.cel_pair), each bit for bit its
     own cel call. At r = r0 the second is 0 exactly (the symmetric mean of
     its one-sided limits sgn(r-r0) (pi/2)(r+r0) L0/|z|) and the first is
-    _ke_sum alone. Pi - K = cel(kc, 1 - n*, 0, n*), and cel, linear in its
-    last two arguments, takes the factor r - r0 there; both complements are
-    exact: kc^2 = 1 - m from aux and 1 - n* = ((r-r0)/(r+r0))^2 here. cel
-    needs no special case for a small 1 - n*, so the product is accurate
-    all the way to r -> r0, where it tends to its limit.
+    its own cel call, or ca at the rim. Pi - K = cel(kc, 1 - n*, 0, n*),
+    and cel, linear in its last two arguments, takes the factor r - r0
+    there; both complements are exact: kc^2 = 1 - m from aux and
+    1 - n* = ((r-r0)/(r+r0))^2 here. cel needs no special case for a small
+    1 - n*, so the product is accurate all the way to r -> r0, where it
+    tends to its limit.
 
     The arithmetic runs on the floats of one aux record, and on arrays for
     the grid's end tables: ``cels`` is _cels on floats and _cels_arrays on
@@ -444,11 +435,11 @@ def phi_disk(point, spec: DiskSpec, form="lass_blitzer"):
         return _assemble("phi_disk", point, parts, sigma)
     if form != "takahashi":
         raise DomainError(f"phi_disk: unknown form {form!r}")
-    # (2/L0) [L0^2 E + (R^2 - r^2 - z^2) K, by _ke_sum, + the n_pm pair]:
+    # (2/L0) [L0^2 E + (R^2 - r^2 - z^2) K, by _cels at p = 0, + the n_pm pair]:
     # the sum in [ ], scaled after it is summed, is one part of the assembly
     rho = math.hypot(r, z)
     n_minus = -2.0 * r * (r + rho) / z / z if z else -math.inf
-    out = 2.0 * R * _ke_sum(a, s, R - r)
+    out = 2.0 * R * _cels(a.one_minus_m, s, R - r, 0.0, 0.0)[0]
     rounding = 2.0 ** -52 * abs(out)
     if not math.isinf(n_minus):
         # z^2 sum_pm c_pm Pi(n_pm | m), c_pm = 1 - (n_pm/2)(1 + R/r), one AGM

@@ -64,8 +64,13 @@ terms in that block computed and dropped.
 
 gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
 non-finite argument, as every public function of elliptic and jacobi does;
-pochhammer(nan, k) is nan. i_hyg(m, A, theta) takes plain arguments and
-checks their domain itself.
+pochhammer(nan, k) is nan. gauss_2f1, appell_f1 and appell_f2 raise
+ConvergenceError where a float power on their way overflows or a divisor
+underflows to 0 (errors.typed_float_errors). i_hyg(m, A, theta) takes plain
+arguments and checks their domain itself. Its m-derivative di_hyg_dm is
+Pi - F's Carlson term, A s^3 R_J(c^2, 1 - m s^2, 1, 1 - n s^2)/(3 (1 - A^2))
+at n = m/(1 - A^2), with neither a difference of Pi and F nor a division
+by m.
 One integral runs oracle.quad_1d, the adaptive rule: the surface value
 above m = 1/3 (_i_hyg_surface_quad). Every other integral of the module is
 oracle.graded_gauss_legendre, the package's one graded 16-node
@@ -87,7 +92,7 @@ import math
 import sys
 
 from . import elliptic, oracle
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, typed_float_errors
 
 # Below this |sin(theta/2)| the Eq-series route for i_hyg loses accuracy to
 # cancellation, and direct quadrature of the defining integral takes over.
@@ -249,6 +254,7 @@ def _gauss_2f1_log_near_one(a, b, c, x):
     return front * _series_sum(terms(), PFQ_REL_TOL, "gauss_2f1 connection series")
 
 
+@typed_float_errors
 def gauss_2f1(a, b, c, x):
     """Gauss hypergeometric series 2F1(a, b; c; x).
 
@@ -348,6 +354,7 @@ def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
     return _series_sum(terms(), REL_TOL, "appell_f2 series")
 
 
+@typed_float_errors
 def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     """Appell double hypergeometric series F2(alpha; beta, beta2; gamma, gamma2; x, y).
 
@@ -517,6 +524,7 @@ def _f2_inner_terms(beta, gamma, x, u, fhat, scaled):
         keep = yield coef * fhat
 
 
+@typed_float_errors
 def appell_f1(alpha, beta, beta2, gamma, x, y):
     """Appell double hypergeometric series F1(alpha; beta, beta2; gamma; x, y),
     convergent for |x| < 1 and |y| < 1.
@@ -951,7 +959,10 @@ def _i_hyg_surface_f43(m, omm):
         f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)
     else:
         f43 = _f43_continued(mu)
-    return -math.pi * mu / 8.0 * f43 - math.pi / 2.0 * math.log(-mu / 16.0)
+    # ln(-mu/16); below -mu = 2^-1018, -mu/16 is below the normal range (it
+    # is 0 at a subnormal m), and ln 16 is taken apart
+    log_q = math.log(-mu / 16.0) if -mu >= 2.0 ** -1018 else math.log(-mu) - math.log(16.0)
+    return -math.pi * mu / 8.0 * f43 - math.pi / 2.0 * log_q
 
 
 def di_hyg_dA(m, A, theta):
@@ -968,16 +979,20 @@ def di_hyg_dA(m, A, theta):
 
 def di_hyg_dm(m, A, theta):
     """Closed-form derivative of i_hyg with respect to m:
-    (A/m) [Pi(m/(1-A^2); theta/2 | m) - F(theta/2 | m)]."""
-    if not 0.0 < m < 1.0:
-        raise DomainError("di_hyg_dm requires m in (0, 1)")
-    if A * A >= 1.0:
-        raise DomainError("di_hyg_dm requires A^2 < 1")
-    F = elliptic.ellip_f(theta / 2.0, m)
+    (A/m) [Pi(n; theta/2 | m) - F(theta/2 | m)], n = m/(1-A^2), taken as
+    Pi - F's Carlson term (DLMF 19.25.14): at an amplitude of sine s and
+    cosine c in [-pi/2, pi/2] it is A s^3 R_J(c^2, 1 - m s^2, 1, 1 - n s^2)
+    / (3 (1 - A^2)), without the cancellation of Pi against F or the
+    division by m, and beyond it is continued as elliptic._continued
+    continues Pi, by the complete term A R_J(0, 1 - m, 1, 1 - n)/(3 (1 - A^2))."""
+    if not (0.0 < m < 1.0 and A * A < 1.0 and math.isfinite(theta)):
+        raise DomainError("di_hyg_dm requires m in (0, 1), A^2 < 1 and a finite theta")
     if A == 0.0:
         return 0.0
-    n = m / (1.0 - A * A)
-    return (A / m) * (elliptic.ellip_pi(n, theta / 2.0, m) - F)
+    n, rj = m / (1.0 - A * A), elliptic.carlson_rj
+    return A / (3.0 * (1.0 - A * A)) * elliptic._continued(
+        theta / 2.0, m, lambda: rj(0.0, 1.0 - m, 1.0, 1.0 - n),
+        lambda s, c: s ** 3 * rj(c * c, 1.0 - m * s * s, 1.0, 1.0 - n * s * s), n)
 
 
 def lauricella_f11_triple(m, A, s):

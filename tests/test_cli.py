@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from appellfield import cli, jacobi
-from appellfield.errors import SingularityError
+from appellfield.errors import AppellFieldError, SingularityError
 from appellfield.geometry import CylinderSpec, TubeSpec
 
 
@@ -156,6 +157,50 @@ def test_special_cel_and_nonfinite_arguments():
                      ("cel", ("0.5", "inf", "1", "1"))):
         code, _, err = run_cli("special", "--fn", fn, *args)
         assert code == 2 and err.startswith("error:"), err
+
+
+_EXTREMES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300, -1e300, 5e-324)
+
+
+def test_special_functions_at_the_float_extremes():
+    # every special function, 400 seeded draws of its arguments from the
+    # float extremes: a float, nan only where an argument is nan, or a typed
+    # error. Subnormal and +-1e300 arguments raised ZeroDivisionError,
+    # OverflowError and ValueError in R_D, R_J, 2F1, F1, F2, i_hyg_pi and
+    # i_hyg_surface, and R_F and di_hyg_dm returned nan
+    rng = random.Random(0)
+    for name, (fn, arity) in cli._SPECIAL_FNS.items():
+        arities = arity if isinstance(arity, tuple) else (arity,)
+        for _ in range(400):
+            args = [rng.choice(_EXTREMES) for _ in range(rng.choice(arities))]
+            try:
+                value = fn(*args)
+            except AppellFieldError:
+                continue
+            assert isinstance(value, float), (name, args, value)
+            assert not math.isnan(value) or any(map(math.isnan, args)), (name, args)
+
+
+@pytest.mark.parametrize("fn, args, want", [
+    ("carlson_rf", (5e-324, 5e-324, 5e-324), 1.0 / math.sqrt(5e-324)),
+    ("di_hyg_dm", (5e-324, 0.5, -1.0), (-1.0 + math.sin(1.0)) / 6.0),
+    ("i_hyg_pi", (5e-324, 1.0), 1173.7189026736417),
+    ("carlson_rd", (5e-324, 0.0, 5e-324), None),
+    ("carlson_rj", (5e-324, 5e-324, 1.0, 5e-324), None),
+    ("carlson_rj", (5e-324, 2.0, -0.0, -1.0), None),
+    ("carlson_rj", (1e-210, 1e-210, 1e-210, 1e-210), None),
+    ("gauss_2f1", (-1e300, 5e-324, 0.5, -1e300), None),
+    ("appell_f1", (-1e300, -0.0, -1.0, 5e-324, 0.5, 0.0), None)])
+def test_special_function_at_a_float_extreme(fn, args, want):
+    # its value, or a typed error where it or a step on its way leaves the
+    # float range (R_J(1e-210, ...) = 1e315). At m -> 0, di_hyg_dm tends to
+    # (A/(2(1 - A^2))) (theta - sin theta)/2
+    fn = cli._SPECIAL_FNS[fn][0]
+    if want is None:
+        with pytest.raises(AppellFieldError):
+            fn(*args)
+    else:
+        assert fn(*args) == pytest.approx(want, rel=1e-13)
 
 
 _TUBE_PHI = ("eval", "--body", "tube", "--R", "1", "--Z", "0.7", "--density", "1",

@@ -189,7 +189,7 @@ def test_ke_sum_and_pi_star_is_the_two_cel_calls():
     for R, zeta, r in slots:
         a = aux(R, zeta, r)
         ca, cb = rng.normal(size=2).tolist()
-        want = (fl._ke_sum(a, ca, cb), _pi_star_by_cel(a))
+        want = (fl._cels(a.one_minus_m, ca, cb, 0.0, 0.0)[0], _pi_star_by_cel(a))
         assert repr(fl._ke_sum_and_pi_star(a, ca, cb)) == repr(want), (R, zeta, r)
         records.append(a)
         coefs.append((ca, cb))

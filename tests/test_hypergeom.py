@@ -1165,6 +1165,39 @@ def test_parameter_derivatives():
         2.0 * elliptic.ellip_f(th / 2.0, 0.7), rel=1e-14)
 
 
+@pytest.mark.parametrize("m", [1e-300, 1e-14, 1e-12, 1e-10, 1e-6, 1e-3, 0.3, 0.9])
+def test_di_hyg_dm_keeps_its_digits_as_m_goes_to_0(m):
+    # (A/m)(Pi - F) as the difference of Pi and F was 5.3e-6 off at
+    # m = 1e-10 and 100% at 1e-300; as Pi - F's R_J term it needs neither
+    # the difference nor the division by m. The reference is 40-digit
+    # quadrature of the m-derivative of the integrand,
+    # A sin^2(t/2) / (2 sqrt(q) (q - A^2)), q = 1 - m sin^2(t/2)
+    mpmath = pytest.importorskip("mpmath")
+    for A, theta in ((0.5, 1.0), (0.3, -2.0), (0.5, math.pi), (0.95 * math.sqrt(1.0 - m), 1.0),
+                     (-0.7, 4.0)):
+        if m / (1.0 - A * A) >= 1.0 and abs(theta) >= math.pi:
+            continue  # the characteristic is singular on the path
+        with mpmath.workdps(40):
+            mm, aa = mpmath.mpf(m), mpmath.mpf(A)
+
+            def f(t):
+                q = 1 - mm * mpmath.sin(t / 2) ** 2
+                return aa * mpmath.sin(t / 2) ** 2 / (2 * mpmath.sqrt(q) * (q - aa ** 2))
+
+            th = mpmath.mpf(theta)
+            ref = mpmath.quad(f, [0, th] if abs(theta) <= math.pi else [0, mpmath.pi, th])
+        assert hg.di_hyg_dm(m, A, theta) == pytest.approx(float(ref), rel=1e-13), (A, theta)
+
+
+def test_surface_value_at_a_subnormal_m():
+    # ln(-mu/16) at mu = -5e-324: -mu/16 underflows to 0, and the log took
+    # it. Reference: the closed form -(pi mu/8) 4F3 - (pi/2) ln(-mu/16) at
+    # 40 digits
+    for value in (hg.i_hyg_pi(5e-324, 1.0), hg.i_hyg_surface(5e-324)):
+        assert value == pytest.approx(1173.7189026736417, rel=1e-15)
+    assert hg.i_hyg_surface(1e-310) == pytest.approx(1125.5917561050043, rel=1e-15)
+
+
 def test_triple_sum_and_alternatives_match():
     m, A, s = 0.3, 0.2, 0.4
     th = 2.0 * math.asin(s)
