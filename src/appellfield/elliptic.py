@@ -4,8 +4,9 @@ Complete integrals K, E and Pi are computed with Bulirsch's general complete
 integral `cel`, one AGM-type loop (`cel_pair`: two integrals at one kc from
 one loop; `cel_array`: the loop over arrays, which imports numpy where it
 runs); incomplete integrals are built on Carlson
-symmetric forms (`carlson_rf`, `carlson_rc`, `carlson_rj`, and `carlson_rd`,
-which is R_J at p = z).
+symmetric forms (`carlson_rf` and `carlson_rj` by duplication, `carlson_rd`,
+which is R_J at p = z, and `carlson_rc` in closed form: an arctangent below
+x = y and a logarithm above).
 
 All Legendre functions take the parameter ``m`` (= k**2), never the modulus
 k; `cel` takes the complementary modulus kc = sqrt(1 - m), so callers that
@@ -216,7 +217,8 @@ def carlson_rf(x, y, z):
 
 
 def carlson_rc(x, y):
-    """Degenerate integral R_C(x,y) = R_F(x,y,y).
+    """Degenerate integral R_C(x,y) = R_F(x,y,y), in closed form (DLMF
+    19.2.17-19.2.19).
 
     x >= 0 and y != 0; the Cauchy principal value is returned for y < 0.
     """
@@ -228,24 +230,19 @@ def carlson_rc(x, y):
     if y < 0.0:
         # principal value (DLMF 19.2.20)
         return math.sqrt(x / (x - y)) * carlson_rc(x - y, -y)
-    xm, ym = float(x), float(y)
-    A0 = Am = (xm + 2.0 * ym) / 3.0
-    Q = (3.0 * _RF_TOL) ** (-1.0 / 6.0) * abs(A0 - xm)
-    pow4 = 1.0
-    for _ in range(_MAX_DUPLICATIONS):
-        if pow4 * Q < abs(Am):
-            break
-        lam = 2.0 * math.sqrt(xm) * math.sqrt(ym) + ym
-        xm = (xm + lam) * 0.25
-        ym = (ym + lam) * 0.25
-        Am = (Am + lam) * 0.25
-        pow4 *= 0.25
-    else:
-        raise ConvergenceError("carlson_rc: duplication failed to converge")
-    s = (y - A0) * pow4 / Am
-    # tail series, DLMF 19.36.2 truncated at s^7
-    poly = 1.0 + s * s * (0.3 + s * (1.0 / 7.0 + s * (0.375 + s * (9.0 / 22.0 + s * (159.0 / 208.0 + s * 9.0 / 8.0)))))
-    return poly / math.sqrt(Am)
+    if x == y:
+        return 1.0 / math.sqrt(x)
+    sd = math.sqrt(abs(x - y))
+    if x < y:
+        # acos(sqrt(x/y))/sqrt(y - x)
+        return math.atan2(sd, math.sqrt(x)) / sd
+    # acosh(sqrt(x/y))/sqrt(x - y) = ln((sqrt(x) + sd)/sqrt(y))/sd, its
+    # argument taken as 1 + t/sqrt(y) with t = sqrt(x) + sd - sqrt(y) formed
+    # without cancellation; t/sqrt(y) overflows only at a subnormal y
+    sy = math.sqrt(y)
+    t = sd + (x - y) / (math.sqrt(x) + sy)
+    q = t / sy
+    return (math.log1p(q) if q < math.inf else math.log(t) - math.log(sy)) / sd
 
 
 def carlson_rd(x, y, z):
@@ -263,9 +260,8 @@ def carlson_rj(x, y, z, p):
 
     x, y, z >= 0 with at most one zero; p != 0. For p < 0 the Cauchy
     principal value is computed through the standard reduction to R_C.
-    ConvergenceError where the value overflows, or where a divisor of the
-    duplication underflows to 0: where p and two of x, y, z are below about
-    1e-162 and the third is not.
+    ConvergenceError where the value, or a step on its way, leaves the
+    float range.
     """
     _check_finite("carlson_rj", x, y, z, p)
     if x < 0.0 or y < 0.0 or z < 0.0:
@@ -302,7 +298,7 @@ def carlson_rj(x, y, z, p):
         sx, sy, sz, sp = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm), math.sqrt(pm)
         lam = sx * sy + sx * sz + sy * sz
         dm = (sp + sx) * (sp + sy) * (sp + sz)
-        em = delta * pow4 ** 3 / (dm * dm)
+        em = delta / dm * pow4 ** 3 / dm
         acc += carlson_rc(1.0, 1.0 + em) * pow4 / dm
         xm = (xm + lam) * 0.25
         ym = (ym + lam) * 0.25
@@ -331,7 +327,10 @@ def carlson_rj(x, y, z, p):
         - 3276.0 * E4
         + 2772.0 * E5
     ) / 24024.0
-    return pow4 * series / (Am * math.sqrt(Am)) + 6.0 * acc
+    value = pow4 * series / (Am * math.sqrt(Am)) + 6.0 * acc
+    if not math.isfinite(value):
+        raise ConvergenceError(f"carlson_rj: the value leaves the float range (got {value})")
+    return value
 
 
 def _continued(phi, m, complete, reduced, n=0.0):

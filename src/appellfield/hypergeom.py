@@ -16,7 +16,7 @@ run up to q = SERIES_RATIO_MAX = 0.95; the gauss_2f1 series runs up to
 x < 1, where the truncation error can exceed tol:
 gauss_2f1(0.5, 0.5, 2, 0.99) is 1.7e-13 off.
 
-Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x < 1 is
+Appell F2 with alpha = 1/2, beta2 = 1, gamma2 = 3/2 and 0 <= x, y < 1 is
 one single-index series, over the inner 2F1(1/2 + j, 1; 3/2; y) or, for
 the potentials' family beta = 1/2, gamma = 1, over the K/E-seeded
 2F1(1/2 + l, 1/2; 1; x); that family, for 0 <= x, y and x + y <= 1,
@@ -46,7 +46,8 @@ one cel call per node, by oracle.graded_gauss_legendre in one helper
 0.995 (_i_hyg_pi_integral),
 and in from the surface value I(m, sqrt(1-m); pi) beyond, which is the
 4F3 series of its closed form up to m = 1/3 and a quadrature above
-(_i_hyg_pi_from_boundary, _surface_by_series). The general-theta i_hyg
+(_i_hyg_pi_from_boundary, _surface_by_series); check C03 compares both
+with the integral of dI/dA from A = 0 to the boundary. The general-theta i_hyg
 takes its theta = pi term, and its whole value at theta = +-pi, from it,
 and i_hyg_surface(m) is its value on the boundary. i_hyg_pi_batch takes
 many arguments at once by the same rule and leaves only the integral in
@@ -76,10 +77,9 @@ above m = 1/3 (_i_hyg_surface_quad). Every other integral of the module is
 oracle.graded_gauss_legendre, the package's one graded 16-node
 Gauss-Legendre rule: i_hyg's defining integral (small theta, and a ratio
 m/(1 - A^2) beyond SERIES_RATIO_MAX; _i_hyg_defining, also the reference
-of checks C01 and C02), and, of cel or K, _di_da_integral,
-_f2_family_at_negative_y and _f43_continued, which continues the 4F3 form
-of the surface value past its radius for check C03 to compare with that
-quadrature; i_hyg_pi_batch takes _di_da_integral over arrays.
+of checks C01 and C02), and, of cel, _di_da_integral and
+_f2_family_at_negative_y; i_hyg_pi_batch takes _di_da_integral over
+arrays.
 
 The module imports no numpy: the functions that build arrays
 (i_hyg_pi_batch, _series_sums, lauricella_f11_triple) and quad_1d import it
@@ -369,9 +369,9 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
     surface value. At y < 0 and 0 <= x < 1 that family is
     J/(pi sqrt(-y)), J = 2 int_0^atan(sqrt(-y)) cel(sqrt(1-x),
     1 - x cos^2 t, 1, 1-x) dt, by 16-node Gauss-Legendre panels. Other F2
-    with alpha = 1/2, beta2 = 1, gamma2 = 3/2, 0 <= x < 1 - 1e-12 and
-    x/(1-y) < 1 - 1e-12 (any y < 0, at ratio x) are the inner-2F1 sum.
-    Other arguments are mapped into |x|+|y| < 1 by
+    with alpha = 1/2, beta2 = 1, gamma2 = 3/2, 0 <= x, 0 <= y and
+    x/(1-y) < 1 - 1e-12 are the inner-2F1 sum, at ratio x/(1-y).
+    Other arguments, y < 0 among them, are mapped into |x|+|y| < 1 by
     the Euler-type transformations, then summed over one index at the
     smaller of the ratios x/(1-y) and y/(1-x), over the inner
     2F1(alpha + j, beta2; gamma2; y) or its mirror image. Raises
@@ -402,7 +402,7 @@ def appell_f2(alpha, beta, beta2, gamma, gamma2, x, y):
                 if route == "ke":
                     return _f2_ke_sum(x, y, omm)
                 return _f2_inner_sum(beta, gamma, x, y, omy)
-        elif 0.0 <= x < 1.0 - 1e-12 and y < 1.0 - 1e-12 and (y < 0.0 or x / (1.0 - y) < 1.0 - 1e-12):
+        elif 0.0 <= x and 0.0 <= y < 1.0 - 1e-12 and x / (1.0 - y) < 1.0 - 1e-12:
             return _f2_inner_sum(beta, gamma, x, y, 1.0 - y)
     if y < 0.0:
         return (1.0 - y) ** (-alpha) * appell_f2(
@@ -450,21 +450,18 @@ def _f2_ke_sum(x, y, u):
 
 
 def _f2_inner_seed(y, u):
-    # 2F1(1/2, 1; 3/2; y), the first inner function of _f2_inner_terms:
-    # atanh(sqrt y)/sqrt y formed as log1p(2 sqrt(y) (1 + sqrt(y))/u)/(2 sqrt(y)),
-    # which reads u = 1 - y and not 1 - sqrt(y), for y > 0; atan(sqrt(-y))/sqrt(-y)
-    # for y < 0
+    # 2F1(1/2, 1; 3/2; y), the first inner function of _f2_inner_terms, for
+    # 0 <= y < 1: atanh(sqrt y)/sqrt y formed as
+    # log1p(2 sqrt(y) (1 + sqrt(y))/u)/(2 sqrt(y)), which reads u = 1 - y and
+    # not 1 - sqrt(y)
     if y > 0.0:
         sq = math.sqrt(y)
         return math.log1p(2.0 * sq * (1.0 + sq) / u) / (2.0 * sq)
-    if y < 0.0:
-        sq = math.sqrt(-y)
-        return math.atan(sq) / sq
     return 1.0
 
 
 def _f2_inner_sum(beta, gamma, x, y, u):
-    return _series_sum(_f2_inner_terms(beta, gamma, x, u, _f2_inner_seed(y, u), y >= 0.0),
+    return _series_sum(_f2_inner_terms(beta, gamma, x, u, _f2_inner_seed(y, u)),
                        REL_TOL, "appell_f2 inner-2F1 series")
 
 
@@ -474,9 +471,9 @@ def _f2_inner_sum(beta, gamma, x, y, u):
 # sends each the mask of those to keep after every block of _BLOCK terms.
 # They use only + - * /, which numpy rounds as Python does, so a sum over
 # arrays is bit for bit the scalar sum. A mask first arrives after the
-# first block, by when coef and the scaled form's upow, which start as 1.0,
+# first block, by when coef and the inner form's upow, which start as 1.0,
 # are arrays: they are from the second term on, so a block needs at least
-# two terms. The batch runs the scaled inner form only.
+# two terms.
 
 def _f2_ke_terms(x, y, u, h_prev, h_cur):
     # F2(1/2; 1/2, 1; 1, 3/2; x, y) = sum_l (1/2)_l/(3/2)_l y^l
@@ -497,15 +494,13 @@ def _f2_ke_terms(x, y, u, h_prev, h_cur):
         h_prev, h_cur = h_cur, h_next
 
 
-def _f2_inner_terms(beta, gamma, x, u, fhat, scaled):
+def _f2_inner_terms(beta, gamma, x, u, fhat):
     # F2(1/2; beta, 1; gamma, 3/2; x, y) = sum_j (1/2)_j (beta)_j
-    #   /((gamma)_j j!) x^j 2F1(1/2+j, 1; 3/2; y),
-    # the inner 2F1 by a two-term recurrence in its first parameter from the
-    # seed fhat = _f2_inner_seed(y, u), with u = 1 - y from the caller.
-    # ``scaled`` (0 <= y < 1): the inner 2F1 is scaled by u^j and the series
-    # runs at ratio x/u; otherwise (y < 0, where u has no cancellation) it is
-    # kept unscaled and the series runs at ratio x.
-    ratio = x / u if scaled else x
+    #   /((gamma)_j j!) x^j 2F1(1/2+j, 1; 3/2; y), 0 <= y < 1,
+    # the inner 2F1 scaled by u^j, u = 1 - y from the caller, by a two-term
+    # recurrence in its first parameter from the seed fhat =
+    # _f2_inner_seed(y, u); the series runs at ratio x/u.
+    ratio = x / u
     coef = 1.0
     upow = 1.0  # u^j
     keep = yield fhat
@@ -513,13 +508,9 @@ def _f2_inner_terms(beta, gamma, x, u, fhat, scaled):
         if keep is not None:
             u, ratio, coef, upow, fhat = (v[keep] for v in (u, ratio, coef, upow, fhat))
         a = 0.5 + j
-        if scaled:
-            # Fhat_{j+1} = ((2a-1) Fhat_j + u^j) / (2a)
-            fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
-            upow = upow * u
-        else:
-            # F_{a+1} = ((2a-1) F_a + 1) / (2a u)
-            fhat = ((2.0 * a - 1.0) * fhat + 1.0) / (2.0 * a * u)
+        # Fhat_{j+1} = ((2a-1) Fhat_j + u^j) / (2a)
+        fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
+        upow = upow * u
         coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
         keep = yield coef * fhat
 
@@ -562,13 +553,14 @@ def appell_f1(alpha, beta, beta2, gamma, x, y):
     def inner(lo, hi):
         # h_lo, ..., h_{hi-1} from the seeds h_hi, h_{hi+1} by
         # c (c - 1) h_j = c ((c - 1) + (alpha + j + 1 - beta2) y) h_{j+1}
-        #   - (c - beta2) (alpha + j + 1) y h_{j+2},  c = gamma + j + 1
+        #   - (c - beta2) (alpha + j + 1) y h_{j+2},  c = gamma + j + 1,
+        # with c - 1 formed as gamma + j, which keeps gamma's digits as gamma -> 0
         h_next, h = seed(hi + 1.0), seed(hi)
         block = []
         for j in range(hi - 1, lo - 1, -1):
-            c = gamma + j + 1.0
-            h, h_next = (c * ((c - 1.0) + (alpha + j + 1.0 - beta2) * y) * h
-                         - (c - beta2) * (alpha + j + 1.0) * y * h_next) / (c * (c - 1.0)), h
+            c, c1 = gamma + j + 1.0, gamma + j
+            h, h_next = (c * (c1 + (alpha + j + 1.0 - beta2) * y) * h
+                         - (c - beta2) * (alpha + j + 1.0) * y * h_next) / (c * c1), h
             block.append(h)
         return reversed(block)
 
@@ -605,7 +597,7 @@ def _i_hyg_series(m, A, s):
 
     def terms():
         phi, spow = math.asin(sw) / (sw * abs(s)), 1.0
-        for j, term in enumerate(_f2_inner_terms(1.0, 1.0, m, u, _f2_inner_seed(y, u), True)):
+        for j, term in enumerate(_f2_inner_terms(1.0, 1.0, m, u, _f2_inner_seed(y, u))):
             yield term * phi
             phi = ((2.0 * j + 1.0) * phi + spow) / (2.0 * (j + 1.0))
             spow *= s2
@@ -812,7 +804,7 @@ def i_hyg_pi_batch(m, A, gap):
             terms = _f2_ke_terms(m[ke], A[ke] * A[ke], uk, k, e)
             out[ke] = _series_sums(terms, np.count_nonzero(ke), REL_TOL)
         if inner.any():
-            terms = _f2_inner_terms(0.5, 1.0, m[inner], u[inner], seed[inner], True)
+            terms = _f2_inner_terms(0.5, 1.0, m[inner], u[inner], seed[inner])
             out[inner] = _series_sums(terms, np.count_nonzero(inner), REL_TOL)
         out = math.pi * A * out
         if integral.any():
@@ -876,20 +868,6 @@ def _i_hyg_pi_from_boundary(m, A_abs, omm, gap):
     return surf - _di_da_integral(m, A0, 0.0, math.sqrt(span))
 
 
-def _f43_continued(mu):
-    # 4F3(1,1,3/2,3/2; 2,2,2; mu) = (4/mu) int_0^1 [(2/pi) K(mu s) - 1] ds/s
-    # for mu < 0: int_0^1 2F1(3/2,3/2;2; mu s) (-ln s) ds integrated by
-    # parts, with d/dx (2/pi) K(x) = 2F1(3/2,3/2;2; x)/4. The integrand is
-    # analytic on [0, 1], mu/4 at s = 0, and its one singularity is K's log
-    # branch at s = 1/mu, summed by oracle.graded_gauss_legendre with
-    # h = min(1, -1/mu). K at the negative parameter mu s is cel at
-    # kc = sqrt(1 - mu s) >= 1.
-    def f(s):
-        return (2.0 / math.pi * elliptic.cel(math.sqrt(1.0 - mu * s), 1.0, 1.0, 1.0) - 1.0) / s
-
-    return 4.0 / mu * oracle.graded_gauss_legendre(f, min(1.0, -1.0 / mu), 0.0, 1.0)
-
-
 def i_hyg_surface(m):
     """Boundary value i_hyg(m, sqrt(1-m), pi) for m in (0, 1):
     i_hyg_pi(m, sqrt(1-m), gap=0.0), by its rule.
@@ -897,7 +875,9 @@ def i_hyg_surface(m):
     Up to m = 1/3 (|mu| <= 1/2, mu = -m/(1-m)) the value is the 4F3 series
     of the closed form -(pi mu/8) 4F3(1,1,3/2,3/2; 2,2,2; mu)
     - (pi/2) ln(-mu/16); above, it is the quadrature of
-    int_m^1 K(t) dt / (t sqrt(1-t)). Check C03 compares the two.
+    int_m^1 K(t) dt / (t sqrt(1-t)). Check C03 compares each route, the
+    series up to m = 1/3 and the quadrature at every m it reads, with the
+    integral of dI/dA from A = 0 to the boundary.
     """
     if not 0.0 < m < 1.0:
         raise DomainError(f"i_hyg_surface requires m in (0, 1) (got {m})")
@@ -951,14 +931,10 @@ def _surface_by_series(m, omm):
 
 def _i_hyg_surface_f43(m, omm):
     # the 4F3-log closed form of the surface value at mu = -m/(1 - m), from
-    # the complement omm = 1 - m the caller forms: the 4F3 series where
-    # _surface_by_series holds, its continuation by Gauss sums of K
-    # (_f43_continued) elsewhere, which only check C03 reads
+    # the complement omm = 1 - m the caller forms, by the 4F3 series: where
+    # _surface_by_series holds
     mu = -m / omm
-    if _surface_by_series(m, omm):
-        f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)
-    else:
-        f43 = _f43_continued(mu)
+    f43 = pfq_4f3((1.0, 1.0, 1.5, 1.5), (2.0, 2.0, 2.0), mu)
     # ln(-mu/16); below -mu = 2^-1018, -mu/16 is below the normal range (it
     # is 0 at a subnormal m), and ln 16 is taken apart
     log_q = math.log(-mu / 16.0) if -mu >= 2.0 ** -1018 else math.log(-mu) - math.log(16.0)

@@ -5,11 +5,12 @@ normalized to the criterion tolerance (so values <= 1 pass). The battery
 backs both ``appellfield verify`` and the acceptance test module; the checks
 compare closed forms against independent brute-force routes only. Those
 routes are fixed rules: C01 and C02 take hypergeom's one implementation of
-the defining integral of I(m, A; theta), C04 the graded rule on Z sc
+the defining integral of I(m, A; theta), C03 the integral of dI/dA up to
+the surface value, C04 the graded rule on Z sc
 toward the pole of sc, and C08 and C14 the Coulomb references of oracle.
 Adaptive quadrature (oracle.quad_1d) is no check's reference: it runs only
-inside the surface value above m = 1/3, one of the two routes C03 compares
-and a part of the potentials near r = R.
+inside the surface value above m = 1/3, one of the two routes that C03
+compares with the integral of dI/dA, and a part of the potentials near r = R.
 """
 
 import functools
@@ -81,28 +82,27 @@ def _crit02_definite_reduction(rng, full):
 
 
 def _crit03_surface_value(rng, full):
-    # the two routes agree to 3.4e-16 at these m; a 1e-12 relative error
-    # in either fails
+    # the surface value's two routes, the quadrature at every m and the 4F3
+    # series where it runs (m <= 1/3), against the integral of dI/dA from
+    # A = 0 to the boundary, which the integral route of i_hyg_pi runs and
+    # which is within 5.1e-16 of 30-digit mpmath at these m. The routes
+    # read within 7.5e-16 of it; a 1e-12 relative error in either fails, at
+    # m = 1 - 1e-6 too, where the value is 0.0186
     tol = 1e-13
     worst = 0.0
-    for m in np.arange(0.1, 0.95, 0.1).tolist():
-        qv = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - m))
-        fv = hypergeom._i_hyg_surface_f43(m, 1.0 - m)
-        worst = max(worst, abs(qv - fv) / max(abs(qv), 1.0))
-    # limit check toward m -> 1: the spec's printed |value| < 1e-4 is
-    # unattainable (the true value at m = 1-1e-6 is 0.01859, decaying like
-    # sqrt(1-m) ln(1/(1-m))); assert the attainable reading: the two routes
-    # agree within 1e-12 there (the 4F3 continuation's Gauss sums of K are
-    # 2e-13 off mpmath, against 0.0186) and the value is small and decreasing.
-    m1 = 1.0 - 1e-6
-    qv1 = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - m1))
-    fv1 = hypergeom._i_hyg_surface_f43(m1, 1.0 - m1)
-    q99 = hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - 0.99))
-    limit_ok = abs(qv1 - fv1) < 1e-12 and 0.0 < qv1 < q99 < 1.0
-    ok = worst < tol and limit_ok
+    for m in np.arange(0.1, 0.95, 0.1).tolist() + [1.0 - 1e-6]:
+        omm = 1.0 - m
+        A0 = math.sqrt(omm)
+        ref = hypergeom._di_da_integral(m, A0, 0.0, math.sqrt(A0))
+        quad = hypergeom._i_hyg_surface_quad(A0)
+        series = hypergeom._i_hyg_surface_f43(m, omm) if hypergeom._surface_by_series(m, omm) else ref
+        worst = max(worst, abs(quad - ref) / ref, abs(series - ref) / ref)
+    # toward m -> 1 the value decays like sqrt(1-m) ln(1/(1-m)): the last
+    # quadrature value, at m = 1 - 1e-6, is small and below the one at 0.99
+    ok = worst < tol and 0.0 < quad < hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - 0.99)) < 1.0
     return ok, worst / tol, (
-        f"9 m-values, worst {worst:.2e}; at m=1-1e-6: value {qv1:.6f}, "
-        f"route gap {abs(qv1 - fv1):.2e} (< 1e-12), decreasing toward 0")
+        f"10 m-values up to 1-1e-6, worst rel {worst:.2e}; value at m=1-1e-6 "
+        f"{quad:.6f}, decreasing toward 0")
 
 
 def _crit04_zsc_formula(rng, full):
@@ -485,7 +485,7 @@ def _crit15_unit_layer(rng, full):
 CHECKS = [
     ("C01", "hypergeometric integral: closed form vs defining integral", _crit01_ihyg_identity),
     ("C02", "definite-integral reduction at theta = pi", _crit02_definite_reduction),
-    ("C03", "surface value: quadrature form vs 4F3 form", _crit03_surface_value),
+    ("C03", "surface value: quadrature and 4F3 forms vs the integral of dI/dA", _crit03_surface_value),
     ("C04", "integral of Z*sc: closed form, jumps, branch increment", _crit04_zsc_formula),
     ("C05", "integrated parameter derivatives vs differences of i_hyg",
      _crit05_parameter_derivatives),

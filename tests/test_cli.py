@@ -190,10 +190,14 @@ def test_special_functions_at_the_float_extremes():
     ("carlson_rj", (5e-324, 2.0, -0.0, -1.0), None),
     ("carlson_rj", (1e-210, 1e-210, 1e-210, 1e-210), None),
     ("gauss_2f1", (-1e300, 5e-324, 0.5, -1e300), None),
-    ("appell_f1", (-1e300, -0.0, -1.0, 5e-324, 0.5, 0.0), None)])
+    # beta = 0: the series is 1, at a subnormal gamma too
+    ("appell_f1", (-1e300, -0.0, -1.0, 5e-324, 0.5, 0.0), 1.0),
+    ("carlson_rj", (1e-200, 1e-200, 1.0, 1e-200), 1.5e200),
+    ("carlson_rj", (1e-170, 1e-170, 1.0, 1e-170), 1.5e170)])
 def test_special_function_at_a_float_extreme(fn, args, want):
     # its value, or a typed error where it or a step on its way leaves the
-    # float range (R_J(1e-210, ...) = 1e315). At m -> 0, di_hyg_dm tends to
+    # float range (R_J(1e-210, ...) = 1e315; R_J(a, a, 1, a) is 1.5/a to
+    # 30-digit mpmath at a = 1e-200 and 1e-170). At m -> 0, di_hyg_dm tends to
     # (A/(2(1 - A^2))) (theta - sin theta)/2
     fn = cli._SPECIAL_FNS[fn][0]
     if want is None:

@@ -217,13 +217,11 @@ def test_appell_f2_swap_symmetry(x, y):
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_appell_f2_negative_argument_routes_agree(monkeypatch):
-    # the unscaled y < 0 inner-2F1 recurrence against the plain anti-diagonal
-    # sum, over seeded (beta, gamma, x, y) with |x| + |y| < 0.85
+def test_appell_f2_negative_argument_routes_agree():
+    # F2(1/2; beta, 1; gamma, 3/2; x, y) at y < 0, by the Euler map
+    # y -> y/(y - 1) and the direct sum there, against the direct sum at y
+    # itself, over seeded (beta, gamma, x, y) with |x| + |y| < 0.85
     direct = hg._appell_f2_direct
-    calls = []
-    monkeypatch.setattr(hg, "_appell_f2_direct",
-                        lambda *a: calls.append(a) or direct(*a))
     rng = np.random.default_rng(16)
     points = [(0.5, 1.0, 0.2, -0.3)]
     for _ in range(300):
@@ -233,7 +231,6 @@ def test_appell_f2_negative_argument_routes_agree(monkeypatch):
     for beta, gamma, x, y in points:
         args = (0.5, beta, 1.0, gamma, 1.5, x, y)
         assert hg.appell_f2(*args) == pytest.approx(direct(*args), rel=1e-13, abs=0.0), args
-    assert calls == []
 
 
 def test_appell_f2_family_at_negative_y_matches_the_integral():
@@ -470,6 +467,17 @@ def test_appell_f1_at_negative_arguments_matches_mpmath():
         with mpmath.workdps(30):
             ref = float(mpmath.appellf1(*args))
         assert hg.appell_f1(*args) == pytest.approx(ref, rel=1e-12, abs=0.0), args
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-10, 1e-13, 1e-15, 1e-17])
+def test_appell_f1_keeps_its_digits_as_gamma_goes_to_0(gamma):
+    # the backward recurrence forms c - 1 as gamma + j: as (gamma + j + 1) - 1
+    # it rounded gamma away at j = 0, 3.3e-2 off at gamma = 1e-15
+    mpmath = pytest.importorskip("mpmath")
+    args = (0.5, 0.5, 0.5, gamma, 0.3, 0.2)
+    with mpmath.workdps(30):
+        ref = float(mpmath.appellf1(*args))
+    assert hg.appell_f1(*args) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def _f1_euler_integral(alpha, beta, beta2, gamma, x, y):
@@ -1073,7 +1081,7 @@ def test_i_hyg_surface_below_one_third_matches_its_defining_integral(m):
 
 @pytest.mark.parametrize("m", [0.34, 0.5, 0.7, 0.9, 0.99, 0.999])
 def test_i_hyg_surface_above_one_third_matches_its_defining_integral(m):
-    # the quadrature route; check C03 compares it with the 4F3 form
+    # the quadrature route; check C03 compares it with the integral of dI/dA
     assert hg.i_hyg_surface(m) == pytest.approx(_surface_integral(m), rel=1e-14, abs=0.0)
 
 
@@ -1096,9 +1104,10 @@ def test_i_hyg_surface_is_the_boundary_value_of_i_hyg_pi(m):
 
 
 def test_surface_value_takes_the_4f3_series_up_to_one_third(monkeypatch):
-    # one route per side of m = 1/3, and never the 4F3 continuation
+    # one route per side of m = 1/3: the 4F3 series up to its range
+    # (_surface_by_series), the quadrature above
     calls = []
-    for name in ("_i_hyg_surface_quad", "_i_hyg_surface_f43", "_f43_continued"):
+    for name in ("_i_hyg_surface_quad", "_i_hyg_surface_f43"):
         def record(*args, _name=name, _fn=getattr(hg, name)):
             calls.append(_name)
             return _fn(*args)
@@ -1108,19 +1117,6 @@ def test_surface_value_takes_the_4f3_series_up_to_one_third(monkeypatch):
         calls.clear()
         hg.i_hyg_pi(m, math.sqrt(1.0 - m), 0.0)
         assert calls == [route], m
-
-
-@pytest.mark.parametrize("m", [0.34, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6])
-def test_surface_value_4f3_continuation_matches_mpmath(m):
-    # above m = 1/3 the closed form -(pi mu/8) 4F3(1,1,3/2,3/2; 2,2,2; mu)
-    # - (pi/2) ln(-mu/16) takes the 4F3 past its radius, at mu = -m/(1-m)
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        mm = mpmath.mpf(m)
-        mu = -mm / (1 - mm)
-        ref = float(-(mpmath.pi * mu / 8) * mpmath.hyper([1, 1, 1.5, 1.5], [2, 2, 2], mu)
-                    - mpmath.pi / 2 * mpmath.log(-mu / 16))
-    assert hg._i_hyg_surface_f43(m, 1.0 - m) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_i_hyg_surface_matches_boundary_series_extrapolation():

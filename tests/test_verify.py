@@ -54,6 +54,17 @@ def test_c03_catches_a_surface_route_off_by_1e_12(monkeypatch, name):
     assert result.worst > 1.0
 
 
+def test_c03_catches_the_quadrature_off_by_1e_12_toward_m_1(monkeypatch):
+    # only where b = sqrt(1 - m) < 1e-2, at m = 1 - 1e-6, where 1e-12 of the
+    # value 0.0186 is 1.9e-14 absolute
+    original = hypergeom._i_hyg_surface_quad
+    monkeypatch.setattr(hypergeom, "_i_hyg_surface_quad",
+                        lambda b: original(b) * (1.0 + 1e-12 if b < 1e-2 else 1.0))
+    result = verify.run_check("C03", seed=0, full=False)
+    assert not result.passed, result.detail
+    assert result.worst > 1.0
+
+
 # worst residual ratios of the fast suite, as read when each stencil
 # evaluated all its points itself
 @pytest.mark.parametrize("ident,seed,worst", [
