@@ -337,7 +337,8 @@ def _continued(phi, m, complete, reduced, n=0.0):
     """The continuation shared by F, E and Pi (and hypergeom.di_hyg_dm's
     Pi - F) from their value
     reduced(s, c) at an amplitude phi_r in [-pi/2, pi/2] of sine s and
-    cosine c: odd in phi, and f(k*pi + phi_r) = 2k * complete() + f(phi_r).
+    cosine c: odd in phi, and f(k*pi + phi_r) = 2k * complete() + f(phi_r),
+    with the smaller k where phi is a tie (phi = float(pi)/2 has k = 0).
     DomainError where m*sin^2(phi_r) > 1; then, for Pi's characteristic n,
     SingularityError where n*sin^2 reaches within 1e-12 of 1 on the path.
     """
@@ -345,7 +346,7 @@ def _continued(phi, m, complete, reduced, n=0.0):
         return 0.0
     if phi < 0.0:
         return -_continued(-phi, m, complete, reduced, n)
-    k = math.floor(phi / math.pi + 0.5)
+    k = math.ceil(phi / math.pi - 0.5)
     phi_r = phi - k * math.pi
     s = math.sin(phi_r)
     if m * s * s > 1.0:

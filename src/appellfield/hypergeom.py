@@ -57,11 +57,10 @@ on floats by _series_sum and over arrays by _series_sums, and the
 integral up from A = 0 one integrand, _di_da_node, run on floats with
 elliptic.cel and over arrays with elliptic.cel_array, its nodes and panels
 added in the scalar rule's order (oracle.graded_gauss_legendre_each), so
-the batch is bit for bit what i_hyg_pi returns. _series_sums takes the
-terms 32 at a time and tests the stopping rule once per block, on all its
-terms: the running sums add in sequence (np.add.accumulate), as
-_series_sum's do, and a series that stops inside a block has its later
-terms in that block computed and dropped.
+the batch is bit for bit what i_hyg_pi returns. _series_sums runs every
+series of the batch to the last one's stop, each term over the whole
+width, and records each sum by the scalar rule at its own stop; the terms
+past it are computed and dropped.
 
 gauss_2f1, pfq_4f3, appell_f1 and appell_f2 raise DomainError for a
 non-finite argument, as every public function of elliptic and jacobi does;
@@ -176,57 +175,25 @@ def _series_sum(terms, tol, name):
     return total
 
 
-# _series_sums takes the terms of its series this many at a time (at least
-# two: see the recurrences _f2_ke_terms and _f2_inner_terms)
-_BLOCK = 32
-
-
 def _series_sums(terms, n, tol):
-    # _series_sum of n series at once, summed in lockstep: ``terms`` yields
-    # the term arrays of the series still running and is sent, after each,
-    # the mask of those to keep (None when all stay). The terms come _BLOCK
-    # at a time, and a mask only after a block: the series that stopped
-    # inside it have had their later terms computed, and those are dropped.
-    # Each sum stops by the scalar rule at its first third consecutive
-    # small term, found by one test per block: np.add.accumulate adds the
-    # block's terms to the carried total in sequence, as _series_sum does,
-    # and the small-term flags of a block's last two terms carry over to
-    # the next. A sum still running past term MAX_TERMS is nan.
+    # _series_sum of n series at once, in lockstep: ``terms`` yields the
+    # term arrays of all n series, and each total adds its term. Each sum
+    # is recorded at its third consecutive small term, by the scalar rule,
+    # and its later terms, computed for the whole width, are dropped. A sum
+    # still running past term MAX_TERMS is nan.
     import numpy as np
     eps = 0.02 * tol
-    out = np.full(n, np.nan)
-    index = np.arange(n)
-    # the block's buffers, whose first columns hold the series still
-    # running: the carried total over the running sums, |term|,
-    # eps |running sum|, and the small-term flags under the two carried ones
-    sums = np.zeros((_BLOCK + 1, n))
-    term_size, sum_size = np.empty((_BLOCK, n)), np.empty((_BLOCK, n))
-    small = np.zeros((_BLOCK + 2, n), dtype=bool)
-    keep = None
-    for start in range(0, MAX_TERMS + 1, _BLOCK):
-        b, k = min(_BLOCK, MAX_TERMS + 1 - start), index.size
-        run, flags = sums[:b + 1, :k], small[:b + 2, :k]
-        tsize, ssize = term_size[:b, :k], sum_size[:b, :k]
-        for row in run[1:]:
-            row[...] = terms.send(keep)
-            keep = None
-        np.abs(run[1:], out=tsize)
-        np.add.accumulate(run, axis=0, out=run)
-        np.abs(run[1:], out=ssize)
-        ssize *= eps
-        np.less_equal(tsize, ssize, out=flags[2:])
-        stop = flags[:-2] & flags[1:-1] & flags[2:]
-        done = stop.any(axis=0)
+    out, total = np.full(n, np.nan), np.zeros(n)
+    small, running = np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    for term in itertools.islice(terms, MAX_TERMS + 1):
+        total += term
+        small = np.where(abs(term) <= eps * abs(total), small + 1, 0)
+        done = running & (small >= 3)
         if done.any():
-            cols = np.flatnonzero(done)
-            out[index[cols]] = run[stop[:, cols].argmax(axis=0) + 1, cols]
-            keep = ~done
-            index = index[keep]
-            if not index.size:
+            out[done] = total[done]
+            running &= ~done
+            if not running.any():
                 break
-        carried = slice(None) if keep is None else keep
-        sums[0, :index.size] = run[b, carried]
-        small[:2, :index.size] = flags[b:, carried]
     return out
 
 
@@ -466,14 +433,10 @@ def _f2_inner_sum(beta, gamma, x, y, u):
 
 
 # The two single-index recurrences, each defined once: generators of the
-# terms, floats when _series_sum drives them and, from i_hyg_pi_batch, the
-# term arrays of the series still running when _series_sums does, which
-# sends each the mask of those to keep after every block of _BLOCK terms.
-# They use only + - * /, which numpy rounds as Python does, so a sum over
-# arrays is bit for bit the scalar sum. A mask first arrives after the
-# first block, by when coef and the inner form's upow, which start as 1.0,
-# are arrays: they are from the second term on, so a block needs at least
-# two terms.
+# terms, floats when _series_sum drives them and, from i_hyg_pi_batch,
+# arrays over all the batch's series when _series_sums does. They use only
+# + - * /, which numpy rounds as Python does, so a sum over arrays is bit
+# for bit the scalar sum.
 
 def _f2_ke_terms(x, y, u, h_prev, h_cur):
     # F2(1/2; 1/2, 1; 1, 3/2; x, y) = sum_l (1/2)_l/(3/2)_l y^l
@@ -484,12 +447,10 @@ def _f2_ke_terms(x, y, u, h_prev, h_cur):
     # Converges at ratio y/u.
     ratio = y / u
     coef = 1.0
-    keep = yield h_prev
+    yield h_prev
     for l in itertools.count(1):
-        if keep is not None:
-            x, u, ratio, coef, h_prev, h_cur = (v[keep] for v in (x, u, ratio, coef, h_prev, h_cur))
         coef *= (l - 0.5) / (l + 0.5) * ratio
-        keep = yield coef * h_cur
+        yield coef * h_cur
         h_next = ((0.5 - l) * u * h_prev + l * (2.0 - x) * h_cur) / (0.5 + l)
         h_prev, h_cur = h_cur, h_next
 
@@ -503,16 +464,14 @@ def _f2_inner_terms(beta, gamma, x, u, fhat):
     ratio = x / u
     coef = 1.0
     upow = 1.0  # u^j
-    keep = yield fhat
+    yield fhat
     for j in itertools.count():
-        if keep is not None:
-            u, ratio, coef, upow, fhat = (v[keep] for v in (u, ratio, coef, upow, fhat))
         a = 0.5 + j
         # Fhat_{j+1} = ((2a-1) Fhat_j + u^j) / (2a)
         fhat = ((2.0 * a - 1.0) * fhat + upow) / (2.0 * a)
         upow = upow * u
         coef *= (0.5 + j) * (beta + j) / ((gamma + j) * (j + 1.0)) * ratio
-        keep = yield coef * fhat
+        yield coef * fhat
 
 
 @typed_float_errors
@@ -765,9 +724,9 @@ def i_hyg_pi_batch(m, A, gap):
 
     Each element takes its route from i_hyg_pi's rule. The sums of each
     route then run in lockstep through the one recurrence i_hyg_pi sums
-    (_f2_ke_terms, _f2_inner_terms), over arrays, a block of 32 terms at a
-    time, and with the scalar stopping rule tested once per block
-    (_series_sums), from K/E seeds by elliptic.cel_array. The integrals
+    (_f2_ke_terms, _f2_inner_terms), over arrays of the route's whole
+    width, each stopped by the scalar rule (_series_sums), from K/E seeds
+    by elliptic.cel_array. The integrals
     take _di_da_integral's integrand and panels, all elements' at once
     (oracle.graded_gauss_legendre_each). So every value is bit for bit
     what i_hyg_pi returns. The terms a series computes past its stop may

@@ -73,20 +73,40 @@ def _atanh(u, L):
     return math.atanh(u / L) if abs(u) < L else 0.0
 
 
+def _ellip_pi(n, omn, phi, a):
+    """Pi(n; phi | a.m) from the exact complements omn = 1 - n and
+    a.one_minus_m: s R_F(c^2, y, 1) + (n/3) s^3 R_J(c^2, y, 1, omn + n c^2),
+    y = (1 - m) + m c^2, at an amplitude of sine s and cosine c, continued
+    by the complete term cel(kc, omn, 1, 1). Where n nears 1, as n* does
+    near the sheet r = r0 and n_plus near the end plane z = 0, the
+    characteristic 1 - n s^2 keeps its digits."""
+    m, omm = a.m, a.one_minus_m
+
+    def reduced(s, c):
+        c2 = c * c
+        y = omm + m * c2
+        return s * elliptic.carlson_rf(c2, y, 1.0) + (n / 3.0) * s ** 3 * elliptic.carlson_rj(
+            c2, y, 1.0, omn + n * c2)
+
+    return elliptic._continued(phi, m, lambda: elliptic.cel(math.sqrt(omm), omn, 1.0, 1.0),
+                               reduced)
+
+
 def _legendre(a, theta, pair=True):
     """(F, E, p, nsum) at amplitude theta/2 and parameter a.m: the Legendre
-    F and E, the n* term p = ((r - r0)/(r + r0)) Pi(n*), n* = 4 r r0/(r+r0)^2,
-    and, if pair, the characteristic sum nsum = sum_pm bracket(pm) Pi(n_pm).
+    F and E, the n* term p = q Pi(n*), q = (r - r0)/(r + r0),
+    n* = 4 r r0/(r+r0)^2 = 1 - q^2, and, if pair, the characteristic sum
+    nsum = sum_pm bracket(pm) Pi(n_pm), where 1 - n_plus = (z/(r0 + rho))^2.
     At z = 0, where every coefficient of p and nsum vanishes, both are 0,
     and p is 0 at r = r0."""
-    phi, m, r, r0 = theta / 2.0, a.m, a.r, a.r0
+    phi, m, r, r0, z = theta / 2.0, a.m, a.r, a.r0, a.z
     F = elliptic.ellip_f(phi, m)
     E = elliptic.ellip_e(phi, m)
-    if a.z == 0.0:
+    if z == 0.0:
         return F, E, 0.0, 0.0
-    p = (r - r0) / (r + r0) * elliptic.ellip_pi(4.0 * r * r0 / (r + r0) ** 2, phi, m) \
-        if r != r0 else 0.0
-    nsum = _bracket(a, +1) * elliptic.ellip_pi(_n_plus(a), phi, m) \
+    q = (r - r0) / (r + r0)
+    p = q * _ellip_pi(4.0 * r * r0 / (r + r0) ** 2, q * q, phi, a) if r != r0 else 0.0
+    nsum = _bracket(a, +1) * _ellip_pi(_n_plus(a), (z / (r0 + math.hypot(r0, z))) ** 2, phi, a) \
         + _bracket(a, -1) * elliptic.ellip_pi(_n_minus(a), phi, m) if pair else 0.0
     return F, E, p, nsum
 

@@ -413,27 +413,24 @@ def graded_gauss_legendre_each(f, h, lo, hi):
     of element idx[k], to an ndarray, elementwise as f(u, i) on floats
     rounds. Every element's panels are taken at once, one node at a time
     in gauss_legendre's order, so the arrays stay at the panel count, and
-    each element's panels are added in order from 0.0."""
+    np.add.at, which adds in index order, adds each element's panels in
+    order from 0.0."""
     import numpy as np
-    owner, rank, ends = [], [], []
+    owner, ends = [], []
     for i, args in enumerate(zip(h.tolist(), lo.tolist(), hi.tolist())):
         panels = _graded_panels(*args)
         owner += [i] * len(panels)
-        rank += range(len(panels))
         ends += panels
     total = np.zeros(len(h))
     if not ends:
         return total
-    owner, rank = np.array(owner), np.array(rank)
+    owner = np.array(owner)
     a, b = np.array(ends).T
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     sums = np.zeros(len(owner))
     for x, w in _legendre_rule(16):
         sums += w * f(mid + half * x, owner)
-    sums = half * sums
-    for k in range(rank.max() + 1):
-        at = rank == k
-        total[owner[at]] += sums[at]
+    np.add.at(total, owner, half * sums)
     return total
 
 

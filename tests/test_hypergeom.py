@@ -947,45 +947,23 @@ def test_series_sums_stop_each_series_by_the_scalar_rule():
     # _series_sum does, and a sum still running past MAX_TERMS is nan
     rows = [[1.0, 0.0, 2.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 100.0],
             [1.0, 0.5, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0]]
-    columns = np.array(rows).T
-
-    def terms():
-        live = np.arange(len(rows))
-        for column in columns:
-            keep = yield column[live]
-            if keep is not None:
-                live = live[keep]
-        while True:  # past the rows: ones for what still runs
-            yield np.ones(live.size)
-
-    sums = hg._series_sums(terms(), len(rows), hg.REL_TOL)
+    # past the rows: ones
+    terms = itertools.chain(np.array(rows).T, itertools.repeat(np.ones(len(rows))))
+    sums = hg._series_sums(terms, len(rows), hg.REL_TOL)
     assert sums.tolist() == [hg._series_sum(iter(row), hg.REL_TOL, "row") for row in rows]
-
-    def endless():
-        size = 2
-        while True:
-            keep = yield np.ones(size)
-            size = int(np.count_nonzero(keep)) if keep is not None else size
-
-    assert all(math.isnan(v) for v in hg._series_sums(endless(), 2, hg.REL_TOL))
+    endless = itertools.repeat(np.ones(2))
+    assert all(math.isnan(v) for v in hg._series_sums(endless, 2, hg.REL_TOL))
 
 
 def _series_sums_of_rows(rows):
     # (_series_sums, _series_sum per row) of the series whose terms are the
-    # rows, each continued by ones; the batch's generator honours the masks
-    # as the recurrences do, and a scalar sum that raises ConvergenceError
-    # is nan
+    # rows, each continued by ones; a scalar sum that raises
+    # ConvergenceError is nan
     width = max(map(len, rows))
     columns = np.ones((width, len(rows)))
     for i, row in enumerate(rows):
         columns[:len(row), i] = row
-
-    def terms():
-        live = np.arange(len(rows))
-        for k in itertools.count():
-            keep = yield (columns[k] if k < width else np.ones(len(rows)))[live]
-            if keep is not None:
-                live = live[keep]
+    terms = itertools.chain(columns, itertools.repeat(np.ones(len(rows))))
 
     def scalar(row):
         try:
@@ -993,7 +971,7 @@ def _series_sums_of_rows(rows):
         except ConvergenceError:
             return math.nan
 
-    return hg._series_sums(terms(), len(rows), hg.REL_TOL).tolist(), [scalar(r) for r in rows]
+    return hg._series_sums(terms, len(rows), hg.REL_TOL).tolist(), [scalar(r) for r in rows]
 
 
 def _large(rng, n):
@@ -1001,24 +979,22 @@ def _large(rng, n):
     return rng.uniform(0.5, 1.5, n).tolist()
 
 
-def test_series_sums_stop_by_the_scalar_rule_across_blocks():
-    B, rng = hg._BLOCK, np.random.default_rng(19)
-    rows = [_large(rng, 5) + [0.0] * 3,  # stops inside the first block
-            # runs of three small terms across the first block boundary
-            _large(rng, B - 2) + [0.0] * 3, _large(rng, B - 1) + [0.0] * 3,
-            # two small terms at the block's end, then a large one
-            _large(rng, B - 2) + [0.0] * 2 + _large(rng, 1) + [0.0] * 3,
-            # stop mid-block in the second block while the last row runs on
-            _large(rng, B + 3) + [0.0] * 3, _large(rng, B + 9) + [0.0] * 3,
-            _large(rng, 3 * B + 7) + [0.0] * 3]
+def test_series_sums_stop_by_the_scalar_rule_at_each_position():
+    rng = np.random.default_rng(19)
+    rows = [_large(rng, 5) + [0.0] * 3, _large(rng, 30) + [0.0] * 3,
+            _large(rng, 31) + [0.0] * 3,
+            # two small terms, then a large one
+            _large(rng, 30) + [0.0] * 2 + _large(rng, 1) + [0.0] * 3,
+            # stops while the last row runs on
+            _large(rng, 35) + [0.0] * 3, _large(rng, 41) + [0.0] * 3,
+            _large(rng, 103) + [0.0] * 3]
     got, want = _series_sums_of_rows(rows)
     assert repr(got) == repr(want)
     assert all(map(math.isfinite, got))
 
 
-def test_series_sums_cap_ends_in_a_partial_block():
-    # MAX_TERMS + 1 terms are summed, the last block of them partial
-    assert (hg.MAX_TERMS + 1) % hg._BLOCK
+def test_series_sums_cap_at_max_terms():
+    # MAX_TERMS + 1 terms are summed
     rng = np.random.default_rng(20)
     rows = [_large(rng, hg.MAX_TERMS - 2) + [0.0] * 3,  # its third small term is the last summed
             _large(rng, hg.MAX_TERMS - 1) + [0.0] * 3,  # one term past it

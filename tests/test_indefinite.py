@@ -3,7 +3,8 @@
 Twin: at theta = pi each form is an end term of fields, computed there by
 other kernels (cel and I(m, A; pi)) than here (Carlson's incomplete
 integrals, the characteristic pair n_pm and i_hyg's series). The two must
-agree to 1e-13.
+agree to 1e-13. Nearer the surfaces than the twin's slots, three forms are
+checked against 50-digit mpmath at their own float theta instead.
 
 Box: each form is an antiderivative of the paper's integrand, so its
 inclusion-exclusion sum over the corners of an (r, theta, z) box is the
@@ -32,9 +33,12 @@ R = 1.0  # source radius of the twin slots (r, zeta): observation radius r, offs
 
 def _twin_slots(n=400, seed=0):
     """n seeded slots with r in [0, 3], zeta in [-3, 3], |r - R| >= 0.1 and
-    |zeta| >= 0.1, then axis slots. Nearer the surfaces Carlson's ellip_pi
-    rejects n* within 1e-12 of 1 and the twin loses digits; C08, C14 and
-    the probe references cover the hot path there."""
+    |zeta| >= 0.1, then axis slots. Nearer the surfaces the twin at the
+    float theta = pi differs from the end term, at theta = pi exactly, by
+    about 6e-17/|r - R| relative, because cos(float(pi)/2) is not 0: that
+    is the float argument, not a defect (the twin matches mpmath at its
+    own theta there, test_twins_match_mpmath_near_the_surfaces). C08, C14
+    and the probe references cover the hot path there."""
     rng = np.random.default_rng(seed)
     slots = []
     while len(slots) < n:
@@ -64,6 +68,45 @@ def test_end_terms_equal_their_general_theta_twins(name):
         value = end(R, r, zeta)
         worst = max(worst, abs(twin(r, zeta) - value) / max(abs(value), 1.0))
     assert worst <= 1e-13
+
+
+# slots (r, z; r0) 1e-3 to 1e-9 from the sheet r0 = r and from the end
+# plane z = 0, where n* and n_plus near 1
+NEAR_SLOTS = [(1.0, z, 1.0 + s * d) for d in (1e-3, 1e-6, 1e-9) for z in (0.5, -0.3)
+              for s in (1.0, -1.0)] + \
+    [(1.0, s * d, r0) for d in (1e-3, 1e-6, 1e-9) for r0 in (1.5, 0.4) for s in (1.0, -1.0)]
+
+
+def _mp_forms(r, theta, z, r0):
+    """(j_tube, i_cyl_ell, j_cyl_ell) at 50 digits, at the float theta."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r, z, r0, phi = (mpmath.mpf(v) for v in (r, z, r0, theta / 2.0))
+        L0 = mpmath.sqrt((r + r0) ** 2 + z * z)
+        m, rho = 4 * r * r0 / L0 ** 2, mpmath.sqrt(r0 * r0 + z * z)
+        F, E = mpmath.ellipf(phi, m), mpmath.ellipe(phi, m)
+        p = (r - r0) / (r + r0) * mpmath.ellippi(4 * r * r0 / (r + r0) ** 2, phi, m)
+        nsum = sum((1 - n / 2 * (1 + r / r0)) * mpmath.ellippi(n, phi, m)
+                   for n in (2 * r0 / (r0 + rho), 2 * r0 / (r0 - rho)))
+        return tuple(float(v) for v in (
+            (r * r - r0 * r0) / L0 * F - L0 * E + z * z / L0 * p,
+            -3 * z * (r0 * r0 + z * z) / (4 * L0) * F + 3 * z * L0 / 4 * E
+            + z * r * r / (4 * L0) * p + z * (2 * z * z - r0 * r0) / (4 * L0) * nsum,
+            L0 * (z * z - 2 * (r * r + r0 * r0)) / 6 * E
+            + (2 * (r * r - r0 * r0) ** 2 + z * z * (r0 * r0 - 2 * r * r - z * z)) / (6 * L0) * F
+            + z * z * r * r / (2 * L0) * p - r0 * r0 * z * z / (2 * L0) * nsum))
+
+
+@pytest.mark.parametrize("theta", [math.pi, -math.pi, 2.5])
+def test_twins_match_mpmath_near_the_surfaces(theta):
+    # Pi(n*) and Pi(n_plus) from their exact complements, and float(pi)/2
+    # continued with k = 0
+    for r, z, r0 in NEAR_SLOTS:
+        want = _mp_forms(r, theta, z, r0)
+        got = (ind.j_tube(r, theta, z, r0), ind.i_cyl_ell(r, theta, z, r0),
+               ind.j_cyl_ell(r, theta, z, r0))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * max(abs(w), 1.0), (r, theta, z, r0)
 
 
 def _boxes(n=6, seed=0):

@@ -179,6 +179,32 @@ def test_graded_rule_is_exact_to_degree_31_on_each_panel():
         oc.graded_gauss_legendre(math.cos, 0.0, 0.0, 1.0)
 
 
+def test_graded_rule_each_is_the_scalar_rule_bit_for_bit():
+    # seeded (h, lo, hi) of 0 to about 40 panels, mixed in one call, with
+    # lo == hi among them; the integrand uses + - * / only, which numpy
+    # rounds as Python does
+    rng = np.random.default_rng(23)
+    n = 60
+    h = 10.0 ** rng.uniform(-12.0, 0.0, n)
+    hi = rng.uniform(0.0, 3.0, n)
+    lo = np.where(rng.uniform(size=n) < 0.5, 0.0, hi * rng.uniform(size=n))
+    # lo == hi: at 0 and at a panel end (no panel), and inside a panel (one
+    # of zero width)
+    hi[:2], hi[2:4] = 0.0, 4.0 * h[2:4]
+    lo[:6] = hi[:6]
+    shift = rng.uniform(0.1, 2.0, n)
+
+    def f(u, i):
+        return u / (shift[i] + u * u)
+
+    counts = [len(oc._graded_panels(*args)) for args in zip(h, lo, hi)]
+    assert min(counts) == 0 and max(counts) >= 35 and len(set(counts)) > 10
+    got = oc.graded_gauss_legendre_each(f, h, lo, hi)
+    want = [oc.graded_gauss_legendre(lambda u, i=i: f(u, i), *args)
+            for i, args in enumerate(zip(h.tolist(), lo.tolist(), hi.tolist()))]
+    assert [repr(float(v)) for v in got] == [repr(float(v)) for v in want]
+
+
 def test_graded_references_refuse_a_non_finite_integrand(monkeypatch):
     # a nan reference would pass a check silently, since max(0.0, nan) is 0.0
     from appellfield import hypergeom
