@@ -46,12 +46,12 @@ one cel call per node, by oracle.graded_gauss_legendre in one helper
 0.995 (_i_hyg_pi_integral),
 and in from the surface value I(m, sqrt(1-m); pi) beyond, which is the
 4F3 series of its closed form up to m = 1/3 and a quadrature above
-(_i_hyg_pi_from_boundary, _surface_by_series); check C03 compares both
-with the integral of dI/dA from A = 0 to the boundary. The general-theta i_hyg
-takes its theta = pi term, and its whole value at theta = +-pi, from it,
-and i_hyg_surface(m) is its value on the boundary. i_hyg_pi_batch takes
-many arguments at once by the same rule and leaves only the integral in
-from the surface value to i_hyg_pi; the grids use it. Each single-index
+(_i_hyg_pi_from_boundary, _surface_by_series); check C03 compares each,
+where it runs, with the integral of dI/dA from A = 0 to the boundary. The
+general-theta i_hyg takes its theta = pi term, and its whole value at
+theta = +-pi, from it, and i_hyg_surface(m) is its value on the boundary.
+i_hyg_pi_batch takes many arguments at once by the same rule and leaves
+only the integral in from the surface value to i_hyg_pi; the grids use it. Each single-index
 sum has one recurrence, _f2_ke_terms or _f2_inner_terms, a generator run
 on floats by _series_sum and over arrays by _series_sums, and the
 integral up from A = 0 one integrand, _di_da_node, run on floats with
@@ -295,7 +295,8 @@ def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
     # 15.5.11), in which it is the dominant solution for y < 1:
     #   g_{j+1} = ((gamma2 - a) u g_{j-1} + (a + beta2 - gamma2 + (a - beta2) u) g_j)/a,
     # a = alpha + j. The sum ends where its coefficient vanishes (alpha or
-    # beta a nonpositive integer), before the relation divides by a = 0.
+    # beta a nonpositive integer, or x = 0), before the relation divides by
+    # a = 0; the second seed is formed only for a sum that reaches j = 1.
     def ratio(x, y):
         return abs(x) / (1.0 - max(y, 0.0))
 
@@ -306,7 +307,6 @@ def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
     def terms():
         g_prev = gauss_2f1(alpha, beta2, gamma2, y)
         yield g_prev
-        g = u * gauss_2f1(alpha + 1.0, beta2, gamma2, y)
         coef = 1.0
         for j in itertools.count():
             a = alpha + j
@@ -316,6 +316,8 @@ def _appell_f2_direct(alpha, beta, beta2, gamma, gamma2, x, y):
             if j:
                 g_prev, g = g, ((gamma2 - a) * u * g_prev
                                 + (a + beta2 - gamma2 + (a - beta2) * u) * g) / a
+            else:
+                g = u * gauss_2f1(alpha + 1.0, beta2, gamma2, y)
             yield coef * g
 
     return _series_sum(terms(), REL_TOL, "appell_f2 series")
@@ -834,8 +836,8 @@ def i_hyg_surface(m):
     Up to m = 1/3 (|mu| <= 1/2, mu = -m/(1-m)) the value is the 4F3 series
     of the closed form -(pi mu/8) 4F3(1,1,3/2,3/2; 2,2,2; mu)
     - (pi/2) ln(-mu/16); above, it is the quadrature of
-    int_m^1 K(t) dt / (t sqrt(1-t)). Check C03 compares each route, the
-    series up to m = 1/3 and the quadrature at every m it reads, with the
+    int_m^1 K(t) dt / (t sqrt(1-t)). Check C03 compares each route where
+    it runs, the series up to m = 1/3 and the quadrature above, with the
     integral of dI/dA from A = 0 to the boundary.
     """
     if not 0.0 < m < 1.0:

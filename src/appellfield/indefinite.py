@@ -44,7 +44,11 @@ def _bracket(a, sign):
     in the cancellation-free form (+-rho - r)/(r0 +- rho)."""
     rho = math.hypot(a.r0, a.z)
     if sign > 0:
-        return (rho - a.r) / (a.r0 + rho)
+        # rho - r = (rho^2 - r^2)/(rho + r), rho^2 - r^2 formed from r0 - r:
+        # the difference of the rounded rho and r is off by rho's rounding,
+        # about 1e-16 rho, which near the rim, rho - r about |z|, is
+        # 1e-16/|z| of it
+        return ((a.r0 - a.r) * (a.r0 + a.r) + a.z * a.z) / ((rho + a.r) * (a.r0 + rho))
     if a.z == 0.0:
         raise DomainError("bracket(-1) is undefined at z = 0")
     # (-(rho) - r)/(r0 - rho) = (rho + r)(rho + r0)/z^2; dividing by z
@@ -73,41 +77,64 @@ def _atanh(u, L):
     return math.atanh(u / L) if abs(u) < L else 0.0
 
 
-def _ellip_pi(n, omn, phi, a):
-    """Pi(n; phi | a.m) from the exact complements omn = 1 - n and
-    a.one_minus_m: s R_F(c^2, y, 1) + (n/3) s^3 R_J(c^2, y, 1, omn + n c^2),
-    y = (1 - m) + m c^2, at an amplitude of sine s and cosine c, continued
-    by the complete term cel(kc, omn, 1, 1). Where n nears 1, as n* does
-    near the sheet r = r0 and n_plus near the end plane z = 0, the
-    characteristic 1 - n s^2 keeps its digits."""
+def _incomplete(phi, a, p, b, reduced):
+    """An incomplete integral at amplitude phi and parameter a.m:
+    reduced(s, c^2, y) at the reduced amplitude of sine s and cosine c,
+    y = (1 - m) + m c^2 = 1 - m s^2 from a.one_minus_m, continued by
+    elliptic._continued with the complete term cel(kc, p, 1, b),
+    kc = sqrt(1 - m). Near the rim (r = r0, z = 0), where m nears 1 and,
+    at theta = pi, s too, y keeps the digits that 1 - m s^2 formed from
+    the rounded m loses."""
     m, omm = a.m, a.one_minus_m
 
-    def reduced(s, c):
+    def at(s, c):
         c2 = c * c
-        y = omm + m * c2
+        return reduced(s, c2, omm + m * c2)
+
+    return elliptic._continued(phi, m, lambda: elliptic.cel(math.sqrt(omm), p, 1.0, b), at)
+
+
+def _ellip_pi(n, omn, phi, a):
+    """Pi(n; phi | a.m) from the exact complement omn = 1 - n, by
+    _incomplete: s R_F(c^2, y, 1) + (n/3) s^3 R_J(c^2, y, 1, omn + n c^2).
+    Where n nears 1, as n* does near the sheet r = r0 and n_plus near the
+    end plane z = 0, the characteristic 1 - n s^2 keeps its digits. For
+    n < -1, as n_minus is as z -> 0, elliptic.ellip_pi's DLMF 19.7.9 form,
+    which does not cancel s R_F against the R_J term as n -> -inf."""
+    m = a.m
+
+    def reduced(s, c2, y):
+        if n < -1.0:
+            q = m / n
+            omq = 1.0 - q * s * s
+            return (s * elliptic.carlson_rc(c2 * y, (omn + n * c2) * omq)
+                    - (q / 3.0) * s ** 3 * elliptic.carlson_rj(c2, y, 1.0, omq))
         return s * elliptic.carlson_rf(c2, y, 1.0) + (n / 3.0) * s ** 3 * elliptic.carlson_rj(
             c2, y, 1.0, omn + n * c2)
 
-    return elliptic._continued(phi, m, lambda: elliptic.cel(math.sqrt(omm), omn, 1.0, 1.0),
-                               reduced)
+    return _incomplete(phi, a, omn, 1.0, reduced)
 
 
 def _legendre(a, theta, pair=True):
     """(F, E, p, nsum) at amplitude theta/2 and parameter a.m: the Legendre
-    F and E, the n* term p = q Pi(n*), q = (r - r0)/(r + r0),
+    F = s R_F(c^2, y, 1) and E = s R_F(c^2, y, 1) - (m/3) s^3 R_D(c^2, y, 1)
+    by _incomplete,
+    the n* term p = q Pi(n*), q = (r - r0)/(r + r0),
     n* = 4 r r0/(r+r0)^2 = 1 - q^2, and, if pair, the characteristic sum
     nsum = sum_pm bracket(pm) Pi(n_pm), where 1 - n_plus = (z/(r0 + rho))^2.
     At z = 0, where every coefficient of p and nsum vanishes, both are 0,
     and p is 0 at r = r0."""
     phi, m, r, r0, z = theta / 2.0, a.m, a.r, a.r0, a.z
-    F = elliptic.ellip_f(phi, m)
-    E = elliptic.ellip_e(phi, m)
+    F = _incomplete(phi, a, 1.0, 1.0, lambda s, c2, y: s * elliptic.carlson_rf(c2, y, 1.0))
+    E = _incomplete(phi, a, 1.0, a.one_minus_m, lambda s, c2, y: (
+        s * elliptic.carlson_rf(c2, y, 1.0) - (m / 3.0) * s ** 3 * elliptic.carlson_rd(c2, y, 1.0)))
     if z == 0.0:
         return F, E, 0.0, 0.0
     q = (r - r0) / (r + r0)
     p = q * _ellip_pi(4.0 * r * r0 / (r + r0) ** 2, q * q, phi, a) if r != r0 else 0.0
+    n_minus = _n_minus(a)
     nsum = _bracket(a, +1) * _ellip_pi(_n_plus(a), (z / (r0 + math.hypot(r0, z))) ** 2, phi, a) \
-        + _bracket(a, -1) * elliptic.ellip_pi(_n_minus(a), phi, m) if pair else 0.0
+        + _bracket(a, -1) * _ellip_pi(n_minus, 1.0 - n_minus, phi, a) if pair else 0.0
     return F, E, p, nsum
 
 

@@ -441,8 +441,10 @@ _SIDE_NODES = 24
 
 
 def loop_integral(field, vertices, steps=()):
-    """Circulation of the vector field (f_r, f_z) = field(r, z) around the
-    closed polygon through ``vertices`` (closed automatically).
+    """Circulation of a vector field (f_r, f_z) around the closed polygon
+    through ``vertices`` (closed automatically). field(r, z, dr, dz) is the
+    field's component along the side (dr, dz), f_r dr + f_z dz, so a
+    finite-difference field need only difference along the side.
 
     Side i runs from vertex i to vertex i + 1. Each side takes a fixed
     24-node Gauss-Legendre rule. A side whose index is in ``steps`` takes
@@ -461,8 +463,7 @@ def loop_integral(field, vertices, steps=()):
         dr, dz = r1 - r0, z1 - z0
 
         def along(t):
-            fr, fz = field(r0 + t * dr, z0 + t * dz)
-            return fr * dr + fz * dz
+            return field(r0 + t * dr, z0 + t * dz, dr, dz)
 
         if i in steps:
             total += 0.5 * (along(0.0) + along(1.0))

@@ -9,8 +9,10 @@ the defining integral of I(m, A; theta), C03 the integral of dI/dA up to
 the surface value, C04 the graded rule on Z sc
 toward the pole of sc, and C08 and C14 the Coulomb references of oracle.
 Adaptive quadrature (oracle.quad_1d) is no check's reference: it runs only
-inside the surface value above m = 1/3, one of the two routes that C03
-compares with the integral of dI/dA, and a part of the potentials near r = R.
+inside the surface value above m = 1/3, and a part of the potentials near
+r = R. C03 compares the surface value's route at each of its m with the
+integral of dI/dA, each route only where the package runs it: the 4F3
+series up to m = 1/3, the quadrature above.
 """
 
 import functools
@@ -82,27 +84,29 @@ def _crit02_definite_reduction(rng, full):
 
 
 def _crit03_surface_value(rng, full):
-    # the surface value's two routes, the quadrature at every m and the 4F3
-    # series where it runs (m <= 1/3), against the integral of dI/dA from
-    # A = 0 to the boundary, which the integral route of i_hyg_pi runs and
-    # which is within 5.1e-16 of 30-digit mpmath at these m. The routes
-    # read within 7.5e-16 of it; a 1e-12 relative error in either fails, at
-    # m = 1 - 1e-6 too, where the value is 0.0186
+    # the surface value's route at each m, where the package runs it: the
+    # 4F3 series up to m = 1/3 and the quadrature above, against the
+    # integral of dI/dA from A = 0 to the boundary, which the integral route
+    # of i_hyg_pi runs and which is within 5.1e-16 of 30-digit mpmath at
+    # these m. The routes read within 7.5e-16 of it; a 1e-12 relative error
+    # in either fails, at m = 1 - 1e-6 too, where the value is 0.0186
     tol = 1e-13
     worst = 0.0
     for m in np.arange(0.1, 0.95, 0.1).tolist() + [1.0 - 1e-6]:
         omm = 1.0 - m
         A0 = math.sqrt(omm)
         ref = hypergeom._di_da_integral(m, A0, 0.0, math.sqrt(A0))
-        quad = hypergeom._i_hyg_surface_quad(A0)
-        series = hypergeom._i_hyg_surface_f43(m, omm) if hypergeom._surface_by_series(m, omm) else ref
-        worst = max(worst, abs(quad - ref) / ref, abs(series - ref) / ref)
+        if hypergeom._surface_by_series(m, omm):
+            value = hypergeom._i_hyg_surface_f43(m, omm)
+        else:
+            value = hypergeom._i_hyg_surface_quad(A0)
+        worst = max(worst, abs(value - ref) / ref)
     # toward m -> 1 the value decays like sqrt(1-m) ln(1/(1-m)): the last
     # quadrature value, at m = 1 - 1e-6, is small and below the one at 0.99
-    ok = worst < tol and 0.0 < quad < hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - 0.99)) < 1.0
+    ok = worst < tol and 0.0 < value < hypergeom._i_hyg_surface_quad(math.sqrt(1.0 - 0.99)) < 1.0
     return ok, worst / tol, (
         f"10 m-values up to 1-1e-6, worst rel {worst:.2e}; value at m=1-1e-6 "
-        f"{quad:.6f}, decreasing toward 0")
+        f"{value:.6f}, decreasing toward 0")
 
 
 def _crit04_zsc_formula(rng, full):
@@ -316,17 +320,24 @@ def _crit10_pde_residuals(rng, full):
         f"corr-term source residual {worst_corr:.2e}")
 
 
+# C11's tube points, the fast suite taking the first 8: r >= 0.15, and each
+# stencil at least 0.1 from the sheet, its end edges and the branch-0 cut
+_CONJUGACY_TUBE_POINTS = (
+    (2.0, 0.4), (1.5, -0.9), (0.5, 0.35), (0.4, -0.4), (2.5, 1.5),
+    (0.2, 0.5), (1.8, 0.1), (0.6, -0.3), (3.0, -2.0), (1.3, 1.2),
+    (0.3, 0.2), (0.75, -0.55), (1.2, 0.3), (1.25, -0.5), (0.8, 0.9),
+    (0.15, -0.25), (2.2, -0.6), (1.0, 1.0), (0.9, -1.1), (1.6, 0.8))
+
+
 def _crit11_conjugacy(rng, full):
     n = 20 if full else 8
     h = 0.01
     min_order = math.inf
     # FD stencils need clearance from the axis
     cyl_pts = [(max(r, 0.15), z) for (r, z) in _cyl_exterior_points(n)]
-    tube_pts = [(2.0, 0.4), (1.5, -0.9), (0.5, 0.35), (0.4, -0.4), (2.5, 1.5),
-                (0.2, 0.5), (1.8, 0.1), (0.6, -0.3), (3.0, -2.0), (1.3, 1.2)]
-    tube_pts = (tube_pts * 2)[:n]
     bodies = ((_once(fields.phi_cyl, FIG_CYLINDER), _once(fields.psi_cyl, FIG_CYLINDER), cyl_pts),
-              (_once(fields.phi_tube, FIG_TUBE), _once(fields.psi_tube, FIG_TUBE), tube_pts))
+              (_once(fields.phi_tube, FIG_TUBE), _once(fields.psi_tube, FIG_TUBE),
+               _CONJUGACY_TUBE_POINTS[:n]))
     for phi, psi, pts in bodies:
         for (r, z) in pts:
             for hh in (h, h / 2.0):
@@ -349,8 +360,14 @@ def _crit12_topological_charge(rng, full):
     def psi(r, z):
         return fields.psi_tube((r, z), FIG_TUBE)
 
-    def grad(r, z):
-        return oracle.fd_gradient(psi, r, z, h)
+    def along(r, z, dr, dz):
+        # psi's central difference along the side (dr, dz) only, times its
+        # length: on the loops' axis-parallel sides, the gradient's
+        # component along the side bit for bit, without the difference
+        # across the side that it multiplied by 0
+        length = math.hypot(dr, dz)
+        er, ez = h * (dr / length), h * (dz / length)
+        return (psi(r + er, z + ez) - psi(r - er, z - ez)) / (2.0 * h) * length
 
     # a rectangle threading the tube's cross-section; its r < R side steps
     # across the branch-0 cut z = 0 between z = +-6h, so no stencil
@@ -359,11 +376,11 @@ def _crit12_topological_charge(rng, full):
     r_in, r_out, z_lo, z_hi, gap = 0.3 * R, 2.0 * R, -1.5 * Z, 1.5 * Z, 6.0 * h
     rectangle = [(r_in, z_lo), (r_out, z_lo), (r_out, z_hi), (r_in, z_hi),
                  (r_in, gap), (r_in, -gap)]
-    threading = oracle.loop_integral(grad, rectangle, steps=(4,))
+    threading = oracle.loop_integral(along, rectangle, steps=(4,))
     expected = fields.tube_branch_jump(FIG_TUBE)
     rel = abs(abs(threading) - expected) / expected
     # a square about (2.6, 0), not threading the tube
-    nonthreading = abs(oracle.loop_integral(grad, [(2.3, -0.3), (2.9, -0.3), (2.9, 0.3), (2.3, 0.3)]))
+    nonthreading = abs(oracle.loop_integral(along, [(2.3, -0.3), (2.9, -0.3), (2.9, 0.3), (2.3, 0.3)]))
     ok = rel < tol and nonthreading < tol * expected
     worst = max(rel, nonthreading / expected) / tol
     return ok, worst, (
@@ -472,11 +489,10 @@ def _crit15_unit_layer(rng, full):
         rhs = -2.0 * m * sn * cn * dn * snv * snv / (1.0 - m * sn * sn * snv * snv)
         worst = max(worst, abs(lhs - rhs) / 1e-10)
         K = elliptic.comp_k(m)
-        worst = max(worst, abs(jacobi.jacobi_zeta(v + 2.0 * K, m) - jacobi.jacobi_zeta(v, m)) / 1e-10)
-        snv_, cnv_, dnv_ = (jacobi.jacobi_sn(v, m), jacobi.jacobi_cn(v, m),
-                            jacobi.jacobi_dn(v, m))
-        worst = max(worst, abs(jacobi.jacobi_zeta(v + K, m) - jacobi.jacobi_zeta(v, m)
-                               + m * snv_ * cnv_ / dnv_) / 1e-10)
+        zv = jacobi.jacobi_zeta(v, m)
+        worst = max(worst, abs(jacobi.jacobi_zeta(v + 2.0 * K, m) - zv) / 1e-10)
+        cnv, dnv = jacobi.jacobi_cn(v, m), jacobi.jacobi_dn(v, m)
+        worst = max(worst, abs(jacobi.jacobi_zeta(v + K, m) - zv + m * snv * cnv / dnv) / 1e-10)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.0 and elapsed < 10.0
     return ok, worst, f"all identities within tolerance (worst ratio {worst:.2e}), {elapsed:.1f} s (< 10 s)"
@@ -485,7 +501,7 @@ def _crit15_unit_layer(rng, full):
 CHECKS = [
     ("C01", "hypergeometric integral: closed form vs defining integral", _crit01_ihyg_identity),
     ("C02", "definite-integral reduction at theta = pi", _crit02_definite_reduction),
-    ("C03", "surface value: quadrature and 4F3 forms vs the integral of dI/dA", _crit03_surface_value),
+    ("C03", "surface value: 4F3 and quadrature routes vs the integral of dI/dA", _crit03_surface_value),
     ("C04", "integral of Z*sc: closed form, jumps, branch increment", _crit04_zsc_formula),
     ("C05", "integrated parameter derivatives vs differences of i_hyg",
      _crit05_parameter_derivatives),

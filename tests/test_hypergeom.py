@@ -209,6 +209,21 @@ def test_appell_f2_collapses_to_2f1():
             hg.gauss_2f1(a, b, g, x), rel=1e-12)
 
 
+def test_appell_f2_ending_at_j0_takes_one_2f1(monkeypatch):
+    # at y = 0 the sum over the inner 2F1 swaps to x = 0 and ends at j = 0:
+    # it forms the j = 0 seed, 2F1(alpha, beta; gamma; x), and not the one at
+    # alpha + 1; values as read when both seeds were formed
+    gauss_2f1, calls = hg.gauss_2f1, []
+    monkeypatch.setattr(hg, "gauss_2f1", lambda *a: calls.append(a) or gauss_2f1(*a))
+    for args, value in (((0.7, 1.2, 1.0, 1.4, 1.5, 0.6, 0.0), "1.7149262917370038"),
+                        ((1.3, 0.4, 1.0, 1.9, 1.5, 0.05, 0.0), "1.0140774212251844"),
+                        ((0.25, 1.5, 1.0, 1.0, 1.5, 0.8, 0.0), "2.028887907978472")):
+        calls.clear()
+        assert repr(hg.appell_f2(*args)) == value
+        al, b1, _, g1, _, x, _ = args
+        assert calls == [(al, b1, g1, x)]
+
+
 @given(st.floats(0.0, 0.45), st.floats(0.0, 0.45))
 @settings(max_examples=40, deadline=None)
 def test_appell_f2_swap_symmetry(x, y):

@@ -71,10 +71,13 @@ def test_end_terms_equal_their_general_theta_twins(name):
 
 
 # slots (r, z; r0) 1e-3 to 1e-9 from the sheet r0 = r and from the end
-# plane z = 0, where n* and n_plus near 1
+# plane z = 0, where n* and n_plus near 1, and 1e-4 to 1e-8 from the rim
+# r0 = r, z = 0, where m nears 1 too and, at theta = pi, so does the
+# amplitude's sine: 1 - m s^2 must come from the exact 1 - m there
 NEAR_SLOTS = [(1.0, z, 1.0 + s * d) for d in (1e-3, 1e-6, 1e-9) for z in (0.5, -0.3)
               for s in (1.0, -1.0)] + \
-    [(1.0, s * d, r0) for d in (1e-3, 1e-6, 1e-9) for r0 in (1.5, 0.4) for s in (1.0, -1.0)]
+    [(1.0, s * d, r0) for d in (1e-3, 1e-6, 1e-9) for r0 in (1.5, 0.4) for s in (1.0, -1.0)] + \
+    [(1.0, d, 1.0 + d) for d in (1e-4, 1e-6, 1e-8)]
 
 
 def _mp_forms(r, theta, z, r0):
@@ -99,8 +102,9 @@ def _mp_forms(r, theta, z, r0):
 
 @pytest.mark.parametrize("theta", [math.pi, -math.pi, 2.5])
 def test_twins_match_mpmath_near_the_surfaces(theta):
-    # Pi(n*) and Pi(n_plus) from their exact complements, and float(pi)/2
-    # continued with k = 0
+    # F, E and Pi(n*), Pi(n_plus) and Pi(n_minus) from their exact
+    # complements, the n_plus bracket from r0 - r, and float(pi)/2 continued
+    # with k = 0
     for r, z, r0 in NEAR_SLOTS:
         want = _mp_forms(r, theta, z, r0)
         got = (ind.j_tube(r, theta, z, r0), ind.i_cyl_ell(r, theta, z, r0),

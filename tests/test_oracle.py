@@ -101,11 +101,20 @@ RECTANGLE = [(0.3, -1.05), (2.0, -1.05), (2.0, 1.05), (0.3, 1.05)]
 SQUARE = [(1.1, -0.2), (1.9, -0.2), (1.9, 0.6), (1.1, 0.6)]
 
 
+def _along(vector):
+    """The loop_integral field of vector(r, z) = (f_r, f_z): its component
+    f_r dr + f_z dz along the side (dr, dz)."""
+    def field(r, z, dr, dz):
+        fr, fz = vector(r, z)
+        return fr * dr + fz * dz
+    return field
+
+
 def test_loop_rules_integrate_an_exact_gradient_to_zero():
     # the gradient of r^2 z, and the rotational field (-z, r), whose
     # circulation is twice the enclosed area
-    grad = lambda r, z: (2.0 * r * z, r * r)
-    swirl = lambda r, z: (-z, r)
+    grad = _along(lambda r, z: (2.0 * r * z, r * r))
+    swirl = _along(lambda r, z: (-z, r))
     assert abs(oc.loop_integral(grad, RECTANGLE)) <= 1e-13
     assert abs(oc.loop_integral(grad, SQUARE)) <= 1e-13
     assert oc.loop_integral(swirl, RECTANGLE) == pytest.approx(2.0 * 1.7 * 2.1, abs=1e-13)
@@ -118,10 +127,10 @@ def test_loop_integral_takes_a_step_by_its_trapezoid():
     # the rectangle with its r = 0.3 side split at z = +-0.1, the short
     # side between them a step: exact for a field linear along the step
     split = RECTANGLE + [(0.3, 0.1), (0.3, -0.1)]
-    grad = lambda r, z: (2.0 * r * z, r * r)
+    grad = _along(lambda r, z: (2.0 * r * z, r * r))
     assert abs(oc.loop_integral(grad, split, steps=(4,))) <= 1e-13
     # a field quadratic along the step: its trapezoid misses by h^3 f''/12
-    bump = lambda r, z: (0.0, z * z)
+    bump = _along(lambda r, z: (0.0, z * z))
     assert oc.loop_integral(bump, split, steps=(4,)) == pytest.approx(
         -(0.2 ** 3) * 2.0 / 12.0, abs=1e-13)
     with pytest.raises(DomainError):
@@ -130,7 +139,7 @@ def test_loop_integral_takes_a_step_by_its_trapezoid():
 
 def test_loop_rules_of_a_single_valued_function_vanish():
     f = lambda r, z: r * r * z + math.sin(z)
-    grad = lambda r, z: oc.fd_gradient(f, r, z, 1e-4)
+    grad = _along(lambda r, z: oc.fd_gradient(f, r, z, 1e-4))
     assert abs(oc.loop_integral(grad, RECTANGLE)) < 1e-9
     assert abs(oc.loop_integral(grad, [(1.1, -0.4), (1.9, -0.4), (1.9, 0.4), (1.1, 0.4)])) < 1e-9
 

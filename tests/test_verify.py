@@ -65,13 +65,58 @@ def test_c03_catches_the_quadrature_off_by_1e_12_toward_m_1(monkeypatch):
     assert result.worst > 1.0
 
 
+def test_c03_runs_each_surface_route_only_where_the_package_runs_it(monkeypatch):
+    # the 4F3 series at C03's m <= 1/3 (0.1, 0.2, 0.3), the quadrature at its
+    # m > 1/3 (0.4 to 0.9, 1 - 1e-6, and 0.99 for the decreasing value)
+    seen = {"_i_hyg_surface_quad": [], "_i_hyg_surface_f43": []}
+    for name, calls in seen.items():
+        original = getattr(hypergeom, name)
+        monkeypatch.setattr(hypergeom, name,
+                            lambda *a, _f=original, _c=calls: _c.append(a) or _f(*a))
+    assert verify.run_check("C03", seed=0, full=False).passed
+    assert len(seen["_i_hyg_surface_f43"]) == 3
+    assert all(m <= 1.0 / 3.0 for m, _ in seen["_i_hyg_surface_f43"])
+    assert len(seen["_i_hyg_surface_quad"]) == 8
+    assert all(1.0 - b * b > 1.0 / 3.0 for (b,) in seen["_i_hyg_surface_quad"])
+
+
+def test_c12_differences_psi_only_along_each_side(monkeypatch):
+    # 2 psi_tube values per node or step end: 24 nodes on each of the
+    # rectangle's 5 sides and the square's 4, 2 ends of the step
+    psi_tube, calls = fields.psi_tube, []
+    monkeypatch.setattr(fields, "psi_tube", lambda *a, **kw: calls.append(a) or psi_tube(*a, **kw))
+    assert verify.run_check("C12", seed=0, full=False).passed
+    assert len(calls) == 2 * (24 * 9 + 2) == 436
+
+
+def test_c11_tube_points_are_distinct_and_clear_of_the_tube():
+    # each five-point stencil (h = 0.01) at least 0.1 from the sheet
+    # {r = 1, |z| <= 0.7}, its end edges among it, and from the branch-0 cut
+    # {z = 0, r <= 1}; the fast suite keeps its first 8
+    pts = verify._CONJUGACY_TUBE_POINTS
+    assert len(set(pts)) == len(pts) == 20
+    assert pts[:8] == ((2.0, 0.4), (1.5, -0.9), (0.5, 0.35), (0.4, -0.4), (2.5, 1.5),
+                       (0.2, 0.5), (1.8, 0.1), (0.6, -0.3))
+    R, Z, h = verify.FIG_TUBE.R, verify.FIG_TUBE.Z, 0.01
+    for r, z in pts:
+        assert r >= 0.15
+        for sr, sz in ((r, z), (r + h, z), (r - h, z), (r, z + h), (r, z - h)):
+            sheet = math.hypot(sr - R, max(abs(sz) - Z, 0.0))
+            cut = math.hypot(max(sr - R, 0.0), sz)
+            assert min(sheet, cut) >= 0.1 - 1e-12, (r, z)
+    assert "2 bodies x 20 points" in verify.run_check("C11", seed=0, full=True).detail
+
+
 # worst residual ratios of the fast suite, as read when each stencil
-# evaluated all its points itself
+# evaluated all its points itself, and C12's as read when its field
+# differenced psi across each side too
 @pytest.mark.parametrize("ident,seed,worst", [
     ("C10", 0, "0.9000144414586894"),
     ("C10", 42, "0.9000637111612076"),
     ("C11", 0, "0.9000138249038667"),
     ("C11", 42, "0.9000138249038667"),
+    ("C12", 0, "0.013651544493380942"),
+    ("C12", 42, "0.013651544493380942"),
 ])
 def test_shared_stencil_points_keep_the_result(ident, seed, worst):
     result = verify.run_check(ident, seed=seed, full=False)
